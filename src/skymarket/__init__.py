@@ -33,7 +33,7 @@ from .energy import (
 from .valuation import ValuationSeries, average_valuation, instant_valuation, qors_from_distance
 from .mechanism import WindowMarket, admit, allocate, price, run_auction
 from .audit import AuditReport, audit_market, check_ir, check_stability, deviation_probe, non_envy_ratio
-from .baselines import BaselineKind, MarketTooLargeError, exhaustive_optimal, static_wpt_round
+from .baselines import optimal_scheme_outcome
 from .simulator import (
     MetricsRow,
     World,

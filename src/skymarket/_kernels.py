@@ -278,24 +278,17 @@ def _want_numba() -> bool:
     return flag in ("", "0")
 
 
-if _want_numba():
-    try:
-        from numba import njit
+try:
+    from numba import njit
 
-        step_world_numba = njit(cache=True)(_step_world_py)
-        step_world = step_world_numba
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - every import where numba is absent
-        step_world_numba = None
-        step_world = step_world_numpy
-        BACKEND = "numpy"
+    step_world_numba = njit(cache=True)(_step_world_py)
+except ImportError:  # pragma: no cover - every import where numba is absent
+    step_world_numba = None
+
+if _want_numba() and step_world_numba is not None:
+    step_world = step_world_numba
+    BACKEND = "numba"
 else:
-    try:
-        from numba import njit
-
-        step_world_numba = njit(cache=True)(_step_world_py)
-    except ImportError:  # pragma: no cover - flag set and numba absent
-        step_world_numba = None
     step_world = step_world_numpy
     BACKEND = "numpy"
 

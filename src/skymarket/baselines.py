@@ -1,56 +1,34 @@
-"""Comparison schemes: omniscient exhaustive matching and static pads.
+"""Comparison scheme: the omniscient welfare-maximizing planner.
 
-The exhaustive scheme enumerates every one-to-one assignment of the
-smaller market side into the larger one and keeps the welfare maximizer
-(sum of q * Phi_bar over matched pairs), pricing the resulting ranking
-with the same externality rule as the auction so utilities stay
-comparable. Enumeration walks candidates in descending-value order and
-prunes on an assortative upper bound of the unassigned remainder, which
-keeps 9x9 instances sub-second; beyond the guard it refuses.
+The planner matches true average valuations, not bids, to quality
+scores so as to maximize the social surplus (sum of q * Phi_bar over
+matched pairs). By the rearrangement inequality the assortative match,
+the j-th highest valuation to the j-th best vehicle, attains that
+maximum, so ``optimal_scheme_outcome`` clears a copy of the market whose
+bids are the valuations through the auction itself; the result is priced
+by the auction's externality rule and its utilities stay comparable.
+Under truthful bids, which is every market the simulator and the presets
+build, it returns exactly the auction's outcome.
 
-``optimal_scheme_outcome`` is the scheme runner used by the simulator
-and the envy-table preset: within the guard it enumerates, beyond it
-falls back to the assortative closed form, which attains the same
-maximum (rearrangement inequality; the equivalence is exercised against
-enumeration in the test suite).
+``best_assignment`` is an exact branch-and-bound search over injections,
+kept as the oracle the closed form is checked against; no scheme calls it.
 
-The static scheme replays the identical auction against fixed charging
-pads: quality scores are computed from the full spot-to-pad distance
-instead of a rendezvous midpoint, so they are pointwise no better than
-a mobile vehicle's at the same location.
+The static-pad scheme is scored in the simulator
+(``World.service_distance``) and clears through the unchanged auction.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Sequence
 
-from .mechanism import BidderInfo, WindowMarket, admit, run_auction
-from .types import AuctionOutcome, Match, UgvState
-from .valuation import qors_from_distance
-
-EXHAUSTIVE_GUARD = 9
+from .mechanism import DemandEntry, WindowMarket, _rank_demand, run_auction
+from .types import AuctionOutcome
 
 __all__ = [
-    "BaselineKind",
-    "EXHAUSTIVE_GUARD",
-    "MarketTooLargeError",
     "best_assignment",
-    "exhaustive_optimal",
     "optimal_scheme_outcome",
-    "static_pad_qors",
-    "static_wpt_round",
 ]
-
-
-class BaselineKind(enum.Enum):
-    EXHAUSTIVE_OPTIMAL = "optimal"
-    STATIC_WPT = "static"
-
-
-class MarketTooLargeError(RuntimeError):
-    """Raised when an instance exceeds the enumeration size guard."""
 
 
 def best_assignment(
@@ -106,138 +84,14 @@ def best_assignment(
     return best_score, [order[pos] for pos in best_assign]
 
 
-def _priced_outcome_from_pairs(
-    market: WindowMarket,
-    pairs: Sequence[tuple[int, int]],  # (demand index, supply index) into market tuples
-) -> AuctionOutcome:
-    """Settle an externally chosen allocation with the auction's payment
-    rule applied to its q-descending ranking."""
-    ranked = sorted(pairs, key=lambda p: (-market.supply[p[1]].q, market.supply[p[1]].ugv_id))
-    k = len(ranked)
-    n_uavs, n_ugvs = market.num_uavs, market.num_ugvs
-
-    matches = tuple(
-        Match(
-            rank=j + 1,
-            uav_id=market.demand[di].uav_id,
-            ugv_id=market.supply[si].ugv_id,
-            bid=market.demand[di].bid,
-            q=market.supply[si].q,
-        )
-        for j, (di, si) in enumerate(ranked)
-    )
-    payments = [0.0] * k
-    if k:
-        if n_ugvs < n_uavs:
-            matched_ids = {m.uav_id for m in matches}
-            loser_bids = [e.bid for e in market.demand_ranked if e.uav_id not in matched_ids]
-            q_last = market.supply_ranked[n_ugvs - 1].q
-            payments[k - 1] = q_last * loser_bids[0] if loser_bids else 0.0
-        for j in range(k - 2, -1, -1):
-            payments[j] = (matches[j].q - matches[j + 1].q) * matches[j + 1].bid + payments[j + 1]
-
-    phi_by_id = {e.uav_id: e.phi_bar for e in market.demand}
-    uav_utils = {e.uav_id: 0.0 for e in market.demand}
-    ugv_utils = {s.ugv_id: 0.0 for s in market.supply}
-    surplus = 0.0
-    for m, p in zip(matches, payments):
-        uav_utils[m.uav_id] = m.q * phi_by_id[m.uav_id] - p
-        ugv_utils[m.ugv_id] = p
-        surplus += m.q * phi_by_id[m.uav_id]
-    losers = tuple(e.uav_id for e in market.demand_ranked if e.uav_id not in {m.uav_id for m in matches})
-    return AuctionOutcome(
+def optimal_scheme_outcome(market: WindowMarket) -> AuctionOutcome:
+    """Welfare-optimal outcome: the auction run on true valuations."""
+    demand = tuple(DemandEntry(e.uav_id, e.phi_bar, e.phi_bar) for e in market.demand)
+    truthful = WindowMarket(
         window_id=market.window_id,
-        winners=matches,
-        losers=losers,
-        payments=tuple(payments),
-        uav_utilities=uav_utils,
-        ugv_utilities=ugv_utils,
-        social_surplus=surplus,
+        demand=demand,
+        supply=market.supply,
+        demand_ranked=_rank_demand(demand),
+        supply_ranked=market.supply_ranked,
     )
-
-
-def exhaustive_optimal(market: WindowMarket, guard: int = EXHAUSTIVE_GUARD) -> AuctionOutcome:
-    """Welfare-optimal assignment by brute-force enumeration.
-
-    The planner is omniscient: it optimizes over true average valuations,
-    not bids. Raises :class:`MarketTooLargeError` when
-    min(demand, supply) exceeds ``guard``.
-    """
-    if market.is_empty:
-        return run_auction(market)
-    k = min(market.num_uavs, market.num_ugvs)
-    if k > guard:
-        raise MarketTooLargeError(
-            f"min(I, J) = {k} exceeds the enumeration guard {guard}"
-        )
-
-    demand = list(market.demand)
-    supply = list(market.supply)
-    if market.num_uavs <= market.num_ugvs:
-        small_vals = sorted(range(len(demand)), key=lambda i: (-demand[i].phi_bar, demand[i].uav_id))
-        small = [demand[i].phi_bar for i in small_vals]
-        large = [s.q for s in supply]
-        _, assign = best_assignment(small, large)
-        pairs = [(small_vals[t], assign[t]) for t in range(len(small))]
-    else:
-        small_vals = sorted(range(len(supply)), key=lambda j: (-supply[j].q, supply[j].ugv_id))
-        small = [supply[j].q for j in small_vals]
-        large = [e.phi_bar for e in demand]
-        _, assign = best_assignment(small, large)
-        pairs = [(assign[t], small_vals[t]) for t in range(len(small))]
-    return _priced_outcome_from_pairs(market, pairs)
-
-
-def _assortative_by_valuation(market: WindowMarket) -> AuctionOutcome:
-    """Closed-form welfare maximizer: rank valuations against quality
-    scores directly (the enumeration's answer on tie-free instances)."""
-    by_phi = sorted(range(market.num_uavs), key=lambda i: (-market.demand[i].phi_bar, market.demand[i].uav_id))
-    by_q = sorted(range(market.num_ugvs), key=lambda j: (-market.supply[j].q, market.supply[j].ugv_id))
-    k = min(market.num_uavs, market.num_ugvs)
-    pairs = [(by_phi[t], by_q[t]) for t in range(k)]
-    return _priced_outcome_from_pairs(market, pairs)
-
-
-def optimal_scheme_outcome(market: WindowMarket, guard: int = EXHAUSTIVE_GUARD) -> AuctionOutcome:
-    """Exhaustive enumeration within the guard, assortative beyond it."""
-    if market.is_empty:
-        return run_auction(market)
-    if min(market.num_uavs, market.num_ugvs) <= guard:
-        return exhaustive_optimal(market, guard=guard)
-    return _assortative_by_valuation(market)
-
-
-def static_pad_qors(pad_position: tuple[float, float], spot: tuple[float, float],
-                    d_max: float, floor: float = 0.05) -> float:
-    """Quality score of a fixed pad: the UAV flies the full spot-to-pad
-    distance, with no rendezvous-midpoint benefit. Distances beyond
-    d_max saturate at the floor."""
-    d = math.hypot(pad_position[0] - spot[0], pad_position[1] - spot[1])
-    return qors_from_distance(min(d, d_max), d_max, floor)
-
-
-def static_wpt_round(
-    bidders: Sequence[BidderInfo],
-    chargers: Sequence[UgvState],
-    spot: tuple[float, float],
-    d_max: float,
-    window_id: int,
-    floor: float = 0.05,
-) -> AuctionOutcome:
-    """One auction round against fixed pads: identical mechanism, quality
-    scores recomputed from each pad's full distance to the sensing spot."""
-    rescored = [
-        UgvState(
-            id=c.id,
-            position=c.position,
-            speed_kmh=0.0,
-            supply_capacity=c.supply_capacity,
-            supply_remaining=c.supply_remaining,
-            transfer_power=c.transfer_power,
-            transfer_efficiency=c.transfer_efficiency,
-            qors=static_pad_qors(c.position, spot, d_max, floor),
-        )
-        for c in chargers
-    ]
-    market = admit(bidders, rescored, window_id)
-    return run_auction(market)
+    return run_auction(truthful)

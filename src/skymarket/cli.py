@@ -7,9 +7,9 @@ Subcommands:
 * ``audit``    - property probes over random market instances
 * ``validate`` - check a config file, list violations
 
-Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config,
-3 runtime size-guard breach. The default output directory comes from
-``SKYMARKET_OUT`` (falling back to ``./results``).
+Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config. The
+default output directory comes from ``SKYMARKET_OUT`` (falling back to
+``./results``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from .audit import AUDIT_CSV_HEADER, audit_report_row
-from .baselines import MarketTooLargeError
 from .mechanism import OUTCOME_CSV_HEADER, outcome_rows
 from .presets import PRESETS, run_audit_suite, run_preset
 from .reporting import __version__, provenance_line, write_csv
@@ -37,7 +36,6 @@ from .types import ScenarioConfig, load_config, validate
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
-EXIT_GUARD = 3
 
 
 def _default_out() -> str:
@@ -134,16 +132,8 @@ def cmd_run(args) -> int:
         ]
         files.append(write_csv(out / "outcomes.csv",
                                ("scheme", "seed") + OUTCOME_CSV_HEADER, rows, prov))
-    if result.errors:
-        files.append(write_csv(out / "errors.csv",
-                               ("scheme", "J", "tau", "seed", "message"),
-                               result.errors, prov))
-        print(f"warning: {len(result.errors)} run(s) hit the enumeration guard",
-              file=sys.stderr)
     for f in files:
         print(f)
-    if result.errors and not result.rows:
-        return EXIT_GUARD
     return EXIT_OK
 
 
@@ -162,12 +152,8 @@ def cmd_preset(args) -> int:
         for p in problems:
             print(f"invalid config: {p}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        files = run_preset(args.name, config, args.seed, args.out,
-                           reps=args.reps, instances=args.instances)
-    except MarketTooLargeError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    files = run_preset(args.name, config, args.seed, args.out,
+                       reps=args.reps, instances=args.instances)
     for f in files:
         print(f)
     return EXIT_OK
@@ -175,12 +161,8 @@ def cmd_preset(args) -> int:
 
 def cmd_audit(args) -> int:
     config = ScenarioConfig()
-    try:
-        files = run_audit_suite(config, args.seed, Path(args.out),
-                                instances=args.instances, max_size=args.max_size)
-    except MarketTooLargeError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    files = run_audit_suite(config, args.seed, Path(args.out),
+                            instances=args.instances, max_size=args.max_size)
     for f in files:
         print(f)
     return EXIT_OK

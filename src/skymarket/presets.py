@@ -74,17 +74,7 @@ def _run_fig_sweep(
         [tuple(a[k] for k in AGGREGATE_CSV_HEADER) for a in result.aggregates],
         prov,
     )
-    written = [raw, agg]
-    if result.errors:
-        written.append(
-            write_csv(
-                out_dir / f"{name}_errors.csv",
-                ("scheme", "J", "tau", "seed", "message"),
-                result.errors,
-                prov,
-            )
-        )
-    return written
+    return [raw, agg]
 
 
 def run_fig_satisfaction(config, seed, out_dir, reps=DEFAULT_REPS, **_):

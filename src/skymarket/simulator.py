@@ -6,7 +6,7 @@ matched vehicles drive to their rendezvous, charging sessions hold a pad
 until the satisfactory level and UAVs that cross the urgency threshold
 queue as bidders. Every ``window_len`` seconds the accumulated bidders
 and idle vehicles clear through the configured scheme (the auction, the
-omniscient exhaustive matcher, or the static-pad variant).
+omniscient welfare-maximizing planner, or the static-pad variant).
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels as K
 from .audit import audit_market, non_envy_ratio
-from .baselines import MarketTooLargeError, optimal_scheme_outcome
+from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
 from .mechanism import BidderInfo, admit, run_auction
 from .types import (
@@ -380,7 +380,7 @@ def close_window(world: World, with_audit: bool = False):
 
     market = admit(bidders, ugvs, window_id)
     if world.scheme == SCHEME_OPTIMAL:
-        outcome = optimal_scheme_outcome(market)  # may raise MarketTooLargeError
+        outcome = optimal_scheme_outcome(market)
     else:
         outcome = run_auction(market)
 
@@ -431,7 +431,8 @@ def close_window(world: World, with_audit: bool = False):
     for i in outcome.losers:
         world.fail_count[i] += 1
         if c.max_failed_windows > 0 and world.fail_count[i] >= c.max_failed_windows:
-            # give up on the market; head for a fixed swap station instead
+            # stop bidding for the rest of the run; the UAV keeps hovering
+            # over its task and draining, with no other way to recharge
             world.bidder[i] = False
             world.excluded[i] = True
 
@@ -481,7 +482,6 @@ def run_world(
 class ExperimentResult:
     rows: list[MetricsRow]
     aggregates: list[dict]
-    errors: list[tuple[str, int, float, int, str]]  # scheme, J, tau, seed, message
     audits: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)  # (scheme, seed, AuctionOutcome)
 
@@ -495,16 +495,14 @@ def run_experiment(
     with_audit: bool = False,
     keep_outcomes: bool = False,
 ) -> ExperimentResult:
-    """Grid x seeds x schemes Monte-Carlo sweep with per-cell fault capture.
+    """Grid x seeds x schemes Monte-Carlo sweep.
 
     ``sweep`` maps ScenarioConfig field names to value lists; the full
     cartesian product is simulated for ``replications`` seeds
-    (base_seed, base_seed+1, ...). Enumeration-guard breaches abort only
-    their own cell and are reported in ``errors``.
+    (base_seed, base_seed+1, ...).
     """
     keys = list(sweep.keys())
     rows: list[MetricsRow] = []
-    errors = []
     audits = []
     outcomes = []
     for combo in itertools.product(*(sweep[k] for k in keys)):
@@ -513,18 +511,14 @@ def run_experiment(
             seed = base_seed + rep
             for scheme in schemes:
                 world = generate_scenario(cfg, seed, scheme)
-                try:
-                    run_rows, run_outcomes, run_audits = run_world(
-                        world, with_audit=with_audit, keep_outcomes=keep_outcomes
-                    )
-                except MarketTooLargeError as exc:
-                    errors.append((scheme, cfg.ugv_count, cfg.window_len, seed, str(exc)))
-                    continue
+                run_rows, run_outcomes, run_audits = run_world(
+                    world, with_audit=with_audit, keep_outcomes=keep_outcomes
+                )
                 rows.extend(run_rows)
                 audits.extend(run_audits)
                 outcomes.extend((scheme, seed, o) for o in run_outcomes)
     return ExperimentResult(
-        rows=rows, aggregates=aggregate_rows(rows), errors=errors,
+        rows=rows, aggregates=aggregate_rows(rows),
         audits=audits, outcomes=outcomes,
     )
 

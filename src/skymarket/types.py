@@ -350,7 +350,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     if not (0.0 <= c.enter_urgency <= 1.0):
         v.append("enter_urgency: must lie in [0, 1]")
     if c.max_failed_windows < 0:
-        v.append("max_failed_windows: must be >= 0 (0 disables exit)")
+        v.append("max_failed_windows: must be >= 0 (0 keeps losers bidding; n > 0 "
+                 "stops a UAV bidding for the rest of the run after n lost windows)")
     return v
 
 
