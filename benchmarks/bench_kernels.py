@@ -58,7 +58,8 @@ def bench_raw(steps, repeats):
 
     print(f"raw kernel, {steps} steps (best of {repeats}):")
     print(f"  {'fleet':>10} " + " ".join(f"{name:>12}" for name, _ in backends) + "   speedup")
-    for n_uavs, n_ugvs in ((10, 10), (50, 50), (200, 200), (1000, 1000)):
+    # 150x150 is the stack a one-seed five-fleet-size three-scheme sweep steps
+    for n_uavs, n_ugvs in ((10, 10), (50, 50), (150, 150), (200, 200), (1000, 1000)):
         arrays = warmed_arrays(n_uavs, n_ugvs)
         times = [time_backend(fn, arrays, steps, repeats) for _, fn in backends]
         cols = " ".join(f"{t * 1e6 / steps:>10.2f}us" for t in times)
@@ -71,15 +72,19 @@ def bench_full_run(repeats):
     choices = [("numpy", K.step_world_numpy)]
     if K.step_world_numba is not None:
         choices.insert(0, ("numba", K.step_world_numba))
-    for name, fn in choices:
-        K.step_world = fn
-        best = np.inf
-        for _ in range(repeats):
-            world = generate_scenario(ScenarioConfig(), seed=1)
-            t0 = time.perf_counter()
-            run_world(world)
-            best = min(best, time.perf_counter() - t0)
-        print(f"  {name:>7}: {best * 1e3:8.1f} ms")
+    active = K.step_world
+    try:
+        for name, fn in choices:
+            K.step_world = fn
+            best = np.inf
+            for _ in range(repeats):
+                world = generate_scenario(ScenarioConfig(), seed=1)
+                t0 = time.perf_counter()
+                run_world(world)
+                best = min(best, time.perf_counter() - t0)
+            print(f"  {name:>7}: {best * 1e3:8.1f} ms")
+    finally:
+        K.step_world = active
 
 
 def main():

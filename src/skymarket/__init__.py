@@ -43,6 +43,7 @@ from .simulator import (
     rendezvous,
     run_experiment,
     run_world,
+    run_worlds,
     satisfaction_level,
 )
 from .reporting import __version__

@@ -1,8 +1,12 @@
 """Per-slot world stepping kernels: numba-jitted with a numpy fallback.
 
 The simulator keeps agent state in struct-of-arrays form and advances one
-slot per call. Two implementations share the exact same arithmetic, in
-the same per-element order, so they produce bit-identical trajectories:
+slot per call. It calls ``step_world`` on the stacked arrays of every
+world in a sweep: the only link between rows is a partner index, which
+the simulator offsets into the stack, so each row's arithmetic is the
+same as in a world stepped alone. Two implementations share the exact
+same arithmetic, in the same per-element order, so they produce
+bit-identical trajectories:
 
 * ``step_world_numba`` - explicit loops under ``@njit(cache=True)``;
 * ``step_world_numpy`` - vectorized masks, pure numpy.

@@ -8,6 +8,13 @@ queue as bidders. Every ``window_len`` seconds the accumulated bidders
 and idle vehicles clear through the configured scheme (the auction, the
 omniscient welfare-maximizing planner, or the static-pad variant).
 
+A sweep runs all its worlds in lockstep (``run_worlds``): their agent
+arrays are stacked, so each slot costs one kernel call and one
+bookkeeping pass for the whole sweep rather than one per world, and
+each world still clears its windows at its own ``window_len``. Nothing
+couples agents except partner indices, which are offset into the stack,
+so every world evolves bit-identically to a run on its own.
+
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
 other draw untouched: sweeps over fleet sizes are paired comparisons by
@@ -73,6 +80,7 @@ __all__ = [
     "advance_slot",
     "close_window",
     "run_world",
+    "run_worlds",
     "ExperimentResult",
     "run_experiment",
     "METRICS_CSV_HEADER",
@@ -108,13 +116,23 @@ class MetricsRow:
 
 @dataclass
 class World:
-    """Mutable simulation state; one instance per run, single-threaded."""
+    """Mutable simulation state; one instance per run, single-threaded.
+
+    While ``run_worlds`` steps a sweep, the agent arrays and the per-UAV
+    bookkeeping arrays are views into one stack shared by every world of
+    the sweep, and the partner columns hold stack-global indices: a
+    world's UAV i is row ``uav_base + i`` of the stack, its vehicle j row
+    ``ugv_base + j``. Outside ``run_worlds`` the arrays are the world's
+    own, partner indices are local and both bases are 0.
+    """
 
     config: ScenarioConfig
     scheme: str
     seed: int
     clock: int = 0
     window_count: int = 0
+    uav_base: int = 0
+    ugv_base: int = 0
 
     # struct-of-arrays agent state (see _kernels for column layouts)
     uav_f: np.ndarray = field(default=None, repr=False)
@@ -328,6 +346,7 @@ def advance_slot(world: World) -> World:
     """Advance one slot: physics step, then bidder bookkeeping."""
     K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i)
 
+    # run_worlds stacks only worlds that agree on every config field read here
     c = world.config
     act = world.uav_i[:, K.I_ACT]
     rho = world.urgency()
@@ -405,7 +424,7 @@ def close_window(world: World, with_audit: bool = False):
         pad = (world.ugv_f[j, K.G_X], world.ugv_f[j, K.G_Y])
         meet = pad if world.scheme == SCHEME_STATIC else rendezvous(world.spot, pad)
         world.uav_i[i, K.I_ACT] = K.ACT_FLY_OUT
-        world.uav_i[i, K.I_PARTNER] = j
+        world.uav_i[i, K.I_PARTNER] = j + world.ugv_base
         world.uav_f[i, K.F_TX] = meet[0]
         world.uav_f[i, K.F_TY] = meet[1]
         gain = (
@@ -418,7 +437,7 @@ def close_window(world: World, with_audit: bool = False):
         world.uav_f[i, K.F_CHARGE_GAIN] = gain
         # sender-side loss: the pad draws delivered/eta_j from its stock
         world.uav_f[i, K.F_SUPPLY_DRAW] = gain / world.ugv_eta[j]
-        world.ugv_i[j, K.GI_PARTNER] = i
+        world.ugv_i[j, K.GI_PARTNER] = i + world.uav_base
         if world.scheme == SCHEME_STATIC:
             world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
         else:
@@ -451,6 +470,107 @@ def close_window(world: World, with_audit: bool = False):
     return outcome, row
 
 
+# agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
+_UAV_ARRAYS = (
+    "uav_f", "uav_i", "soc_alert", "bidder", "excluded", "fail_count",
+    "enqueue_slot", "phi_sum", "rho_sum", "sample_count",
+)
+_UGV_ARRAYS = ("ugv_f", "ugv_i")
+
+
+def _shift_partners(worlds: Sequence[World], sign: int) -> None:
+    """Add (sign=1) or remove (sign=-1) each world's bases on its partners."""
+    for w in worlds:
+        p = w.uav_i[:, K.I_PARTNER]
+        p[p >= 0] += sign * w.ugv_base
+        p = w.ugv_i[:, K.GI_PARTNER]
+        p[p >= 0] += sign * w.uav_base
+
+
+def _stack(worlds: Sequence[World]) -> World:
+    """One world over every member's agents; members become views of it."""
+    first = worlds[0]
+    stack = World(config=first.config, scheme=first.scheme, seed=first.seed,
+                  clock=first.clock)
+    for name in _UAV_ARRAYS + _UGV_ARRAYS:
+        setattr(stack, name, np.concatenate([getattr(w, name) for w in worlds]))
+    uav_base = ugv_base = 0
+    for w in worlds:
+        n, m = w.num_uavs, w.num_ugvs
+        for name in _UAV_ARRAYS:
+            setattr(w, name, getattr(stack, name)[uav_base:uav_base + n])
+        for name in _UGV_ARRAYS:
+            setattr(w, name, getattr(stack, name)[ugv_base:ugv_base + m])
+        w.uav_base, w.ugv_base = uav_base, ugv_base
+        uav_base += n
+        ugv_base += m
+    _shift_partners(worlds, 1)
+    return stack
+
+
+def _unstack(worlds: Sequence[World]) -> None:
+    """Give every member its own arrays again, with local partner indices."""
+    _shift_partners(worlds, -1)
+    for w in worlds:
+        for name in _UAV_ARRAYS + _UGV_ARRAYS:
+            setattr(w, name, getattr(w, name).copy())
+        w.uav_base = w.ugv_base = 0
+
+
+def _run_lockstep(worlds: Sequence[World], horizon: int, with_audit: bool,
+                  keep_outcomes: bool) -> list[tuple[list, list, list]]:
+    """Step worlds that share advance_slot's constants as one stack."""
+    stack = _stack(worlds)
+    spws = [w.config.slots_per_window for w in worlds]
+    results = [([], [], []) for _ in worlds]
+    try:
+        for _ in range(horizon):
+            advance_slot(stack)
+            for world, spw, (rows, outcomes, audits) in zip(worlds, spws, results):
+                world.clock = stack.clock
+                if world.clock % spw:
+                    continue
+                outcome, row, *report = close_window(world, with_audit=with_audit)
+                rows.append(row)
+                audits.extend(report)
+                if keep_outcomes:
+                    outcomes.append(outcome)
+    finally:
+        _unstack(worlds)
+    return results
+
+
+def run_worlds(
+    worlds: Sequence[World],
+    horizon_slots: Optional[int] = None,
+    with_audit: bool = False,
+    keep_outcomes: bool = False,
+) -> list[tuple[list[MetricsRow], list[AuctionOutcome], list]]:
+    """Run every world's horizon in lockstep; one result per world, in order.
+
+    Worlds that share a horizon and the constants ``advance_slot`` reads
+    (``enter_urgency``, ``mu0``, ``mu1``) are stacked and stepped by one
+    ``advance_slot`` call per slot; each world's windows still close at its
+    own ``slots_per_window``. The kernel and the bookkeeping are per
+    agent, so every world evolves exactly as it would alone. Each result
+    is (metrics rows, outcomes, audit reports), as from ``run_world``.
+    """
+    if len({w.clock for w in worlds}) > 1:
+        raise ValueError("run_worlds needs every world at the same clock")
+    groups: dict[tuple, list[int]] = {}
+    for k, w in enumerate(worlds):
+        c = w.config
+        horizon = horizon_slots if horizon_slots is not None else c.horizon_slots
+        groups.setdefault((horizon, c.enter_urgency, c.mu0, c.mu1), []).append(k)
+    results: list = [None] * len(worlds)
+    for (horizon, *_), members in groups.items():
+        group = _run_lockstep([worlds[k] for k in members], horizon,
+                              with_audit, keep_outcomes)
+        for k, result in zip(members, group):
+            results[k] = result
+    return results
+
+
 def run_world(
     world: World,
     horizon_slots: Optional[int] = None,
@@ -458,24 +578,7 @@ def run_world(
     keep_outcomes: bool = False,
 ):
     """Run the horizon; returns (metrics rows, outcomes, audit reports)."""
-    horizon = horizon_slots if horizon_slots is not None else world.config.horizon_slots
-    spw = world.config.slots_per_window
-    rows: list[MetricsRow] = []
-    outcomes: list[AuctionOutcome] = []
-    audits = []
-    for _ in range(horizon):
-        advance_slot(world)
-        if world.clock % spw == 0:
-            result = close_window(world, with_audit=with_audit)
-            if with_audit:
-                outcome, row, report = result
-                audits.append(report)
-            else:
-                outcome, row = result
-            rows.append(row)
-            if keep_outcomes:
-                outcomes.append(outcome)
-    return rows, outcomes, audits
+    return run_worlds([world], horizon_slots, with_audit, keep_outcomes)[0]
 
 
 @dataclass
@@ -502,21 +605,20 @@ def run_experiment(
     (base_seed, base_seed+1, ...).
     """
     keys = list(sweep.keys())
-    rows: list[MetricsRow] = []
-    audits = []
-    outcomes = []
+    worlds = []
     for combo in itertools.product(*(sweep[k] for k in keys)):
         cfg = config.replace(**dict(zip(keys, combo)))
         for rep in range(replications):
-            seed = base_seed + rep
             for scheme in schemes:
-                world = generate_scenario(cfg, seed, scheme)
-                run_rows, run_outcomes, run_audits = run_world(
-                    world, with_audit=with_audit, keep_outcomes=keep_outcomes
-                )
-                rows.extend(run_rows)
-                audits.extend(run_audits)
-                outcomes.extend((scheme, seed, o) for o in run_outcomes)
+                worlds.append(generate_scenario(cfg, base_seed + rep, scheme))
+    rows: list[MetricsRow] = []
+    audits = []
+    outcomes = []
+    results = run_worlds(worlds, with_audit=with_audit, keep_outcomes=keep_outcomes)
+    for world, (run_rows, run_outcomes, run_audits) in zip(worlds, results):
+        rows.extend(run_rows)
+        audits.extend(run_audits)
+        outcomes.extend((world.scheme, world.seed, o) for o in run_outcomes)
     return ExperimentResult(
         rows=rows, aggregates=aggregate_rows(rows),
         audits=audits, outcomes=outcomes,

@@ -1,6 +1,7 @@
 """World generation, slot dynamics, window clearing, and the sweep harness."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import skymarket._kernels as K
 from skymarket.simulator import (
+    ALL_SCHEMES,
     SCHEME_OURS,
     SCHEME_STATIC,
     MetricsRow,
@@ -18,6 +20,7 @@ from skymarket.simulator import (
     rendezvous,
     run_experiment,
     run_world,
+    run_worlds,
     satisfaction_level,
 )
 from skymarket.mechanism import WindowMarket, run_auction
@@ -367,3 +370,56 @@ def test_run_experiment_is_reproducible():
     a = run_experiment(cfg, {}, replications=3, schemes=("ours",), base_seed=7)
     b = run_experiment(cfg, {}, replications=3, schemes=("ours",), base_seed=7)
     assert a.rows == b.rows and a.aggregates == b.aggregates
+
+
+def _sweep_worlds(cfg, seed=4):
+    return [
+        generate_scenario(cfg.replace(ugv_count=m, window_len=tau), seed, scheme)
+        for m in (3, 8) for tau in (4.0, 8.0, 16.0) for scheme in ALL_SCHEMES
+    ]
+
+
+def test_lockstep_sweep_matches_worlds_run_alone():
+    # mixed fleet sizes, window lengths and schemes share one stack; each
+    # world must evolve bit-identically to a run on its own, and hand back
+    # its own arrays with local partner indices. The second leg starts
+    # with pairs in flight, so their partners must be offset into the stack.
+    cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
+    together, alone = _sweep_worlds(cfg), _sweep_worlds(cfg)
+    kw = dict(horizon_slots=24, with_audit=True, keep_outcomes=True)
+    for _ in range(2):
+        stacked = run_worlds(together, **kw)
+        assert stacked == [run_world(w, **kw) for w in alone]
+        assert all(audits for _, _, audits in stacked)
+    for a, b in zip(together, alone):
+        for name in ("uav_f", "uav_i", "ugv_f", "ugv_i", "soc_alert", "bidder",
+                     "excluded", "fail_count", "enqueue_slot", "phi_sum",
+                     "rho_sum", "sample_count"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).base is None, name
+        assert (a.uav_base, a.ugv_base, a.clock) == (0, 0, 48)
+    # the partner columns were exercised, not left at -1
+    assert any((w.uav_i[:, K.I_PARTNER] >= 0).any() for w in together[3:])
+
+
+def test_run_experiment_groups_worlds_by_slot_constants():
+    # worlds whose advance_slot constants or horizons differ cannot share
+    # one stack's config; each must still match its run alone
+    cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
+    sweep = {"enter_urgency": [0.55, 0.7], "mu1": [5.0, 2.0], "horizon_slots": [16, 24]}
+    res = run_experiment(cfg, sweep, replications=2, schemes=("ours", "static"),
+                         base_seed=1)
+    alone = []
+    for u, mu1, h in itertools.product(*sweep.values()):
+        cell = cfg.replace(enter_urgency=u, mu1=mu1, horizon_slots=h)
+        for seed in (1, 2):
+            for scheme in ("ours", "static"):
+                alone += run_world(generate_scenario(cell, seed, scheme))[0]
+    assert res.rows == alone
+
+
+def test_run_worlds_rejects_worlds_at_different_clocks():
+    a, b = generate_scenario(ScenarioConfig(), 0), generate_scenario(ScenarioConfig(), 1)
+    advance_slot(b)
+    with pytest.raises(ValueError, match="same clock"):
+        run_worlds([a, b], horizon_slots=8)
