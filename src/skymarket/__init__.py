@@ -30,7 +30,7 @@ from .energy import (
     hover_power,
     soc_step,
 )
-from .valuation import ValuationSeries, average_valuation, instant_valuation, qors_from_distance
+from .valuation import qors_from_distance
 from .mechanism import WindowMarket, admit, allocate, price, run_auction
 from .audit import AuditReport, audit_market, check_ir, check_stability, deviation_probe, non_envy_ratio
 from .baselines import optimal_scheme_outcome

@@ -2,9 +2,11 @@
 
 Each window clears in four steps:
 
-1.  ``admit`` filters charge-seeking UAVs and idle, sufficiently-stocked
-    UGVs into a :class:`WindowMarket` with deterministic sorted views
-    (bids descending, quality scores descending; ties broken by agent id).
+1.  ``admit`` takes the window's bidders as (id, Phi_bar, bid) rows and
+    the idle vehicles as (id, q, supply) values, keeps the vehicles with
+    q > 0 whose supply covers every bidder's satisfaction gap, and forms
+    a :class:`WindowMarket` with deterministic sorted views (bids
+    descending, quality scores descending; ties broken by agent id).
 2.  ``allocate`` matches the j-th highest bid to the j-th highest quality
     score for j = 1..K, K = min(demand, supply).
 3.  ``price`` charges each winner the externality its presence imposes:
@@ -25,20 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .types import AuctionOutcome, Bid, Match, UavState, UgvState
+from .types import AuctionOutcome, Match
 
 __all__ = [
     "DemandEntry",
     "SupplyEntry",
-    "BidderInfo",
     "WindowMarket",
     "PaymentSchedule",
     "admit",
     "with_replaced_bid",
     "allocate",
     "price",
-    "payment_unrolled",
-    "payment_closed_form",
     "uav_utility",
     "ugv_utility",
     "social_surplus",
@@ -57,14 +56,6 @@ class DemandEntry(NamedTuple):
 class SupplyEntry(NamedTuple):
     ugv_id: int
     q: float
-
-
-class BidderInfo(NamedTuple):
-    """Admission input: one charge-seeking UAV with its window bid."""
-
-    state: UavState
-    bid: Bid
-    phi_bar: float
 
 
 @dataclass(frozen=True)
@@ -148,38 +139,24 @@ def _rank_supply(supply: Sequence[SupplyEntry]) -> tuple[SupplyEntry, ...]:
 
 
 def admit(
-    bidders: Sequence[BidderInfo],
-    ugvs: Sequence[UgvState],
+    demand: Sequence[DemandEntry],
+    offers: Sequence[tuple[int, float, float]],
     window_id: int,
+    gaps: Sequence[float],
 ) -> WindowMarket:
-    """Build the window market from charge-seeking UAVs and idle UGVs.
+    """Build the window market from bidders and idle vehicles.
 
-    Bids bound to another window are rejected. A UGV is admitted only if
-    its remaining supply covers the largest satisfaction gap among the
-    bidders and its quality score is strictly positive. An empty side
-    yields an empty market (the auction trivially ends with no winners).
+    ``demand`` holds one (uav id, Phi_bar, bid) row per bidder, ``offers``
+    one (ugv id, q, supply remaining) triple per idle vehicle and ``gaps``
+    each bidder's satisfaction gap (satisfactory level minus SoC, Wh). A
+    vehicle is admitted only if its quality score is strictly positive and
+    its supply covers the largest gap. An empty side yields an empty
+    market (the auction trivially ends with no winners).
     """
-    demand = []
-    for info in bidders:
-        if info.bid.window_id != window_id:
-            raise ValueError(
-                f"bid of uav {info.bid.uav_id} belongs to window "
-                f"{info.bid.window_id}, not {window_id}"
-            )
-        if info.bid.uav_id != info.state.id:
-            raise ValueError(f"bid uav_id {info.bid.uav_id} != state id {info.state.id}")
-        demand.append(DemandEntry(info.state.id, info.phi_bar, info.bid.amount))
-
-    max_gap = max(
-        (info.state.soc_satisfactory - info.state.soc for info in bidders),
-        default=0.0,
-    )
-    supply = [
-        SupplyEntry(u.id, u.qors)
-        for u in ugvs
-        if u.qors > 0 and u.supply_remaining >= max_gap
-    ]
-
+    max_gap = max(gaps, default=0.0)
+    # a list first: tuple() of a generator over-allocates and shrinks, and
+    # the shrunk tuples pile up in CPython's per-size tuple free lists
+    supply = [SupplyEntry(j, q) for j, q, s in offers if q > 0 and s >= max_gap]
     demand_t = tuple(demand)
     supply_t = tuple(supply)
     return WindowMarket(
@@ -246,32 +223,6 @@ def price(market: WindowMarket, allocation: Sequence[Match]) -> PaymentSchedule:
         gap = allocation[j].q - allocation[j + 1].q
         payments[j] = gap * allocation[j + 1].bid + payments[j + 1]
     return PaymentSchedule(tuple(payments))
-
-
-def payment_unrolled(market: WindowMarket, allocation: Sequence[Match], j: int) -> float:
-    """Telescoped form of the rank-j payment (1-based j), for cross-checks:
-    sum_{k=j}^{K-1} (q_k - q_{k+1}) * b_{k+1} plus the last winner's base."""
-    k = len(allocation)
-    total = 0.0
-    for t in range(j - 1, k - 1):
-        total += (allocation[t].q - allocation[t + 1].q) * allocation[t + 1].bid
-    if market.num_ugvs < market.num_uavs:
-        q_last = market.supply_ranked[market.num_ugvs - 1].q
-        total += q_last * market.demand_ranked[market.num_ugvs].bid
-    return total
-
-
-def payment_closed_form(allocation: Sequence[Match], j: int) -> float:
-    """Boundary-term-free closed form sum_{k=j}^{K-1} (q_k - q_{k+1}) b_{k+1}.
-
-    Matches the recursion only when supply covers demand (the last winner
-    then pays zero); with excess demand it omits the base term on purpose.
-    """
-    k = len(allocation)
-    total = 0.0
-    for t in range(j - 1, k - 1):
-        total += (allocation[t].q - allocation[t + 1].q) * allocation[t + 1].bid
-    return total
 
 
 def uav_utility(phi_bar: float, q: float, payment: float) -> float:

@@ -39,11 +39,10 @@ from . import _kernels as K
 from .audit import audit_market, non_envy_ratio
 from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
-from .mechanism import BidderInfo, admit, run_auction
+from .mechanism import DemandEntry, admit, run_auction
 from .types import (
     Activity,
     AuctionOutcome,
-    Bid,
     PowerParams,
     ScenarioConfig,
     UavState,
@@ -146,7 +145,6 @@ class World:
     bidder: np.ndarray = field(default=None, repr=False)
     excluded: np.ndarray = field(default=None, repr=False)
     fail_count: np.ndarray = field(default=None, repr=False)
-    enqueue_slot: np.ndarray = field(default=None, repr=False)
     phi_sum: np.ndarray = field(default=None, repr=False)
     rho_sum: np.ndarray = field(default=None, repr=False)
     sample_count: np.ndarray = field(default=None, repr=False)
@@ -331,7 +329,6 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
         bidder=np.zeros(n, dtype=bool),
         excluded=np.zeros(n, dtype=bool),
         fail_count=np.zeros(n, dtype=np.int64),
-        enqueue_slot=np.zeros(n, dtype=np.int64),
         phi_sum=np.zeros(n),
         rho_sum=np.zeros(n),
         sample_count=np.zeros(n, dtype=np.int64),
@@ -352,7 +349,6 @@ def advance_slot(world: World) -> World:
     rho = world.urgency()
     sensing = act == K.ACT_SENSE
     joining = sensing & ~world.bidder & ~world.excluded & (rho >= c.enter_urgency)
-    world.enqueue_slot[joining] = world.clock
     world.bidder[joining] = True
 
     sampling = world.bidder & sensing
@@ -367,7 +363,9 @@ def advance_slot(world: World) -> World:
 def close_window(world: World, with_audit: bool = False):
     """Clear the pending window at the current slot boundary.
 
-    Builds the market from queued bidders and idle vehicles, dispatches
+    Reads the market inputs as whole-array slices: the queued bidders'
+    window-average valuations and urgencies, their satisfaction gaps, and
+    each idle vehicle's quality score and remaining supply. Dispatches
     the configured scheme, schedules rendezvous for matched pairs, and
     re-queues losers. Returns (outcome, metrics row[, audit report]).
     """
@@ -377,27 +375,25 @@ def close_window(world: World, with_audit: bool = False):
         raise ValueError(f"clock {world.clock} is not at a window boundary")
     world.window_count += 1
     window_id = world.window_count
-    window_start = (window_id - 1) * spw * c.slot_len
 
-    bidder_ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
-    phi_bars = {}
-    rho_bars = {}
-    bidders = []
-    for i in bidder_ids:
-        i = int(i)
-        n_s = world.sample_count[i]
-        # plain floats from here on: outcomes serialize to JSON/CSV
-        phi_bars[i] = float(world.phi_sum[i] / n_s)
-        rho_bars[i] = float(world.rho_sum[i] / n_s)
-        submitted = float(max(world.enqueue_slot[i] * c.slot_len, window_start))
-        bid = Bid(uav_id=i, window_id=window_id, amount=phi_bars[i], submitted_at=submitted)
-        bidders.append(BidderInfo(world.uav_state(i), bid, phi_bars[i]))
+    ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
+    soc = world.uav_f[ids, K.F_SOC]
+    if not np.all((soc >= 0.0) & (soc <= world.uav_f[ids, K.F_CAP])):
+        raise ValueError(f"window {window_id}: a bidder's SoC left [0, capacity]")
+    n_s = world.sample_count[ids]
+    # plain floats from here on: outcomes serialize to JSON/CSV
+    bidder_ids = ids.tolist()
+    phi = (world.phi_sum[ids] / n_s).tolist()
+    phi_bars = dict(zip(bidder_ids, phi))
+    rho_bars = dict(zip(bidder_ids, (world.rho_sum[ids] / n_s).tolist()))
+    gaps = (world.uav_f[ids, K.F_SAT] - soc).tolist()
+    demand = list(map(DemandEntry, bidder_ids, phi, phi))  # truthful bids
 
-    idle = np.flatnonzero(world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
-    qs = {int(j): world.ugv_qors(int(j)) for j in idle}
-    ugvs = [world.ugv_state(int(j), qs[int(j)]) for j in idle]
+    idle = np.flatnonzero(world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).tolist()
+    supply = world.ugv_f[idle, K.G_SUPPLY].tolist()
+    offers = [(j, world.ugv_qors(j), s) for j, s in zip(idle, supply)]
 
-    market = admit(bidders, ugvs, window_id)
+    market = admit(demand, offers, window_id, gaps)
     if world.scheme == SCHEME_OPTIMAL:
         outcome = optimal_scheme_outcome(market)
     else:
@@ -473,7 +469,7 @@ def close_window(world: World, with_audit: bool = False):
 # agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
 _UAV_ARRAYS = (
     "uav_f", "uav_i", "soc_alert", "bidder", "excluded", "fail_count",
-    "enqueue_slot", "phi_sum", "rho_sum", "sample_count",
+    "phi_sum", "rho_sum", "sample_count",
 )
 _UGV_ARRAYS = ("ugv_f", "ugv_i")
 

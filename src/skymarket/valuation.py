@@ -2,47 +2,14 @@
 
 A UAV values a recharge linearly in its charging urgency,
 Phi = mu0 + mu1 * rho, which is increasing and (weakly) convex in rho as
-the market model requires. A vehicle's quality-of-recharging-service
-(QoRS) is the linear complement of its normalized distance to the service
-point, clamped to a strictly positive floor so admitted vehicles always
-sort with q > 0.
+the market model requires; ``simulator.advance_slot`` accumulates it
+per slot over whole arrays. A vehicle's quality-of-recharging-service
+(QoRS) is the linear complement of its normalized distance to the
+service point, clamped to a strictly positive floor so admitted vehicles
+always sort with q > 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ValuationSeries:
-    """Per-slot valuation samples of one UAV within a single window."""
-
-    uav_id: int
-    samples: tuple[tuple[int, float], ...]  # (slot index, Phi)
-
-    def __post_init__(self):
-        if not self.samples:
-            raise ValueError(f"uav {self.uav_id}: valuation series must be non-empty")
-        if any(phi < 0 for _, phi in self.samples):
-            raise ValueError(f"uav {self.uav_id}: valuations must be >= 0")
-
-
-def instant_valuation(rho: float, mu0: float, mu1: float) -> float:
-    """Instantaneous valuation mu0 + mu1 * rho for urgency rho in [0, 1]."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"urgency must lie in [0, 1], got {rho}")
-    if mu0 < 0 or mu1 < 0:
-        raise ValueError("mu0 and mu1 must be >= 0")
-    return mu0 + mu1 * rho
-
-
-def average_valuation(series: ValuationSeries) -> float:
-    """Arithmetic mean of the window's samples (the bid-relevant value)."""
-    total = 0.0
-    for _, phi in series.samples:
-        total += phi
-    return total / len(series.samples)
-
 
 def qors_from_distance(d: float, d_max: float, floor: float = 0.05) -> float:
     """Quality score 1 - d/d_max, clamped below at ``floor`` (> 0).

@@ -22,13 +22,7 @@ from skymarket.audit import (
 from skymarket.baselines import optimal_scheme_outcome
 from skymarket.cli import main
 from skymarket.energy import ascend_power, descend_power
-from skymarket.mechanism import (
-    allocate,
-    payment_closed_form,
-    payment_unrolled,
-    price,
-    run_auction,
-)
+from skymarket.mechanism import allocate, price, run_auction
 from skymarket.simulator import (
     advance_slot,
     close_window,
@@ -37,7 +31,7 @@ from skymarket.simulator import (
 )
 from skymarket.types import ScenarioConfig
 
-from conftest import naive_best_assignment
+from conftest import naive_best_assignment, payment_closed_form, payment_unrolled
 
 SWEEP_SEEDS = 100
 TREND_UGVS = (6, 8, 10, 12, 14)

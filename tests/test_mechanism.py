@@ -4,71 +4,45 @@ import pytest
 
 from skymarket.audit import random_market
 from skymarket.mechanism import (
-    BidderInfo,
+    DemandEntry,
     WindowMarket,
     admit,
     allocate,
     outcome_rows,
-    payment_closed_form,
-    payment_unrolled,
     price,
     run_auction,
     with_replaced_bid,
 )
-from skymarket.types import Activity, Bid, PowerParams, UavState, UgvState
 
-from conftest import naive_best_assignment
+from conftest import naive_best_assignment, payment_closed_form, payment_unrolled
 
-
-def make_uav(uid, soc=40.0):
-    return UavState(
-        id=uid, position=(0.0, 0.0, 8.0), velocity_max=10.0,
-        battery_capacity=97.58, soc=soc, soc_alert=19.516, soc_satisfactory=87.822,
-        activity=Activity.HOVERING, mass=2.0, power_params=PowerParams(),
-        discharge_efficiency=0.95, sensing_radius=200.0, detection_angle=1.55,
-        altitude_max=10.0,
-    )
-
-
-def make_ugv(uid, q, supply=3000.0):
-    return UgvState(
-        id=uid, position=(100.0, 100.0), speed_kmh=40.0, supply_capacity=3000.0,
-        supply_remaining=supply, transfer_power=600.0, transfer_efficiency=0.8, qors=q,
-    )
+# satisfactory level 87.822 Wh minus a SoC of 40 Wh
+GAP = 87.822 - 40.0
 
 
 def test_admit_sorts_both_sides():
-    bidders = [
-        BidderInfo(make_uav(0), Bid(0, 1, 2.0, 0.0), 2.0),
-        BidderInfo(make_uav(1), Bid(1, 1, 4.0, 0.0), 4.0),
-        BidderInfo(make_uav(2), Bid(2, 1, 1.0, 0.0), 1.0),
-    ]
-    ugvs = [make_ugv(0, 0.5), make_ugv(1, 0.9)]
-    market = admit(bidders, ugvs, 1)
+    demand = [DemandEntry(0, 2.0, 2.0), DemandEntry(1, 4.0, 4.0), DemandEntry(2, 1.0, 1.0)]
+    offers = [(0, 0.5, 3000.0), (1, 0.9, 3000.0)]
+    market = admit(demand, offers, 1, [GAP] * 3)
     assert [e.bid for e in market.demand_ranked] == [4.0, 2.0, 1.0]
     assert [s.q for s in market.supply_ranked] == [0.9, 0.5]
     assert min(market.num_uavs, market.num_ugvs) == 2
 
 
-def test_admit_rejects_foreign_window_bid():
-    bidders = [BidderInfo(make_uav(0), Bid(0, 7, 2.0, 0.0), 2.0)]
-    with pytest.raises(ValueError):
-        admit(bidders, [make_ugv(0, 0.5)], 1)
-
-
 def test_admit_empty_supply_gives_empty_market():
-    bidders = [BidderInfo(make_uav(0), Bid(0, 1, 2.0, 0.0), 2.0)]
-    market = admit(bidders, [], 1)
+    market = admit([DemandEntry(0, 2.0, 2.0)], [], 1, [GAP])
     assert market.is_empty
     outcome = run_auction(market)
     assert outcome.num_winners == 0 and outcome.losers == (0,)
 
 
 def test_admit_filters_insufficient_supply():
-    # gap is s_sat - soc = 47.822 Wh; the 10 Wh vehicle must be dropped
-    bidders = [BidderInfo(make_uav(0), Bid(0, 1, 2.0, 0.0), 2.0)]
-    ugvs = [make_ugv(0, 0.9, supply=10.0), make_ugv(1, 0.5)]
-    market = admit(bidders, ugvs, 1)
+    # the largest gap is 47.822 Wh; the 10 Wh vehicle must be dropped
+    offers = [(0, 0.9, 10.0), (1, 0.5, 3000.0)]
+    market = admit([DemandEntry(0, 2.0, 2.0)], offers, 1, [GAP])
+    assert [s.ugv_id for s in market.supply] == [1]
+    demand = [DemandEntry(0, 2.0, 2.0), DemandEntry(1, 3.0, 3.0)]
+    market = admit(demand, offers, 1, [5.0, GAP])
     assert [s.ugv_id for s in market.supply] == [1]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import skymarket._kernels as K
+import skymarket.simulator as simulator
 from skymarket.simulator import (
     ALL_SCHEMES,
     SCHEME_OURS,
@@ -23,7 +24,7 @@ from skymarket.simulator import (
     run_worlds,
     satisfaction_level,
 )
-from skymarket.mechanism import WindowMarket, run_auction
+from skymarket.mechanism import DemandEntry, SupplyEntry, WindowMarket, run_auction
 from skymarket.types import ScenarioConfig
 
 
@@ -393,8 +394,8 @@ def test_lockstep_sweep_matches_worlds_run_alone():
         assert all(audits for _, _, audits in stacked)
     for a, b in zip(together, alone):
         for name in ("uav_f", "uav_i", "ugv_f", "ugv_i", "soc_alert", "bidder",
-                     "excluded", "fail_count", "enqueue_slot", "phi_sum",
-                     "rho_sum", "sample_count"):
+                     "excluded", "fail_count", "phi_sum", "rho_sum",
+                     "sample_count"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert getattr(a, name).base is None, name
         assert (a.uav_base, a.ugv_base, a.clock) == (0, 0, 48)
@@ -423,3 +424,94 @@ def test_run_worlds_rejects_worlds_at_different_clocks():
     advance_slot(b)
     with pytest.raises(ValueError, match="same clock"):
         run_worlds([a, b], horizon_slots=8)
+
+
+def test_worlds_starting_below_the_alert_level_run_to_the_horizon():
+    # a config validate() accepts, with UAVs that start below their alert
+    # level and bid at once with urgency pinned to 1
+    cfg = ScenarioConfig(uav_soc_frac_min=0.05, uav_soc_frac_max=0.3)
+    cap = cfg.uav_capacity_wh
+    for scheme in ALL_SCHEMES:
+        world = generate_scenario(cfg, seed=0, scheme=scheme)
+        assert (world.uav_f[:, K.F_SOC] < world.soc_alert).any()
+        rows = []
+        for _ in range(cfg.horizon_slots):
+            advance_slot(world)
+            if world.clock % cfg.slots_per_window == 0:
+                rows.append(close_window(world)[1])
+            soc = world.uav_f[:, K.F_SOC]
+            assert np.all(soc >= 0.0) and np.all(soc <= cap), scheme
+        assert len(rows) == 75, scheme
+        assert sum(r.winners for r in rows) > 0, scheme
+
+
+def test_close_window_rejects_a_bidder_soc_beyond_capacity():
+    cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
+    world = generate_scenario(cfg, seed=2)
+    for _ in range(cfg.slots_per_window):
+        advance_slot(world)
+    i = int(np.flatnonzero(world.bidder)[0])
+    world.uav_f[i, K.F_SOC] = world.uav_f[i, K.F_CAP] + 1.0
+    with pytest.raises(ValueError, match="capacity"):
+        close_window(world)
+
+
+def _snapshot_market(world):
+    """The pending window's market, built from validated per-agent snapshots."""
+    demand, gaps = [], []
+    for i in np.flatnonzero(world.bidder & (world.sample_count > 0)).tolist():
+        state = world.uav_state(i)
+        phi = float(world.phi_sum[i] / world.sample_count[i])
+        demand.append(DemandEntry(state.id, phi, phi))
+        gaps.append(state.soc_satisfactory - state.soc)
+    idle = np.flatnonzero(world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).tolist()
+    ugvs = [world.ugv_state(j, world.ugv_qors(j)) for j in idle]
+    supply = [
+        SupplyEntry(u.id, u.qors)
+        for u in ugvs
+        if u.qors > 0 and u.supply_remaining >= max(gaps, default=0.0)
+    ]
+    return WindowMarket(
+        window_id=world.window_count + 1,
+        demand=tuple(demand),
+        supply=tuple(supply),
+        demand_ranked=tuple(sorted(demand, key=lambda e: (-e.bid, e.uav_id))),
+        supply_ranked=tuple(sorted(supply, key=lambda e: (-e.q, e.ugv_id))),
+    )
+
+
+def test_close_window_builds_the_snapshot_market(monkeypatch):
+    # the market close_window hands to admit equals the one rebuilt from
+    # validated snapshots, at every window where each bidder is above its
+    # alert level (below it, UavState rejects the snapshot)
+    real_admit = simulator.admit
+    captured = []
+
+    def spy(*args):
+        captured.append(real_admit(*args))
+        return captured[-1]
+
+    monkeypatch.setattr(simulator, "admit", spy)
+    cfg = ScenarioConfig(uav_count=100, ugv_count=25,
+                         uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
+    compared = bidders = admitted = dropped = 0
+    for scheme in (SCHEME_OURS, SCHEME_STATIC):
+        world = generate_scenario(cfg, seed=3, scheme=scheme)
+        # stocks of 20-116 Wh straddle the bidders' largest gaps (about
+        # 60 Wh), so the supply rule admits some vehicles and drops others
+        world.ugv_f[:, K.G_SUPPLY] = 20.0 + 4.0 * np.arange(cfg.ugv_count)
+        for _ in range(30):
+            for _ in range(cfg.slots_per_window):
+                advance_slot(world)
+            queued = world.bidder & (world.sample_count > 0)
+            above_alert = np.all(world.uav_f[queued, K.F_SOC] >= world.soc_alert[queued])
+            expected = _snapshot_market(world) if above_alert else None
+            idle = int((world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).sum())
+            close_window(world)
+            if expected is not None:
+                assert captured[-1] == expected
+                compared += 1
+                bidders += expected.num_uavs
+                admitted += expected.num_ugvs
+                dropped += idle - expected.num_ugvs
+    assert compared >= 40 and bidders >= 40 * 50 and admitted > 0 and dropped > 0

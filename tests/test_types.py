@@ -12,6 +12,7 @@ from skymarket.types import (
     PowerParams,
     ScenarioConfig,
     UavState,
+    UgvState,
     config_hash,
     config_to_text,
     load_config,
@@ -22,7 +23,23 @@ from skymarket.types import (
     validate,
 )
 
-from test_mechanism import make_uav, make_ugv
+
+
+def make_uav(uid, soc=40.0):
+    return UavState(
+        id=uid, position=(0.0, 0.0, 8.0), velocity_max=10.0,
+        battery_capacity=97.58, soc=soc, soc_alert=19.516, soc_satisfactory=87.822,
+        activity=Activity.HOVERING, mass=2.0, power_params=PowerParams(),
+        discharge_efficiency=0.95, sensing_radius=200.0, detection_angle=1.55,
+        altitude_max=10.0,
+    )
+
+
+def make_ugv(uid, q, supply=3000.0):
+    return UgvState(
+        id=uid, position=(100.0, 100.0), speed_kmh=40.0, supply_capacity=3000.0,
+        supply_remaining=supply, transfer_power=600.0, transfer_efficiency=0.8, qors=q,
+    )
 
 
 def test_default_config_is_valid():

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from skymarket.energy import charging_urgency
-from skymarket.valuation import (
-    ValuationSeries,
-    average_valuation,
-    instant_valuation,
-    qors_from_distance,
-)
+from skymarket.valuation import qors_from_distance
+
+from conftest import ValuationSeries, average_valuation, instant_valuation
 
 
 def test_instant_valuation_reference_values():
