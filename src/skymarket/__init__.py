@@ -9,7 +9,6 @@ audits of the mechanism's guarantees.
 from .types import (
     Activity,
     AuctionOutcome,
-    Bid,
     Match,
     PowerParams,
     ScenarioConfig,
@@ -19,17 +18,7 @@ from .types import (
     save_config,
     validate,
 )
-from .energy import (
-    PowerBreakdown,
-    altitude_feasible,
-    ascend_power,
-    charge_duration,
-    charging_urgency,
-    descend_power,
-    flight_power,
-    hover_power,
-    soc_step,
-)
+from .energy import ascend_power, descend_power, flight_power, hover_power
 from .valuation import qors_from_distance
 from .mechanism import WindowMarket, admit, allocate, price, run_auction
 from .audit import AuditReport, audit_market, check_ir, check_stability, deviation_probe, non_envy_ratio

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .mechanism import DemandEntry, WindowMarket, _rank_demand, run_auction
+from .mechanism import DemandEntry, WindowMarket, run_auction
 from .types import AuctionOutcome
 
 __all__ = [
@@ -86,12 +86,5 @@ def best_assignment(
 
 def optimal_scheme_outcome(market: WindowMarket) -> AuctionOutcome:
     """Welfare-optimal outcome: the auction run on true valuations."""
-    demand = tuple(DemandEntry(e.uav_id, e.phi_bar, e.phi_bar) for e in market.demand)
-    truthful = WindowMarket(
-        window_id=market.window_id,
-        demand=demand,
-        supply=market.supply,
-        demand_ranked=_rank_demand(demand),
-        supply_ranked=market.supply_ranked,
-    )
-    return run_auction(truthful)
+    demand = [DemandEntry(e.uav_id, e.phi_bar, e.phi_bar) for e in market.demand]
+    return run_auction(WindowMarket(market.window_id, demand, market.supply))

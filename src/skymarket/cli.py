@@ -84,22 +84,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_arg(path: str | None) -> ScenarioConfig:
-    if path is None:
-        return ScenarioConfig()
-    return load_config(path)
+def _checked_config(path: str | None) -> ScenarioConfig | None:
+    """The config at ``path`` (defaults if None), or None after reporting
+    why it cannot be read or used."""
+    try:
+        config = ScenarioConfig() if path is None else load_config(path)
+    except (OSError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None
+    problems = validate(config)
+    for p in problems:
+        print(f"invalid config: {p}", file=sys.stderr)
+    return None if problems else config
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_config_arg(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"invalid config: {p}", file=sys.stderr)
+    config = _checked_config(args.config)
+    if config is None:
         return EXIT_CONFIG
 
     schemes = ALL_SCHEMES if args.scheme == "all" else (args.scheme,)
@@ -142,15 +143,8 @@ def cmd_preset(args) -> int:
         print(f"unknown preset {args.name!r}; available: {', '.join(sorted(PRESETS))}",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        config = _load_config_arg(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate(config)
-    if problems:
-        for p in problems:
-            print(f"invalid config: {p}", file=sys.stderr)
+    config = _checked_config(args.config)
+    if config is None:
         return EXIT_CONFIG
     files = run_preset(args.name, config, args.seed, args.out,
                        reps=args.reps, instances=args.instances)

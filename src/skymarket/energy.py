@@ -1,4 +1,4 @@
-"""UAV power and battery dynamics as pure functions.
+"""UAV power laws as pure functions.
 
 Power draws:
 
@@ -7,51 +7,25 @@ Power draws:
     P_desc(v) = eps1 * m g * (sqrt(v^2/4 + m g / eps2^2) - v/2) + kappa3 (m g)^(3/2)
     P_asc(v)  = eps1 * m g * (sqrt(v^2/4 + m g / eps2^2) + v/2) + kappa3 (m g)^(3/2)
 
-The battery follows a linear per-slot model: discharging activities drain
-eta_i * P * dt, charging adds eta_i * eta_j * P_e * dt, with the result
-clamped to [0, capacity]. Powers are in W, energies in Wh (1 Wh = 3600 J).
+Powers are in W. The simulator turns them into per-slot energy deltas
+for the kernel's linear battery model: discharging activities
+drain eta_i * P * dt, charging adds eta_i * eta_j * P_e * dt, and the
+result is clamped to [0, capacity] (energies in Wh, 1 Wh = 3600 J).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .types import Activity
 
 GRAVITY = 9.8  # m/s^2
 
 __all__ = [
     "GRAVITY",
-    "PowerBreakdown",
     "hover_power",
     "flight_power",
     "descend_power",
     "ascend_power",
-    "soc_step",
-    "charging_urgency",
-    "altitude_feasible",
-    "charge_duration",
 ]
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Per-activity power draws for one UAV, plus received wireless power.
-
-    ``receive`` is the raw power the pad radiates (P_e); the pad- and
-    UAV-side efficiencies are applied by ``soc_step``.
-    """
-
-    fly: float
-    hover: float
-    descend: float
-    ascend: float
-    receive: float
-
-    def __post_init__(self):
-        if min(self.fly, self.hover, self.descend, self.ascend, self.receive) < 0:
-            raise ValueError("all power components must be >= 0")
 
 
 def hover_power(mass: float, kappa2: float, kappa3: float) -> float:
@@ -93,66 +67,3 @@ def descend_power(v_d: float, mass: float, eps1: float, eps2: float, kappa3: flo
 def ascend_power(v_a: float, mass: float, eps1: float, eps2: float, kappa3: float) -> float:
     """Power while ascending at constant v_a (the +v/2 branch), in W."""
     return _vertical_power(v_a, mass, eps1, eps2, kappa3, +1.0)
-
-
-def soc_step(
-    soc: float,
-    activity: Activity,
-    powers: PowerBreakdown,
-    eta_i: float,
-    eta_j: float,
-    dt: float,
-    capacity: float,
-) -> float:
-    """Advance the battery one slot of length dt seconds; returns Wh.
-
-    Charging adds eta_i * eta_j * P_e * dt; every other activity drains
-    eta_i * P_activity * dt. The result is clamped to [0, capacity].
-    """
-    if not 0.0 <= soc <= capacity:
-        raise ValueError(f"soc {soc} outside [0, {capacity}]")
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    if activity is Activity.CHARGING:
-        delta = eta_i * eta_j * powers.receive * dt / 3600.0
-    elif activity is Activity.FLYING:
-        delta = -eta_i * powers.fly * dt / 3600.0
-    elif activity is Activity.HOVERING:
-        delta = -eta_i * powers.hover * dt / 3600.0
-    elif activity is Activity.DESCENDING:
-        delta = -eta_i * powers.descend * dt / 3600.0
-    elif activity is Activity.ASCENDING:
-        delta = -eta_i * powers.ascend * dt / 3600.0
-    else:  # pragma: no cover - Activity is closed
-        raise ValueError(f"unknown activity {activity}")
-    return min(max(soc + delta, 0.0), capacity)
-
-
-def charging_urgency(soc: float, soc_alert: float, capacity: float) -> float:
-    """Normalized recharge need: 1 - (soc - soc_alert) / capacity.
-
-    Undefined below the alert level; callers must queue such UAVs for
-    charging with urgency pinned to 1 instead of calling this.
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if soc < soc_alert:
-        raise ValueError(f"soc {soc} below alert level {soc_alert}")
-    return 1.0 - (soc - soc_alert) / capacity
-
-
-def altitude_feasible(z: float, sensing_radius: float, detection_angle: float, z_max: float) -> bool:
-    """True iff R * cot(theta) <= z <= z_max (detection-cone feasibility)."""
-    if not (0.0 < detection_angle < math.pi / 2):
-        raise ValueError(f"detection angle must lie in (0, pi/2), got {detection_angle}")
-    lower = sensing_radius / math.tan(detection_angle)
-    return lower <= z <= z_max
-
-
-def charge_duration(soc: float, soc_sat: float, p_e: float, eta_i: float, eta_j: float) -> float:
-    """Seconds a pad is occupied to lift soc to the satisfactory level."""
-    if p_e <= 0:
-        raise ValueError("transfer power must be positive")
-    if soc >= soc_sat:
-        return 0.0
-    return 3600.0 * (soc_sat - soc) / (eta_i * eta_j * p_e)

@@ -5,8 +5,8 @@ Each window clears in four steps:
 1.  ``admit`` takes the window's bidders as (id, Phi_bar, bid) rows and
     the idle vehicles as (id, q, supply) values, keeps the vehicles with
     q > 0 whose supply covers every bidder's satisfaction gap, and forms
-    a :class:`WindowMarket` with deterministic sorted views (bids
-    descending, quality scores descending; ties broken by agent id).
+    a :class:`WindowMarket`, which ranks its own sides (bids descending,
+    quality scores descending; ties broken by agent id ascending).
 2.  ``allocate`` matches the j-th highest bid to the j-th highest quality
     score for j = 1..K, K = min(demand, supply).
 3.  ``price`` charges each winner the externality its presence imposes:
@@ -24,7 +24,7 @@ and downstream audits (sealed-bid semantics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .types import AuctionOutcome, Match
@@ -33,13 +33,11 @@ __all__ = [
     "DemandEntry",
     "SupplyEntry",
     "WindowMarket",
-    "PaymentSchedule",
     "admit",
     "with_replaced_bid",
     "allocate",
     "price",
     "uav_utility",
-    "ugv_utility",
     "social_surplus",
     "run_auction",
     "outcome_rows",
@@ -60,21 +58,32 @@ class SupplyEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class WindowMarket:
-    """One window's demand and supply sides plus their sorted views."""
+    """One window's demand and supply sides plus their ranked views.
+
+    The sides may be given as any sequences and are stored as tuples.
+    ``demand_ranked`` orders bids descending and ``supply_ranked`` quality
+    scores descending, each breaking ties by agent id ascending, so the
+    clearing is deterministic.
+    """
 
     window_id: int
     demand: tuple[DemandEntry, ...]
     supply: tuple[SupplyEntry, ...]
-    demand_ranked: tuple[DemandEntry, ...]
-    supply_ranked: tuple[SupplyEntry, ...]
+    demand_ranked: tuple[DemandEntry, ...] = field(init=False, repr=False, compare=False)
+    supply_ranked: tuple[SupplyEntry, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if sorted(self.demand) != sorted(self.demand_ranked):
-            raise ValueError("demand_ranked must be a permutation of demand")
-        if sorted(self.supply) != sorted(self.supply_ranked):
-            raise ValueError("supply_ranked must be a permutation of supply")
-        if any(s.q <= 0 for s in self.supply):
+        demand, supply = tuple(self.demand), tuple(self.supply)
+        if any(s.q <= 0 for s in supply):
             raise ValueError("admitted vehicles must have q > 0")
+        object.__setattr__(self, "demand", demand)
+        object.__setattr__(self, "supply", supply)
+        object.__setattr__(
+            self, "demand_ranked", tuple(sorted(demand, key=lambda e: (-e.bid, e.uav_id)))
+        )
+        object.__setattr__(
+            self, "supply_ranked", tuple(sorted(supply, key=lambda e: (-e.q, e.ugv_id)))
+        )
 
     @property
     def num_uavs(self) -> int:
@@ -99,43 +108,11 @@ class WindowMarket:
         """Build a market directly from value vectors (tests, audits)."""
         if len(phi_bars) != len(bids):
             raise ValueError("phi_bars and bids must be parallel")
-        demand = tuple(
+        demand = [
             DemandEntry(i, float(p), float(b)) for i, (p, b) in enumerate(zip(phi_bars, bids))
-        )
-        supply = tuple(SupplyEntry(j, float(q)) for j, q in enumerate(qs))
-        return cls(
-            window_id=window_id,
-            demand=demand,
-            supply=supply,
-            demand_ranked=_rank_demand(demand),
-            supply_ranked=_rank_supply(supply),
-        )
-
-
-@dataclass(frozen=True)
-class PaymentSchedule:
-    """Winner payments ordered by rank; nonnegative by construction."""
-
-    payments: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(p < 0 for p in self.payments):
-            raise ValueError("payments must be >= 0")
-
-    def __len__(self) -> int:
-        return len(self.payments)
-
-    def __getitem__(self, j: int) -> float:
-        return self.payments[j]
-
-
-def _rank_demand(demand: Sequence[DemandEntry]) -> tuple[DemandEntry, ...]:
-    # deterministic tie-break: bid descending, then id ascending
-    return tuple(sorted(demand, key=lambda e: (-e.bid, e.uav_id)))
-
-
-def _rank_supply(supply: Sequence[SupplyEntry]) -> tuple[SupplyEntry, ...]:
-    return tuple(sorted(supply, key=lambda e: (-e.q, e.ugv_id)))
+        ]
+        supply = [SupplyEntry(j, float(q)) for j, q in enumerate(qs)]
+        return cls(window_id, demand, supply)
 
 
 def admit(
@@ -154,18 +131,11 @@ def admit(
     market (the auction trivially ends with no winners).
     """
     max_gap = max(gaps, default=0.0)
-    # a list first: tuple() of a generator over-allocates and shrinks, and
-    # the shrunk tuples pile up in CPython's per-size tuple free lists
+    # lists, not tuple(<generator>) here and below: tuple() of a generator
+    # over-allocates and shrinks, and the shrunk tuples pile up in
+    # CPython's per-size tuple free lists
     supply = [SupplyEntry(j, q) for j, q, s in offers if q > 0 and s >= max_gap]
-    demand_t = tuple(demand)
-    supply_t = tuple(supply)
-    return WindowMarket(
-        window_id=window_id,
-        demand=demand_t,
-        supply=supply_t,
-        demand_ranked=_rank_demand(demand_t),
-        supply_ranked=_rank_supply(supply_t),
-    )
+    return WindowMarket(window_id, demand, supply)
 
 
 def with_replaced_bid(market: WindowMarket, uav_id: int, new_bid: float) -> WindowMarket:
@@ -178,40 +148,28 @@ def with_replaced_bid(market: WindowMarket, uav_id: int, new_bid: float) -> Wind
         raise ValueError("bids must be >= 0")
     if all(e.uav_id != uav_id for e in market.demand):
         raise ValueError(f"uav {uav_id} not in market")
-    demand = tuple(
+    demand = [
         e if e.uav_id != uav_id else DemandEntry(e.uav_id, e.phi_bar, new_bid)
         for e in market.demand
-    )
-    return WindowMarket(
-        window_id=market.window_id,
-        demand=demand,
-        supply=market.supply,
-        demand_ranked=_rank_demand(demand),
-        supply_ranked=market.supply_ranked,
-    )
+    ]
+    return WindowMarket(market.window_id, demand, market.supply)
 
 
 def allocate(market: WindowMarket) -> tuple[Match, ...]:
     """Assortative matching: rank-j bid gets the rank-j quality score."""
-    k = min(market.num_uavs, market.num_ugvs)
-    return tuple(
-        Match(
-            rank=j + 1,
-            uav_id=market.demand_ranked[j].uav_id,
-            ugv_id=market.supply_ranked[j].ugv_id,
-            bid=market.demand_ranked[j].bid,
-            q=market.supply_ranked[j].q,
-        )
-        for j in range(k)
-    )
+    matches = [
+        Match(rank=j + 1, uav_id=d.uav_id, ugv_id=s.ugv_id, bid=d.bid, q=s.q)
+        for j, (d, s) in enumerate(zip(market.demand_ranked, market.supply_ranked))
+    ]
+    return tuple(matches)
 
 
-def price(market: WindowMarket, allocation: Sequence[Match]) -> PaymentSchedule:
-    """Externality payments, built by the last-winner base case plus the
+def price(market: WindowMarket, allocation: Sequence[Match]) -> tuple[float, ...]:
+    """Winner payments by rank, built by the last-winner base case plus the
     rank recursion p_j = (q_j - q_{j+1}) * b_{j+1} + p_{j+1}."""
     k = len(allocation)
     if k == 0:
-        return PaymentSchedule(())
+        return ()
     n_uavs, n_ugvs = market.num_uavs, market.num_ugvs
     payments = [0.0] * k
     if n_ugvs < n_uavs:
@@ -222,17 +180,12 @@ def price(market: WindowMarket, allocation: Sequence[Match]) -> PaymentSchedule:
     for j in range(k - 2, -1, -1):
         gap = allocation[j].q - allocation[j + 1].q
         payments[j] = gap * allocation[j + 1].bid + payments[j + 1]
-    return PaymentSchedule(tuple(payments))
+    return tuple(payments)
 
 
 def uav_utility(phi_bar: float, q: float, payment: float) -> float:
     """Winner utility q * Phi_bar - p; losers and non-participants get 0."""
     return q * phi_bar - payment
-
-
-def ugv_utility(payment: float) -> float:
-    """A matched vehicle's utility is exactly the payment it collects."""
-    return payment
 
 
 def social_surplus(allocation: Sequence[Match], phi_bars: dict[int, float]) -> float:
@@ -246,8 +199,9 @@ def social_surplus(allocation: Sequence[Match], phi_bars: dict[int, float]) -> f
 def run_auction(market: WindowMarket) -> AuctionOutcome:
     """Clear one window: allocate, price, and settle utilities.
 
-    Deterministic given the market (ties were already broken in the sorted
-    views). Losers are listed for re-entry into the next window.
+    Deterministic given the market (ties were already broken in the ranked
+    views). Losers, in rank order, are listed for re-entry into the next
+    window. A matched vehicle's utility is the payment it collects.
     """
     allocation = allocate(market)
     payments = price(market, allocation)
@@ -255,17 +209,17 @@ def run_auction(market: WindowMarket) -> AuctionOutcome:
 
     uav_utils: dict[int, float] = {e.uav_id: 0.0 for e in market.demand}
     ugv_utils: dict[int, float] = {e.ugv_id: 0.0 for e in market.supply}
-    for m, p in zip(allocation, payments.payments):
+    for m, p in zip(allocation, payments):
         uav_utils[m.uav_id] = uav_utility(phi_by_id[m.uav_id], m.q, p)
-        ugv_utils[m.ugv_id] = ugv_utility(p)
+        ugv_utils[m.ugv_id] = p
 
-    winner_ids = {m.uav_id for m in allocation}
-    losers = tuple(e.uav_id for e in market.demand_ranked if e.uav_id not in winner_ids)
+    # the winners are exactly the top len(allocation) ranked bidders
+    losers = [e.uav_id for e in market.demand_ranked[len(allocation):]]
     return AuctionOutcome(
         window_id=market.window_id,
         winners=allocation,
-        losers=losers,
-        payments=payments.payments,
+        losers=tuple(losers),
+        payments=payments,
         uav_utilities=uav_utils,
         ugv_utilities=ugv_utils,
         social_surplus=social_surplus(allocation, phi_by_id),

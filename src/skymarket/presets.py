@@ -77,23 +77,11 @@ def _run_fig_sweep(
     return [raw, agg]
 
 
-def run_fig_satisfaction(config, seed, out_dir, reps=DEFAULT_REPS, **_):
+def run_fig_fleet(config, seed, out_dir, reps=DEFAULT_REPS, *, name, **_):
+    """Fleet-size sweep behind the satisfaction, utility and surplus
+    figures; ``name`` is the preset's, and prefixes its CSVs."""
     return _run_fig_sweep(
-        "fig-satisfaction", config, {"ugv_count": list(FIG_UGV_SWEEP)},
-        ALL_SCHEMES, seed, out_dir, reps,
-    )
-
-
-def run_fig_utility(config, seed, out_dir, reps=DEFAULT_REPS, **_):
-    return _run_fig_sweep(
-        "fig-utility", config, {"ugv_count": list(FIG_UGV_SWEEP)},
-        ALL_SCHEMES, seed, out_dir, reps,
-    )
-
-
-def run_fig_surplus(config, seed, out_dir, reps=DEFAULT_REPS, **_):
-    return _run_fig_sweep(
-        "fig-surplus", config, {"ugv_count": list(FIG_UGV_SWEEP)},
+        name, config, {"ugv_count": list(FIG_UGV_SWEEP)},
         ALL_SCHEMES, seed, out_dir, reps,
     )
 
@@ -185,17 +173,17 @@ PRESETS: dict[str, Preset] = {
     "fig-satisfaction": Preset(
         "fig-satisfaction",
         "satisfaction level vs UGV count (J in 6..14, I=10, 3 schemes)",
-        run_fig_satisfaction,
+        run_fig_fleet,
     ),
     "fig-utility": Preset(
         "fig-utility",
         "total UAV utility vs UGV count (J in 6..14, I=10, 3 schemes)",
-        run_fig_utility,
+        run_fig_fleet,
     ),
     "fig-surplus": Preset(
         "fig-surplus",
         "social surplus vs UGV count (J in 6..14, I=10, 3 schemes)",
-        run_fig_surplus,
+        run_fig_fleet,
     ),
     "fig-window": Preset(
         "fig-window",
@@ -231,7 +219,7 @@ def run_preset(
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
     out_dir = Path(out_dir)
-    kwargs = {}
+    kwargs = {"name": name}
     if reps is not None:
         kwargs["reps"] = reps
     if instances is not None:

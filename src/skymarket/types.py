@@ -126,22 +126,6 @@ class UgvState:
 
 
 @dataclass(frozen=True)
-class Bid:
-    """A sealed bid bound to one UAV and one auction window."""
-
-    uav_id: int
-    window_id: int
-    amount: float
-    submitted_at: float
-
-    def __post_init__(self):
-        if self.amount < 0:
-            raise ValueError(f"bid from uav {self.uav_id}: amount must be >= 0")
-        if self.submitted_at < 0:
-            raise ValueError(f"bid from uav {self.uav_id}: submitted_at must be >= 0")
-
-
-@dataclass(frozen=True)
 class Match:
     """One matched (UAV, UGV) pair in an auction outcome.
 

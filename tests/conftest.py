@@ -1,10 +1,13 @@
 """Shared helpers: independent oracles kept free of package internals."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+
+from skymarket.types import Activity
 
 
 def naive_best_assignment(phi_values, q_values):
@@ -81,6 +84,77 @@ def average_valuation(series):
     for _, phi in series.samples:
         total += phi
     return total / len(series.samples)
+
+
+@dataclass(frozen=True)
+class PowerBreakdown:
+    """Per-activity power draws for one UAV, plus received wireless power.
+
+    ``receive`` is the raw power the pad radiates (P_e); the pad- and
+    UAV-side efficiencies are applied by ``soc_step``.
+    """
+
+    fly: float
+    hover: float
+    descend: float
+    ascend: float
+    receive: float
+
+    def __post_init__(self):
+        if min(self.fly, self.hover, self.descend, self.ascend, self.receive) < 0:
+            raise ValueError("all power components must be >= 0")
+
+
+def soc_step(soc, activity, powers, eta_i, eta_j, dt, capacity):
+    """Scalar battery step of dt seconds (Wh), the kernel's oracle.
+
+    Charging adds eta_i * eta_j * P_e * dt; every other activity drains
+    eta_i * P_activity * dt. The result is clamped to [0, capacity].
+    """
+    if not 0.0 <= soc <= capacity:
+        raise ValueError(f"soc {soc} outside [0, {capacity}]")
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    if activity is Activity.CHARGING:
+        delta = eta_i * eta_j * powers.receive * dt / 3600.0
+    elif activity is Activity.FLYING:
+        delta = -eta_i * powers.fly * dt / 3600.0
+    elif activity is Activity.HOVERING:
+        delta = -eta_i * powers.hover * dt / 3600.0
+    elif activity is Activity.DESCENDING:
+        delta = -eta_i * powers.descend * dt / 3600.0
+    elif activity is Activity.ASCENDING:
+        delta = -eta_i * powers.ascend * dt / 3600.0
+    else:
+        raise ValueError(f"unknown activity {activity}")
+    return min(max(soc + delta, 0.0), capacity)
+
+
+def charging_urgency(soc, soc_alert, capacity):
+    """Normalized recharge need 1 - (soc - soc_alert) / capacity, defined
+    at or above the alert level (the simulator pins it to 1 below)."""
+    if capacity <= 0:
+        raise ValueError("capacity must be positive")
+    if soc < soc_alert:
+        raise ValueError(f"soc {soc} below alert level {soc_alert}")
+    return 1.0 - (soc - soc_alert) / capacity
+
+
+def altitude_feasible(z, sensing_radius, detection_angle, z_max):
+    """True iff R * cot(theta) <= z <= z_max (detection-cone feasibility)."""
+    if not (0.0 < detection_angle < math.pi / 2):
+        raise ValueError(f"detection angle must lie in (0, pi/2), got {detection_angle}")
+    lower = sensing_radius / math.tan(detection_angle)
+    return lower <= z <= z_max
+
+
+def charge_duration(soc, soc_sat, p_e, eta_i, eta_j):
+    """Seconds a pad is occupied to lift soc to the satisfactory level."""
+    if p_e <= 0:
+        raise ValueError("transfer power must be positive")
+    if soc >= soc_sat:
+        return 0.0
+    return 3600.0 * (soc_sat - soc) / (eta_i * eta_j * p_e)
 
 
 @pytest.fixture

@@ -133,3 +133,22 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     save_config(ScenarioConfig(horizon_slots=8), cfg_path)
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "envout" / "metrics_raw.csv").exists()
+
+
+def test_every_name_the_benchmark_hooks_resolves():
+    # perfbench/tracer.py wraps these names by string during a traced
+    # benchmark run; a refactor that drops one must fail here, not there
+    import importlib.util
+    import pathlib
+
+    import skymarket._kernels
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.HOOKS) >= 20
+    for target, _, _ in tracer.HOOKS:
+        owner, attr = tracer._resolve(target)
+        assert callable(getattr(owner, attr)), target
+    assert skymarket._kernels.active_backend() in ("numba", "numpy")

@@ -5,19 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from skymarket.energy import (
-    GRAVITY,
-    PowerBreakdown,
-    altitude_feasible,
-    ascend_power,
-    charge_duration,
-    charging_urgency,
-    descend_power,
-    flight_power,
-    hover_power,
-    soc_step,
-)
+from skymarket.energy import GRAVITY, ascend_power, descend_power, flight_power, hover_power
 from skymarket.types import Activity
+
+from conftest import PowerBreakdown, altitude_feasible, charge_duration, charging_urgency, soc_step
 
 
 def test_hover_power_reference_value():

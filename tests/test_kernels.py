@@ -125,8 +125,10 @@ def test_starved_pad_releases_uav_early():
 
 def test_kernel_drains_match_scalar_soc_model():
     # one hovering slot must equal the scalar battery step to the bit
-    from skymarket.energy import PowerBreakdown, hover_power, soc_step
+    from skymarket.energy import hover_power
     from skymarket.types import Activity
+
+    from conftest import PowerBreakdown, soc_step
 
     cfg = ScenarioConfig()
     world = generate_scenario(cfg, seed=9)

@@ -5,6 +5,7 @@ import pytest
 from skymarket.audit import random_market
 from skymarket.mechanism import (
     DemandEntry,
+    SupplyEntry,
     WindowMarket,
     admit,
     allocate,
@@ -53,6 +54,36 @@ def test_equal_bids_break_ties_by_id():
     assert allocate(market)[0].uav_id == 0  # lower id wins the better pad
 
 
+def test_ties_rank_by_id_ascending_on_both_sides():
+    # equal bids and equal q, listed out of id order
+    demand = [DemandEntry(7, 1.0, 2.0), DemandEntry(3, 1.0, 5.0),
+              DemandEntry(5, 1.0, 2.0), DemandEntry(1, 1.0, 2.0)]
+    supply = [SupplyEntry(9, 0.4), SupplyEntry(4, 0.8), SupplyEntry(6, 0.4), SupplyEntry(2, 0.4)]
+    market = WindowMarket(0, demand, supply)
+    assert market.demand_ranked == tuple(sorted(demand, key=lambda e: (-e.bid, e.uav_id)))
+    assert market.supply_ranked == tuple(sorted(supply, key=lambda e: (-e.q, e.ugv_id)))
+    assert [e.uav_id for e in market.demand_ranked] == [3, 1, 5, 7]
+    assert [s.ugv_id for s in market.supply_ranked] == [4, 2, 6, 9]
+    # the sides keep the order they were given in
+    assert market.demand == tuple(demand) and market.supply == tuple(supply)
+    assert [(m.uav_id, m.ugv_id) for m in allocate(market)] == [(3, 4), (1, 2), (5, 6), (7, 9)]
+
+
+def test_window_market_rejects_nonpositive_q():
+    for q in (0.0, -0.5):
+        with pytest.raises(ValueError, match="q > 0"):
+            WindowMarket(0, [DemandEntry(0, 2.0, 2.0)], [SupplyEntry(0, 0.9), SupplyEntry(1, q)])
+
+
+def test_with_replaced_bid_rejects_negative_bid_and_unknown_uav():
+    market = WindowMarket.from_values([4.0, 2.0], [4.0, 2.0], [0.9, 0.5])
+    with pytest.raises(ValueError, match=">= 0"):
+        with_replaced_bid(market, 0, -0.1)
+    with pytest.raises(ValueError, match="not in market"):
+        with_replaced_bid(market, 2, 1.0)
+    assert with_replaced_bid(market, 1, 0.0).demand[1] == DemandEntry(1, 2.0, 0.0)
+
+
 def test_allocate_assortative_3x2():
     market = WindowMarket.from_values([4.0, 2.0, 1.0], [4.0, 2.0, 1.0], [0.5, 0.9])
     matches = allocate(market)
@@ -70,20 +101,20 @@ def test_price_balanced_market():
     # I = J = 2: last winner pays zero, first pays the q-gap times b2
     market = WindowMarket.from_values([4.0, 2.0], [4.0, 2.0], [0.9, 0.5])
     pay = price(market, allocate(market))
-    assert pay.payments == pytest.approx((0.8, 0.0), abs=1e-12)
+    assert pay == pytest.approx((0.8, 0.0), abs=1e-12)
 
 
 def test_price_excess_demand():
     market = WindowMarket.from_values([4.0, 2.0, 1.0], [4.0, 2.0, 1.0], [0.9, 0.5])
     pay = price(market, allocate(market))
     # base: q_2 * b_3 = 0.5; rank 1: (0.9-0.5)*2 + 0.5
-    assert pay.payments == pytest.approx((1.3, 0.5), abs=1e-12)
+    assert pay == pytest.approx((1.3, 0.5), abs=1e-12)
 
 
 def test_price_equal_qualities_telescope_to_base():
     market = WindowMarket.from_values([4.0, 3.0, 2.0], [4.0, 3.0, 2.0], [0.7, 0.7, 0.7])
     pay = price(market, allocate(market))
-    assert pay.payments[0] == pay.payments[1] == pay.payments[2] == 0.0
+    assert pay == (0.0, 0.0, 0.0)
 
 
 def test_payment_recursive_equals_unrolled_and_closed_form(rng):

@@ -214,7 +214,7 @@ def test_supply_drawdown_matches_delivered_energy():
 def test_session_length_tracks_charge_duration_estimate():
     # once a UAV lands, the pad stays occupied for about
     # charge_duration(soc, s_sat, P_e, eta_i, eta_j) seconds
-    from skymarket.energy import charge_duration
+    from conftest import charge_duration
 
     cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.45)
     world = generate_scenario(cfg, seed=13)
@@ -239,6 +239,37 @@ def test_session_length_tracks_charge_duration_estimate():
             cfg.uav_discharge_eff, cfg.ugv_transfer_eff,
         ) / cfg.slot_len
         assert slots == pytest.approx(predicted, abs=2.0)  # slot quantization
+
+
+def test_urgency_matches_scalar_oracle():
+    # at or above its alert level a UAV's urgency is the scalar formula to
+    # the bit; below it the simulator pins urgency to 1
+    from conftest import charging_urgency
+
+    cfg = ScenarioConfig(uav_count=40, uav_soc_frac_min=0.1, uav_soc_frac_max=0.9)
+    world = generate_scenario(cfg, seed=4)
+    rho = world.urgency().tolist()
+    below = 0
+    for i in range(world.num_uavs):
+        soc = float(world.uav_f[i, K.F_SOC])
+        alert = float(world.soc_alert[i])
+        if soc >= alert:
+            assert rho[i] == charging_urgency(soc, alert, float(world.uav_f[i, K.F_CAP]))
+        else:
+            assert rho[i] == 1.0
+            below += 1
+    assert 0 < below < world.num_uavs
+
+
+def test_generated_cruise_altitudes_are_feasible():
+    from conftest import altitude_feasible
+
+    cfg = ScenarioConfig(uav_count=50)
+    world = generate_scenario(cfg, seed=8)
+    for z in world.uav_f[:, K.F_CRUISE_Z].tolist():
+        assert altitude_feasible(
+            z, cfg.uav_sensing_radius, cfg.uav_detection_angle, cfg.uav_altitude_max
+        )
 
 
 def test_window_metrics_surplus_identity_enforced():
@@ -471,13 +502,7 @@ def _snapshot_market(world):
         for u in ugvs
         if u.qors > 0 and u.supply_remaining >= max(gaps, default=0.0)
     ]
-    return WindowMarket(
-        window_id=world.window_count + 1,
-        demand=tuple(demand),
-        supply=tuple(supply),
-        demand_ranked=tuple(sorted(demand, key=lambda e: (-e.bid, e.uav_id))),
-        supply_ranked=tuple(sorted(supply, key=lambda e: (-e.q, e.ugv_id))),
-    )
+    return WindowMarket(window_id=world.window_count + 1, demand=demand, supply=supply)
 
 
 def test_close_window_builds_the_snapshot_market(monkeypatch):
@@ -510,6 +535,13 @@ def test_close_window_builds_the_snapshot_market(monkeypatch):
             close_window(world)
             if expected is not None:
                 assert captured[-1] == expected
+                # the ranked views, against sort keys written out here
+                assert captured[-1].demand_ranked == tuple(
+                    sorted(expected.demand, key=lambda e: (-e.bid, e.uav_id))
+                )
+                assert captured[-1].supply_ranked == tuple(
+                    sorted(expected.supply, key=lambda e: (-e.q, e.ugv_id))
+                )
                 compared += 1
                 bidders += expected.num_uavs
                 admitted += expected.num_ugvs

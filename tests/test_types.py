@@ -7,7 +7,6 @@ import pytest
 from skymarket.types import (
     Activity,
     AuctionOutcome,
-    Bid,
     Match,
     PowerParams,
     ScenarioConfig,
@@ -102,12 +101,6 @@ def test_ugv_state_invariants():
         make_ugv(0, q=0.5, supply=5000.0)  # above capacity
 
 
-def test_bid_invariants():
-    with pytest.raises(ValueError):
-        Bid(0, 1, -1.0, 0.0)
-    Bid(0, 1, 0.0, 0.0)  # zero bid is legal
-
-
 def test_outcome_rejects_duplicate_columns():
     m1 = Match(rank=1, uav_id=0, ugv_id=0, bid=4.0, q=0.9)
     m2 = Match(rank=2, uav_id=1, ugv_id=0, bid=2.0, q=0.5)  # same pad twice
@@ -158,9 +151,6 @@ def test_agent_states_survive_dict_round_trips():
     d = dataclasses.asdict(ugv)
     d["position"] = tuple(d["position"])
     assert type(ugv)(**d) == ugv
-
-    bid = Bid(1, 4, 3.14159, 12.0)
-    assert Bid(**dataclasses.asdict(bid)) == bid
 
 
 def test_config_text_round_trip_is_bit_exact(tmp_path):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from skymarket.energy import charging_urgency
 from skymarket.valuation import qors_from_distance
 
-from conftest import ValuationSeries, average_valuation, instant_valuation
+from conftest import ValuationSeries, average_valuation, charging_urgency, instant_valuation
 
 
 def test_instant_valuation_reference_values():
