@@ -17,6 +17,7 @@ import numpy as np
 
 from .audit import (
     AUDIT_CSV_HEADER,
+    _misreport_utilities,
     audit_market,
     audit_report_row,
     deviation_grid,
@@ -24,7 +25,7 @@ from .audit import (
     random_market,
 )
 from .baselines import optimal_scheme_outcome
-from .mechanism import run_auction, with_replaced_bid
+from .mechanism import run_auction
 from .reporting import provenance_line, write_csv
 from .simulator import (
     ALL_SCHEMES,
@@ -106,11 +107,9 @@ def run_table_truthful(config, seed, out_dir, reps=DEFAULT_REPS, **_):
             truthful = run_auction(market).uav_utilities[uav_id]
             best_untruthful = -np.inf
             truthful_bid = next(e.bid for e in market.demand if e.uav_id == uav_id)
-            for b in deviation_grid(market, uav_id):
-                if b == truthful_bid:
-                    continue
-                outcome = run_auction(with_replaced_bid(market, uav_id, b))
-                best_untruthful = max(best_untruthful, outcome.uav_utilities[uav_id])
+            misreports = [b for b in deviation_grid(market, uav_id) if b != truthful_bid]
+            for u in _misreport_utilities(market, uav_id, misreports):
+                best_untruthful = max(best_untruthful, u)
             rows.append(
                 (f"{n_uavs}x{n_ugvs}", k, uav_id, truthful, best_untruthful)
             )

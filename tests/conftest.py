@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from skymarket.audit import deviation_grid
+from skymarket.mechanism import run_auction, with_replaced_bid
 from skymarket.types import Activity
 
 
@@ -53,6 +55,18 @@ def payment_closed_form(allocation, j):
     for t in range(j - 1, k - 1):
         total += (allocation[t].q - allocation[t + 1].q) * allocation[t + 1].bid
     return total
+
+
+def replay_deviation_probe(market, uav_id, grid=None):
+    """Max misreport gain of ``uav_id`` by replaying the whole auction once
+    per grid bid: the oracle for the closed-form ``deviation_probe``."""
+    base_utility = run_auction(market).uav_utilities[uav_id]
+    best_gain = float("-inf")
+    candidates = list(grid) if grid is not None else deviation_grid(market, uav_id)
+    for b_prime in candidates:
+        outcome = run_auction(with_replaced_bid(market, uav_id, b_prime))
+        best_gain = max(best_gain, outcome.uav_utilities[uav_id] - base_utility)
+    return best_gain
 
 
 @dataclass(frozen=True)

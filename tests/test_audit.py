@@ -2,17 +2,22 @@
 
 import numpy as np
 import pytest
+from conftest import replay_deviation_probe
 
+import skymarket.audit as audit
 from skymarket.audit import (
+    UTILITY_TOL,
     audit_market,
     check_ir,
     check_stability,
+    deviation_grid,
     deviation_probe,
     non_envy_ratio,
     random_market,
 )
-from skymarket.mechanism import WindowMarket, run_auction
-from skymarket.types import AuctionOutcome, Match
+from skymarket.mechanism import WindowMarket, run_auction, with_replaced_bid
+from skymarket.presets import TABLE_SIZES, run_table_truthful
+from skymarket.types import AuctionOutcome, Match, ScenarioConfig
 
 
 def test_check_ir_clean_on_truthful_2x2():
@@ -177,3 +182,107 @@ def test_audit_market_all_clean(rng):
     assert report.worst_ic_gain <= 1e-9
     assert report.non_envy_ratio == 1.0
     assert report.blocking_pairs == 0
+
+
+def tie_heavy_market(rng, n_uavs, n_ugvs):
+    """Market drawn from a few levels, so equal bids, equal q and zero
+    bids are common; bids are truthful, shaded or zeroed per bidder."""
+    phi = rng.choice([1.0, 2.5, 4.0], size=n_uavs)
+    shade = rng.choice([0.0, 0.5, 1.0, 1.0, 1.0, 2.0], size=n_uavs)
+    qs = rng.choice([0.2, 0.5, 0.5, 0.9], size=n_ugvs)
+    return WindowMarket.from_values(phi.tolist(), (phi * shade).tolist(), qs.tolist())
+
+
+def explicit_grid(market, uav_id):
+    """Every opponent bid exactly (ties on the bid, ranked by id), zero,
+    the bidder's own bid, points between bid levels and int bids."""
+    bids = sorted({e.bid for e in market.demand})
+    own = next(e.bid for e in market.demand if e.uav_id == uav_id)
+    mids = [(a + b) / 2 for a, b in zip(bids, bids[1:])]
+    return [0.0, own, 0, 3, *bids, *mids, bids[-1] + 1.0]
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [(1, 3), (2, 5), (3, 4), (4, 8), (5, 6)],  # n < m
+        [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8)],  # n == m
+        [(2, 1), (3, 2), (5, 3), (8, 4), (9, 6), (3, 0), (1, 0)],  # n > m
+    ],
+    ids=["n<m", "n==m", "n>m"],
+)
+def test_closed_form_probe_equals_replay_on_tie_heavy_markets(sizes):
+    rng = np.random.default_rng(7)
+    probes = 0
+    for n_uavs, n_ugvs in sizes:
+        for _ in range(15):
+            market = tie_heavy_market(rng, n_uavs, n_ugvs)
+            gains = []
+            for e in market.demand:
+                default = deviation_grid(market, e.uav_id)
+                # whole grids, then one bid at a time so that no wrong
+                # gain can hide below the grid's maximum
+                grids = [None, explicit_grid(market, e.uav_id)]
+                grids += [[b] for b in default + grids[1]]
+                for grid in grids:
+                    got = deviation_probe(market, e.uav_id, grid)
+                    want = replay_deviation_probe(market, e.uav_id, grid)
+                    assert repr(got) == repr(want), (market, e.uav_id, grid)
+                    probes += 1
+                gains.append(replay_deviation_probe(market, e.uav_id))
+            # audit_market prices every grid from its one clearing
+            report = audit_market(market)
+            worst = max(gains) if gains else 0.0
+            assert repr(report.worst_ic_gain) == repr(worst)
+            assert report.ic_violations == sum(g > UTILITY_TOL for g in gains)
+    assert probes >= 5000
+
+
+def test_deviation_probe_rejects_negative_bid_and_unknown_uav():
+    market = WindowMarket.from_values([4.0, 2.0], [4.0, 2.0], [0.9])
+    with pytest.raises(ValueError, match="bids must be >= 0"):
+        deviation_probe(market, 0, grid=[1.0, -0.1])
+    with pytest.raises(KeyError):
+        deviation_probe(market, 2)
+    with pytest.raises(KeyError):
+        deviation_probe(market, 2, grid=[-1.0])
+    assert deviation_probe(market, 1, grid=[]) == float("-inf")
+
+
+def test_audit_market_clears_each_market_once(rng, monkeypatch):
+    calls = []
+
+    def counted(market):
+        calls.append(market)
+        return run_auction(market)
+
+    monkeypatch.setattr(audit, "run_auction", counted)
+    market = random_market(rng, 100, 25)
+    report = audit_market(market)
+    assert calls == [market]
+    assert report.ic_violations == 0 and report.blocking_pairs == 0
+    # a baseline's outcome is audited against the same single clearing
+    calls.clear()
+    audit_market(market, outcome=run_auction(market))
+    assert calls == [market]
+
+
+def test_table_truthful_rows_match_the_replay(tmp_path):
+    config = ScenarioConfig()
+    reps = 3
+    (path,) = run_table_truthful(config, 4, tmp_path, reps=reps)
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    assert len(rows) == len(TABLE_SIZES) * reps
+    for (n_uavs, n_ugvs), k in [(size, k) for size in TABLE_SIZES for k in range(reps)]:
+        rng = np.random.default_rng(np.random.SeedSequence([4, n_uavs, n_ugvs, k]))
+        market = random_market(rng, n_uavs, n_ugvs, mu0=config.mu0, mu1=config.mu1,
+                               q_floor=config.qors_floor)
+        uav_id = int(rng.integers(0, n_uavs))
+        truthful = run_auction(market).uav_utilities[uav_id]
+        own = next(e.bid for e in market.demand if e.uav_id == uav_id)
+        best = max(
+            run_auction(with_replaced_bid(market, uav_id, b)).uav_utilities[uav_id]
+            for b in deviation_grid(market, uav_id)
+            if b != own
+        )
+        assert rows.pop(0) == [f"{n_uavs}x{n_ugvs}", str(k), str(uav_id), str(truthful), str(best)]
