@@ -7,9 +7,9 @@ Subcommands:
 * ``audit``    - property probes over random market instances
 * ``validate`` - check a config file, list violations
 
-Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config. The
-default output directory comes from ``SKYMARKET_OUT`` (falling back to
-``./results``).
+Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config (for
+``run``, any cell of the sweep). The default output directory comes from
+``SKYMARKET_OUT`` (falling back to ``./results``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .simulator import (
     SCHEME_OURS,
     metrics_row_tuple,
     run_experiment,
+    sweep_cells,
 )
 from .types import ScenarioConfig, load_config, validate
 
@@ -42,6 +43,19 @@ def _default_out() -> str:
     return os.environ.get("SKYMARKET_OUT", "results")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= ``low`` (a usage error otherwise)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low} (got {value})")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skymarket",
@@ -51,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed")
         p.add_argument("--out", default=_default_out(), help="output directory")
 
     p_run = sub.add_parser("run", help="simulate a scenario and emit metrics CSVs")
@@ -76,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = sub.add_parser("audit", help="IR/IC/envy/stability probes on random markets")
     common(p_audit)
     p_audit.add_argument("--instances", type=int, default=1000)
-    p_audit.add_argument("--max-size", type=int, default=8, help="max market side length")
+    p_audit.add_argument("--max-size", type=_int_at_least(1), default=8,
+                         help="max market side length")
 
     p_val = sub.add_parser("validate", help="validate a scenario config file")
     p_val.add_argument("config", help="path to the config file")
@@ -109,6 +124,11 @@ def cmd_run(args) -> int:
         sweep["ugv_count"] = args.ugvs
     if args.tau:
         sweep["window_len"] = args.tau
+    problems = [p for cell in sweep_cells(config, sweep) for p in validate(cell)]
+    for p in dict.fromkeys(problems):
+        print(f"invalid config: {p}", file=sys.stderr)
+    if problems:
+        return EXIT_CONFIG
 
     result = run_experiment(
         config, sweep, replications=args.reps, schemes=schemes,

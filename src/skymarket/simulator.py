@@ -5,8 +5,14 @@ advances one slot at a time: batteries follow the linear activity model,
 matched vehicles drive to their rendezvous, charging sessions hold a pad
 until the satisfactory level and UAVs that cross the urgency threshold
 queue as bidders. Every ``window_len`` seconds the accumulated bidders
-and idle vehicles clear through the configured scheme (the auction, the
-omniscient welfare-maximizing planner, or the static-pad variant).
+and idle vehicles clear through the auction, against mobile vehicles or
+static pads.
+
+Every simulated bid is truthful, and under truthful bids the omniscient
+welfare-maximizing planner's outcome is the auction's own
+(``baselines``). So every scheme clears through ``run_auction``, and a
+sweep steps one mobile world per (cell, seed) and reports it under both
+``ours`` and ``optimal``.
 
 A sweep runs all its worlds in lockstep (``run_worlds``): their agent
 arrays are stacked, so each slot costs one kernel call and one
@@ -30,13 +36,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as K
 from .audit import audit_market, non_envy_ratio
+# no caller here; kept importable because the benchmark's tracer hooks this name
 from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
 from .mechanism import DemandEntry, admit, run_auction
@@ -81,6 +88,7 @@ __all__ = [
     "run_world",
     "run_worlds",
     "ExperimentResult",
+    "sweep_cells",
     "run_experiment",
     "METRICS_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
@@ -226,16 +234,11 @@ def rendezvous(spot: Sequence[float], ugv_pos: Sequence[float]) -> tuple[float, 
     return ((spot[0] + ugv_pos[0]) / 2.0, (spot[1] + ugv_pos[1]) / 2.0)
 
 
-def satisfaction_level(
-    outcome: AuctionOutcome,
-    rho_bars: Mapping[int, float],
-    qs: Optional[Mapping[int, float]] = None,
-) -> float:
+def satisfaction_level(outcome: AuctionOutcome, rho_bars: Mapping[int, float]) -> float:
     """Allocation quality weighted by urgency: sum of q_j * rho_bar_i."""
     total = 0.0
     for m in outcome.winners:
-        q = qs[m.ugv_id] if qs is not None else m.q
-        total += q * rho_bars[m.uav_id]
+        total += m.q * rho_bars[m.uav_id]
     return total
 
 
@@ -365,9 +368,9 @@ def close_window(world: World, with_audit: bool = False):
 
     Reads the market inputs as whole-array slices: the queued bidders'
     window-average valuations and urgencies, their satisfaction gaps, and
-    each idle vehicle's quality score and remaining supply. Dispatches
-    the configured scheme, schedules rendezvous for matched pairs, and
-    re-queues losers. Returns (outcome, metrics row[, audit report]).
+    each idle vehicle's quality score and remaining supply. Clears the
+    market through the auction, schedules rendezvous for matched pairs,
+    and re-queues losers. Returns (outcome, metrics row[, audit report]).
     """
     c = world.config
     spw = c.slots_per_window
@@ -394,10 +397,7 @@ def close_window(world: World, with_audit: bool = False):
     offers = [(j, world.ugv_qors(j), s) for j, s in zip(idle, supply)]
 
     market = admit(demand, offers, window_id, gaps)
-    if world.scheme == SCHEME_OPTIMAL:
-        outcome = optimal_scheme_outcome(market)
-    else:
-        outcome = run_auction(market)
+    outcome = run_auction(market)
 
     envy = non_envy_ratio(outcome, phi_bars) if phi_bars else None
     row = MetricsRow(
@@ -585,6 +585,16 @@ class ExperimentResult:
     outcomes: list = field(default_factory=list)  # (scheme, seed, AuctionOutcome)
 
 
+def sweep_cells(config: ScenarioConfig, sweep: Mapping[str, Sequence]) -> list[ScenarioConfig]:
+    """``config`` with each combination of ``sweep``'s value lists applied,
+    in cartesian-product order; ``sweep`` maps field names to values."""
+    keys = list(sweep)
+    return [
+        config.replace(**dict(zip(keys, combo)))
+        for combo in itertools.product(*(sweep[k] for k in keys))
+    ]
+
+
 def run_experiment(
     config: ScenarioConfig,
     sweep: Mapping[str, Sequence],
@@ -598,23 +608,41 @@ def run_experiment(
 
     ``sweep`` maps ScenarioConfig field names to value lists; the full
     cartesian product is simulated for ``replications`` seeds
-    (base_seed, base_seed+1, ...).
+    (base_seed, base_seed+1, ...). ``ours`` and ``optimal`` clear
+    identically under truthful bids, so they share one mobile world per
+    (cell, seed); its rows, outcomes and audit reports are emitted once
+    per scheme, relabelled, in (cell, seed, ``schemes``) order.
     """
-    keys = list(sweep.keys())
-    worlds = []
-    for combo in itertools.product(*(sweep[k] for k in keys)):
-        cfg = config.replace(**dict(zip(keys, combo)))
+    for scheme in schemes:
+        if scheme not in ALL_SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
+    worlds: list[World] = []
+    emitted: list[tuple[str, int]] = []  # (scheme, index of its world)
+    for cfg in sweep_cells(config, sweep):
         for rep in range(replications):
+            built: dict[str, int] = {}
             for scheme in schemes:
-                worlds.append(generate_scenario(cfg, base_seed + rep, scheme))
+                kind = SCHEME_STATIC if scheme == SCHEME_STATIC else SCHEME_OURS
+                if kind not in built:
+                    built[kind] = len(worlds)
+                    worlds.append(generate_scenario(cfg, base_seed + rep, kind))
+                emitted.append((scheme, built[kind]))
     rows: list[MetricsRow] = []
     audits = []
     outcomes = []
     results = run_worlds(worlds, with_audit=with_audit, keep_outcomes=keep_outcomes)
-    for world, (run_rows, run_outcomes, run_audits) in zip(worlds, results):
+    for scheme, k in emitted:
+        run_rows, run_outcomes, run_audits = results[k]
+        seed = worlds[k].seed
+        if scheme != worlds[k].scheme:
+            run_rows = [replace(r, scheme=scheme) for r in run_rows]
+            run_audits = [
+                replace(a, instance=f"{scheme}-seed{seed}-w{r.window}")
+                for a, r in zip(run_audits, run_rows)
+            ]
         rows.extend(run_rows)
         audits.extend(run_audits)
-        outcomes.extend((world.scheme, world.seed, o) for o in run_outcomes)
+        outcomes.extend((scheme, seed, o) for o in run_outcomes)
     return ExperimentResult(
         rows=rows, aggregates=aggregate_rows(rows),
         audits=audits, outcomes=outcomes,

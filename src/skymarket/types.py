@@ -120,10 +120,6 @@ class UgvState:
         if not (0.0 < self.qors <= 1.0):
             raise ValueError(f"ugv {self.id}: qors must be in (0, 1]")
 
-    @property
-    def speed_mps(self) -> float:
-        return self.speed_kmh / 3.6
-
 
 @dataclass(frozen=True)
 class Match:
@@ -328,6 +324,11 @@ def validate(config: ScenarioConfig) -> list[str]:
         v.append("ugv_distance_min/max: require 0 < min <= max")
     if not (0.0 < c.ugv_speed_min_kmh <= c.ugv_speed_max_kmh):
         v.append("ugv_speed_min_kmh/max: require 0 < min <= max")
+
+    for name in ("mu0", "mu1"):
+        value = getattr(c, name)
+        if not (value >= 0):  # NaN fails too
+            v.append(f"{name}: valuation coefficient must be >= 0 (got {value})")
 
     if not (0.0 < c.qors_floor < 1.0):
         v.append("qors_floor: must lie in (0, 1)")

@@ -1,5 +1,9 @@
 """End-to-end CLI behavior: exit codes, output files, reproducibility."""
 
+import hashlib
+
+import pytest
+
 from skymarket.cli import main
 from skymarket.types import ScenarioConfig, save_config
 
@@ -77,6 +81,54 @@ def test_identical_invocations_byte_identical(tmp_path):
         ]) == 0
     for name in ("metrics_raw.csv", "metrics_aggregate.csv"):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
+
+
+# sha256 of each CSV the command below writes, recorded before sweeps
+# read `optimal` off the `ours` world; any change to the simulation, the
+# mechanism, the audit or the CSV format shows here
+PINNED_RUN = ["run", "--scheme", "all", "--ugvs", "6", "10", "--tau", "4", "8",
+              "--reps", "2", "--seed", "5", "--audit", "--outcomes"]
+PINNED_DIGESTS = {
+    "audits.csv": "153535f13595060b5d7174aeb49c4764430c70e00f171ba035aa8aab422876e3",
+    "metrics_aggregate.csv": "30a889704fe195184f88c025289a326a8345b989996ca12d13452e2898a165fd",
+    "metrics_raw.csv": "29ebcbb5c31f2e493500535037ebd11f6ffaeb8d95bcbfb783a9b682f27e6525",
+    "outcomes.csv": "0a64b467c7876c2fab9cfc9d8ab5ecec29ce8745dde3a29d2c6f73957d881038",
+}
+
+
+def test_run_csvs_match_pinned_digests(tmp_path):
+    assert main(PINNED_RUN + ["--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    assert digests == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("args, problem", [
+    (["--ugvs", "6", "0"], "ugv_count: must be >= 1"),
+    (["--tau", "4", "3.5"], "window_len: must be a positive multiple of slot_len"),
+])
+def test_run_rejects_an_invalid_sweep_cell(tmp_path, capsys, args, problem):
+    assert main(["run", "--out", str(tmp_path)] + args) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: {problem}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-3"],
+    ["preset", "fig-surplus", "--seed", "-1"],
+    ["audit", "--seed", "-2"],
+])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_audit_rejects_zero_max_size(tmp_path, capsys):
+    assert main(["audit", "--max-size", "0", "--out", str(tmp_path)]) == 1
+    assert "--max-size: must be >= 1" in capsys.readouterr().err
+    assert main(["audit", "--max-size", "1", "--instances", "3", "--out", str(tmp_path)]) == 0
 
 
 def test_preset_table_envy_runs_small(tmp_path):

@@ -24,6 +24,7 @@ from skymarket.simulator import (
     run_worlds,
     satisfaction_level,
 )
+from skymarket.baselines import optimal_scheme_outcome
 from skymarket.mechanism import DemandEntry, SupplyEntry, WindowMarket, run_auction
 from skymarket.types import ScenarioConfig
 
@@ -345,22 +346,79 @@ def test_run_experiment_shapes_and_aggregates():
     assert agg == res.aggregates
 
 
-def test_ours_and_optimal_agree_under_truthful_bids():
-    # every simulated bid is truthful, so the welfare planner and the
-    # auction must clear every window identically, including windows of
-    # 12 eager bidders against 12 idle pads
+def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
+    # a sweep reads `optimal` off the `ours` world. The oracle runs the
+    # real welfare planner in place of the auction inside the worlds, so
+    # its outcomes steer the rendezvous; every row, outcome and audit
+    # report must match, including windows of 12 eager bidders against
+    # 12 idle pads
     cfg = ScenarioConfig(
         uav_count=12, ugv_count=12, horizon_slots=24,
         uav_soc_frac_min=0.3, uav_soc_frac_max=0.55,
     )
-    res = run_experiment(cfg, {"ugv_count": [6, 12]}, replications=2,
-                         schemes=("ours", "optimal"), base_seed=3, keep_outcomes=True)
+    kw = dict(sweep={"ugv_count": [6, 12]}, replications=2, base_seed=3,
+              with_audit=True, keep_outcomes=True)
+    res = run_experiment(cfg, schemes=("ours", "optimal"), **kw)
     ours = [r for r in res.rows if r.scheme == "ours"]
-    opt = [dataclasses.replace(r, scheme="ours") for r in res.rows if r.scheme == "optimal"]
-    assert len(ours) == 12 and opt == ours
+    opt = [r for r in res.rows if r.scheme == "optimal"]
+    assert len(ours) == 12 and opt == [dataclasses.replace(r, scheme="optimal") for r in ours]
     assert max(r.winners for r in ours) == 12
-    assert ([o for s, _, o in res.outcomes if s == "ours"]
-            == [o for s, _, o in res.outcomes if s == "optimal"])
+
+    planner_calls = []
+
+    def planner(market):
+        planner_calls.append(market.window_id)
+        return optimal_scheme_outcome(market)
+
+    monkeypatch.setattr(simulator, "run_auction", planner)
+    oracle = run_experiment(cfg, schemes=("optimal",), **kw)
+    assert len(planner_calls) == 12
+    assert oracle.rows == opt
+    assert oracle.outcomes == [o for o in res.outcomes if o[0] == "optimal"]
+    assert oracle.audits == [a for a in res.audits if a.instance.startswith("optimal-")]
+    assert [a.instance for a in oracle.audits][:3] == [
+        "optimal-seed3-w1", "optimal-seed3-w2", "optimal-seed3-w3"]
+
+
+def test_sweep_builds_one_mobile_world_per_cell_and_seed(monkeypatch):
+    real_generate = simulator.generate_scenario
+    built = []
+
+    def counting(cfg, seed, scheme):
+        built.append(scheme)
+        return real_generate(cfg, seed, scheme)
+
+    monkeypatch.setattr(simulator, "generate_scenario", counting)
+    cfg = ScenarioConfig(horizon_slots=16, uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
+    sweep = {"ugv_count": [3, 8], "window_len": [4.0, 8.0]}
+    run_experiment(cfg, sweep, replications=2, schemes=ALL_SCHEMES)
+    assert len(built) == 2 * 4 * 2 and set(built) == {"ours", "static"}
+    built.clear()
+    run_experiment(cfg, sweep, replications=2, schemes=("optimal",))
+    assert len(built) == 4 * 2
+
+    # rows keep (cell, seed, schemes) order and equal each scheme's world
+    # run alone
+    schemes = ("static", "optimal", "ours")
+    res = run_experiment(cfg, sweep, replications=2, schemes=schemes, base_seed=1,
+                         with_audit=True, keep_outcomes=True)
+    rows, outcomes, audits = [], [], []
+    for m, tau in itertools.product(*sweep.values()):
+        for seed in (1, 2):
+            for scheme in schemes:
+                world = real_generate(cfg.replace(ugv_count=m, window_len=tau), seed, scheme)
+                run_rows, run_outcomes, run_audits = run_world(
+                    world, with_audit=True, keep_outcomes=True)
+                rows += run_rows
+                outcomes += [(scheme, seed, o) for o in run_outcomes]
+                audits += run_audits
+    assert res.rows == rows and res.outcomes == outcomes and res.audits == audits
+    assert [r.scheme for r in res.rows[:6]] == ["static"] * 4 + ["optimal"] * 2
+
+
+def test_run_experiment_rejects_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_experiment(ScenarioConfig(horizon_slots=8), {}, 1, schemes=("ours", "planner"))
 
 
 def test_coarser_slots_scale_window_schedule_and_drain():

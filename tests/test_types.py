@@ -70,6 +70,19 @@ def test_violations_name_the_field():
     assert any(m.startswith("qors_floor") for m in msgs)
 
 
+@pytest.mark.parametrize("mu0, mu1, field", [
+    (-10.0, 5.0, "mu0"), (1.0, -5.0, "mu1"), (-1.0, 0.5, "mu0"),
+    (float("nan"), 5.0, "mu0"), (1.0, float("nan"), "mu1"),
+])
+def test_negative_or_nan_valuation_coefficients_rejected(mu0, mu1, field):
+    # a negative coefficient makes negative bids, which the auction's
+    # payment check rejects mid-run; validate() must stop the config first
+    bad = ScenarioConfig(mu0=mu0, mu1=mu1, uav_count=20, ugv_count=4,
+                         uav_soc_frac_min=0.2, uav_soc_frac_max=0.5, horizon_slots=64)
+    assert [m.split(":")[0] for m in validate(bad)] == [field]
+    assert validate(ScenarioConfig(mu0=0.0, mu1=0.0)) == []
+
+
 def test_uav_state_invariants():
     with pytest.raises(ValueError):
         make_uav(0, soc=200.0)  # above capacity
