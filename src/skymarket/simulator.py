@@ -19,7 +19,9 @@ arrays are stacked, so each slot costs one kernel call and one
 bookkeeping pass for the whole sweep rather than one per world, and
 each world still clears its windows at its own ``window_len``. Nothing
 couples agents except partner indices, which are offset into the stack,
-so every world evolves bit-identically to a run on its own.
+so every world evolves bit-identically to a run on its own. Most windows
+of a sweep have no bidder; those are told apart by segment sums over the
+stack and recorded without building a market.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -42,7 +44,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .audit import audit_market, non_envy_ratio
+from .audit import AuditReport, audit_market, non_envy_ratio
 # no caller here; kept importable because the benchmark's tracer hooks this name
 from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
@@ -513,25 +515,88 @@ def _unstack(worlds: Sequence[World]) -> None:
         w.uav_base = w.ugv_base = 0
 
 
+def _offered(world: World) -> np.ndarray:
+    """Mask of the vehicles ``admit`` keeps when no bidder has a gap:
+    idle with supply >= 0 (every q is at least ``qors_floor`` > 0)."""
+    return (world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE) & (world.ugv_f[:, K.G_SUPPLY] >= 0.0)
+
+
+def _close_bidderless_window(world: World, stocked: bool, with_audit: bool,
+                             keep_outcomes: bool):
+    """``close_window``'s result for a window with no sampled bidder.
+
+    The market is empty on its demand side, so nothing is scored, cleared
+    or scheduled. ``stocked`` says whether ``admit`` would keep some
+    vehicle (``_offered``); their zero utilities make ``ugv_utility`` the
+    float 0.0 instead of the empty sum 0. The valuation sums need no
+    reset: they grow only on sampled bidders, so they are zero already.
+    The outcome is built only when kept (None otherwise).
+    """
+    c = world.config
+    world.window_count += 1
+    window_id = world.window_count
+    row = MetricsRow(
+        scheme=world.scheme, ugv_count=c.ugv_count, tau=c.window_len, seed=world.seed,
+        window=window_id, sl=0.0, uav_utility=0, ugv_utility=0.0 if stocked else 0,
+        surplus=0.0, non_envy_ratio=1.0, winners=0,
+    )
+    outcome = None
+    if keep_outcomes:
+        offered = np.flatnonzero(_offered(world)).tolist()
+        outcome = AuctionOutcome(
+            window_id=window_id, winners=(), losers=(), payments=(), uav_utilities={},
+            ugv_utilities=dict.fromkeys(offered, 0.0), social_surplus=0.0,
+        )
+    if with_audit:
+        report = AuditReport(f"{world.scheme}-seed{world.seed}-w{window_id}",
+                             0, 0, 0.0, 1.0, 1.0, 0)
+        return outcome, row, report
+    return outcome, row
+
+
 def _run_lockstep(worlds: Sequence[World], horizon: int, with_audit: bool,
                   keep_outcomes: bool) -> list[tuple[list, list, list]]:
-    """Step worlds that share advance_slot's constants as one stack."""
+    """Step worlds that share advance_slot's constants as one stack.
+
+    At a slot boundary one segment sum over the stack counts each world's
+    sampled bidders. Due worlds with a bidder clear through
+    ``close_window``; the rest (most windows of a sweep) are recorded by
+    ``_close_bidderless_window``, after a second segment sum finds which
+    of them have a vehicle ``admit`` would keep.
+    """
     stack = _stack(worlds)
     spws = [w.config.slots_per_window for w in worlds]
+    uav_starts = [w.uav_base for w in worlds]
+    ugv_starts = [w.ugv_base for w in worlds]
     results = [([], [], []) for _ in worlds]
     try:
         for _ in range(horizon):
             advance_slot(stack)
-            for world, spw, (rows, outcomes, audits) in zip(worlds, spws, results):
-                world.clock = stack.clock
-                if world.clock % spw:
-                    continue
-                outcome, row, *report = close_window(world, with_audit=with_audit)
+            clock = stack.clock
+            due = [k for k, spw in enumerate(spws) if clock % spw == 0]
+            if not due:
+                continue
+            queued = np.add.reduceat(stack.bidder & (stack.sample_count > 0),
+                                     uav_starts).tolist()
+            stocked = None
+            for k in due:
+                world = worlds[k]
+                world.clock = clock
+                if queued[k]:
+                    outcome, row, *report = close_window(world, with_audit=with_audit)
+                else:
+                    if stocked is None:
+                        stocked = np.add.reduceat(_offered(stack), ugv_starts).tolist()
+                    outcome, row, *report = _close_bidderless_window(
+                        world, stocked[k] > 0, with_audit, keep_outcomes)
+                rows, outcomes, audits = results[k]
                 rows.append(row)
                 audits.extend(report)
                 if keep_outcomes:
                     outcomes.append(outcome)
     finally:
+        for w in worlds:
+            w.clock = stack.clock
         _unstack(worlds)
     return results
 
@@ -548,7 +613,9 @@ def run_worlds(
     (``enter_urgency``, ``mu0``, ``mu1``) are stacked and stepped by one
     ``advance_slot`` call per slot; each world's windows still close at its
     own ``slots_per_window``. The kernel and the bookkeeping are per
-    agent, so every world evolves exactly as it would alone. Each result
+    agent, so every world evolves exactly as it would alone. A window
+    with no sampled bidder is recorded without building a market; its
+    row, outcome and audit report equal ``close_window``'s. Each result
     is (metrics rows, outcomes, audit reports), as from ``run_world``.
     """
     if len({w.clock for w in worlds}) > 1:

@@ -9,6 +9,7 @@ import pytest
 
 from skymarket.audit import deviation_grid
 from skymarket.mechanism import run_auction, with_replaced_bid
+from skymarket.simulator import advance_slot, close_window
 from skymarket.types import Activity
 
 
@@ -67,6 +68,23 @@ def replay_deviation_probe(market, uav_id, grid=None):
         outcome = run_auction(with_replaced_bid(market, uav_id, b_prime))
         best_gain = max(best_gain, outcome.uav_utilities[uav_id] - base_utility)
     return best_gain
+
+
+def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
+    """One world run alone, slot by slot, every window through
+    ``close_window``: the oracle for ``run_worlds``, which stacks worlds
+    and records bidderless windows without building a market."""
+    spw = world.config.slots_per_window
+    rows, outcomes, audits = [], [], []
+    for _ in range(horizon):
+        advance_slot(world)
+        if world.clock % spw == 0:
+            outcome, row, *report = close_window(world, with_audit=with_audit)
+            rows.append(row)
+            audits.extend(report)
+            if keep_outcomes:
+                outcomes.append(outcome)
+    return rows, outcomes, audits
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_world_windowwise
 import skymarket._kernels as K
 import skymarket.simulator as simulator
 from skymarket.simulator import (
@@ -372,7 +373,9 @@ def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
 
     monkeypatch.setattr(simulator, "run_auction", planner)
     oracle = run_experiment(cfg, schemes=("optimal",), **kw)
-    assert len(planner_calls) == 12
+    # only windows with a bidder build a market; both kinds occur here
+    with_bidders = sum(1 for _, _, o in oracle.outcomes if o.uav_utilities)
+    assert len(planner_calls) == with_bidders and 0 < with_bidders < 12
     assert oracle.rows == opt
     assert oracle.outcomes == [o for o in res.outcomes if o[0] == "optimal"]
     assert oracle.audits == [a for a in res.audits if a.instance.startswith("optimal-")]
@@ -490,6 +493,45 @@ def test_lockstep_sweep_matches_worlds_run_alone():
         assert (a.uav_base, a.ugv_base, a.clock) == (0, 0, 48)
     # the partner columns were exercised, not left at -1
     assert any((w.uav_i[:, K.I_PARTNER] >= 0).any() for w in together[3:])
+
+
+def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
+    # the sweep of perfbench's fleet_sweep call 0 (10 worlds, J = 6..14, all
+    # schemes, seed 7000): only windows with a sampled bidder reach
+    # close_window, and no vehicle is scored outside one
+    cfg = ScenarioConfig()
+    sweep = {"ugv_count": [6, 8, 10, 12, 14]}
+    with_bidders = 0
+    for m in sweep["ugv_count"]:
+        for scheme in (SCHEME_OURS, SCHEME_STATIC):
+            world = generate_scenario(cfg.replace(ugv_count=m), 7000, scheme)
+            _, outcomes, _ = run_world_windowwise(world, cfg.horizon_slots,
+                                                  keep_outcomes=True)
+            with_bidders += sum(1 for o in outcomes if o.uav_utilities)
+
+    real_close, real_qors = simulator.close_window, simulator.World.ugv_qors
+    cleared = []
+    depth = [0]  # close_window calls in progress
+    scored_inside = []  # per ugv_qors call: was it inside close_window?
+
+    def counting_close(world, with_audit=False):
+        depth[0] += 1
+        result = real_close(world, with_audit=with_audit)
+        depth[0] -= 1
+        cleared.append(result[0])
+        return result
+
+    def counting_qors(self, j):
+        scored_inside.append(depth[0] > 0)
+        return real_qors(self, j)
+
+    monkeypatch.setattr(simulator, "close_window", counting_close)
+    monkeypatch.setattr(simulator.World, "ugv_qors", counting_qors)
+    res = run_experiment(cfg, sweep, replications=1, schemes=ALL_SCHEMES, base_seed=7000)
+    assert len(res.rows) == 15 * 75
+    assert len(cleared) == with_bidders and 0 < with_bidders < 10 * 75 // 2
+    assert all(o.uav_utilities for o in cleared)
+    assert scored_inside and all(scored_inside)
 
 
 def test_run_experiment_groups_worlds_by_slot_constants():
