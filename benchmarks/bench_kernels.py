@@ -40,7 +40,8 @@ def warmed_arrays(n_uavs, n_ugvs, seed=0):
 def time_backend(step, arrays, steps, repeats):
     best = np.inf
     for _ in range(repeats):
-        uf, ui, gf, gi = (a.copy() for a in arrays)
+        # order="K" keeps the simulator's column-contiguous layout
+        uf, ui, gf, gi = (a.copy(order="K") for a in arrays)
         t0 = time.perf_counter()
         for _ in range(steps):
             step(uf, ui, gf, gi)
@@ -54,7 +55,7 @@ def bench_raw(steps, repeats):
         backends.insert(0, ("numba", K.step_world_numba))
         # trigger compilation outside the timed region
         arrays = warmed_arrays(8, 8)
-        K.step_world_numba(*(a.copy() for a in arrays))
+        K.step_world_numba(*(a.copy(order="K") for a in arrays))
 
     print(f"raw kernel, {steps} steps (best of {repeats}):")
     print(f"  {'fleet':>10} " + " ".join(f"{name:>12}" for name, _ in backends) + "   speedup")

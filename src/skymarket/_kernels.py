@@ -9,7 +9,7 @@ same arithmetic, in the same per-element order, so they produce
 bit-identical trajectories:
 
 * ``step_world_numba`` - explicit loops under ``@njit(cache=True)``;
-* ``step_world_numpy`` - vectorized masks, pure numpy.
+* ``step_world_numpy`` - vectorized over rows grouped by activity, pure numpy.
 
 Backend selection happens once at import: the environment variable
 ``SKYMARKET_NO_NUMBA`` (any non-empty value except ``0``) forces the
@@ -17,7 +17,7 @@ numpy path, as does a missing/broken numba install. ``step_world`` is
 whatever got selected; ``benchmarks/bench_kernels.py`` times one against
 the other.
 
-Array layouts (float64 / int64):
+Array layouts (float64 / int64), one row per agent:
 
     uav_f[i]: soc, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
               drain_fly, drain_hov, drain_desc, drain_asc,
@@ -25,6 +25,11 @@ Array layouts (float64 / int64):
     uav_i[i]: activity, partner
     ugv_f[j]: x, y, tx, ty, step, supply
     ugv_i[j]: state, partner
+
+The simulator stores all four column-contiguous (Fortran order), so each
+column is a contiguous 1-D array; the numpy kernel gathers and scatters
+one column at a time. Both kernels accept either order, with the same
+bits.
 
 Energy deltas are precomputed per slot (eta_i * P * dt / 3600 and the
 charging analogue), so the kernel only adds, clamps, moves, and switches
@@ -93,6 +98,15 @@ N_UGV_I = 2
 UGV_IDLE = 0
 UGV_ENROUTE = 1
 UGV_SERVING = 2
+
+# the numpy kernel's branches in the order it runs them; codes that share
+# a branch sit side by side, so each branch is one run of sorted rows
+_BRANCH_ORDER = (ACT_SENSE, ACT_WAIT, ACT_FLY_OUT, ACT_FLY_BACK, ACT_DESCEND,
+                 ACT_ASCEND, ACT_CHARGE)
+# activity code -> rank in _BRANCH_ORDER (a list, not np.argsort: a numpy
+# sort at import pages in ~0.4 MB of sort code that only the kernel needs)
+_GROUP_KEY = np.array([_BRANCH_ORDER.index(code) for code in range(len(_BRANCH_ORDER))],
+                      dtype=np.int8)
 
 
 def _step_world_py(uav_f, uav_i, ugv_f, ugv_i):
@@ -174,107 +188,118 @@ def _step_world_py(uav_f, uav_i, ugv_f, ugv_i):
 
 
 def step_world_numpy(uav_f, uav_i, ugv_f, ugv_i):
-    """Vectorized slot step; arithmetic mirrors the loop kernel exactly."""
-    # --- vehicles ---
-    en = ugv_i[:, GI_STATE] == UGV_ENROUTE
-    if en.any():
-        dx = ugv_f[en, G_TX] - ugv_f[en, G_X]
-        dy = ugv_f[en, G_TY] - ugv_f[en, G_Y]
-        dist = np.sqrt(dx * dx + dy * dy)
-        step = ugv_f[en, G_STEP]
-        arrive = dist <= step
-        idx = np.flatnonzero(en)
-        a_idx = idx[arrive]
-        m_idx = idx[~arrive]
-        ugv_f[a_idx, G_X] = ugv_f[a_idx, G_TX]
-        ugv_f[a_idx, G_Y] = ugv_f[a_idx, G_TY]
-        ugv_i[a_idx, GI_STATE] = UGV_SERVING
-        nd = dist[~arrive]
-        ugv_f[m_idx, G_X] += step[~arrive] * dx[~arrive] / nd
-        ugv_f[m_idx, G_Y] += step[~arrive] * dy[~arrive] / nd
+    """Vectorized slot step; arithmetic mirrors the loop kernel exactly.
 
-    act = uav_i[:, I_ACT].copy()
+    Every column is bound once as a 1-D view and indexed on its own, and
+    UAV rows are grouped by activity with one sort per step: on
+    column-contiguous arrays each fancy index is then a plain 1-D gather.
+    """
+    # unpacked in the order of the F_*, I_*, G_* and GI_* column indices
+    (soc, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
+     drain_fly, drain_hov, drain_desc, drain_asc,
+     charge_gain, supply_draw, step_xy, step_down, step_up) = uav_f.T
+    act, partner = uav_i.T
+    gx, gy, gtx, gty, gstep, supply = ugv_f.T
+    state, gpartner = ugv_i.T
+
+    # --- vehicles ---
+    en = (state == UGV_ENROUTE).nonzero()[0]
+    if en.size:
+        dx = gtx[en] - gx[en]
+        dy = gty[en] - gy[en]
+        dist = np.sqrt(dx * dx + dy * dy)
+        step = gstep[en]
+        arrive = dist <= step
+        a_idx = en[arrive]
+        gx[a_idx] = gtx[a_idx]
+        gy[a_idx] = gty[a_idx]
+        state[a_idx] = UGV_SERVING
+        move = ~arrive
+        m_idx = en[move]
+        nd = dist[move]
+        gx[m_idx] += step[move] * dx[move] / nd
+        gy[m_idx] += step[move] * dy[move] / nd
+
+    # group rows by their activity at the start of the slot; int8 keys
+    # radix-sort, and the key order puts each branch's codes side by side
+    key = _GROUP_KEY[act]
+    rows = key.argsort(kind="stable")
+    ends = np.bincount(key, minlength=len(_GROUP_KEY)).cumsum().tolist()
+    e_sense, e_wait, e_out, e_back, e_desc, e_asc, e_chg = ends
 
     # hover drain: sensing and pad-waiting
-    hov = (act == ACT_SENSE) | (act == ACT_WAIT)
-    if hov.any():
-        soc = uav_f[hov, F_SOC] - uav_f[hov, F_DRAIN_HOV]
-        uav_f[hov, F_SOC] = np.maximum(soc, 0.0)
-    wait = act == ACT_WAIT
-    if wait.any():
-        w_idx = np.flatnonzero(wait)
-        ready = ugv_i[uav_i[w_idx, I_PARTNER], GI_STATE] == UGV_SERVING
-        uav_i[w_idx[ready], I_ACT] = ACT_DESCEND
+    h_idx = rows[:e_wait]
+    if h_idx.size:
+        h_soc = soc[h_idx] - drain_hov[h_idx]
+        soc[h_idx] = np.maximum(h_soc, 0.0)
+    w_idx = rows[e_sense:e_wait]
+    if w_idx.size:
+        ready = state[partner[w_idx]] == UGV_SERVING
+        act[w_idx[ready]] = ACT_DESCEND
 
-    # horizontal legs
-    fly = (act == ACT_FLY_OUT) | (act == ACT_FLY_BACK)
-    if fly.any():
-        f_idx = np.flatnonzero(fly)
-        soc = uav_f[f_idx, F_SOC] - uav_f[f_idx, F_DRAIN_FLY]
-        uav_f[f_idx, F_SOC] = np.maximum(soc, 0.0)
-        dx = uav_f[f_idx, F_TX] - uav_f[f_idx, F_X]
-        dy = uav_f[f_idx, F_TY] - uav_f[f_idx, F_Y]
+    # horizontal legs, outbound rows first
+    f_idx = rows[e_wait:e_back]
+    if f_idx.size:
+        f_soc = soc[f_idx] - drain_fly[f_idx]
+        soc[f_idx] = np.maximum(f_soc, 0.0)
+        dx = tx[f_idx] - x[f_idx]
+        dy = ty[f_idx] - y[f_idx]
         dist = np.sqrt(dx * dx + dy * dy)
-        step = uav_f[f_idx, F_STEP_XY]
+        step = step_xy[f_idx]
         arrive = dist <= step
         a_idx = f_idx[arrive]
-        uav_f[a_idx, F_X] = uav_f[a_idx, F_TX]
-        uav_f[a_idx, F_Y] = uav_f[a_idx, F_TY]
-        out = act[a_idx] == ACT_FLY_OUT
-        uav_i[a_idx[out], I_ACT] = ACT_WAIT
-        uav_i[a_idx[~out], I_ACT] = ACT_SENSE
-        m_idx = f_idx[~arrive]
-        nd = dist[~arrive]
-        uav_f[m_idx, F_X] += step[~arrive] * dx[~arrive] / nd
-        uav_f[m_idx, F_Y] += step[~arrive] * dy[~arrive] / nd
+        x[a_idx] = tx[a_idx]
+        y[a_idx] = ty[a_idx]
+        n_out = e_out - e_wait
+        act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
+        act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
+        move = ~arrive
+        m_idx = f_idx[move]
+        nd = dist[move]
+        x[m_idx] += step[move] * dx[move] / nd
+        y[m_idx] += step[move] * dy[move] / nd
 
     # vertical legs
-    desc = act == ACT_DESCEND
-    if desc.any():
-        soc = uav_f[desc, F_SOC] - uav_f[desc, F_DRAIN_DESC]
-        uav_f[desc, F_SOC] = np.maximum(soc, 0.0)
-        d_idx = np.flatnonzero(desc)
-        z = uav_f[d_idx, F_Z] - uav_f[d_idx, F_STEP_DOWN]
-        landed = z <= 0.0
-        uav_f[d_idx[landed], F_Z] = 0.0
-        uav_i[d_idx[landed], I_ACT] = ACT_CHARGE
-        uav_f[d_idx[~landed], F_Z] = z[~landed]
+    d_idx = rows[e_back:e_desc]
+    if d_idx.size:
+        d_soc = soc[d_idx] - drain_desc[d_idx]
+        soc[d_idx] = np.maximum(d_soc, 0.0)
+        d_z = z[d_idx] - step_down[d_idx]
+        landed = d_z <= 0.0
+        z[d_idx] = np.where(landed, 0.0, d_z)
+        act[d_idx[landed]] = ACT_CHARGE
 
-    asc = act == ACT_ASCEND
-    if asc.any():
-        soc = uav_f[asc, F_SOC] - uav_f[asc, F_DRAIN_ASC]
-        uav_f[asc, F_SOC] = np.maximum(soc, 0.0)
-        a_idx = np.flatnonzero(asc)
-        z = uav_f[a_idx, F_Z] + uav_f[a_idx, F_STEP_UP]
-        top = z >= uav_f[a_idx, F_CRUISE_Z]
+    a_idx = rows[e_desc:e_asc]
+    if a_idx.size:
+        a_soc = soc[a_idx] - drain_asc[a_idx]
+        soc[a_idx] = np.maximum(a_soc, 0.0)
+        a_z = z[a_idx] + step_up[a_idx]
+        top_z = cruise_z[a_idx]
+        top = a_z >= top_z
+        z[a_idx] = np.where(top, top_z, a_z)
         t_idx = a_idx[top]
-        uav_f[t_idx, F_Z] = uav_f[t_idx, F_CRUISE_Z]
-        uav_i[t_idx, I_ACT] = ACT_FLY_BACK
-        uav_f[t_idx, F_TX] = uav_f[t_idx, F_HOME_X]
-        uav_f[t_idx, F_TY] = uav_f[t_idx, F_HOME_Y]
-        uav_f[a_idx[~top], F_Z] = z[~top]
+        act[t_idx] = ACT_FLY_BACK
+        tx[t_idx] = home_x[t_idx]
+        ty[t_idx] = home_y[t_idx]
 
     # charging transfers (partners are unique while charging)
-    chg = act == ACT_CHARGE
-    if chg.any():
-        c_idx = np.flatnonzero(chg)
-        pads = uav_i[c_idx, I_PARTNER]
-        draw = uav_f[c_idx, F_SUPPLY_DRAW]
-        ok = ugv_f[pads, G_SUPPLY] >= draw
+    c_idx = rows[e_asc:e_chg]
+    if c_idx.size:
+        pads = partner[c_idx]
+        draw = supply_draw[c_idx]
+        ok = supply[pads] >= draw
         ok_idx = c_idx[ok]
-        ok_pads = pads[ok]
-        ugv_f[ok_pads, G_SUPPLY] -= draw[ok]
-        soc = uav_f[ok_idx, F_SOC] + uav_f[ok_idx, F_CHARGE_GAIN]
-        uav_f[ok_idx, F_SOC] = np.minimum(soc, uav_f[ok_idx, F_CAP])
-        done = np.zeros(len(c_idx), dtype=bool)
-        done[~ok] = True
-        done[ok] = uav_f[ok_idx, F_SOC] >= uav_f[ok_idx, F_SAT]
-        d_idx = c_idx[done]
-        d_pads = pads[done]
-        uav_i[d_idx, I_ACT] = ACT_ASCEND
-        uav_i[d_idx, I_PARTNER] = -1
-        ugv_i[d_pads, GI_STATE] = UGV_IDLE
-        ugv_i[d_pads, GI_PARTNER] = -1
+        supply[pads[ok]] -= draw[ok]
+        c_soc = soc[ok_idx] + charge_gain[ok_idx]
+        soc[ok_idx] = np.minimum(c_soc, cap[ok_idx])
+        done = ~ok
+        done[ok] = soc[ok_idx] >= sat[ok_idx]
+        done_idx = c_idx[done]
+        done_pads = pads[done]
+        act[done_idx] = ACT_ASCEND
+        partner[done_idx] = -1
+        state[done_pads] = UGV_IDLE
+        gpartner[done_pads] = -1
 
 
 def _want_numba() -> bool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -143,7 +143,7 @@ class World:
     uav_base: int = 0
     ugv_base: int = 0
 
-    # struct-of-arrays agent state (see _kernels for column layouts)
+    # struct-of-arrays agent state, column-contiguous (see _kernels for layouts)
     uav_f: np.ndarray = field(default=None, repr=False)
     uav_i: np.ndarray = field(default=None, repr=False)
     ugv_f: np.ndarray = field(default=None, repr=False)
@@ -265,10 +265,11 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
 
     c = config
     n, m = c.uav_count, c.ugv_count
-    uav_f = np.zeros((n, K.N_UAV_F))
-    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64)
-    ugv_f = np.zeros((m, K.N_UGV_F))
-    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64)
+    # column-contiguous: the kernel and the bookkeeping read whole columns
+    uav_f = np.zeros((n, K.N_UAV_F), order="F")
+    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64, order="F")
+    ugv_f = np.zeros((m, K.N_UGV_F), order="F")
+    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64, order="F")
     uav_i[:, K.I_PARTNER] = -1
     ugv_i[:, K.GI_PARTNER] = -1
 
@@ -486,12 +487,18 @@ def _shift_partners(worlds: Sequence[World], sign: int) -> None:
 
 
 def _stack(worlds: Sequence[World]) -> World:
-    """One world over every member's agents; members become views of it."""
+    """One world over every member's agents; members become views of it.
+
+    The stacked agent arrays are column-contiguous, like the ones
+    ``generate_scenario`` builds, so each column of a member's view is
+    a contiguous slice of the stack's.
+    """
     first = worlds[0]
     stack = World(config=first.config, scheme=first.scheme, seed=first.seed,
                   clock=first.clock)
     for name in _UAV_ARRAYS + _UGV_ARRAYS:
-        setattr(stack, name, np.concatenate([getattr(w, name) for w in worlds]))
+        setattr(stack, name,
+                np.asfortranarray(np.concatenate([getattr(w, name) for w in worlds])))
     uav_base = ugv_base = 0
     for w in worlds:
         n, m = w.num_uavs, w.num_ugvs
@@ -511,7 +518,7 @@ def _unstack(worlds: Sequence[World]) -> None:
     _shift_partners(worlds, -1)
     for w in worlds:
         for name in _UAV_ARRAYS + _UGV_ARRAYS:
-            setattr(w, name, getattr(w, name).copy())
+            setattr(w, name, getattr(w, name).copy(order="K"))
         w.uav_base = w.ugv_base = 0
 
 
@@ -565,7 +572,9 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, with_audit: bool,
     of them have a vehicle ``admit`` would keep.
     """
     stack = _stack(worlds)
-    spws = [w.config.slots_per_window for w in worlds]
+    by_spw: dict[int, list[int]] = {}  # window length in slots -> member indices
+    for k, w in enumerate(worlds):
+        by_spw.setdefault(w.config.slots_per_window, []).append(k)
     uav_starts = [w.uav_base for w in worlds]
     ugv_starts = [w.ugv_base for w in worlds]
     results = [([], [], []) for _ in worlds]
@@ -573,7 +582,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, with_audit: bool,
         for _ in range(horizon):
             advance_slot(stack)
             clock = stack.clock
-            due = [k for k, spw in enumerate(spws) if clock % spw == 0]
+            due = sorted(k for spw, members in by_spw.items() if clock % spw == 0
+                         for k in members)
             if not due:
                 continue
             queued = np.add.reduceat(stack.bidder & (stack.sample_count > 0),
@@ -644,6 +654,17 @@ def run_world(
     return run_worlds([world], horizon_slots, with_audit, keep_outcomes)[0]
 
 
+def _relabelled(item, **changes):
+    """Copy of the frozen dataclass ``item`` with ``changes`` applied.
+
+    Unlike ``dataclasses.replace`` this skips ``__init__``: ``item``'s
+    checks passed when it was built, and a new label cannot break them.
+    """
+    copy = object.__new__(type(item))
+    copy.__dict__.update(item.__dict__, **changes)
+    return copy
+
+
 @dataclass
 class ExperimentResult:
     rows: list[MetricsRow]
@@ -702,9 +723,9 @@ def run_experiment(
         run_rows, run_outcomes, run_audits = results[k]
         seed = worlds[k].seed
         if scheme != worlds[k].scheme:
-            run_rows = [replace(r, scheme=scheme) for r in run_rows]
+            run_rows = [_relabelled(r, scheme=scheme) for r in run_rows]
             run_audits = [
-                replace(a, instance=f"{scheme}-seed{seed}-w{r.window}")
+                _relabelled(a, instance=f"{scheme}-seed{seed}-w{r.window}")
                 for a, r in zip(run_audits, run_rows)
             ]
         rows.extend(run_rows)

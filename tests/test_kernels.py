@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import skymarket._kernels as K
+import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
 
 
 def snapshot(world):
-    return (
-        world.uav_f.copy(), world.uav_i.copy(),
-        world.ugv_f.copy(), world.ugv_i.copy(),
-    )
+    """Copies of the agent arrays in the layout the simulator steps."""
+    return tuple(a.copy(order="K") for a in (world.uav_f, world.uav_i,
+                                             world.ugv_f, world.ugv_i))
 
 
 def warmed_world(seed=7, slots=40):
@@ -29,7 +29,7 @@ def warmed_world(seed=7, slots=40):
 def test_numpy_path_matches_loop_kernel_single_steps():
     world = warmed_world()
     uf1, ui1, gf1, gi1 = snapshot(world)
-    uf2, ui2, gf2, gi2 = (a.copy() for a in (uf1, ui1, gf1, gi1))
+    uf2, ui2, gf2, gi2 = (a.copy(order="K") for a in (uf1, ui1, gf1, gi1))
 
     for _ in range(200):
         K._step_world_py(uf1, ui1, gf1, gi1)
@@ -40,11 +40,78 @@ def test_numpy_path_matches_loop_kernel_single_steps():
         assert np.array_equal(gi1, gi2)
 
 
+def stacked_sweep_states(slots=200):
+    """Kernel inputs of a three-world stack, slot by slot, with windows
+    clearing in between. Fast pads make sessions short, and the second
+    world's 60 Wh pads run dry, so the steps include vehicles en route and
+    arriving, landings, finished and starved charges and top-outs."""
+    cfg = ScenarioConfig(uav_count=12, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6,
+                         ugv_transfer_power_w=6000.0)
+    worlds = [
+        generate_scenario(cfg.replace(ugv_count=m, ugv_supply_wh=supply), 5, scheme)
+        for m, supply, scheme in ((6, 3000.0, "ours"), (4, 60.0, "ours"),
+                                  (5, 3000.0, "static"))
+    ]
+    stack = simulator._stack(worlds)
+    spw = cfg.slots_per_window
+    for _ in range(slots):
+        yield stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i
+        advance_slot(stack)
+        if stack.clock % spw == 0:
+            for w in worlds:
+                w.clock = stack.clock
+                close_window(w)
+
+
+def transitions(before, after):
+    """Names of the state changes one kernel step made."""
+    uf, ui, gf, gi = before
+    act0, act1 = ui[:, K.I_ACT], after[1][:, K.I_ACT]
+    st0, st1 = gi[:, K.GI_STATE], after[3][:, K.GI_STATE]
+    seen = set()
+    if ((st0 == K.UGV_ENROUTE) & (st1 == K.UGV_ENROUTE)).any():
+        seen.add("vehicle en route")
+    if ((st0 == K.UGV_ENROUTE) & (st1 == K.UGV_SERVING)).any():
+        seen.add("vehicle arrives")
+    for a, b, name in ((K.ACT_FLY_OUT, K.ACT_WAIT, "reaches rendezvous"),
+                       (K.ACT_WAIT, K.ACT_DESCEND, "pad ready"),
+                       (K.ACT_DESCEND, K.ACT_CHARGE, "lands"),
+                       (K.ACT_ASCEND, K.ACT_FLY_BACK, "tops out"),
+                       (K.ACT_FLY_BACK, K.ACT_SENSE, "home")):
+        if ((act0 == a) & (act1 == b)).any():
+            seen.add(name)
+    lift = np.flatnonzero((act0 == K.ACT_CHARGE) & (act1 == K.ACT_ASCEND))
+    starved = gf[ui[lift, K.I_PARTNER], K.G_SUPPLY] < uf[lift, K.F_SUPPLY_DRAW]
+    if starved.any():
+        seen.add("pad starves")
+    if (~starved).any():
+        seen.add("charge completes")
+    return seen
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
+    contiguous = {"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]
+    seen = set()
+    for state in stacked_sweep_states():
+        ref = [a.copy() for a in state]
+        got = [np.array(a, order=order) for a in state]
+        assert all(a.flags[contiguous] for a in got)
+        K._step_world_py(*ref)
+        K.step_world_numpy(*got)
+        for a, b in zip(ref, got):
+            assert a.tobytes() == b.tobytes()  # bit for bit, in C order
+        seen |= transitions(state, ref)
+    assert seen == {"vehicle en route", "vehicle arrives", "reaches rendezvous",
+                    "pad ready", "lands", "pad starves", "charge completes",
+                    "tops out", "home"}
+
+
 @pytest.mark.skipif(K.step_world_numba is None, reason="numba unavailable")
 def test_numba_path_matches_loop_kernel():
     world = warmed_world(seed=12)
     uf1, ui1, gf1, gi1 = snapshot(world)
-    uf2, ui2, gf2, gi2 = (a.copy() for a in (uf1, ui1, gf1, gi1))
+    uf2, ui2, gf2, gi2 = (a.copy(order="K") for a in (uf1, ui1, gf1, gi1))
     for _ in range(200):
         K._step_world_py(uf1, ui1, gf1, gi1)
         K.step_world_numba(uf2, ui2, gf2, gi2)
@@ -113,8 +180,7 @@ def test_starved_pad_releases_uav_early():
     world.ugv_i[j, K.GI_PARTNER] = i
     world.ugv_f[j, K.G_SUPPLY] = 0.1  # below the per-slot draw
     for backend in filter(None, (K.step_world_numba, K.step_world_numpy)):
-        uf, ui, gf, gi = (a.copy() for a in (world.uav_f, world.uav_i,
-                                             world.ugv_f, world.ugv_i))
+        uf, ui, gf, gi = snapshot(world)
         backend(uf, ui, gf, gi)
         assert ui[i, K.I_ACT] == K.ACT_ASCEND
         assert ui[i, K.I_PARTNER] == -1

@@ -495,6 +495,46 @@ def test_lockstep_sweep_matches_worlds_run_alone():
     assert any((w.uav_i[:, K.I_PARTNER] >= 0).any() for w in together[3:])
 
 
+def test_agent_arrays_stay_column_contiguous():
+    # the numpy kernel gathers one column at a time; on a row-major array
+    # it would still step correctly, only several times slower
+    names = ("uav_f", "uav_i", "ugv_f", "ugv_i")
+    worlds = [generate_scenario(ScenarioConfig(ugv_count=m), 3, scheme)
+              for m, scheme in ((4, SCHEME_OURS), (7, SCHEME_STATIC))]
+    for w in worlds:
+        for name in names:
+            assert getattr(w, name).flags.f_contiguous, name
+    stack = simulator._stack(worlds)
+    for name in names:
+        assert getattr(stack, name).flags.f_contiguous, name
+        for w in worlds:
+            view = getattr(w, name)
+            assert view.base is not None, name
+            for col in view.T:
+                assert col.flags.c_contiguous, name
+    simulator._unstack(worlds)
+    for w in worlds:
+        for name in names:
+            arr = getattr(w, name)
+            assert arr.base is None and arr.flags.f_contiguous, name
+
+
+def test_relabelled_row_and_report_equal_rebuilt_ones():
+    from skymarket.audit import AuditReport
+
+    row = MetricsRow("ours", 6, 8.0, 1, 3, 0.5, 1.25, 0.5, 1.75, 0.9, 2)
+    report = AuditReport("ours-seed1-w3", 0, 0, 0.0, 1.0, 1.0, 0)
+    for item, change in ((row, {"scheme": "optimal"}),
+                         (report, {"instance": "optimal-seed1-w3"})):
+        copy = simulator._relabelled(item, **change)
+        rebuilt = dataclasses.replace(item, **change)
+        assert copy == rebuilt and repr(copy) == repr(rebuilt)
+        assert hash(copy) == hash(rebuilt) and copy != item
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(copy, next(iter(change)), "x")
+    assert row.scheme == "ours" and report.instance == "ours-seed1-w3"
+
+
 def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     # the sweep of perfbench's fleet_sweep call 0 (10 worlds, J = 6..14, all
     # schemes, seed 7000): only windows with a sampled bidder reach
