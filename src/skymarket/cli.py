@@ -21,14 +21,12 @@ from pathlib import Path
 
 from .audit import AUDIT_CSV_HEADER, audit_report_row
 from .mechanism import OUTCOME_CSV_HEADER, outcome_rows
+from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
 from .presets import PRESETS, run_audit_suite, run_preset
 from .reporting import __version__, provenance_line, write_csv
 from .simulator import (
-    AGGREGATE_CSV_HEADER,
     ALL_SCHEMES,
-    METRICS_CSV_HEADER,
     SCHEME_OURS,
-    metrics_row_tuple,
     run_experiment,
     sweep_cells,
 )
@@ -138,7 +136,7 @@ def cmd_run(args) -> int:
     prov = provenance_line(args.seed, config, note=f"cmd=run reps={args.reps}")
     files = [
         write_csv(out / "metrics_raw.csv", METRICS_CSV_HEADER,
-                  [metrics_row_tuple(r) for r in result.rows], prov),
+                  result.metrics.tuples(), prov),
         write_csv(out / "metrics_aggregate.csv", AGGREGATE_CSV_HEADER,
                   [tuple(a[k] for k in AGGREGATE_CSV_HEADER) for a in result.aggregates], prov),
     ]

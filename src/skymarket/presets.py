@@ -26,13 +26,11 @@ from .audit import (
 )
 from .baselines import optimal_scheme_outcome
 from .mechanism import run_auction
+from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
 from .reporting import provenance_line, write_csv
 from .simulator import (
     ALL_SCHEMES,
-    AGGREGATE_CSV_HEADER,
-    METRICS_CSV_HEADER,
     SCHEME_OURS,
-    metrics_row_tuple,
     run_experiment,
 )
 from .types import ScenarioConfig
@@ -66,7 +64,7 @@ def _run_fig_sweep(
     raw = write_csv(
         out_dir / f"{name}_raw.csv",
         METRICS_CSV_HEADER,
-        [metrics_row_tuple(r) for r in result.rows],
+        result.metrics.tuples(),
         prov,
     )
     agg = write_csv(

@@ -34,6 +34,5 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance:
         fh.write(provenance + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return path

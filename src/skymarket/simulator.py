@@ -19,15 +19,18 @@ arrays are stacked, so each slot costs one kernel call and one
 bookkeeping pass for the whole sweep rather than one per world, and
 each world still clears its windows at its own ``window_len``. Nothing
 couples agents except partner indices, which are offset into the stack,
-so every world evolves bit-identically to a run on its own. Most windows
-of a sweep have no bidder; those are told apart by segment sums over the
-stack and recorded without building a market.
+so every world evolves bit-identically to a run on its own. Window
+metrics are kept in columns (``MetricsColumns``), one block of entries
+per world, and rows are built only when written or asked for. Most
+windows of a sweep have no bidder; those are told apart by segment sums
+over the stack and recorded in bulk, without building a market.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
 other draw untouched: sweeps over fleet sizes are paired comparisons by
 construction, and identical (config, seed) pairs rebuild bit-identical
-worlds.
+worlds. A sweep draws each seed's substreams once, for its largest
+fleet, and builds every world of that seed from them by prefix.
 
 Scheme-specific geometry: a mobile vehicle meets its UAV halfway, so its
 quality score reflects half its distance to the sensing spot; a static
@@ -44,11 +47,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .audit import AuditReport, audit_market, non_envy_ratio
+from .audit import audit_market, audit_report_row, non_envy_ratio
 # no caller here; kept importable because the benchmark's tracer hooks this name
 from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
 from .mechanism import DemandEntry, admit, run_auction
+from .metrics import MetricsColumns, MetricsRow, aggregate_rows
 from .types import (
     Activity,
     AuctionOutcome,
@@ -92,35 +96,8 @@ __all__ = [
     "ExperimentResult",
     "sweep_cells",
     "run_experiment",
-    "METRICS_CSV_HEADER",
-    "AGGREGATE_CSV_HEADER",
-    "metrics_row_tuple",
     "aggregate_rows",
 ]
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """Per-window bookkeeping; surplus must equal the utility total."""
-
-    scheme: str
-    ugv_count: int
-    tau: float
-    seed: int
-    window: int
-    sl: float
-    uav_utility: float
-    ugv_utility: float
-    surplus: float
-    non_envy_ratio: float
-    winners: int
-
-    def __post_init__(self):
-        if abs(self.surplus - (self.uav_utility + self.ugv_utility)) > 1e-9:
-            raise ValueError(
-                "surplus must equal total UAV + UGV utility "
-                f"({self.surplus} vs {self.uav_utility + self.ugv_utility})"
-            )
 
 
 @dataclass
@@ -244,6 +221,33 @@ def satisfaction_level(outcome: AuctionOutcome, rho_bars: Mapping[int, float]) -
     return total
 
 
+def _checked(config: ScenarioConfig) -> ScenarioConfig:
+    """``config``, or ValueError listing what ``validate`` finds wrong."""
+    problems = validate(config)
+    if problems:
+        raise ValueError("invalid scenario config: " + "; ".join(problems))
+    return config
+
+
+def _draw_agents(seed: int, uavs: int, ugvs: int) -> tuple[list, list]:
+    """Raw uniforms of the first ``uavs`` UAVs and ``ugvs`` vehicles of ``seed``.
+
+    Each agent draws from its own substream keyed by (seed, side, index):
+    4 uniforms per UAV (radius, bearing, altitude, SoC) and 3 per vehicle
+    (distance, bearing, speed). Fewer agents draw a prefix of the lists.
+    """
+    def side(key: int, count: int, k: int) -> list:
+        return [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key, i])))
+            .random(k).tolist()
+            for i in range(count)
+        ]
+
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return side(0, uavs, 4), side(1, ugvs, 3)
+
+
 def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                       scheme: str = SCHEME_OURS) -> World:
     """Build a deterministic initial world for (config, seed).
@@ -253,27 +257,42 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     from the spot. Each agent consumes its own RNG substream, so worlds
     with more agents extend, rather than reshuffle, smaller ones.
     """
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid scenario config: " + "; ".join(problems))
+    _checked(config)
     if scheme not in ALL_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if seed is None:
         seed = config.seed
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    uav_u, ugv_u = _draw_agents(seed, config.uav_count, config.ugv_count)
+    return _build_world(config, seed, scheme, uav_u, ugv_u)
 
-    c = config
+
+def _build_world(c: ScenarioConfig, seed: int, scheme: str,
+                 uav_u: Sequence, ugv_u: Sequence) -> World:
+    """The world of (c, seed, scheme) from its agents' raw uniforms
+    (``_draw_agents``; longer lists are used by prefix)."""
     n, m = c.uav_count, c.ugv_count
-    # column-contiguous: the kernel and the bookkeeping read whole columns
-    uav_f = np.zeros((n, K.N_UAV_F), order="F")
-    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64, order="F")
-    ugv_f = np.zeros((m, K.N_UGV_F), order="F")
-    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64, order="F")
-    uav_i[:, K.I_PARTNER] = -1
-    ugv_i[:, K.GI_PARTNER] = -1
-
     cx, cy = c.spot
+    # rng.uniform(lo, hi) is lo + (hi - lo) * u, bit for bit
+    xs, ys, zs, socs = [], [], [], []
+    for u_radius, u_bearing, u_z, u_soc in uav_u[:n]:
+        radius = c.task_radius * math.sqrt(u_radius)
+        bearing = 2.0 * math.pi * u_bearing
+        xs.append(cx + radius * math.cos(bearing))
+        ys.append(cy + radius * math.sin(bearing))
+        zs.append(c.uav_altitude_min + (c.uav_altitude_max - c.uav_altitude_min) * u_z)
+        socs.append(c.uav_capacity_wh * (
+            c.uav_soc_frac_min + (c.uav_soc_frac_max - c.uav_soc_frac_min) * u_soc))
+    gxs, gys, speeds = [], [], []
+    for u_d, u_bearing, u_speed in ugv_u[:m]:
+        d = c.ugv_distance_min + (c.ugv_distance_max - c.ugv_distance_min) * u_d
+        bearing = 2.0 * math.pi * u_bearing
+        gxs.append(cx + d * math.cos(bearing))
+        gys.append(cy + d * math.sin(bearing))
+        speeds.append(c.ugv_speed_min_kmh
+                      + (c.ugv_speed_max_kmh - c.ugv_speed_min_kmh) * u_speed)
+    # a static pad is the same draw pinned in place (paired comparison)
+    speeds = np.zeros(m) if scheme == SCHEME_STATIC else np.array(speeds, dtype=float)
+
     thrust = c.thrust_newton if c.thrust_newton is not None else c.uav_mass_kg * 9.8
     p_fly = flight_power(c.uav_speed_max, thrust, c.kappa1, c.kappa2, c.kappa3)
     p_hov = hover_power(c.uav_mass_kg, c.kappa2, c.kappa3)
@@ -281,48 +300,33 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     p_asc = ascend_power(c.uav_ascend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
     dt = c.slot_len
 
-    for i in range(n):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0, i])))
-        radius = c.task_radius * math.sqrt(rng.uniform())
-        bearing = rng.uniform(0.0, 2.0 * math.pi)
-        x = cx + radius * math.cos(bearing)
-        y = cy + radius * math.sin(bearing)
-        z = rng.uniform(c.uav_altitude_min, c.uav_altitude_max)
-        soc = c.uav_capacity_wh * rng.uniform(c.uav_soc_frac_min, c.uav_soc_frac_max)
-        uav_f[i, K.F_SOC] = soc
-        uav_f[i, K.F_X] = x
-        uav_f[i, K.F_Y] = y
-        uav_f[i, K.F_Z] = z
-        uav_f[i, K.F_HOME_X] = x
-        uav_f[i, K.F_HOME_Y] = y
-        uav_f[i, K.F_CRUISE_Z] = z
-        uav_f[i, K.F_CAP] = c.uav_capacity_wh
-        uav_f[i, K.F_SAT] = c.uav_sat_frac * c.uav_capacity_wh
-        uav_f[i, K.F_DRAIN_FLY] = c.uav_discharge_eff * p_fly * dt / 3600.0
-        uav_f[i, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
-        uav_f[i, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
-        uav_f[i, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
-        uav_f[i, K.F_STEP_XY] = c.uav_speed_max * dt
-        uav_f[i, K.F_STEP_DOWN] = c.uav_descend_speed * dt
-        uav_f[i, K.F_STEP_UP] = c.uav_ascend_speed * dt
+    # column-contiguous: the kernel and the bookkeeping read whole columns
+    uav_f = np.zeros((n, K.N_UAV_F), order="F")
+    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64, order="F")
+    ugv_f = np.zeros((m, K.N_UGV_F), order="F")
+    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64, order="F")
+    uav_i[:, K.I_PARTNER] = -1
+    ugv_i[:, K.GI_PARTNER] = -1
+    uav_f[:, K.F_SOC] = socs
+    uav_f[:, K.F_X] = uav_f[:, K.F_HOME_X] = xs
+    uav_f[:, K.F_Y] = uav_f[:, K.F_HOME_Y] = ys
+    uav_f[:, K.F_Z] = uav_f[:, K.F_CRUISE_Z] = zs
+    uav_f[:, K.F_CAP] = c.uav_capacity_wh
+    uav_f[:, K.F_SAT] = c.uav_sat_frac * c.uav_capacity_wh
+    uav_f[:, K.F_DRAIN_FLY] = c.uav_discharge_eff * p_fly * dt / 3600.0
+    uav_f[:, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
+    uav_f[:, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
+    uav_f[:, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
+    uav_f[:, K.F_STEP_XY] = c.uav_speed_max * dt
+    uav_f[:, K.F_STEP_DOWN] = c.uav_descend_speed * dt
+    uav_f[:, K.F_STEP_UP] = c.uav_ascend_speed * dt
+    ugv_f[:, K.G_X] = gxs
+    ugv_f[:, K.G_Y] = gys
+    ugv_f[:, K.G_SUPPLY] = c.ugv_supply_wh
+    ugv_f[:, K.G_STEP] = (speeds / 3.6) * dt
+    ugv_i[:, K.GI_STATE] = K.UGV_IDLE
 
-    speeds = np.zeros(m)
-    for j in range(m):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, j])))
-        d = rng.uniform(c.ugv_distance_min, c.ugv_distance_max)
-        bearing = rng.uniform(0.0, 2.0 * math.pi)
-        ugv_f[j, K.G_X] = cx + d * math.cos(bearing)
-        ugv_f[j, K.G_Y] = cy + d * math.sin(bearing)
-        ugv_f[j, K.G_SUPPLY] = c.ugv_supply_wh
-        speed = rng.uniform(c.ugv_speed_min_kmh, c.ugv_speed_max_kmh)
-        ugv_i[j, K.GI_STATE] = K.UGV_IDLE
-        # a static pad is the same draw pinned in place (paired comparison)
-        if scheme == SCHEME_STATIC:
-            speed = 0.0
-        ugv_f[j, K.G_STEP] = (speed / 3.6) * dt
-        speeds[j] = speed
-
-    world = World(
+    return World(
         config=c,
         scheme=scheme,
         seed=seed,
@@ -342,7 +346,6 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
         ugv_transfer_power=np.full(m, c.ugv_transfer_power_w),
         ugv_eta=np.full(m, c.ugv_transfer_eff),
     )
-    return world
 
 
 def advance_slot(world: World) -> World:
@@ -355,12 +358,12 @@ def advance_slot(world: World) -> World:
     rho = world.urgency()
     sensing = act == K.ACT_SENSE
     joining = sensing & ~world.bidder & ~world.excluded & (rho >= c.enter_urgency)
-    world.bidder[joining] = True
+    world.bidder |= joining
 
     sampling = world.bidder & sensing
-    world.phi_sum[sampling] += c.mu0 + c.mu1 * rho[sampling]
-    world.rho_sum[sampling] += rho[sampling]
-    world.sample_count[sampling] += 1
+    np.add(world.phi_sum, c.mu0 + c.mu1 * rho, out=world.phi_sum, where=sampling)
+    np.add(world.rho_sum, rho, out=world.rho_sum, where=sampling)
+    world.sample_count += sampling
 
     world.clock += 1
     return world
@@ -528,87 +531,108 @@ def _offered(world: World) -> np.ndarray:
     return (world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE) & (world.ugv_f[:, K.G_SUPPLY] >= 0.0)
 
 
-def _close_bidderless_window(world: World, stocked: bool, with_audit: bool,
-                             keep_outcomes: bool):
-    """``close_window``'s result for a window with no sampled bidder.
-
-    The market is empty on its demand side, so nothing is scored, cleared
-    or scheduled. ``stocked`` says whether ``admit`` would keep some
-    vehicle (``_offered``); their zero utilities make ``ugv_utility`` the
-    float 0.0 instead of the empty sum 0. The valuation sums need no
-    reset: they grow only on sampled bidders, so they are zero already.
-    The outcome is built only when kept (None otherwise).
-    """
-    c = world.config
-    world.window_count += 1
-    window_id = world.window_count
-    row = MetricsRow(
-        scheme=world.scheme, ugv_count=c.ugv_count, tau=c.window_len, seed=world.seed,
-        window=window_id, sl=0.0, uav_utility=0, ugv_utility=0.0 if stocked else 0,
-        surplus=0.0, non_envy_ratio=1.0, winners=0,
+def _no_market_outcome(world: World, window_id: int) -> AuctionOutcome:
+    """``close_window``'s outcome for a window with no sampled bidder:
+    nothing clears, and every vehicle ``admit`` would keep settles at 0."""
+    offered = np.flatnonzero(_offered(world)).tolist()
+    return AuctionOutcome(
+        window_id=window_id, winners=(), losers=(), payments=(), uav_utilities={},
+        ugv_utilities=dict.fromkeys(offered, 0.0), social_surplus=0.0,
     )
-    outcome = None
-    if keep_outcomes:
-        offered = np.flatnonzero(_offered(world)).tolist()
-        outcome = AuctionOutcome(
-            window_id=window_id, winners=(), losers=(), payments=(), uav_utilities={},
-            ugv_utilities=dict.fromkeys(offered, 0.0), social_surplus=0.0,
-        )
-    if with_audit:
-        report = AuditReport(f"{world.scheme}-seed{world.seed}-w{window_id}",
-                             0, 0, 0.0, 1.0, 1.0, 0)
-        return outcome, row, report
-    return outcome, row
 
 
-def _run_lockstep(worlds: Sequence[World], horizon: int, with_audit: bool,
-                  keep_outcomes: bool) -> list[tuple[list, list, list]]:
+def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
+                  cols: MetricsColumns, outcomes: Optional[list],
+                  audits: Optional[list]) -> None:
     """Step worlds that share advance_slot's constants as one stack.
 
-    At a slot boundary one segment sum over the stack counts each world's
+    Member k's windows fill ``cols`` from entry ``first_entry[k]`` on. At
+    a slot boundary one segment sum over the stack counts each world's
     sampled bidders. Due worlds with a bidder clear through
-    ``close_window``; the rest (most windows of a sweep) are recorded by
-    ``_close_bidderless_window``, after a second segment sum finds which
-    of them have a vehicle ``admit`` would keep.
+    ``close_window``. The rest (most windows of a sweep) keep their new
+    entries, except that a second segment sum finds which of them have a
+    vehicle ``admit`` would keep: its zero utility makes ``ugv_utility``
+    the float 0.0 instead of the empty sum 0. Nothing else changes in a
+    window with no sampled bidder: the valuation sums grow only on
+    sampled bidders, so they are zero already. ``outcomes`` (one list per
+    member) and ``audits`` (one item per entry) are filled unless None.
     """
     stack = _stack(worlds)
+    start = stack.clock
+    first_window = [w.window_count for w in worlds]
     by_spw: dict[int, list[int]] = {}  # window length in slots -> member indices
     for k, w in enumerate(worlds):
         by_spw.setdefault(w.config.slots_per_window, []).append(k)
-    uav_starts = [w.uav_base for w in worlds]
-    ugv_starts = [w.ugv_base for w in worlds]
-    results = [([], [], []) for _ in worlds]
+    # per window length s: its members, and the entries of their windows
+    # that close at clock t, less t // s
+    classes = [(s, np.array(ks), np.array([first_entry[k] for k in ks]) - start // s - 1)
+               for s, ks in by_spw.items()]
+    uav_starts = np.array([w.uav_base for w in worlds])
+    ugv_starts = np.array([w.ugv_base for w in worlds])
     try:
         for _ in range(horizon):
             advance_slot(stack)
             clock = stack.clock
-            due = sorted(k for spw, members in by_spw.items() if clock % spw == 0
-                         for k in members)
+            due = [(ks, base + clock // s) for s, ks, base in classes if clock % s == 0]
             if not due:
                 continue
-            queued = np.add.reduceat(stack.bidder & (stack.sample_count > 0),
-                                     uav_starts).tolist()
+            queued = np.add.reduceat(stack.bidder & (stack.sample_count > 0), uav_starts) > 0
             stocked = None
-            for k in due:
-                world = worlds[k]
-                world.clock = clock
-                if queued[k]:
-                    outcome, row, *report = close_window(world, with_audit=with_audit)
-                else:
+            for ks, entry in due:
+                market = queued[ks]
+                if not market.all():
                     if stocked is None:
-                        stocked = np.add.reduceat(_offered(stack), ugv_starts).tolist()
-                    outcome, row, *report = _close_bidderless_window(
-                        world, stocked[k] > 0, with_audit, keep_outcomes)
-                rows, outcomes, audits = results[k]
-                rows.append(row)
-                audits.extend(report)
-                if keep_outcomes:
-                    outcomes.append(outcome)
+                        stocked = np.add.reduceat(_offered(stack), ugv_starts) > 0
+                    quiet = ~market
+                    cols.ugv_empty[entry[quiet]] = ~stocked[ks[quiet]]
+                    if outcomes is not None:
+                        for k, e in zip(ks[quiet].tolist(), entry[quiet].tolist()):
+                            outcomes[k].append(_no_market_outcome(worlds[k], int(cols.window[e])))
+                for k, e in zip(ks[market].tolist(), entry[market].tolist()):
+                    world = worlds[k]
+                    world.clock = clock
+                    world.window_count = int(cols.window[e]) - 1
+                    outcome, row, *report = close_window(world, with_audit=audits is not None)
+                    cols.record(e, row)
+                    if outcomes is not None:
+                        outcomes[k].append(outcome)
+                    if audits is not None:
+                        audits[e] = audit_report_row(report[0])[1:]
     finally:
-        for w in worlds:
+        for k, w in enumerate(worlds):
+            s = w.config.slots_per_window
             w.clock = stack.clock
+            w.window_count = first_window[k] + stack.clock // s - start // s
         _unstack(worlds)
-    return results
+
+
+def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
+                 with_audit: bool, keep_outcomes: bool):
+    """``run_worlds`` into columns: (``MetricsColumns`` with one run per
+    world, under its own scheme; outcomes per world or None; audit
+    fields per entry or None, see ``MetricsColumns.audit_reports``)."""
+    if len({w.clock for w in worlds}) > 1:
+        raise ValueError("run_worlds needs every world at the same clock")
+    groups: dict[tuple, list[int]] = {}
+    runs, windows = [], [np.zeros(0, dtype=np.int64)]
+    stop = 0
+    for k, w in enumerate(worlds):
+        c = w.config
+        horizon = horizon_slots if horizon_slots is not None else c.horizon_slots
+        groups.setdefault((horizon, c.enter_urgency, c.mu0, c.mu1), []).append(k)
+        spw = c.slots_per_window
+        count = (w.clock + horizon) // spw - w.clock // spw
+        windows.append(np.arange(w.window_count + 1, w.window_count + count + 1))
+        runs.append((w.scheme, c.ugv_count, c.window_len, w.seed, stop, stop + count))
+        stop += count
+    cols = MetricsColumns(runs, np.concatenate(windows))
+    outcomes = [[] for _ in worlds] if keep_outcomes else None
+    audits = [None] * stop if with_audit else None
+    for (horizon, *_), members in groups.items():
+        _run_lockstep([worlds[k] for k in members], horizon,
+                      [runs[k][4] for k in members], cols,
+                      None if outcomes is None else [outcomes[k] for k in members], audits)
+    return cols, outcomes, audits
 
 
 def run_worlds(
@@ -628,20 +652,14 @@ def run_worlds(
     row, outcome and audit report equal ``close_window``'s. Each result
     is (metrics rows, outcomes, audit reports), as from ``run_world``.
     """
-    if len({w.clock for w in worlds}) > 1:
-        raise ValueError("run_worlds needs every world at the same clock")
-    groups: dict[tuple, list[int]] = {}
-    for k, w in enumerate(worlds):
-        c = w.config
-        horizon = horizon_slots if horizon_slots is not None else c.horizon_slots
-        groups.setdefault((horizon, c.enter_urgency, c.mu0, c.mu1), []).append(k)
-    results: list = [None] * len(worlds)
-    for (horizon, *_), members in groups.items():
-        group = _run_lockstep([worlds[k] for k in members], horizon,
-                              with_audit, keep_outcomes)
-        for k, result in zip(members, group):
-            results[k] = result
-    return results
+    cols, outcomes, audits = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
+    rows = cols.rows()
+    return [
+        (rows[run[4]:run[5]],
+         outcomes[k] if keep_outcomes else [],
+         cols.audit_reports(audits, run) if with_audit else [])
+        for k, run in enumerate(cols.runs)
+    ]
 
 
 def run_world(
@@ -654,23 +672,20 @@ def run_world(
     return run_worlds([world], horizon_slots, with_audit, keep_outcomes)[0]
 
 
-def _relabelled(item, **changes):
-    """Copy of the frozen dataclass ``item`` with ``changes`` applied.
-
-    Unlike ``dataclasses.replace`` this skips ``__init__``: ``item``'s
-    checks passed when it was built, and a new label cannot break them.
-    """
-    copy = object.__new__(type(item))
-    copy.__dict__.update(item.__dict__, **changes)
-    return copy
-
-
 @dataclass
 class ExperimentResult:
-    rows: list[MetricsRow]
+    """A sweep's window metrics in columns, its aggregates, and the audit
+    reports and outcomes asked for, all in row order."""
+
+    metrics: MetricsColumns
     aggregates: list[dict]
     audits: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)  # (scheme, seed, AuctionOutcome)
+
+    @property
+    def rows(self) -> list[MetricsRow]:
+        """The metrics rows in output order, built from the columns on each access."""
+        return self.metrics.rows()
 
 
 def sweep_cells(config: ScenarioConfig, sweep: Mapping[str, Sequence]) -> list[ScenarioConfig]:
@@ -696,99 +711,42 @@ def run_experiment(
 
     ``sweep`` maps ScenarioConfig field names to value lists; the full
     cartesian product is simulated for ``replications`` seeds
-    (base_seed, base_seed+1, ...). ``ours`` and ``optimal`` clear
+    (base_seed, base_seed+1, ...). Each seed's agent substreams are drawn
+    once, for the largest fleet of the sweep, and every world of that
+    seed is built from them: a smaller fleet takes a prefix, a static
+    world the same draws pinned in place. ``ours`` and ``optimal`` clear
     identically under truthful bids, so they share one mobile world per
-    (cell, seed); its rows, outcomes and audit reports are emitted once
-    per scheme, relabelled, in (cell, seed, ``schemes``) order.
+    (cell, seed); its windows are emitted once per scheme, under that
+    scheme's label, in (cell, seed, ``schemes``) order.
     """
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+    cells = [_checked(cfg) for cfg in sweep_cells(config, sweep)] if replications > 0 else []
+    uavs = max((cfg.uav_count for cfg in cells), default=0)
+    ugvs = max((cfg.ugv_count for cfg in cells), default=0)
+    draws = [_draw_agents(base_seed + rep, uavs, ugvs) for rep in range(replications)]
     worlds: list[World] = []
     emitted: list[tuple[str, int]] = []  # (scheme, index of its world)
-    for cfg in sweep_cells(config, sweep):
+    for cfg in cells:
         for rep in range(replications):
             built: dict[str, int] = {}
             for scheme in schemes:
                 kind = SCHEME_STATIC if scheme == SCHEME_STATIC else SCHEME_OURS
                 if kind not in built:
                     built[kind] = len(worlds)
-                    worlds.append(generate_scenario(cfg, base_seed + rep, kind))
+                    worlds.append(_build_world(cfg, base_seed + rep, kind, *draws[rep]))
                 emitted.append((scheme, built[kind]))
-    rows: list[MetricsRow] = []
-    audits = []
-    outcomes = []
-    results = run_worlds(worlds, with_audit=with_audit, keep_outcomes=keep_outcomes)
+    cols, world_outcomes, world_audits = _run_columns(worlds, None, with_audit, keep_outcomes)
+    runs, audits, outcomes = [], [], []
     for scheme, k in emitted:
-        run_rows, run_outcomes, run_audits = results[k]
-        seed = worlds[k].seed
-        if scheme != worlds[k].scheme:
-            run_rows = [_relabelled(r, scheme=scheme) for r in run_rows]
-            run_audits = [
-                _relabelled(a, instance=f"{scheme}-seed{seed}-w{r.window}")
-                for a, r in zip(run_audits, run_rows)
-            ]
-        rows.extend(run_rows)
-        audits.extend(run_audits)
-        outcomes.extend((scheme, seed, o) for o in run_outcomes)
+        run = (scheme, *cols.runs[k][1:])
+        runs.append(run)
+        if with_audit:
+            audits += cols.audit_reports(world_audits, run)
+        if keep_outcomes:
+            outcomes += [(scheme, run[3], o) for o in world_outcomes[k]]
+    cols.runs = runs
     return ExperimentResult(
-        rows=rows, aggregates=aggregate_rows(rows),
-        audits=audits, outcomes=outcomes,
+        metrics=cols, aggregates=aggregate_rows(cols), audits=audits, outcomes=outcomes,
     )
-
-
-METRICS_CSV_HEADER = (
-    "scheme", "J", "tau", "seed", "window", "SL",
-    "uav_utility", "ugv_utility", "surplus", "non_envy_ratio", "winners",
-)
-
-
-def metrics_row_tuple(row: MetricsRow) -> tuple:
-    return (
-        row.scheme, row.ugv_count, row.tau, row.seed, row.window, row.sl,
-        row.uav_utility, row.ugv_utility, row.surplus, row.non_envy_ratio, row.winners,
-    )
-
-
-AGGREGATE_CSV_HEADER = (
-    "scheme", "J", "tau", "windows",
-    "SL_mean", "SL_sd", "uav_utility_mean", "uav_utility_sd",
-    "ugv_utility_mean", "ugv_utility_sd", "surplus_mean", "surplus_sd",
-    "non_envy_min", "non_envy_mean", "winners_mean",
-)
-
-
-def aggregate_rows(rows: Sequence[MetricsRow]) -> list[dict]:
-    """Mean/sd of every metric, grouped by (scheme, J, tau)."""
-    groups: dict[tuple, list[MetricsRow]] = {}
-    for r in rows:
-        groups.setdefault((r.scheme, r.ugv_count, r.tau), []).append(r)
-    out = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2])):
-        rs = groups[key]
-        sl = np.array([r.sl for r in rs])
-        uu = np.array([r.uav_utility for r in rs])
-        gu = np.array([r.ugv_utility for r in rs])
-        sp = np.array([r.surplus for r in rs])
-        ne = np.array([r.non_envy_ratio for r in rs])
-        wn = np.array([r.winners for r in rs], dtype=float)
-        out.append(
-            {
-                "scheme": key[0],
-                "J": key[1],
-                "tau": key[2],
-                "windows": len(rs),
-                "SL_mean": float(sl.mean()),
-                "SL_sd": float(sl.std()),
-                "uav_utility_mean": float(uu.mean()),
-                "uav_utility_sd": float(uu.std()),
-                "ugv_utility_mean": float(gu.mean()),
-                "ugv_utility_sd": float(gu.std()),
-                "surplus_mean": float(sp.mean()),
-                "surplus_sd": float(sp.std()),
-                "non_envy_min": float(ne.min()),
-                "non_envy_mean": float(ne.mean()),
-                "winners_mean": float(wn.mean()),
-            }
-        )
-    return out

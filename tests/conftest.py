@@ -7,9 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import skymarket._kernels as K
 from skymarket.audit import deviation_grid
+from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import run_auction, with_replaced_bid
-from skymarket.simulator import advance_slot, close_window
+from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity
 
 
@@ -85,6 +87,89 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
             if keep_outcomes:
                 outcomes.append(outcome)
     return rows, outcomes, audits
+
+
+def agent_arrays_per_agent(c, seed, scheme):
+    """(uav_f, uav_i, ugv_f, ugv_i, ugv_speed_kmh) of (c, seed, scheme),
+    one seeded Generator per agent and one ``rng.uniform`` per draw: the
+    oracle for ``generate_scenario``, which draws each agent's uniforms
+    in one call and builds the arrays column by column."""
+    n, m = c.uav_count, c.ugv_count
+    uav_f = np.zeros((n, K.N_UAV_F), order="F")
+    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64, order="F")
+    ugv_f = np.zeros((m, K.N_UGV_F), order="F")
+    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64, order="F")
+    uav_i[:, K.I_PARTNER] = -1
+    ugv_i[:, K.GI_PARTNER] = -1
+
+    cx, cy = c.spot
+    thrust = c.thrust_newton if c.thrust_newton is not None else c.uav_mass_kg * 9.8
+    p_fly = flight_power(c.uav_speed_max, thrust, c.kappa1, c.kappa2, c.kappa3)
+    p_hov = hover_power(c.uav_mass_kg, c.kappa2, c.kappa3)
+    p_desc = descend_power(c.uav_descend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
+    p_asc = ascend_power(c.uav_ascend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
+    dt = c.slot_len
+
+    for i in range(n):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0, i])))
+        radius = c.task_radius * math.sqrt(rng.uniform())
+        bearing = rng.uniform(0.0, 2.0 * math.pi)
+        x = cx + radius * math.cos(bearing)
+        y = cy + radius * math.sin(bearing)
+        z = rng.uniform(c.uav_altitude_min, c.uav_altitude_max)
+        soc = c.uav_capacity_wh * rng.uniform(c.uav_soc_frac_min, c.uav_soc_frac_max)
+        uav_f[i, K.F_SOC] = soc
+        uav_f[i, K.F_X] = uav_f[i, K.F_HOME_X] = x
+        uav_f[i, K.F_Y] = uav_f[i, K.F_HOME_Y] = y
+        uav_f[i, K.F_Z] = uav_f[i, K.F_CRUISE_Z] = z
+        uav_f[i, K.F_CAP] = c.uav_capacity_wh
+        uav_f[i, K.F_SAT] = c.uav_sat_frac * c.uav_capacity_wh
+        uav_f[i, K.F_DRAIN_FLY] = c.uav_discharge_eff * p_fly * dt / 3600.0
+        uav_f[i, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
+        uav_f[i, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
+        uav_f[i, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
+        uav_f[i, K.F_STEP_XY] = c.uav_speed_max * dt
+        uav_f[i, K.F_STEP_DOWN] = c.uav_descend_speed * dt
+        uav_f[i, K.F_STEP_UP] = c.uav_ascend_speed * dt
+
+    speeds = np.zeros(m)
+    for j in range(m):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 1, j])))
+        d = rng.uniform(c.ugv_distance_min, c.ugv_distance_max)
+        bearing = rng.uniform(0.0, 2.0 * math.pi)
+        ugv_f[j, K.G_X] = cx + d * math.cos(bearing)
+        ugv_f[j, K.G_Y] = cy + d * math.sin(bearing)
+        ugv_f[j, K.G_SUPPLY] = c.ugv_supply_wh
+        speed = rng.uniform(c.ugv_speed_min_kmh, c.ugv_speed_max_kmh)
+        ugv_i[j, K.GI_STATE] = K.UGV_IDLE
+        if scheme == SCHEME_STATIC:
+            speed = 0.0
+        ugv_f[j, K.G_STEP] = (speed / 3.6) * dt
+        speeds[j] = speed
+    return uav_f, uav_i, ugv_f, ugv_i, speeds
+
+
+def aggregate_row_objects(rows):
+    """Mean/sd of every metric, grouped by (scheme, J, tau), from a list
+    of ``MetricsRow``: the oracle for the columnar ``aggregate_rows``."""
+    groups = {}
+    for r in rows:
+        groups.setdefault((r.scheme, r.ugv_count, r.tau), []).append(r)
+    out = []
+    for key in sorted(groups):
+        rs = groups[key]
+        stats = {"scheme": key[0], "J": key[1], "tau": key[2], "windows": len(rs)}
+        for name, field in (("SL", "sl"), ("uav_utility", "uav_utility"),
+                            ("ugv_utility", "ugv_utility"), ("surplus", "surplus")):
+            values = np.array([getattr(r, field) for r in rs])
+            stats[f"{name}_mean"] = float(values.mean())
+            stats[f"{name}_sd"] = float(values.std())
+        ne = np.array([r.non_envy_ratio for r in rs])
+        stats["non_envy_min"] = float(ne.min())
+        stats["non_envy_mean"] = float(ne.mean())
+        stats["winners_mean"] = float(np.array([r.winners for r in rs], dtype=float).mean())
+        out.append(stats)
+    return out
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def _means(aggregates, scheme, field):
 def test_criterion_7_fleet_size_trends(ugv_sweep):
     result, elapsed = ugv_sweep
     ok = elapsed < 300.0
-    details = [f"{elapsed:.0f}s"]
+    details = [f"{elapsed:.2f}s"]
     for field in ("SL_mean", "uav_utility_mean", "surplus_mean"):
         ours = _means(result.aggregates, "ours", field)
         vals = [ours[j] for j in TREND_UGVS]

@@ -83,6 +83,37 @@ def test_identical_invocations_byte_identical(tmp_path):
         assert read_bytes(tmp_path / "a" / name) == read_bytes(tmp_path / "b" / name)
 
 
+def test_metrics_csv_prints_empty_utility_sums_as_int_zero(tmp_path):
+    # a utility summed over no agent is written as the int 0, one summed
+    # over agents that gained nothing as 0.0; the lazily built rows are
+    # exactly what the CSV holds
+    import dataclasses
+
+    from skymarket.simulator import run_experiment
+
+    cfg = ScenarioConfig(uav_count=2, ugv_count=2, uav_soc_frac_min=0.3,
+                         uav_soc_frac_max=0.9, horizon_slots=48)
+    cfg_path = tmp_path / "small.cfg"
+    save_config(cfg, cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--reps", "2", "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "metrics_raw.csv").read_text().splitlines()
+    # no bidder, no vehicle offered: both utilities are empty sums
+    assert "ours,2,8.0,0,2,0.0,0,0,0.0,1.0,0" in lines
+    # no bidder, an idle vehicle offered: it settles at 0.0
+    assert "ours,2,8.0,1,2,0.0,0,0.0,0.0,1.0,0" in lines
+    # a cleared market
+    assert ("ours,2,8.0,0,1,0.9027144154341075,5.544946863803703,"
+            "0.08373412615739559,5.628680989961098,1.0,2") in lines
+
+    res = run_experiment(cfg, {}, replications=2, schemes=("ours",), base_seed=0)
+    written = list(res.metrics.tuples())
+    rows = [dataclasses.astuple(r) for r in res.rows]
+    assert rows == written
+    assert [tuple(map(type, r)) for r in rows] == [tuple(map(type, t)) for t in written]
+    assert lines[2:] == [",".join(map(str, r)) for r in rows]
+
+
 # sha256 of each CSV the command below writes, recorded before sweeps
 # read `optimal` off the `ours` world; any change to the simulation, the
 # mechanism, the audit or the CSV format shows here

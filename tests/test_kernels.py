@@ -189,6 +189,44 @@ def test_starved_pad_releases_uav_early():
         assert uf[i, K.F_SOC] == 40.0  # nothing delivered either
 
 
+@pytest.mark.parametrize("backend", [
+    K.step_world_numpy,
+    K._step_world_py,
+    pytest.param(K.step_world_numba, marks=pytest.mark.skipif(
+        K.step_world_numba is None, reason="numba unavailable")),
+], ids=["numpy", "loop", "numba"])
+def test_pad_holding_exactly_one_draw_delivers_it(backend):
+    # supply == draw is a last full draw; one ulp less starves the pad
+    world = generate_scenario(ScenarioConfig(), seed=3)
+    i, j = 0, 0
+    draw, gain = 0.15, 0.12
+    world.uav_i[i, K.I_ACT] = K.ACT_CHARGE
+    world.uav_i[i, K.I_PARTNER] = j
+    world.uav_f[i, K.F_Z] = 0.0
+    world.uav_f[i, K.F_SOC] = 40.0
+    world.uav_f[i, K.F_CHARGE_GAIN] = gain
+    world.uav_f[i, K.F_SUPPLY_DRAW] = draw
+    world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
+    world.ugv_i[j, K.GI_PARTNER] = i
+
+    world.ugv_f[j, K.G_SUPPLY] = draw
+    uf, ui, gf, gi = snapshot(world)
+    backend(uf, ui, gf, gi)
+    assert gf[j, K.G_SUPPLY] == 0.0
+    assert uf[i, K.F_SOC] == 40.0 + gain
+    assert ui[i, K.I_ACT] == K.ACT_CHARGE and ui[i, K.I_PARTNER] == j
+    assert gi[j, K.GI_STATE] == K.UGV_SERVING
+
+    below = np.nextafter(draw, 0.0)
+    world.ugv_f[j, K.G_SUPPLY] = below
+    uf, ui, gf, gi = snapshot(world)
+    backend(uf, ui, gf, gi)
+    assert gf[j, K.G_SUPPLY] == below
+    assert uf[i, K.F_SOC] == 40.0
+    assert ui[i, K.I_ACT] == K.ACT_ASCEND and ui[i, K.I_PARTNER] == -1
+    assert gi[j, K.GI_STATE] == K.UGV_IDLE
+
+
 def test_kernel_drains_match_scalar_soc_model():
     # one hovering slot must equal the scalar battery step to the bit
     from skymarket.energy import hover_power

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import run_world_windowwise
+from conftest import aggregate_row_objects, agent_arrays_per_agent, run_world_windowwise
 import skymarket._kernels as K
 import skymarket.simulator as simulator
 from skymarket.simulator import (
@@ -38,6 +38,60 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.ugv_f, b.ugv_f)
     c = generate_scenario(cfg, seed=43)
     assert not np.array_equal(a.uav_f, c.uav_f)
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_OURS, SCHEME_STATIC])
+def test_generation_matches_per_agent_oracle(scheme):
+    # every array byte-identical to one seeded Generator per agent, across
+    # slot lengths, fleet sizes, starts below the alert level and a set thrust
+    configs = [
+        ScenarioConfig(),
+        ScenarioConfig(slot_len=0.5, uav_count=1, ugv_count=30),
+        ScenarioConfig(slot_len=2.0, window_len=8.0, uav_count=30, ugv_count=1),
+        ScenarioConfig(uav_count=17, ugv_count=9,
+                       uav_soc_frac_min=0.02, uav_soc_frac_max=0.15),
+        ScenarioConfig(uav_count=3, ugv_count=4, thrust_newton=42.5),
+    ]
+    names = ("uav_f", "uav_i", "ugv_f", "ugv_i", "ugv_speed_kmh")
+    for cfg in configs:
+        for seed in (0, 1, 97):
+            world = generate_scenario(cfg, seed, scheme)
+            for name, expected in zip(names, agent_arrays_per_agent(cfg, seed, scheme)):
+                got = getattr(world, name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
+                assert got.flags.f_contiguous, name
+
+
+def test_sweep_draws_each_substream_once(monkeypatch):
+    # a seed's worlds share its substreams: 5 fleet sizes x 3 schemes need
+    # only the 10 UAV and 14 vehicle substreams of the largest fleet
+    real = np.random.SeedSequence
+    keys = []
+
+    def counting(entropy, *args, **kwargs):
+        keys.append(tuple(entropy))
+        return real(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    cfg = ScenarioConfig(horizon_slots=16)
+    res = run_experiment(cfg, {"ugv_count": [6, 8, 10, 12, 14]}, replications=3,
+                         schemes=ALL_SCHEMES, base_seed=4)
+    assert len(keys) == 3 * (10 + 14) and len(set(keys)) == len(keys)
+    assert len(res.rows) == 5 * 3 * 3 * 2
+
+    # smaller fleets on either side take a prefix of the shared draws
+    monkeypatch.undo()
+    sweep = {"uav_count": [3, 7], "ugv_count": [2, 5]}
+    res = run_experiment(cfg, sweep, replications=2, schemes=("ours", "static"),
+                         base_seed=4)
+    alone = []
+    for n, m in itertools.product(*sweep.values()):
+        for seed in (4, 5):
+            for scheme in ("ours", "static"):
+                world = generate_scenario(cfg.replace(uav_count=n, ugv_count=m), seed, scheme)
+                alone += run_world(world)[0]
+    assert res.rows == alone
 
 
 def test_generation_respects_configured_ranges():
@@ -343,8 +397,14 @@ def test_run_experiment_shapes_and_aggregates():
     # 2 grid cells x 2 seeds x 2 windows each
     assert len(res.rows) == 8
     assert [a["J"] for a in res.aggregates] == [4, 6]
-    agg = aggregate_rows(res.rows)
-    assert agg == res.aggregates
+    assert aggregate_rows(res.metrics) == res.aggregates
+    assert aggregate_row_objects(res.rows) == res.aggregates
+    # groups whose rows interleave with other groups' are gathered in row order
+    res = run_experiment(cfg, {"ugv_count": [4, 6], "mu1": [5.0, 2.0]}, replications=3,
+                         schemes=ALL_SCHEMES, base_seed=2)
+    assert len(res.aggregates) == 3 * 2
+    assert [a["windows"] for a in res.aggregates] == [2 * 3 * 2] * 6
+    assert aggregate_row_objects(res.rows) == res.aggregates
 
 
 def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
@@ -385,13 +445,14 @@ def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
 
 def test_sweep_builds_one_mobile_world_per_cell_and_seed(monkeypatch):
     real_generate = simulator.generate_scenario
+    real_build = simulator._build_world
     built = []
 
-    def counting(cfg, seed, scheme):
+    def counting(cfg, seed, scheme, *draws):
         built.append(scheme)
-        return real_generate(cfg, seed, scheme)
+        return real_build(cfg, seed, scheme, *draws)
 
-    monkeypatch.setattr(simulator, "generate_scenario", counting)
+    monkeypatch.setattr(simulator, "_build_world", counting)
     cfg = ScenarioConfig(horizon_slots=16, uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
     sweep = {"ugv_count": [3, 8], "window_len": [4.0, 8.0]}
     run_experiment(cfg, sweep, replications=2, schemes=ALL_SCHEMES)
@@ -519,22 +580,6 @@ def test_agent_arrays_stay_column_contiguous():
             assert arr.base is None and arr.flags.f_contiguous, name
 
 
-def test_relabelled_row_and_report_equal_rebuilt_ones():
-    from skymarket.audit import AuditReport
-
-    row = MetricsRow("ours", 6, 8.0, 1, 3, 0.5, 1.25, 0.5, 1.75, 0.9, 2)
-    report = AuditReport("ours-seed1-w3", 0, 0, 0.0, 1.0, 1.0, 0)
-    for item, change in ((row, {"scheme": "optimal"}),
-                         (report, {"instance": "optimal-seed1-w3"})):
-        copy = simulator._relabelled(item, **change)
-        rebuilt = dataclasses.replace(item, **change)
-        assert copy == rebuilt and repr(copy) == repr(rebuilt)
-        assert hash(copy) == hash(rebuilt) and copy != item
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(copy, next(iter(change)), "x")
-    assert row.scheme == "ours" and report.instance == "ours-seed1-w3"
-
-
 def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     # the sweep of perfbench's fleet_sweep call 0 (10 worlds, J = 6..14, all
     # schemes, seed 7000): only windows with a sampled bidder reach
@@ -576,18 +621,43 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
 
 def test_run_experiment_groups_worlds_by_slot_constants():
     # worlds whose advance_slot constants or horizons differ cannot share
-    # one stack's config; each must still match its run alone
+    # one stack's config; each must still match its run alone, outcomes
+    # and audit reports included
     cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
     sweep = {"enter_urgency": [0.55, 0.7], "mu1": [5.0, 2.0], "horizon_slots": [16, 24]}
+    kw = dict(with_audit=True, keep_outcomes=True)
     res = run_experiment(cfg, sweep, replications=2, schemes=("ours", "static"),
-                         base_seed=1)
-    alone = []
+                         base_seed=1, **kw)
+    rows, outcomes, audits = [], [], []
     for u, mu1, h in itertools.product(*sweep.values()):
         cell = cfg.replace(enter_urgency=u, mu1=mu1, horizon_slots=h)
         for seed in (1, 2):
             for scheme in ("ours", "static"):
-                alone += run_world(generate_scenario(cell, seed, scheme))[0]
-    assert res.rows == alone
+                r, outs, reps = run_world(generate_scenario(cell, seed, scheme), **kw)
+                rows += r
+                outcomes += [(scheme, seed, o) for o in outs]
+                audits += reps
+    assert res.rows == rows
+    assert res.outcomes == outcomes
+    assert res.audits == audits
+
+
+def test_run_worlds_keeps_outcomes_with_their_world_across_stacks():
+    # worlds with different advance_slot constants or horizons step in
+    # separate stacks; each world's outcomes and audit reports must still
+    # be its own
+    cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
+    cells = [cfg, cfg.replace(mu1=2.0), cfg.replace(enter_urgency=0.55),
+             cfg.replace(horizon_slots=16)]
+    kw = dict(with_audit=True, keep_outcomes=True)
+
+    def worlds():
+        return [generate_scenario(c, seed, scheme)
+                for c in cells for seed in (1, 2) for scheme in ("ours", "static")]
+
+    together = run_worlds(worlds(), **kw)
+    assert together == [run_world(w, **kw) for w in worlds()]
+    assert all(outcomes for _, outcomes, _ in together)
 
 
 def test_run_worlds_rejects_worlds_at_different_clocks():
