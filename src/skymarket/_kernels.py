@@ -1,21 +1,14 @@
-"""Per-slot world stepping kernels: numba-jitted with a numpy fallback.
+"""Per-slot world stepping kernel, vectorized in pure numpy.
 
 The simulator keeps agent state in struct-of-arrays form and advances one
 slot per call. It calls ``step_world`` on the stacked arrays of every
 world in a sweep: the only link between rows is a partner index, which
 the simulator offsets into the stack, so each row's arithmetic is the
-same as in a world stepped alone. Two implementations share the exact
-same arithmetic, in the same per-element order, so they produce
-bit-identical trajectories:
-
-* ``step_world_numba`` - explicit loops under ``@njit(cache=True)``;
-* ``step_world_numpy`` - vectorized over rows grouped by activity, pure numpy.
-
-Backend selection happens once at import: the environment variable
-``SKYMARKET_NO_NUMBA`` (any non-empty value except ``0``) forces the
-numpy path, as does a missing/broken numba install. ``step_world`` is
-whatever got selected; ``benchmarks/bench_kernels.py`` times one against
-the other.
+same as in a world stepped alone. ``step_world`` groups rows by activity
+and updates each group with whole-column operations, in the same
+per-element order as the scalar loop ``step_world_loop`` in
+``tests/conftest.py``, which the tests hold it to bit for bit;
+``benchmarks/bench_kernels.py`` times it.
 
 Array layouts (float64 / int64), one row per agent:
 
@@ -27,9 +20,8 @@ Array layouts (float64 / int64), one row per agent:
     ugv_i[j]: state, partner
 
 The simulator stores all four column-contiguous (Fortran order), so each
-column is a contiguous 1-D array; the numpy kernel gathers and scatters
-one column at a time. Both kernels accept either order, with the same
-bits.
+column is a contiguous 1-D array; the kernel gathers and scatters one
+column at a time. It accepts either order, with the same bits.
 
 Energy deltas are precomputed per slot (eta_i * P * dt / 3600 and the
 charging analogue), so the kernel only adds, clamps, moves, and switches
@@ -38,9 +30,6 @@ is visible to its waiting UAV in the same slot.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
@@ -99,7 +88,7 @@ UGV_IDLE = 0
 UGV_ENROUTE = 1
 UGV_SERVING = 2
 
-# the numpy kernel's branches in the order it runs them; codes that share
+# the kernel's branches in the order it runs them; codes that share
 # a branch sit side by side, so each branch is one run of sorted rows
 _BRANCH_ORDER = (ACT_SENSE, ACT_WAIT, ACT_FLY_OUT, ACT_FLY_BACK, ACT_DESCEND,
                  ACT_ASCEND, ACT_CHARGE)
@@ -109,86 +98,8 @@ _GROUP_KEY = np.array([_BRANCH_ORDER.index(code) for code in range(len(_BRANCH_O
                       dtype=np.int8)
 
 
-def _step_world_py(uav_f, uav_i, ugv_f, ugv_i):
-    # vehicles first: same-slot arrivals become visible to waiting UAVs
-    for j in range(ugv_f.shape[0]):
-        if ugv_i[j, GI_STATE] == UGV_ENROUTE:
-            dx = ugv_f[j, G_TX] - ugv_f[j, G_X]
-            dy = ugv_f[j, G_TY] - ugv_f[j, G_Y]
-            dist = math.sqrt(dx * dx + dy * dy)
-            step = ugv_f[j, G_STEP]
-            if dist <= step:
-                ugv_f[j, G_X] = ugv_f[j, G_TX]
-                ugv_f[j, G_Y] = ugv_f[j, G_TY]
-                ugv_i[j, GI_STATE] = UGV_SERVING
-            else:
-                ugv_f[j, G_X] += step * dx / dist
-                ugv_f[j, G_Y] += step * dy / dist
-
-    for i in range(uav_f.shape[0]):
-        act = uav_i[i, I_ACT]
-        if act == ACT_SENSE or act == ACT_WAIT:
-            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_HOV]
-            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
-            if act == ACT_WAIT:
-                j = uav_i[i, I_PARTNER]
-                if ugv_i[j, GI_STATE] == UGV_SERVING:
-                    uav_i[i, I_ACT] = ACT_DESCEND
-        elif act == ACT_FLY_OUT or act == ACT_FLY_BACK:
-            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_FLY]
-            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
-            dx = uav_f[i, F_TX] - uav_f[i, F_X]
-            dy = uav_f[i, F_TY] - uav_f[i, F_Y]
-            dist = math.sqrt(dx * dx + dy * dy)
-            step = uav_f[i, F_STEP_XY]
-            if dist <= step:
-                uav_f[i, F_X] = uav_f[i, F_TX]
-                uav_f[i, F_Y] = uav_f[i, F_TY]
-                uav_i[i, I_ACT] = ACT_WAIT if act == ACT_FLY_OUT else ACT_SENSE
-            else:
-                uav_f[i, F_X] += step * dx / dist
-                uav_f[i, F_Y] += step * dy / dist
-        elif act == ACT_DESCEND:
-            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_DESC]
-            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
-            z = uav_f[i, F_Z] - uav_f[i, F_STEP_DOWN]
-            if z <= 0.0:
-                uav_f[i, F_Z] = 0.0
-                uav_i[i, I_ACT] = ACT_CHARGE
-            else:
-                uav_f[i, F_Z] = z
-        elif act == ACT_CHARGE:
-            j = uav_i[i, I_PARTNER]
-            draw = uav_f[i, F_SUPPLY_DRAW]
-            done = False
-            if ugv_f[j, G_SUPPLY] >= draw:
-                ugv_f[j, G_SUPPLY] -= draw
-                soc = uav_f[i, F_SOC] + uav_f[i, F_CHARGE_GAIN]
-                cap = uav_f[i, F_CAP]
-                uav_f[i, F_SOC] = soc if soc < cap else cap
-                done = uav_f[i, F_SOC] >= uav_f[i, F_SAT]
-            else:
-                done = True  # pad starved; lift off with what was delivered
-            if done:
-                uav_i[i, I_ACT] = ACT_ASCEND
-                uav_i[i, I_PARTNER] = -1
-                ugv_i[j, GI_STATE] = UGV_IDLE
-                ugv_i[j, GI_PARTNER] = -1
-        elif act == ACT_ASCEND:
-            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_ASC]
-            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
-            z = uav_f[i, F_Z] + uav_f[i, F_STEP_UP]
-            if z >= uav_f[i, F_CRUISE_Z]:
-                uav_f[i, F_Z] = uav_f[i, F_CRUISE_Z]
-                uav_i[i, I_ACT] = ACT_FLY_BACK
-                uav_f[i, F_TX] = uav_f[i, F_HOME_X]
-                uav_f[i, F_TY] = uav_f[i, F_HOME_Y]
-            else:
-                uav_f[i, F_Z] = z
-
-
-def step_world_numpy(uav_f, uav_i, ugv_f, ugv_i):
-    """Vectorized slot step; arithmetic mirrors the loop kernel exactly.
+def step_world(uav_f, uav_i, ugv_f, ugv_i):
+    """Advance every agent one slot, in place.
 
     Every column is bound once as a 1-D view and indexed on its own, and
     UAV rows are grouped by activity with one sort per step: on
@@ -302,26 +213,6 @@ def step_world_numpy(uav_f, uav_i, ugv_f, ugv_i):
         gpartner[done_pads] = -1
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("SKYMARKET_NO_NUMBA", "")
-    return flag in ("", "0")
-
-
-try:
-    from numba import njit
-
-    step_world_numba = njit(cache=True)(_step_world_py)
-except ImportError:  # pragma: no cover - every import where numba is absent
-    step_world_numba = None
-
-if _want_numba() and step_world_numba is not None:
-    step_world = step_world_numba
-    BACKEND = "numba"
-else:
-    step_world = step_world_numpy
-    BACKEND = "numpy"
-
-
 def active_backend() -> str:
-    """Which implementation ``step_world`` dispatches to."""
-    return BACKEND
+    """The kernel's implementation, as recorded in benchmark provenance."""
+    return "numpy"

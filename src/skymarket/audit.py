@@ -253,21 +253,14 @@ def random_market(
     return WindowMarket.from_values(phi.tolist(), bids.tolist(), qs.tolist())
 
 
-def audit_market(
-    market: WindowMarket,
-    instance: str = "",
-    outcome: Optional[AuctionOutcome] = None,
-) -> AuditReport:
+def audit_market(market: WindowMarket, instance: str = "") -> AuditReport:
     """Run every probe on one truthful market; package the findings.
 
-    IR, envy, and stability are measured on ``outcome`` (the auction's
-    own clearing unless a baseline's outcome is passed in); the deviation
-    probe always measures gains against the auction's own clearing, which
-    is computed once per market.
+    The market is cleared once by the auction; IR, envy and stability are
+    measured on that outcome, and the deviation probe measures each
+    bidder's misreport gains against it.
     """
-    auction = run_auction(market)
-    if outcome is None:
-        outcome = auction
+    outcome = run_auction(market)
     phi_bars = {e.uav_id: e.phi_bar for e in market.demand}
     qs = {s.ugv_id: s.q for s in market.supply}
 
@@ -275,7 +268,7 @@ def audit_market(
     worst_gain = float("-inf")
     ic_violations = 0
     for e in market.demand:
-        gain = _best_gain(market, e.uav_id, auction.uav_utilities[e.uav_id], None)
+        gain = _best_gain(market, e.uav_id, outcome.uav_utilities[e.uav_id], None)
         worst_gain = max(worst_gain, gain)
         if gain > UTILITY_TOL:
             ic_violations += 1

@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--config", help="scenario config file (flat key=value)")
     p_run.add_argument("--scheme", choices=list(ALL_SCHEMES) + ["all"], default=SCHEME_OURS)
-    p_run.add_argument("--reps", type=int, default=1, help="number of seeds to simulate")
+    p_run.add_argument("--reps", type=_int_at_least(1), default=1,
+                       help="number of seeds to simulate")
     p_run.add_argument("--ugvs", type=int, nargs="+", help="sweep over UGV counts")
     p_run.add_argument("--tau", type=float, nargs="+", help="sweep over window lengths (s)")
     p_run.add_argument("--audit", action="store_true",
@@ -82,12 +83,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_preset)
     p_preset.add_argument("name", help=f"one of: {', '.join(sorted(PRESETS))}")
     p_preset.add_argument("--config", help="scenario config overriding the defaults")
-    p_preset.add_argument("--reps", type=int, help="override replication count")
-    p_preset.add_argument("--instances", type=int, help="override instance count (audit-suite)")
+    p_preset.add_argument("--reps", type=_int_at_least(1), help="override replication count")
+    p_preset.add_argument("--instances", type=_int_at_least(1),
+                          help="override instance count (audit-suite)")
 
     p_audit = sub.add_parser("audit", help="IR/IC/envy/stability probes on random markets")
     common(p_audit)
-    p_audit.add_argument("--instances", type=int, default=1000)
+    p_audit.add_argument("--instances", type=_int_at_least(1), default=1000)
     p_audit.add_argument("--max-size", type=_int_at_least(1), default=8,
                          help="max market side length")
 

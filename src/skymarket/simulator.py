@@ -116,7 +116,6 @@ class World:
     scheme: str
     seed: int
     clock: int = 0
-    window_count: int = 0
     uav_base: int = 0
     ugv_base: int = 0
 
@@ -382,8 +381,7 @@ def close_window(world: World, with_audit: bool = False):
     spw = c.slots_per_window
     if world.clock % spw != 0 or world.clock == 0:
         raise ValueError(f"clock {world.clock} is not at a window boundary")
-    world.window_count += 1
-    window_id = world.window_count
+    window_id = world.clock // spw
 
     ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
     soc = world.uav_f[ids, K.F_SOC]
@@ -463,11 +461,7 @@ def close_window(world: World, with_audit: bool = False):
     world.sample_count[:] = 0
 
     if with_audit:
-        report = audit_market(
-            market,
-            instance=f"{world.scheme}-seed{world.seed}-w{window_id}",
-            outcome=outcome,
-        )
+        report = audit_market(market, instance=f"{world.scheme}-seed{world.seed}-w{window_id}")
         return outcome, row, report
     return outcome, row
 
@@ -559,7 +553,6 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     """
     stack = _stack(worlds)
     start = stack.clock
-    first_window = [w.window_count for w in worlds]
     by_spw: dict[int, list[int]] = {}  # window length in slots -> member indices
     for k, w in enumerate(worlds):
         by_spw.setdefault(w.config.slots_per_window, []).append(k)
@@ -591,7 +584,6 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 for k, e in zip(ks[market].tolist(), entry[market].tolist()):
                     world = worlds[k]
                     world.clock = clock
-                    world.window_count = int(cols.window[e]) - 1
                     outcome, row, *report = close_window(world, with_audit=audits is not None)
                     cols.record(e, row)
                     if outcomes is not None:
@@ -599,10 +591,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                     if audits is not None:
                         audits[e] = audit_report_row(report[0])[1:]
     finally:
-        for k, w in enumerate(worlds):
-            s = w.config.slots_per_window
+        for w in worlds:
             w.clock = stack.clock
-            w.window_count = first_window[k] + stack.clock // s - start // s
         _unstack(worlds)
 
 
@@ -621,8 +611,9 @@ def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
         horizon = horizon_slots if horizon_slots is not None else c.horizon_slots
         groups.setdefault((horizon, c.enter_urgency, c.mu0, c.mu1), []).append(k)
         spw = c.slots_per_window
-        count = (w.clock + horizon) // spw - w.clock // spw
-        windows.append(np.arange(w.window_count + 1, w.window_count + count + 1))
+        first, last = w.clock // spw, (w.clock + horizon) // spw
+        count = last - first
+        windows.append(np.arange(first + 1, last + 1))
         runs.append((w.scheme, c.ugv_count, c.window_len, w.seed, stop, stop + count))
         stop += count
     cols = MetricsColumns(runs, np.concatenate(windows))

@@ -8,6 +8,13 @@ import numpy as np
 import pytest
 
 import skymarket._kernels as K
+from skymarket._kernels import (  # the names step_world_loop reads
+    ACT_ASCEND, ACT_CHARGE, ACT_DESCEND, ACT_FLY_BACK, ACT_FLY_OUT, ACT_SENSE, ACT_WAIT,
+    F_CAP, F_CHARGE_GAIN, F_CRUISE_Z, F_DRAIN_ASC, F_DRAIN_DESC, F_DRAIN_FLY, F_DRAIN_HOV,
+    F_HOME_X, F_HOME_Y, F_SAT, F_SOC, F_STEP_DOWN, F_STEP_UP, F_STEP_XY, F_SUPPLY_DRAW,
+    F_TX, F_TY, F_X, F_Y, F_Z, G_STEP, G_SUPPLY, G_TX, G_TY, G_X, G_Y, GI_PARTNER, GI_STATE,
+    I_ACT, I_PARTNER, UGV_ENROUTE, UGV_IDLE, UGV_SERVING,
+)
 from skymarket.audit import deviation_grid
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import run_auction, with_replaced_bid
@@ -245,6 +252,87 @@ def soc_step(soc, activity, powers, eta_i, eta_j, dt, capacity):
     else:
         raise ValueError(f"unknown activity {activity}")
     return min(max(soc + delta, 0.0), capacity)
+
+
+def step_world_loop(uav_f, uav_i, ugv_f, ugv_i):
+    """One slot, agent by agent, in scalar Python: the oracle for
+    ``K.step_world``, which must match it bit for bit on either array
+    order (see ``skymarket._kernels`` for the layouts)."""
+    # vehicles first: same-slot arrivals become visible to waiting UAVs
+    for j in range(ugv_f.shape[0]):
+        if ugv_i[j, GI_STATE] == UGV_ENROUTE:
+            dx = ugv_f[j, G_TX] - ugv_f[j, G_X]
+            dy = ugv_f[j, G_TY] - ugv_f[j, G_Y]
+            dist = math.sqrt(dx * dx + dy * dy)
+            step = ugv_f[j, G_STEP]
+            if dist <= step:
+                ugv_f[j, G_X] = ugv_f[j, G_TX]
+                ugv_f[j, G_Y] = ugv_f[j, G_TY]
+                ugv_i[j, GI_STATE] = UGV_SERVING
+            else:
+                ugv_f[j, G_X] += step * dx / dist
+                ugv_f[j, G_Y] += step * dy / dist
+
+    for i in range(uav_f.shape[0]):
+        act = uav_i[i, I_ACT]
+        if act == ACT_SENSE or act == ACT_WAIT:
+            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_HOV]
+            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
+            if act == ACT_WAIT:
+                j = uav_i[i, I_PARTNER]
+                if ugv_i[j, GI_STATE] == UGV_SERVING:
+                    uav_i[i, I_ACT] = ACT_DESCEND
+        elif act == ACT_FLY_OUT or act == ACT_FLY_BACK:
+            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_FLY]
+            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
+            dx = uav_f[i, F_TX] - uav_f[i, F_X]
+            dy = uav_f[i, F_TY] - uav_f[i, F_Y]
+            dist = math.sqrt(dx * dx + dy * dy)
+            step = uav_f[i, F_STEP_XY]
+            if dist <= step:
+                uav_f[i, F_X] = uav_f[i, F_TX]
+                uav_f[i, F_Y] = uav_f[i, F_TY]
+                uav_i[i, I_ACT] = ACT_WAIT if act == ACT_FLY_OUT else ACT_SENSE
+            else:
+                uav_f[i, F_X] += step * dx / dist
+                uav_f[i, F_Y] += step * dy / dist
+        elif act == ACT_DESCEND:
+            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_DESC]
+            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
+            z = uav_f[i, F_Z] - uav_f[i, F_STEP_DOWN]
+            if z <= 0.0:
+                uav_f[i, F_Z] = 0.0
+                uav_i[i, I_ACT] = ACT_CHARGE
+            else:
+                uav_f[i, F_Z] = z
+        elif act == ACT_CHARGE:
+            j = uav_i[i, I_PARTNER]
+            draw = uav_f[i, F_SUPPLY_DRAW]
+            done = False
+            if ugv_f[j, G_SUPPLY] >= draw:
+                ugv_f[j, G_SUPPLY] -= draw
+                soc = uav_f[i, F_SOC] + uav_f[i, F_CHARGE_GAIN]
+                cap = uav_f[i, F_CAP]
+                uav_f[i, F_SOC] = soc if soc < cap else cap
+                done = uav_f[i, F_SOC] >= uav_f[i, F_SAT]
+            else:
+                done = True  # pad starved; lift off with what was delivered
+            if done:
+                uav_i[i, I_ACT] = ACT_ASCEND
+                uav_i[i, I_PARTNER] = -1
+                ugv_i[j, GI_STATE] = UGV_IDLE
+                ugv_i[j, GI_PARTNER] = -1
+        elif act == ACT_ASCEND:
+            soc = uav_f[i, F_SOC] - uav_f[i, F_DRAIN_ASC]
+            uav_f[i, F_SOC] = soc if soc > 0.0 else 0.0
+            z = uav_f[i, F_Z] + uav_f[i, F_STEP_UP]
+            if z >= uav_f[i, F_CRUISE_Z]:
+                uav_f[i, F_Z] = uav_f[i, F_CRUISE_Z]
+                uav_i[i, I_ACT] = ACT_FLY_BACK
+                uav_f[i, F_TX] = uav_f[i, F_HOME_X]
+                uav_f[i, F_TY] = uav_f[i, F_HOME_Y]
+            else:
+                uav_f[i, F_Z] = z
 
 
 def charging_urgency(soc, soc_alert, capacity):

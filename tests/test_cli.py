@@ -149,10 +149,18 @@ def test_run_rejects_an_invalid_sweep_cell(tmp_path, capsys, args, problem):
     ["run", "--seed", "-3"],
     ["preset", "fig-surplus", "--seed", "-1"],
     ["audit", "--seed", "-2"],
+    ["run", "--reps", "-2"],
+    ["run", "--reps", "0"],
+    ["preset", "table-envy", "--reps", "-1"],
+    ["preset", "audit-suite", "--instances", "0"],
+    ["audit", "--instances", "-1"],
 ])
 def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    # a negative seed, or a count below one, exits 1 before writing anything
+    option, value = argv[-2:]
+    low = 0 if option == "--seed" else 1
     assert main(argv + ["--out", str(tmp_path)]) == 1
-    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert f"{option}: must be >= {low} (got {value})" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -234,4 +242,4 @@ def test_every_name_the_benchmark_hooks_resolves():
     for target, _, _ in tracer.HOOKS:
         owner, attr = tracer._resolve(target)
         assert callable(getattr(owner, attr)), target
-    assert skymarket._kernels.active_backend() in ("numba", "numpy")
+    assert skymarket._kernels.active_backend() == "numpy"

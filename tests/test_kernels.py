@@ -1,4 +1,4 @@
-"""Backend equivalence: the jitted and vectorized steppers must agree bitwise."""
+"""The vectorized stepper against the scalar loop oracle, bit for bit."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import skymarket._kernels as K
 import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
+
+from conftest import step_world_loop
 
 
 def snapshot(world):
@@ -32,8 +34,8 @@ def test_numpy_path_matches_loop_kernel_single_steps():
     uf2, ui2, gf2, gi2 = (a.copy(order="K") for a in (uf1, ui1, gf1, gi1))
 
     for _ in range(200):
-        K._step_world_py(uf1, ui1, gf1, gi1)
-        K.step_world_numpy(uf2, ui2, gf2, gi2)
+        step_world_loop(uf1, ui1, gf1, gi1)
+        K.step_world(uf2, ui2, gf2, gi2)
         assert np.array_equal(uf1, uf2)
         assert np.array_equal(ui1, ui2)
         assert np.array_equal(gf1, gf2)
@@ -97,28 +99,14 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
         ref = [a.copy() for a in state]
         got = [np.array(a, order=order) for a in state]
         assert all(a.flags[contiguous] for a in got)
-        K._step_world_py(*ref)
-        K.step_world_numpy(*got)
+        step_world_loop(*ref)
+        K.step_world(*got)
         for a, b in zip(ref, got):
             assert a.tobytes() == b.tobytes()  # bit for bit, in C order
         seen |= transitions(state, ref)
     assert seen == {"vehicle en route", "vehicle arrives", "reaches rendezvous",
                     "pad ready", "lands", "pad starves", "charge completes",
                     "tops out", "home"}
-
-
-@pytest.mark.skipif(K.step_world_numba is None, reason="numba unavailable")
-def test_numba_path_matches_loop_kernel():
-    world = warmed_world(seed=12)
-    uf1, ui1, gf1, gi1 = snapshot(world)
-    uf2, ui2, gf2, gi2 = (a.copy(order="K") for a in (uf1, ui1, gf1, gi1))
-    for _ in range(200):
-        K._step_world_py(uf1, ui1, gf1, gi1)
-        K.step_world_numba(uf2, ui2, gf2, gi2)
-    assert np.array_equal(uf1, uf2)
-    assert np.array_equal(ui1, ui2)
-    assert np.array_equal(gf1, gf2)
-    assert np.array_equal(gi1, gi2)
 
 
 def test_full_runs_identical_across_backends(monkeypatch):
@@ -130,39 +118,36 @@ def test_full_runs_identical_across_backends(monkeypatch):
         rows, _, _ = run_world(world)
         return rows, world
 
-    rows_np, world_np = run_with(K.step_world_numpy)
-    rows_py, world_py = run_with(K._step_world_py)
+    rows_np, world_np = run_with(K.step_world)
+    rows_py, world_py = run_with(step_world_loop)
     assert rows_np == rows_py
     assert np.array_equal(world_np.uav_f, world_py.uav_f)
     assert np.array_equal(world_np.ugv_f, world_py.ugv_f)
 
 
 def test_backend_flag_reports():
-    assert K.active_backend() in ("numba", "numpy")
+    assert K.active_backend() == "numpy"
 
 
-def test_env_flag_selects_numpy_backend():
-    # backend choice happens at import, so probe in a fresh interpreter;
-    # the child imports the same copy of skymarket as this process
+def test_kernel_benchmark_script_runs():
+    # a two-step smoke run, so the script tracks the kernel's API; the
+    # child imports the same copy of skymarket as this process
     import os
     import subprocess
     import sys
     from pathlib import Path
 
+    repo = Path(__file__).resolve().parents[1]
     src_dir = str(Path(K.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, SKYMARKET_NO_NUMBA="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src_dir, inherited)))
-
-    probe = ("import skymarket._kernels as K; "
-             "print(K.active_backend(), K._want_numba())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src_dir, inherited))))
     out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, str(repo / "benchmarks" / "bench_kernels.py"),
+         "--steps", "2", "--repeats", "1"],
+        env=env, capture_output=True, text=True,
     )
-    # _want_numba() must read the flag even where numba is absent and the
-    # backend would be numpy regardless
-    assert out.stdout.split() == ["numpy", "False"]
+    assert out.returncode == 0, out.stderr
+    assert "1000x1000" in out.stdout and "full default run" in out.stdout
 
 
 def test_starved_pad_releases_uav_early():
@@ -179,7 +164,7 @@ def test_starved_pad_releases_uav_early():
     world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
     world.ugv_i[j, K.GI_PARTNER] = i
     world.ugv_f[j, K.G_SUPPLY] = 0.1  # below the per-slot draw
-    for backend in filter(None, (K.step_world_numba, K.step_world_numpy)):
+    for backend in (K.step_world, step_world_loop):
         uf, ui, gf, gi = snapshot(world)
         backend(uf, ui, gf, gi)
         assert ui[i, K.I_ACT] == K.ACT_ASCEND
@@ -189,14 +174,10 @@ def test_starved_pad_releases_uav_early():
         assert uf[i, K.F_SOC] == 40.0  # nothing delivered either
 
 
-@pytest.mark.parametrize("backend", [
-    K.step_world_numpy,
-    K._step_world_py,
-    pytest.param(K.step_world_numba, marks=pytest.mark.skipif(
-        K.step_world_numba is None, reason="numba unavailable")),
-], ids=["numpy", "loop", "numba"])
+@pytest.mark.parametrize("backend", [K.step_world, step_world_loop], ids=["numpy", "loop"])
 def test_pad_holding_exactly_one_draw_delivers_it(backend):
-    # supply == draw is a last full draw; one ulp less starves the pad
+    # supply == draw is a last full draw; one ulp less starves the pad,
+    # in either array order
     world = generate_scenario(ScenarioConfig(), seed=3)
     i, j = 0, 0
     draw, gain = 0.15, 0.12
@@ -209,22 +190,23 @@ def test_pad_holding_exactly_one_draw_delivers_it(backend):
     world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
     world.ugv_i[j, K.GI_PARTNER] = i
 
-    world.ugv_f[j, K.G_SUPPLY] = draw
-    uf, ui, gf, gi = snapshot(world)
-    backend(uf, ui, gf, gi)
-    assert gf[j, K.G_SUPPLY] == 0.0
-    assert uf[i, K.F_SOC] == 40.0 + gain
-    assert ui[i, K.I_ACT] == K.ACT_CHARGE and ui[i, K.I_PARTNER] == j
-    assert gi[j, K.GI_STATE] == K.UGV_SERVING
-
     below = np.nextafter(draw, 0.0)
-    world.ugv_f[j, K.G_SUPPLY] = below
-    uf, ui, gf, gi = snapshot(world)
-    backend(uf, ui, gf, gi)
-    assert gf[j, K.G_SUPPLY] == below
-    assert uf[i, K.F_SOC] == 40.0
-    assert ui[i, K.I_ACT] == K.ACT_ASCEND and ui[i, K.I_PARTNER] == -1
-    assert gi[j, K.GI_STATE] == K.UGV_IDLE
+    for order in ("C", "F"):
+        world.ugv_f[j, K.G_SUPPLY] = draw
+        uf, ui, gf, gi = (np.array(a, order=order) for a in snapshot(world))
+        backend(uf, ui, gf, gi)
+        assert gf[j, K.G_SUPPLY] == 0.0
+        assert uf[i, K.F_SOC] == 40.0 + gain
+        assert ui[i, K.I_ACT] == K.ACT_CHARGE and ui[i, K.I_PARTNER] == j
+        assert gi[j, K.GI_STATE] == K.UGV_SERVING
+
+        world.ugv_f[j, K.G_SUPPLY] = below
+        uf, ui, gf, gi = (np.array(a, order=order) for a in snapshot(world))
+        backend(uf, ui, gf, gi)
+        assert gf[j, K.G_SUPPLY] == below
+        assert uf[i, K.F_SOC] == 40.0
+        assert ui[i, K.I_ACT] == K.ACT_ASCEND and ui[i, K.I_PARTNER] == -1
+        assert gi[j, K.GI_STATE] == K.UGV_IDLE
 
 
 def test_kernel_drains_match_scalar_soc_model():

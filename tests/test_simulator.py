@@ -712,7 +712,8 @@ def _snapshot_market(world):
         for u in ugvs
         if u.qors > 0 and u.supply_remaining >= max(gaps, default=0.0)
     ]
-    return WindowMarket(window_id=world.window_count + 1, demand=demand, supply=supply)
+    window_id = world.clock // world.config.slots_per_window
+    return WindowMarket(window_id=window_id, demand=demand, supply=supply)
 
 
 def test_close_window_builds_the_snapshot_market(monkeypatch):
