@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config (for
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 from .audit import AUDIT_CSV_HEADER, audit_report_row
 from .mechanism import OUTCOME_CSV_HEADER, outcome_rows
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
-from .presets import PRESETS, run_audit_suite, run_preset
+from .presets import PRESETS, count_problem, run_audit_suite, run_preset
 from .reporting import __version__, provenance_line, write_csv
 from .simulator import (
     ALL_SCHEMES,
@@ -83,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_preset)
     p_preset.add_argument("name", help=f"one of: {', '.join(sorted(PRESETS))}")
     p_preset.add_argument("--config", help="scenario config overriding the defaults")
-    p_preset.add_argument("--reps", type=_int_at_least(1), help="override replication count")
+    p_preset.add_argument("--reps", type=_int_at_least(1),
+                          help="override replication count (fig-*, table-*)")
     p_preset.add_argument("--instances", type=_int_at_least(1),
                           help="override instance count (audit-suite)")
 
@@ -144,13 +146,13 @@ def cmd_run(args) -> int:
     ]
     if args.audit:
         files.append(write_csv(out / "audits.csv", AUDIT_CSV_HEADER,
-                               [audit_report_row(r) for r in result.audits], prov))
+                               map(audit_report_row, result.audits), prov))
     if args.outcomes:
-        rows = [
-            (scheme, seed) + tuple(r)
+        # streamed: only one window's rows are alive at a time
+        rows = itertools.chain.from_iterable(
+            [(scheme, seed) + r for r in outcome_rows(outcome)]
             for scheme, seed, outcome in result.outcomes
-            for r in outcome_rows(outcome)
-        ]
+        )
         files.append(write_csv(out / "outcomes.csv",
                                ("scheme", "seed") + OUTCOME_CSV_HEADER, rows, prov))
     for f in files:
@@ -162,6 +164,10 @@ def cmd_preset(args) -> int:
     if args.name not in PRESETS:
         print(f"unknown preset {args.name!r}; available: {', '.join(sorted(PRESETS))}",
               file=sys.stderr)
+        return EXIT_USAGE
+    problem = count_problem(args.name, args.reps, args.instances)
+    if problem:
+        print(problem, file=sys.stderr)
         return EXIT_USAGE
     config = _checked_config(args.config)
     if config is None:

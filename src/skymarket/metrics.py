@@ -47,7 +47,9 @@ class MetricsRow:
             )
 
 
-# audit fields after the instance name for a window with no sampled bidder
+# audit fields after the instance name for a window with no trade (no
+# sampled bidder or no admitted vehicle): every utility and misreport
+# settles at 0 and nobody envies or blocks
 _NO_MARKET_AUDIT = (0, 0, 0.0, 1.0, 1.0, 0)
 
 
@@ -111,7 +113,7 @@ class MetricsColumns:
 
     def audit_reports(self, audits: list, run: tuple) -> list[AuditReport]:
         """Audit reports of ``run``'s windows; ``audits`` holds each entry's
-        fields after the instance name, or None where no bidder was sampled."""
+        fields after the instance name, or None for a window with no trade."""
         scheme, _, _, seed, start, stop = run
         return [
             AuditReport(f"{scheme}-seed{seed}-w{w}", *(fields or _NO_MARKET_AUDIT))

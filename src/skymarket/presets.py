@@ -47,6 +47,7 @@ class Preset:
     name: str
     description: str
     runner: Callable
+    count: str = "reps"  # the count the runner takes: "reps" or "instances"
 
 
 def _run_fig_sweep(
@@ -201,6 +202,7 @@ PRESETS: dict[str, Preset] = {
         "audit-suite",
         "IR/IC/envy/stability probes over random markets",
         run_audit_suite,
+        count="instances",
     ),
 }
 
@@ -213,8 +215,13 @@ def run_preset(
     reps: Optional[int] = None,
     instances: Optional[int] = None,
 ) -> list[Path]:
+    """Run preset ``name``; ``reps`` or ``instances``, whichever the
+    preset takes (``Preset.count``), overrides its default count."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    problem = count_problem(name, reps, instances)
+    if problem:
+        raise ValueError(problem)
     out_dir = Path(out_dir)
     kwargs = {"name": name}
     if reps is not None:
@@ -222,3 +229,12 @@ def run_preset(
     if instances is not None:
         kwargs["instances"] = instances
     return PRESETS[name].runner(config, seed, out_dir, **kwargs)
+
+
+def count_problem(name: str, reps: Optional[int], instances: Optional[int]) -> str:
+    """Why preset ``name`` cannot take the counts given, or ""."""
+    wanted = PRESETS[name].count
+    for option, value in (("reps", reps), ("instances", instances)):
+        if value is not None and option != wanted:
+            return f"preset {name} takes --{wanted}, not --{option}"
+    return ""

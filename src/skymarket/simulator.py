@@ -22,8 +22,10 @@ couples agents except partner indices, which are offset into the stack,
 so every world evolves bit-identically to a run on its own. Window
 metrics are kept in columns (``MetricsColumns``), one block of entries
 per world, and rows are built only when written or asked for. Most
-windows of a sweep have no bidder; those are told apart by segment sums
-over the stack and recorded in bulk, without building a market.
+windows of a sweep have no trade: no sampled bidder, or no vehicle
+that could serve the neediest one. Segment reductions over the stack
+tell those apart, and they are settled in bulk, without building a
+market; only windows with a trade clear through ``close_window``.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -519,19 +521,19 @@ def _unstack(worlds: Sequence[World]) -> None:
         w.uav_base = w.ugv_base = 0
 
 
-def _offered(world: World) -> np.ndarray:
-    """Mask of the vehicles ``admit`` keeps when no bidder has a gap:
-    idle with supply >= 0 (every q is at least ``qors_floor`` > 0)."""
-    return (world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE) & (world.ugv_f[:, K.G_SUPPLY] >= 0.0)
-
-
-def _no_market_outcome(world: World, window_id: int) -> AuctionOutcome:
-    """``close_window``'s outcome for a window with no sampled bidder:
-    nothing clears, and every vehicle ``admit`` would keep settles at 0."""
-    offered = np.flatnonzero(_offered(world)).tolist()
+def _no_trade_outcome(world: World, window_id: int, sampled: np.ndarray,
+                      admitted: np.ndarray) -> AuctionOutcome:
+    """``close_window``'s outcome for a window with no trade, given the
+    world's masks of sampled bidders and admitted vehicles (one of them
+    empty): every bidder loses, ranked by bid descending and id
+    ascending as the auction ranks them, and everyone settles at 0."""
+    ids = np.flatnonzero(sampled)
+    bids = world.phi_sum[ids] / world.sample_count[ids]
     return AuctionOutcome(
-        window_id=window_id, winners=(), losers=(), payments=(), uav_utilities={},
-        ugv_utilities=dict.fromkeys(offered, 0.0), social_surplus=0.0,
+        window_id=window_id, winners=(), losers=tuple(ids[np.lexsort((ids, -bids))].tolist()),
+        payments=(), uav_utilities=dict.fromkeys(ids.tolist(), 0.0),
+        ugv_utilities=dict.fromkeys(np.flatnonzero(admitted).tolist(), 0.0),
+        social_surplus=0.0,
     )
 
 
@@ -541,15 +543,18 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     """Step worlds that share advance_slot's constants as one stack.
 
     Member k's windows fill ``cols`` from entry ``first_entry[k]`` on. At
-    a slot boundary one segment sum over the stack counts each world's
-    sampled bidders. Due worlds with a bidder clear through
-    ``close_window``. The rest (most windows of a sweep) keep their new
-    entries, except that a second segment sum finds which of them have a
-    vehicle ``admit`` would keep: its zero utility makes ``ugv_utility``
-    the float 0.0 instead of the empty sum 0. Nothing else changes in a
-    window with no sampled bidder: the valuation sums grow only on
-    sampled bidders, so they are zero already. ``outcomes`` (one list per
-    member) and ``audits`` (one item per entry) are filled unless None.
+    a slot boundary, segment reductions over the stack find each world's
+    sampled bidders and their largest satisfaction gap (0 with no bidder,
+    as in ``admit``), and then the vehicles ``admit`` would keep: idle,
+    with supply covering that gap (every q is at least ``qors_floor`` >
+    0). A due world with a bidder and an admitted vehicle trades, and
+    clears through ``close_window``. The others (most windows of a
+    sweep) have no trade, and are settled for the whole stack at once as
+    ``close_window`` would: every bidder loses, fails once more and may
+    be excluded, the valuation sums restart, and the entry, whose other
+    fields start at a no-trade window's values, records which side of the
+    market was empty. ``outcomes`` (one list per member) and ``audits``
+    (one item per entry) are filled unless None.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -562,6 +567,9 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                for s, ks in by_spw.items()]
     uav_starts = np.array([w.uav_base for w in worlds])
     ugv_starts = np.array([w.ugv_base for w in worlds])
+    uav_world = np.repeat(np.arange(len(worlds)), [w.num_uavs for w in worlds])
+    ugv_world = np.repeat(np.arange(len(worlds)), [w.num_ugvs for w in worlds])
+    max_fails = np.array([w.config.max_failed_windows for w in worlds])[uav_world]
     try:
         for _ in range(horizon):
             advance_slot(stack)
@@ -569,31 +577,77 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
             due = [(ks, base + clock // s) for s, ks, base in classes if clock % s == 0]
             if not due:
                 continue
-            queued = np.add.reduceat(stack.bidder & (stack.sample_count > 0), uav_starts) > 0
-            stocked = None
-            for ks, entry in due:
-                market = queued[ks]
-                if not market.all():
-                    if stocked is None:
-                        stocked = np.add.reduceat(_offered(stack), ugv_starts) > 0
-                    quiet = ~market
-                    cols.ugv_empty[entry[quiet]] = ~stocked[ks[quiet]]
-                    if outcomes is not None:
-                        for k, e in zip(ks[quiet].tolist(), entry[quiet].tolist()):
-                            outcomes[k].append(_no_market_outcome(worlds[k], int(cols.window[e])))
-                for k, e in zip(ks[market].tolist(), entry[market].tolist()):
-                    world = worlds[k]
-                    world.clock = clock
-                    outcome, row, *report = close_window(world, with_audit=audits is not None)
-                    cols.record(e, row)
-                    if outcomes is not None:
-                        outcomes[k].append(outcome)
-                    if audits is not None:
-                        audits[e] = audit_report_row(report[0])[1:]
+            ks, entry = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
+            sampled = stack.bidder & (stack.sample_count > 0)
+            queued = np.add.reduceat(sampled, uav_starts) > 0
+            bids = queued[ks]
+            bidding = bids.any()  # false at most boundaries of a sweep
+            need = 0.0  # admit's largest satisfaction gap with no bidder
+            if bidding:
+                gap = np.where(sampled, stack.uav_f[:, K.F_SAT] - stack.uav_f[:, K.F_SOC],
+                               -np.inf)
+                need = np.where(queued, np.maximum.reduceat(gap, uav_starts), 0.0)[ugv_world]
+            admitted = ((stack.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
+                        & (stack.ugv_f[:, K.G_SUPPLY] >= need))
+            stocked = np.add.reduceat(admitted, ugv_starts) > 0
+            sells = stocked[ks]
+            trade = bids & sells
+            # a window with a trade has both flags overwritten by close_window's row
+            cols.ugv_empty[entry] = ~sells
+            if outcomes is not None:
+                for k, e in zip(ks[~trade].tolist(), entry[~trade].tolist()):
+                    w = worlds[k]
+                    outcomes[k].append(_no_trade_outcome(
+                        w, int(cols.window[e]),
+                        sampled[w.uav_base:w.uav_base + w.num_uavs],
+                        admitted[w.ugv_base:w.ugv_base + w.num_ugvs]))
+            if not bidding:
+                continue
+            cols.uav_empty[entry] = ~bids
+            losing = bids & ~sells
+            if losing.any():
+                settling = np.zeros(len(worlds), dtype=bool)
+                settling[ks[losing]] = True
+                _settle_losers(stack, worlds, np.flatnonzero(sampled & settling[uav_world]),
+                               clock, uav_world, max_fails)
+            for k, e in zip(ks[trade].tolist(), entry[trade].tolist()):
+                world = worlds[k]
+                world.clock = clock
+                outcome, row, *report = close_window(world, with_audit=audits is not None)
+                cols.record(e, row)
+                if outcomes is not None:
+                    outcomes[k].append(outcome)
+                if audits is not None:
+                    audits[e] = audit_report_row(report[0])[1:]
     finally:
         for w in worlds:
             w.clock = stack.clock
         _unstack(worlds)
+
+
+def _settle_losers(stack: World, worlds: Sequence[World], losers: np.ndarray, clock: int,
+                   uav_world: np.ndarray, max_fails: np.ndarray) -> None:
+    """Apply ``close_window``'s settlement to the stack rows ``losers``:
+    the sampled bidders of windows that close at ``clock`` with no trade.
+    Each loses, fails once more and leaves at its world's
+    ``max_failed_windows`` (``max_fails``, per row; ``uav_world`` maps
+    rows to members). The valuation sums restart; they are nonzero only
+    on sampled bidders."""
+    soc = stack.uav_f[losers, K.F_SOC]
+    bad = losers[~((soc >= 0.0) & (soc <= stack.uav_f[losers, K.F_CAP]))]
+    if bad.size:
+        window_id = clock // worlds[uav_world[bad[0]]].config.slots_per_window
+        raise ValueError(f"window {window_id}: a bidder's SoC left [0, capacity]")
+    fails = stack.fail_count[losers] + 1
+    stack.fail_count[losers] = fails
+    limit = max_fails[losers]
+    # stop bidding for the rest of the run, as in close_window
+    out = losers[(limit > 0) & (fails >= limit)]
+    stack.bidder[out] = False
+    stack.excluded[out] = True
+    stack.phi_sum[losers] = 0.0
+    stack.rho_sum[losers] = 0.0
+    stack.sample_count[losers] = 0
 
 
 def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
@@ -639,9 +693,10 @@ def run_worlds(
     ``advance_slot`` call per slot; each world's windows still close at its
     own ``slots_per_window``. The kernel and the bookkeeping are per
     agent, so every world evolves exactly as it would alone. A window
-    with no sampled bidder is recorded without building a market; its
-    row, outcome and audit report equal ``close_window``'s. Each result
-    is (metrics rows, outcomes, audit reports), as from ``run_world``.
+    with no trade is settled without building a market; its row,
+    outcome, audit report and state updates equal ``close_window``'s.
+    Each result is (metrics rows, outcomes, audit reports), as from
+    ``run_world``.
     """
     cols, outcomes, audits = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
     rows = cols.rows()

@@ -82,7 +82,7 @@ def replay_deviation_probe(market, uav_id, grid=None):
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     """One world run alone, slot by slot, every window through
     ``close_window``: the oracle for ``run_worlds``, which stacks worlds
-    and records bidderless windows without building a market."""
+    and settles windows with no trade without building a market."""
     spw = world.config.slots_per_window
     rows, outcomes, audits = [], [], []
     for _ in range(horizon):

@@ -185,6 +185,19 @@ def test_audit_market_all_clean(rng):
     assert report.blocking_pairs == 0
 
 
+@pytest.mark.parametrize("phi", [[], [3.0], [0.0, 2.5, 2.5, 6.0]])
+def test_audit_of_a_market_with_no_supply_is_the_no_trade_report(phi):
+    # a sweep writes this report for a window with no trade instead of
+    # auditing it: bidders with no vehicle, or no bidder at all
+    from skymarket.audit import audit_report_row
+    from skymarket.metrics import _NO_MARKET_AUDIT
+
+    report = audit_market(WindowMarket.from_values(phi, phi, []), instance="w")
+    fields = audit_report_row(report)[1:]
+    assert fields == _NO_MARKET_AUDIT
+    assert list(map(type, fields)) == list(map(type, _NO_MARKET_AUDIT))
+
+
 def tie_heavy_market(rng, n_uavs, n_ugvs):
     """Market drawn from a few levels, so equal bids, equal q and zero
     bids are common; bids are truthful, shaded or zeroed per bidder."""

@@ -134,6 +134,34 @@ def test_run_csvs_match_pinned_digests(tmp_path):
     assert digests == PINNED_DIGESTS
 
 
+# the contested regime: 100 UAVs from 30-60% charge against 5 or 25
+# vehicles, losers leaving after three failed windows. Most windows have
+# bidders but no admissible vehicle. Recorded before such windows were
+# settled without building a market
+CONTESTED_CONFIG = ScenarioConfig(
+    uav_count=100, ugv_count=25, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6,
+    max_failed_windows=3, horizon_slots=240,
+)
+CONTESTED_DIGESTS = {
+    "audits.csv": "9606c2edaf091638fd1cadf59c2f8146702bc2f3060804ea33020012d333e72a",
+    "metrics_aggregate.csv": "a57d99bc389d739e5ac09b19f1b3b9f9e5fba5629c2bfae4afe474b2957687d5",
+    "metrics_raw.csv": "ab878e6633178525dc5e317ad39975d2ee538255e6420de109b66df438208723",
+    "outcomes.csv": "25c6f89ce0c47d14883bdc51d776d721285182790e0d5a04023766442668bdef",
+}
+
+
+def test_contested_run_csvs_match_pinned_digests(tmp_path):
+    cfg_path = tmp_path / "contested.cfg"
+    save_config(CONTESTED_CONFIG, cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--scheme", "all", "--ugvs", "5", "25",
+                 "--reps", "2", "--seed", "5", "--audit", "--outcomes",
+                 "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
+    assert digests == CONTESTED_DIGESTS
+
+
 @pytest.mark.parametrize("args, problem", [
     (["--ugvs", "6", "0"], "ugv_count: must be >= 1"),
     (["--tau", "4", "3.5"], "window_len: must be a positive multiple of slot_len"),
@@ -162,6 +190,32 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     assert f"{option}: must be >= {low} (got {value})" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["preset", "table-envy", "--reps", "2", "--instances", "7"],
+     "preset table-envy takes --reps, not --instances"),
+    (["preset", "fig-window", "--instances", "3"],
+     "preset fig-window takes --reps, not --instances"),
+    (["preset", "audit-suite", "--reps", "3", "--instances", "4"],
+     "preset audit-suite takes --instances, not --reps"),
+])
+def test_preset_rejects_a_count_it_does_not_take(tmp_path, capsys, argv, problem):
+    # the count a preset does not take is a usage error, not dropped
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert problem in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_preset_rejects_a_count_it_does_not_take(tmp_path):
+    from skymarket.presets import run_preset
+
+    with pytest.raises(ValueError, match="takes --instances, not --reps"):
+        run_preset("audit-suite", ScenarioConfig(), 0, tmp_path, reps=2)
+    assert list(tmp_path.iterdir()) == []
+    assert main(["preset", "audit-suite", "--instances", "4", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "audit-suite.csv").read_text().splitlines()
+    assert len(lines) == 2 + 4
 
 
 def test_audit_rejects_zero_max_size(tmp_path, capsys):

@@ -56,7 +56,7 @@ def _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency):
         for name in _STATE:
             assert (getattr(a, name) == getattr(b, name)).all(), name
         assert a.clock == b.clock
-    return [outcome for _, outcomes, _ in want for outcome in outcomes]
+    return [outcome for _, outcomes, _ in want for outcome in outcomes], alone
 
 
 # no shrink phase: shrinking a failing stack takes the five minutes
@@ -73,7 +73,9 @@ def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon
     # a stack of worlds that mix window lengths, slot lengths and schemes,
     # started below the alert level, with losers leaving after a few
     # failed windows, clears every window as each world would alone with
-    # every window going through close_window
+    # every window going through close_window; windows with no bidder
+    # and windows whose bidders meet no admissible vehicle are settled
+    # for the whole stack at once
     _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency)
 
 
@@ -87,7 +89,48 @@ def test_bidderless_windows_with_and_without_an_idle_vehicle():
         (1, 1, 0.5, 1, 0.0, 0.0, 1, 5.0, SCHEME_OURS, 0),
         (1, 1, 0.5, 1, 0.0, 0.0, 1, 500.0, SCHEME_OURS, 0),
     ]
-    outcomes = _assert_stack_matches_worlds_alone(specs, 40, 0.0)
+    outcomes, _ = _assert_stack_matches_worlds_alone(specs, 40, 0.0)
     bidderless = [o for o in outcomes if not o.uav_utilities]
     assert any(o.ugv_utilities for o in bidderless)
     assert any(not o.ugv_utilities for o in bidderless)
+
+
+def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
+    # windows with bidders but no trade are settled for the whole stack:
+    # every bidder loses, counts a failed window and is excluded at its
+    # world's max_failed_windows. Here one world's only vehicle is busy
+    # after its first match, and the others' vehicles carry less supply
+    # than their neediest bidder's gap. Only windows with a trade reach
+    # close_window from the stack (the oracle calls its own reference)
+    from skymarket import simulator
+
+    seen = []  # per market with a bidder: (idle vehicles, admitted vehicles)
+    cleared = []  # outcomes of the stack's close_window calls
+    real_admit, real_close = simulator.admit, simulator.close_window
+
+    def recording(demand, offers, window_id, gaps):
+        market = real_admit(demand, offers, window_id, gaps)
+        if demand:
+            seen.append((len(offers), market.num_ugvs))
+        return market
+
+    def counting_close(world, with_audit=False):
+        result = real_close(world, with_audit=with_audit)
+        cleared.append(result[0])
+        return result
+
+    monkeypatch.setattr(simulator, "admit", recording)
+    monkeypatch.setattr(simulator, "close_window", counting_close)
+    specs = [
+        (12, 1, 0.5, 2, 0.1, 0.15, 3, 500.0, SCHEME_OURS, 1),
+        (10, 3, 2.0, 2, 0.1, 0.15, 2, 5.0, SCHEME_STATIC, 2),
+        (8, 2, 1.0, 3, 0.1, 0.15, 2, 40.0, SCHEME_OURS, 3),
+    ]
+    outcomes, worlds = _assert_stack_matches_worlds_alone(specs, 96, 1.0)
+    assert any(idle == 0 for idle, _ in seen)  # every vehicle busy
+    assert any(idle > 0 and admitted == 0 for idle, admitted in seen)  # under-supplied
+    assert any(admitted > 0 for _, admitted in seen)  # and a trade
+    assert sum(1 for o in outcomes if o.losers and not o.winners) >= 6
+    assert all(o.winners for o in cleared)
+    assert len(cleared) == sum(1 for o in outcomes if o.winners) > 0
+    assert all(w.excluded.any() and not w.excluded.all() for w in worlds)

@@ -433,9 +433,11 @@ def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
 
     monkeypatch.setattr(simulator, "run_auction", planner)
     oracle = run_experiment(cfg, schemes=("optimal",), **kw)
-    # only windows with a bidder build a market; both kinds occur here
+    # only windows with a bidder and an admitted vehicle build a market;
+    # windows with no bidder, and with bidders but no trade, occur too
     with_bidders = sum(1 for _, _, o in oracle.outcomes if o.uav_utilities)
-    assert len(planner_calls) == with_bidders and 0 < with_bidders < 12
+    traded = sum(1 for _, _, o in oracle.outcomes if o.winners)
+    assert len(planner_calls) == traded and 0 < traded < with_bidders < 12
     assert oracle.rows == opt
     assert oracle.outcomes == [o for o in res.outcomes if o[0] == "optimal"]
     assert oracle.audits == [a for a in res.audits if a.instance.startswith("optimal-")]
@@ -582,17 +584,18 @@ def test_agent_arrays_stay_column_contiguous():
 
 def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     # the sweep of perfbench's fleet_sweep call 0 (10 worlds, J = 6..14, all
-    # schemes, seed 7000): only windows with a sampled bidder reach
-    # close_window, and no vehicle is scored outside one
+    # schemes, seed 7000): only windows with a sampled bidder and an
+    # admitted vehicle reach close_window, and no vehicle is scored
+    # outside one
     cfg = ScenarioConfig()
     sweep = {"ugv_count": [6, 8, 10, 12, 14]}
-    with_bidders = 0
+    traded = 0
     for m in sweep["ugv_count"]:
         for scheme in (SCHEME_OURS, SCHEME_STATIC):
             world = generate_scenario(cfg.replace(ugv_count=m), 7000, scheme)
             _, outcomes, _ = run_world_windowwise(world, cfg.horizon_slots,
                                                   keep_outcomes=True)
-            with_bidders += sum(1 for o in outcomes if o.uav_utilities)
+            traded += sum(1 for o in outcomes if o.winners)
 
     real_close, real_qors = simulator.close_window, simulator.World.ugv_qors
     cleared = []
@@ -614,8 +617,8 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     monkeypatch.setattr(simulator.World, "ugv_qors", counting_qors)
     res = run_experiment(cfg, sweep, replications=1, schemes=ALL_SCHEMES, base_seed=7000)
     assert len(res.rows) == 15 * 75
-    assert len(cleared) == with_bidders and 0 < with_bidders < 10 * 75 // 2
-    assert all(o.uav_utilities for o in cleared)
+    assert len(cleared) == traded and 0 < traded < 10 * 75 // 2
+    assert all(o.winners for o in cleared)
     assert scored_inside and all(scored_inside)
 
 
