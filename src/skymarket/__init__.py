@@ -6,33 +6,9 @@ UAVs and charger-carrying ground vehicles, plus baselines and executable
 audits of the mechanism's guarantees.
 """
 
-from .types import (
-    Activity,
-    AuctionOutcome,
-    Match,
-    PowerParams,
-    ScenarioConfig,
-    UavState,
-    UgvState,
-    load_config,
-    save_config,
-    validate,
-)
-from .energy import ascend_power, descend_power, flight_power, hover_power
-from .valuation import qors_from_distance
-from .mechanism import WindowMarket, admit, allocate, price, run_auction
-from .audit import AuditReport, audit_market, check_ir, check_stability, deviation_probe, non_envy_ratio
-from .baselines import optimal_scheme_outcome
-from .simulator import (
-    MetricsRow,
-    World,
-    advance_slot,
-    close_window,
-    generate_scenario,
-    rendezvous,
-    run_experiment,
-    run_world,
-    run_worlds,
-    satisfaction_level,
-)
+from .types import AuctionOutcome, Match, ScenarioConfig, load_config, save_config, validate
+from .mechanism import WindowMarket, run_auction
+from .audit import AuditReport, audit_market, deviation_probe, non_envy_ratio
+from .metrics import MetricsColumns, MetricsRow
+from .simulator import run_experiment
 from .reporting import __version__

@@ -23,10 +23,12 @@ The simulator stores all four column-contiguous (Fortran order), so each
 column is a contiguous 1-D array; the kernel gathers and scatters one
 column at a time. It accepts either order, with the same bits.
 
-Energy deltas are precomputed per slot (eta_i * P * dt / 3600 and the
-charging analogue), so the kernel only adds, clamps, moves, and switches
-activity. Vehicles advance before UAVs so a pad that arrives in a slot
-is visible to its waiting UAV in the same slot.
+Energy deltas are precomputed per slot when a world is built: the drains
+eta_i * P * dt / 3600, the charging gain eta_i * eta_j * P_e * dt / 3600
+and the supply a pad draws for it, gain / eta_j. So the kernel only
+adds, clamps, moves, and switches activity. Vehicles advance before UAVs
+so a pad that arrives in a slot is visible to its waiting UAV in the
+same slot.
 """
 
 from __future__ import annotations

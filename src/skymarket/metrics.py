@@ -79,15 +79,14 @@ class MetricsColumns:
         self.ugv_empty = np.ones(n, dtype=bool)
 
     def record(self, k: int, row: MetricsRow) -> None:
-        """Set entry k to ``row``'s metrics."""
+        """Set entry k's metrics to ``row``'s; ``uav_empty`` and
+        ``ugv_empty`` are the caller's to set."""
         self.sl[k] = row.sl
         self.uav_utility[k] = row.uav_utility
         self.ugv_utility[k] = row.ugv_utility
         self.surplus[k] = row.surplus
         self.non_envy_ratio[k] = row.non_envy_ratio
         self.winners[k] = row.winners
-        self.uav_empty[k] = type(row.uav_utility) is int
-        self.ugv_empty[k] = type(row.ugv_utility) is int
 
     def tuples(self):
         """The rows in output order, as ``METRICS_CSV_HEADER`` tuples."""

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,10 @@ class World:
     the sweep, and the partner columns hold stack-global indices: a
     world's UAV i is row ``uav_base + i`` of the stack, its vehicle j row
     ``ugv_base + j``. Outside ``run_worlds`` the arrays are the world's
-    own, partner indices are local and both bases are 0.
+    own, partner indices are local and both bases are 0. A constant
+    that the config sets for every agent, such as an efficiency, is read
+    from ``config`` or folded into the agent arrays at build (the drains
+    and the charging rates).
     """
 
     config: ScenarioConfig
@@ -129,7 +132,6 @@ class World:
 
     # per-UAV bookkeeping outside the kernel
     soc_alert: np.ndarray = field(default=None, repr=False)
-    eta_i: np.ndarray = field(default=None, repr=False)
     bidder: np.ndarray = field(default=None, repr=False)
     excluded: np.ndarray = field(default=None, repr=False)
     fail_count: np.ndarray = field(default=None, repr=False)
@@ -137,10 +139,8 @@ class World:
     rho_sum: np.ndarray = field(default=None, repr=False)
     sample_count: np.ndarray = field(default=None, repr=False)
 
-    # per-UGV static attributes
+    # per-UGV static attribute (0 on a static pad)
     ugv_speed_kmh: np.ndarray = field(default=None, repr=False)
-    ugv_transfer_power: np.ndarray = field(default=None, repr=False)
-    ugv_eta: np.ndarray = field(default=None, repr=False)
 
     @property
     def spot(self) -> tuple[float, float]:
@@ -172,7 +172,7 @@ class World:
             activity=_CODE_TO_ACTIVITY[int(self.uav_i[i, K.I_ACT])],
             mass=c.uav_mass_kg,
             power_params=PowerParams(c.kappa1, c.kappa2, c.kappa3, c.eps1, c.eps2),
-            discharge_efficiency=float(self.eta_i[i]),
+            discharge_efficiency=c.uav_discharge_eff,
             sensing_radius=c.uav_sensing_radius,
             detection_angle=c.uav_detection_angle,
             altitude_max=c.uav_altitude_max,
@@ -186,8 +186,8 @@ class World:
             speed_kmh=float(self.ugv_speed_kmh[j]),
             supply_capacity=c.ugv_supply_wh,
             supply_remaining=float(self.ugv_f[j, K.G_SUPPLY]),
-            transfer_power=float(self.ugv_transfer_power[j]),
-            transfer_efficiency=float(self.ugv_eta[j]),
+            transfer_power=c.ugv_transfer_power_w,
+            transfer_efficiency=c.ugv_transfer_eff,
             qors=qors,
         )
 
@@ -318,6 +318,12 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
     uav_f[:, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
     uav_f[:, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
     uav_f[:, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
+    # eta_i * eta_j * P_e * dt per charging slot; the pad draws gain / eta_j
+    # from its stock (sender-side loss). The kernel reads both only while
+    # a UAV charges
+    gain = c.uav_discharge_eff * c.ugv_transfer_eff * c.ugv_transfer_power_w * dt / 3600.0
+    uav_f[:, K.F_CHARGE_GAIN] = gain
+    uav_f[:, K.F_SUPPLY_DRAW] = gain / c.ugv_transfer_eff
     uav_f[:, K.F_STEP_XY] = c.uav_speed_max * dt
     uav_f[:, K.F_STEP_DOWN] = c.uav_descend_speed * dt
     uav_f[:, K.F_STEP_UP] = c.uav_ascend_speed * dt
@@ -336,7 +342,6 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
         ugv_f=ugv_f,
         ugv_i=ugv_i,
         soc_alert=np.full(n, c.uav_alert_frac * c.uav_capacity_wh),
-        eta_i=np.full(n, c.uav_discharge_eff),
         bidder=np.zeros(n, dtype=bool),
         excluded=np.zeros(n, dtype=bool),
         fail_count=np.zeros(n, dtype=np.int64),
@@ -344,8 +349,6 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
         rho_sum=np.zeros(n),
         sample_count=np.zeros(n, dtype=np.int64),
         ugv_speed_kmh=speeds,
-        ugv_transfer_power=np.full(m, c.ugv_transfer_power_w),
-        ugv_eta=np.full(m, c.ugv_transfer_eff),
     )
 
 
@@ -376,8 +379,9 @@ def close_window(world: World, with_audit: bool = False):
     Reads the market inputs as whole-array slices: the queued bidders'
     window-average valuations and urgencies, their satisfaction gaps, and
     each idle vehicle's quality score and remaining supply. Clears the
-    market through the auction, schedules rendezvous for matched pairs,
-    and re-queues losers. Returns (outcome, metrics row[, audit report]).
+    market through the auction and schedules rendezvous for matched
+    pairs; losers are settled by ``_settle_losers``, as in a window with
+    no trade. Returns (outcome, metrics row[, audit report]).
     """
     c = world.config
     spw = c.slots_per_window
@@ -386,11 +390,10 @@ def close_window(world: World, with_audit: bool = False):
     window_id = world.clock // spw
 
     ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
+    _check_soc(world, ids, lambda _: window_id)
     soc = world.uav_f[ids, K.F_SOC]
-    if not np.all((soc >= 0.0) & (soc <= world.uav_f[ids, K.F_CAP])):
-        raise ValueError(f"window {window_id}: a bidder's SoC left [0, capacity]")
     n_s = world.sample_count[ids]
-    # plain floats from here on: outcomes serialize to JSON/CSV
+    # plain ints and floats from here on: outcomes are written to CSV
     bidder_ids = ids.tolist()
     phi = (world.phi_sum[ids] / n_s).tolist()
     phi_bars = dict(zip(bidder_ids, phi))
@@ -405,7 +408,6 @@ def close_window(world: World, with_audit: bool = False):
     market = admit(demand, offers, window_id, gaps)
     outcome = run_auction(market)
 
-    envy = non_envy_ratio(outcome, phi_bars) if phi_bars else None
     row = MetricsRow(
         scheme=world.scheme,
         ugv_count=c.ugv_count,
@@ -416,7 +418,7 @@ def close_window(world: World, with_audit: bool = False):
         uav_utility=sum(outcome.uav_utilities.values()),
         ugv_utility=sum(outcome.ugv_utilities.values()),
         surplus=outcome.social_surplus,
-        non_envy_ratio=envy.all_participants if envy else 1.0,
+        non_envy_ratio=non_envy_ratio(outcome, phi_bars).all_participants,
         winners=outcome.num_winners,
     )
 
@@ -429,16 +431,6 @@ def close_window(world: World, with_audit: bool = False):
         world.uav_i[i, K.I_PARTNER] = j + world.ugv_base
         world.uav_f[i, K.F_TX] = meet[0]
         world.uav_f[i, K.F_TY] = meet[1]
-        gain = (
-            world.eta_i[i]
-            * world.ugv_eta[j]
-            * world.ugv_transfer_power[j]
-            * c.slot_len
-            / 3600.0
-        )
-        world.uav_f[i, K.F_CHARGE_GAIN] = gain
-        # sender-side loss: the pad draws delivered/eta_j from its stock
-        world.uav_f[i, K.F_SUPPLY_DRAW] = gain / world.ugv_eta[j]
         world.ugv_i[j, K.GI_PARTNER] = i + world.uav_base
         if world.scheme == SCHEME_STATIC:
             world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
@@ -446,21 +438,13 @@ def close_window(world: World, with_audit: bool = False):
             world.ugv_i[j, K.GI_STATE] = K.UGV_ENROUTE
             world.ugv_f[j, K.G_TX] = meet[0]
             world.ugv_f[j, K.G_TY] = meet[1]
-        world.bidder[i] = False
-        world.fail_count[i] = 0
-
-    for i in outcome.losers:
-        world.fail_count[i] += 1
-        if c.max_failed_windows > 0 and world.fail_count[i] >= c.max_failed_windows:
-            # stop bidding for the rest of the run; the UAV keeps hovering
-            # over its task and draining, with no other way to recharge
-            world.bidder[i] = False
-            world.excluded[i] = True
-
-    # fresh valuation series for the next window
-    world.phi_sum[:] = 0.0
-    world.rho_sum[:] = 0.0
-    world.sample_count[:] = 0
+    # winners leave the queue with a fresh valuation series
+    won = [m.uav_id for m in outcome.winners]
+    world.bidder[won] = False
+    world.fail_count[won] = 0
+    world.phi_sum[won] = world.rho_sum[won] = 0.0
+    world.sample_count[won] = 0
+    _settle_losers(world, np.array(outcome.losers, dtype=np.int64), c.max_failed_windows)
 
     if with_audit:
         report = audit_market(market, instance=f"{world.scheme}-seed{world.seed}-w{window_id}")
@@ -549,12 +533,13 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     with supply covering that gap (every q is at least ``qors_floor`` >
     0). A due world with a bidder and an admitted vehicle trades, and
     clears through ``close_window``. The others (most windows of a
-    sweep) have no trade, and are settled for the whole stack at once as
-    ``close_window`` would: every bidder loses, fails once more and may
-    be excluded, the valuation sums restart, and the entry, whose other
-    fields start at a no-trade window's values, records which side of the
-    market was empty. ``outcomes`` (one list per member) and ``audits``
-    (one item per entry) are filled unless None.
+    sweep) have no trade, and are settled for the whole stack at once:
+    every bidder loses, through the ``_settle_losers`` that
+    ``close_window`` settles its own losers with, and the entry, whose
+    other fields start at a no-trade window's values, keeps them. Every
+    due entry's empty-side flags are set here. ``outcomes`` (one list
+    per member) and ``audits`` (one item per entry) are filled unless
+    None.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -592,7 +577,7 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
             stocked = np.add.reduceat(admitted, ugv_starts) > 0
             sells = stocked[ks]
             trade = bids & sells
-            # a window with a trade has both flags overwritten by close_window's row
+            # every due entry's empty-side flags are set here, trades included
             cols.ugv_empty[entry] = ~sells
             if outcomes is not None:
                 for k, e in zip(ks[~trade].tolist(), entry[~trade].tolist()):
@@ -608,8 +593,10 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
             if losing.any():
                 settling = np.zeros(len(worlds), dtype=bool)
                 settling[ks[losing]] = True
-                _settle_losers(stack, worlds, np.flatnonzero(sampled & settling[uav_world]),
-                               clock, uav_world, max_fails)
+                losers = np.flatnonzero(sampled & settling[uav_world])
+                _check_soc(stack, losers, lambda row: (
+                    clock // worlds[uav_world[row]].config.slots_per_window))
+                _settle_losers(stack, losers, max_fails[losers])
             for k, e in zip(ks[trade].tolist(), entry[trade].tolist()):
                 world = worlds[k]
                 world.clock = clock
@@ -625,29 +612,29 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
         _unstack(worlds)
 
 
-def _settle_losers(stack: World, worlds: Sequence[World], losers: np.ndarray, clock: int,
-                   uav_world: np.ndarray, max_fails: np.ndarray) -> None:
-    """Apply ``close_window``'s settlement to the stack rows ``losers``:
-    the sampled bidders of windows that close at ``clock`` with no trade.
-    Each loses, fails once more and leaves at its world's
-    ``max_failed_windows`` (``max_fails``, per row; ``uav_world`` maps
-    rows to members). The valuation sums restart; they are nonzero only
-    on sampled bidders."""
-    soc = stack.uav_f[losers, K.F_SOC]
-    bad = losers[~((soc >= 0.0) & (soc <= stack.uav_f[losers, K.F_CAP]))]
+def _check_soc(world: World, rows: np.ndarray, window_of: Callable[[int], int]) -> None:
+    """ValueError if a bidder in ``rows`` has left [0, capacity];
+    ``window_of(row)`` names the window it bid in."""
+    soc = world.uav_f[rows, K.F_SOC]
+    bad = rows[~((soc >= 0.0) & (soc <= world.uav_f[rows, K.F_CAP]))]
     if bad.size:
-        window_id = clock // worlds[uav_world[bad[0]]].config.slots_per_window
-        raise ValueError(f"window {window_id}: a bidder's SoC left [0, capacity]")
-    fails = stack.fail_count[losers] + 1
-    stack.fail_count[losers] = fails
-    limit = max_fails[losers]
-    # stop bidding for the rest of the run, as in close_window
-    out = losers[(limit > 0) & (fails >= limit)]
-    stack.bidder[out] = False
-    stack.excluded[out] = True
-    stack.phi_sum[losers] = 0.0
-    stack.rho_sum[losers] = 0.0
-    stack.sample_count[losers] = 0
+        raise ValueError(f"window {window_of(bad[0])}: a bidder's SoC left [0, capacity]")
+
+
+def _settle_losers(world: World, losers: np.ndarray, max_fails) -> None:
+    """Settle the losing bidders ``losers`` (rows of ``world``) of a window,
+    with or without a trade: each fails once more, and one that reaches
+    ``max_fails`` (its world's ``max_failed_windows``: a scalar, or one
+    limit per loser; 0 never excludes) stops bidding for the rest of the
+    run. It keeps hovering over its task and draining, with no other way
+    to recharge. Every loser's valuation series restarts."""
+    fails = world.fail_count[losers] + 1
+    world.fail_count[losers] = fails
+    out = losers[(max_fails > 0) & (fails >= max_fails)]
+    world.bidder[out] = False
+    world.excluded[out] = True
+    world.phi_sum[losers] = world.rho_sum[losers] = 0.0
+    world.sample_count[losers] = 0
 
 
 def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],

@@ -4,7 +4,7 @@ Everything here is an immutable value object: construction validates the
 type's invariants and raises ``ValueError`` on violation, after which
 instances can be shared freely across threads. Behavior lives elsewhere
 (energy model, mechanism, simulator); this module only holds state,
-validation, and (de)serialization.
+validation, and the config file format.
 
 Unit conventions: energies in Wh, powers in W, distances in m, times in s,
 angles in rad. Conversions between W·s and Wh use 1 Wh = 3600 J.
@@ -16,7 +16,7 @@ import enum
 import hashlib
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 
 class Activity(enum.Enum):
@@ -171,17 +171,6 @@ class AuctionOutcome:
     def num_winners(self) -> int:
         return len(self.winners)
 
-    def beta_matrix(self, uav_ids: Sequence[int], ugv_ids: Sequence[int]):
-        """Binary allocation matrix over the given id orderings."""
-        import numpy as np
-
-        beta = np.zeros((len(uav_ids), len(ugv_ids)), dtype=np.int8)
-        row = {u: k for k, u in enumerate(uav_ids)}
-        col = {v: k for k, v in enumerate(ugv_ids)}
-        for m in self.winners:
-            beta[row[m.uav_id], col[m.ugv_id]] = 1
-        return beta
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -296,8 +285,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     if not c.slot_len > 0:
         v.append("slot_len: slot length must be positive")
     if c.window_len > 0 and c.slot_len > 0:
-        ratio = c.window_len / c.slot_len
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        ratio = c.window_len / c.slot_len  # may be inf, which round() rejects
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             v.append("window_len: must be a positive multiple of slot_len")
 
     if not (0.0 <= c.uav_soc_frac_min <= 1.0 and 0.0 <= c.uav_soc_frac_max <= 1.0):
@@ -382,15 +371,19 @@ def parse_config_text(text: str) -> ScenarioConfig:
             parts = [p for p in value.split(",") if p.strip()]
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: base_station needs x,y,z")
-            kwargs[key] = tuple(float(p) for p in parts)
-        elif key == "thrust_newton":
-            kwargs[key] = None if value == "" else float(value)
-        elif value == "":
+        elif value == "" and key != "thrust_newton":
             raise ValueError(f"line {lineno}: empty value for {key!r}")
-        elif key in ints:
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
+        try:
+            if key == "base_station":
+                kwargs[key] = tuple(float(p) for p in parts)
+            elif key == "thrust_newton":
+                kwargs[key] = None if value == "" else float(value)
+            else:
+                kwargs[key] = int(value) if key in ints else float(value)
+        except ValueError:
+            kind = ("an integer" if key in ints else
+                    "three numbers x,y,z" if key == "base_station" else "a number")
+            raise ValueError(f"line {lineno}: {key} needs {kind}, got {value!r}") from None
     return ScenarioConfig(**kwargs)
 
 
@@ -408,39 +401,3 @@ def config_hash(config: ScenarioConfig) -> str:
     """Short stable digest of a config, embedded in output provenance lines."""
     return hashlib.sha256(config_to_text(config).encode("utf-8")).hexdigest()[:12]
 
-
-# --- JSON-safe dict round-trips ---------------------------------------------
-
-def outcome_to_dict(outcome: AuctionOutcome) -> dict:
-    # float() casts keep numpy scalars out of the JSON layer; exact for
-    # float64, so round trips stay bit-identical
-    return {
-        "window_id": int(outcome.window_id),
-        "winners": [
-            {
-                "rank": int(m.rank),
-                "uav_id": int(m.uav_id),
-                "ugv_id": int(m.ugv_id),
-                "bid": float(m.bid),
-                "q": float(m.q),
-            }
-            for m in outcome.winners
-        ],
-        "losers": [int(i) for i in outcome.losers],
-        "payments": [float(p) for p in outcome.payments],
-        "uav_utilities": {str(k): float(v) for k, v in outcome.uav_utilities.items()},
-        "ugv_utilities": {str(k): float(v) for k, v in outcome.ugv_utilities.items()},
-        "social_surplus": float(outcome.social_surplus),
-    }
-
-
-def outcome_from_dict(d: Mapping) -> AuctionOutcome:
-    return AuctionOutcome(
-        window_id=d["window_id"],
-        winners=tuple(Match(**m) for m in d["winners"]),
-        losers=tuple(d["losers"]),
-        payments=tuple(d["payments"]),
-        uav_utilities={int(k): v for k, v in d["uav_utilities"].items()},
-        ugv_utilities={int(k): v for k, v in d["ugv_utilities"].items()},
-        social_surplus=d["social_surplus"],
-    )

@@ -96,6 +96,22 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     return rows, outcomes, audits
 
 
+def settle_losers_loop(world, losers, max_failed_windows):
+    """Settle a window's losers one at a time, as ``close_window`` once
+    did: the oracle for ``simulator._settle_losers``, which settles them
+    with array operations. Every loser's valuation series restarts."""
+    for i in losers:
+        world.fail_count[i] += 1
+        if max_failed_windows > 0 and world.fail_count[i] >= max_failed_windows:
+            # stop bidding for the rest of the run; the UAV keeps hovering
+            # over its task and draining, with no other way to recharge
+            world.bidder[i] = False
+            world.excluded[i] = True
+        world.phi_sum[i] = 0.0
+        world.rho_sum[i] = 0.0
+        world.sample_count[i] = 0
+
+
 def agent_arrays_per_agent(c, seed, scheme):
     """(uav_f, uav_i, ugv_f, ugv_i, ugv_speed_kmh) of (c, seed, scheme),
     one seeded Generator per agent and one ``rng.uniform`` per draw: the
@@ -135,6 +151,11 @@ def agent_arrays_per_agent(c, seed, scheme):
         uav_f[i, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
         uav_f[i, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
         uav_f[i, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
+        # eta_i * eta_j * P_e * dt while charging; the pad draws gain / eta_j
+        gain = (c.uav_discharge_eff * c.ugv_transfer_eff * c.ugv_transfer_power_w
+                * dt / 3600.0)
+        uav_f[i, K.F_CHARGE_GAIN] = gain
+        uav_f[i, K.F_SUPPLY_DRAW] = gain / c.ugv_transfer_eff
         uav_f[i, K.F_STEP_XY] = c.uav_speed_max * dt
         uav_f[i, K.F_STEP_DOWN] = c.uav_descend_speed * dt
         uav_f[i, K.F_STEP_UP] = c.uav_ascend_speed * dt

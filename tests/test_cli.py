@@ -32,6 +32,33 @@ def test_validate_unreadable_config():
     assert main(["validate", "/nonexistent/path.cfg"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "window_len = inf\n", "window_len = 1e300\nslot_len = 1e-300\n",
+])
+def test_validate_reports_an_overflowing_window_slot_ratio(tmp_path, capsys, text):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().out == "window_len: must be a positive multiple of slot_len\n"
+
+
+def test_run_rejects_an_infinite_window_sweep(tmp_path, capsys):
+    assert main(["run", "--tau", "8", "inf", "--out", str(tmp_path / "out")]) == 2
+    assert "window_len: must be a positive multiple of slot_len" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("uav_count = 10.0\n", "line 1: uav_count needs an integer, got '10.0'"),
+    ("seed = 1\nmu0 = abc\n", "line 2: mu0 needs a number, got 'abc'"),
+])
+def test_validate_names_the_line_and_key_of_a_bad_value(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_unknown_preset_is_usage_error(tmp_path):
     assert main(["preset", "fig-nonsense", "--out", str(tmp_path)]) == 1
 
@@ -160,6 +187,33 @@ def test_contested_run_csvs_match_pinned_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.glob("*.csv")}
     assert digests == CONTESTED_DIGESTS
+
+
+# UAVs that start at 0-30% charge, 2 s slots in 8 s windows and losers
+# leaving after two failed windows, against 1, 4 or 9 mobile vehicles or
+# static pads. Recorded before close_window and the stack shared one
+# settlement of losers
+LOW_SOC_CONFIG = ScenarioConfig(
+    slot_len=2.0, window_len=8.0, max_failed_windows=2,
+    uav_soc_frac_min=0.0, uav_soc_frac_max=0.3,
+)
+LOW_SOC_DIGESTS = {
+    "audits.csv": "1647cc9088752ab3124fde2cb80284beb3c5d3054367b06873f99c4566a3aa86",
+    "metrics_aggregate.csv": "7faa1ebd4d40e04a68392f4d8bcd65a60b02d9a7223b32db613d501a756d0909",
+    "metrics_raw.csv": "9947cfdee5ed5ed7e8104d018f5cb242ddea181116abc79b6f00b3042b7d44a7",
+    "outcomes.csv": "d682bed7ac42a2c74d5272e30d485dc7aae27c7744da86a1595915da686ee2ee",
+}
+
+
+def test_low_soc_run_csvs_match_pinned_digests(tmp_path):
+    cfg_path = tmp_path / "low_soc.cfg"
+    save_config(LOW_SOC_CONFIG, cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--ugvs", "1", "4", "9",
+                 "--scheme", "all", "--outcomes", "--audit", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
+    assert digests == LOW_SOC_DIGESTS
 
 
 @pytest.mark.parametrize("args, problem", [

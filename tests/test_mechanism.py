@@ -245,9 +245,11 @@ def test_beta_matrix_row_col_sums(rng):
     for _ in range(60):
         market = random_market(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
         outcome = run_auction(market)
-        uav_ids = [e.uav_id for e in market.demand]
-        ugv_ids = [s.ugv_id for s in market.supply]
-        beta = outcome.beta_matrix(uav_ids, ugv_ids)
-        assert beta.sum(axis=0).max(initial=0) <= 1
-        assert beta.sum(axis=1).max(initial=0) <= 1
-        assert beta.sum() == outcome.num_winners
+        # the allocation matrix beta has row and column sums <= 1: no UAV
+        # and no vehicle is matched twice
+        uav_ids = [m.uav_id for m in outcome.winners]
+        ugv_ids = [m.ugv_id for m in outcome.winners]
+        assert len(set(uav_ids)) == len(uav_ids) == outcome.num_winners
+        assert len(set(ugv_ids)) == len(ugv_ids) == outcome.num_winners
+        assert set(uav_ids) <= {e.uav_id for e in market.demand}
+        assert set(ugv_ids) <= {s.ugv_id for s in market.supply}

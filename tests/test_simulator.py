@@ -376,18 +376,73 @@ def test_loser_exit_after_max_failures():
     assert not world.bidder[world.excluded].any()
 
 
-def test_simulated_outcomes_serialize_to_json():
-    import json
+def test_simulated_outcomes_hold_plain_ints_and_floats():
+    # outcomes are written to CSV as they are: no numpy scalar may reach
+    # them, from windows with a trade or from windows settled without one
+    cfg = ScenarioConfig(ugv_count=3, uav_soc_frac_max=0.55)
+    for scheme in (SCHEME_OURS, SCHEME_STATIC):
+        _, outcomes, _ = run_world(generate_scenario(cfg, seed=2, scheme=scheme),
+                                   horizon_slots=120, keep_outcomes=True)
+        assert any(o.winners and o.losers for o in outcomes)
+        assert any(o.losers and not o.winners for o in outcomes)
+        for o in outcomes:
+            ints = [o.window_id, *o.losers, *o.uav_utilities, *o.ugv_utilities]
+            floats = [*o.payments, *o.uav_utilities.values(), *o.ugv_utilities.values(),
+                      o.social_surplus]
+            for m in o.winners:
+                ints += [m.rank, m.uav_id, m.ugv_id]
+                floats += [m.bid, m.q]
+            assert all(type(x) is int for x in ints)
+            assert all(type(x) is float for x in floats)
 
-    from skymarket.types import outcome_from_dict, outcome_to_dict
 
-    cfg = ScenarioConfig(uav_soc_frac_max=0.55)
-    world = generate_scenario(cfg, seed=2)
-    _, outcomes, _ = run_world(world, horizon_slots=8, keep_outcomes=True)
-    outcome = outcomes[0]
-    assert outcome.num_winners > 0
-    back = outcome_from_dict(json.loads(json.dumps(outcome_to_dict(outcome))))
-    assert back == outcome
+@pytest.mark.parametrize("per_loser", [False, True])
+def test_settle_losers_matches_the_per_loser_loop(rng, per_loser):
+    # the array settlement that close_window and the stack share, against
+    # the loop close_window once ran, on failure counts at and around
+    # the limit; a limit is the world's (scalar) or each loser's own
+    from conftest import settle_losers_loop
+
+    base = generate_scenario(ScenarioConfig(uav_count=40, ugv_count=2), seed=0)
+    n = base.num_uavs
+    excluded = 0
+    for _ in range(40):
+        want = dataclasses.replace(base)
+        want.bidder = rng.random(n) < 0.7
+        want.excluded = ~want.bidder & (rng.random(n) < 0.3)
+        want.fail_count = rng.integers(0, 4, n)
+        want.sample_count = np.where(want.bidder, rng.integers(1, 9, n), 0)
+        want.phi_sum = want.sample_count * rng.uniform(1.0, 6.0, n)
+        want.rho_sum = want.sample_count * rng.uniform(0.0, 1.0, n)
+        got = dataclasses.replace(want, **{name: getattr(want, name).copy() for name in (
+            "bidder", "excluded", "fail_count", "sample_count", "phi_sum", "rho_sum")})
+        losers = rng.permutation(np.flatnonzero(want.bidder))[:int(rng.integers(0, n))]
+        limits = rng.integers(0, 4, n)
+        if per_loser:
+            simulator._settle_losers(got, losers, limits[losers])
+            for i in losers:
+                settle_losers_loop(want, [i], limits[i])
+        else:
+            simulator._settle_losers(got, losers, int(limits[0]))
+            settle_losers_loop(want, losers, int(limits[0]))
+        for name in ("bidder", "excluded", "fail_count", "sample_count", "phi_sum",
+                     "rho_sum"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        excluded += int(got.excluded.sum())
+    assert excluded > 0
+
+
+def test_stack_rejects_a_losing_bidder_soc_beyond_capacity():
+    # a bidder of a window with no trade is checked as close_window checks
+    # one, and the error names the window of the bidder's own world
+    worlds = []
+    for window_len in (8.0, 4.0):
+        cfg = ScenarioConfig(window_len=window_len, enter_urgency=0.0, ugv_supply_wh=1.0,
+                             uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
+        worlds.append(generate_scenario(cfg, seed=4))
+    worlds[0].uav_f[3, K.F_SOC] = worlds[0].uav_f[3, K.F_CAP] + 10.0
+    with pytest.raises(ValueError, match=r"window 1: a bidder's SoC left \[0, capacity\]"):
+        run_worlds(worlds, horizon_slots=16)
 
 
 def test_run_experiment_shapes_and_aggregates():
