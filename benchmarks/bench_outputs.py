@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time each CSV that ``skymarket run`` writes on a crowded market.
+
+Calls ``run --scheme all --outcomes --audit`` through ``skymarket.cli.main``
+on 100 UAVs starting at 30-60% charge against 25 vehicles (the config of
+perfbench's ``crowded_market``), and times every writer call the CLI
+makes: metrics_raw, metrics_aggregate, audits and outcomes. A writer's
+time includes building the rows it consumes as it writes. Prints each
+file's best time over the repeats, with its line count and size, next to
+the best time of the whole call.
+
+Usage: python benchmarks/bench_outputs.py [--repeats 5] [--horizon-slots 600]
+"""
+
+import argparse
+import contextlib
+import io
+import math
+import tempfile
+import time
+from pathlib import Path
+
+import skymarket.cli as cli
+from skymarket.types import ScenarioConfig, save_config
+
+CROWDED = ScenarioConfig(uav_count=100, ugv_count=25, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
+
+
+def timed(write, best):
+    """``write``, recording in ``best`` its fastest call per file name."""
+    def wrapper(path, *args):
+        t0 = time.perf_counter()
+        result = write(path, *args)
+        elapsed = time.perf_counter() - t0
+        best[result.name] = min(best.get(result.name, math.inf), elapsed)
+        return result
+    return wrapper
+
+
+def bench(repeats, horizon_slots, seed):
+    best = {}
+    best_call = math.inf
+    writers = cli.write_csv, cli.write_csv_text
+    cli.write_csv, cli.write_csv_text = (timed(w, best) for w in writers)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "crowded.cfg"
+            save_config(CROWDED.replace(horizon_slots=horizon_slots), cfg)
+            out = Path(tmp) / "out"
+            argv = ["run", "--config", str(cfg), "--scheme", "all", "--outcomes", "--audit",
+                    "--seed", str(seed), "--out", str(out)]
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                best_call = min(best_call, time.perf_counter() - t0)
+                if code != 0:
+                    raise SystemExit(f"skymarket {' '.join(argv)} exited {code}")
+            files = {name: (out / name).read_bytes() for name in best}
+    finally:
+        cli.write_csv, cli.write_csv_text = writers
+
+    print(f"run --scheme all --outcomes --audit, 100 UAVs vs 25 vehicles, "
+          f"{horizon_slots} slots, seed {seed}, best of {repeats}:")
+    print(f"  {'whole call':<24}{best_call * 1e3:>10.2f} ms")
+    for name, seconds in best.items():
+        lines, kb = files[name].count(b"\n"), len(files[name]) / 1e3
+        print(f"  {name:<24}{seconds * 1e3:>10.2f} ms {lines:>9} lines {kb:>9.1f} kB")
+    total = sum(best.values())
+    print(f"  {'all files':<24}{total * 1e3:>10.2f} ms ({total / best_call:.0%} of the call)")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--horizon-slots", type=int, default=600)
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    bench(args.repeats, args.horizon_slots, args.seed)
+
+
+if __name__ == "__main__":
+    main()

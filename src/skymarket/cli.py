@@ -15,16 +15,15 @@ Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config (for
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 from pathlib import Path
 
 from .audit import AUDIT_CSV_HEADER, audit_report_row
-from .mechanism import OUTCOME_CSV_HEADER, outcome_rows
+from .mechanism import OUTCOME_CSV_HEADER, outcome_lines
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
 from .presets import PRESETS, count_problem, run_audit_suite, run_preset
-from .reporting import __version__, provenance_line, write_csv
+from .reporting import __version__, provenance_line, write_csv, write_csv_text
 from .simulator import (
     ALL_SCHEMES,
     SCHEME_OURS,
@@ -115,6 +114,17 @@ def _checked_config(path: str | None) -> ScenarioConfig | None:
     return None if problems else config
 
 
+def _outcome_text(outcomes):
+    """``outcomes.csv``'s rows as text, one chunk per outcome that has a
+    participant, each line led by its scheme and seed. Streamed: only one
+    window's lines are alive at a time."""
+    for scheme, seed, outcome in outcomes:
+        lines = outcome_lines(outcome)
+        if lines:
+            lead = f"{scheme},{seed},"
+            yield lead + lead.join(lines)
+
+
 def cmd_run(args) -> int:
     config = _checked_config(args.config)
     if config is None:
@@ -148,13 +158,8 @@ def cmd_run(args) -> int:
         files.append(write_csv(out / "audits.csv", AUDIT_CSV_HEADER,
                                map(audit_report_row, result.audits), prov))
     if args.outcomes:
-        # streamed: only one window's rows are alive at a time
-        rows = itertools.chain.from_iterable(
-            [(scheme, seed) + r for r in outcome_rows(outcome)]
-            for scheme, seed, outcome in result.outcomes
-        )
-        files.append(write_csv(out / "outcomes.csv",
-                               ("scheme", "seed") + OUTCOME_CSV_HEADER, rows, prov))
+        files.append(write_csv_text(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
+                                    _outcome_text(result.outcomes), prov))
     for f in files:
         print(f)
     return EXIT_OK

@@ -40,7 +40,7 @@ __all__ = [
     "uav_utility",
     "social_surplus",
     "run_auction",
-    "outcome_rows",
+    "outcome_lines",
     "OUTCOME_CSV_HEADER",
 ]
 
@@ -229,26 +229,18 @@ def run_auction(market: WindowMarket) -> AuctionOutcome:
 OUTCOME_CSV_HEADER = ("window_id", "uav_id", "ugv_id", "bid", "q", "payment", "utility", "rank")
 
 
-def outcome_rows(outcome: AuctionOutcome) -> list[tuple]:
-    """Flatten an outcome to CSV rows (one per participating UAV).
+def outcome_lines(outcome: AuctionOutcome) -> list[str]:
+    """Format an outcome as CSV text lines, one per participating UAV.
 
-    Losers carry empty ugv/q/rank fields, a zero payment, and zero
-    utility, matching their settlement.
+    Winners come first by rank, then losers in rank order. A loser has
+    empty ugv/q/rank fields, a zero payment and zero utility, matching its
+    settlement. Each line is what ``csv.writer`` writes for these fields
+    (``str`` of an int, ``repr`` of a float, nothing for an empty field);
+    no field needs quoting, as none can hold a comma, a quote or a newline.
     """
-    rows = []
-    for m, p in zip(outcome.winners, outcome.payments):
-        rows.append(
-            (
-                outcome.window_id,
-                m.uav_id,
-                m.ugv_id,
-                m.bid,
-                m.q,
-                p,
-                outcome.uav_utilities[m.uav_id],
-                m.rank,
-            )
-        )
-    for uav_id in outcome.losers:
-        rows.append((outcome.window_id, uav_id, "", "", "", 0.0, 0.0, ""))
-    return rows
+    wid = outcome.window_id
+    utilities = outcome.uav_utilities
+    lines = [f"{wid},{m.uav_id},{m.ugv_id},{m.bid!r},{m.q!r},{p!r},{utilities[m.uav_id]!r},"
+             f"{m.rank}\n" for m, p in zip(outcome.winners, outcome.payments)]
+    lines += [f"{wid},{uav_id},,,,0.0,0.0,\n" for uav_id in outcome.losers]
+    return lines

@@ -183,6 +183,10 @@ class ScenarioConfig:
     SoC drawn uniformly in [30%, 100%] and a 20% alert level, UGVs
     0.3-2.5 km out at 20-60 km/h with 80%-efficient 600 W pads, 8 s
     auction windows over 1 s slots.
+
+    ``base_station`` is deprecated: nothing reads it. It is still parsed
+    and written, and stays in the text ``config_hash`` digests, so old
+    config files load and provenance digests do not change.
     """
 
     area_width: float = 5000.0
@@ -326,6 +330,14 @@ def validate(config: ScenarioConfig) -> list[str]:
     if c.max_failed_windows < 0:
         v.append("max_failed_windows: must be >= 0 (0 keeps losers bidding; n > 0 "
                  "stops a UAV bidding for the rest of the run after n lost windows)")
+
+    # inf and nan pass some range checks above (inf > 0) and fail others
+    # without naming the field, so name every non-finite number not named yet
+    named = {p.partition(":")[0] for p in v}
+    for f in fields(ScenarioConfig):
+        value = getattr(c, f.name)
+        if isinstance(value, float) and not math.isfinite(value) and f.name not in named:
+            v.append(f"{f.name}: must be finite (got {value})")
     return v
 
 

@@ -1,8 +1,14 @@
 """Shared helpers: independent oracles kept free of package internals."""
 
+import csv
+import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,17 @@ from skymarket.energy import ascend_power, descend_power, flight_power, hover_po
 from skymarket.mechanism import run_auction, with_replaced_bid
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity
+
+
+def run_benchmark_script(name, *args):
+    """Run ``benchmarks/<name>`` with ``args`` in a child process that
+    imports the same copy of skymarket as this one."""
+    repo = Path(__file__).resolve().parents[1]
+    src_dir = str(Path(K.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src_dir, inherited))))
+    return subprocess.run([sys.executable, str(repo / "benchmarks" / name), *args],
+                          env=env, capture_output=True, text=True)
 
 
 def naive_best_assignment(phi_values, q_values):
@@ -77,6 +94,40 @@ def replay_deviation_probe(market, uav_id, grid=None):
         outcome = run_auction(with_replaced_bid(market, uav_id, b_prime))
         best_gain = max(best_gain, outcome.uav_utilities[uav_id] - base_utility)
     return best_gain
+
+
+def outcome_rows(outcome):
+    """Flatten an outcome to tuple rows for ``csv.writer``, one per
+    participating UAV: the oracle for ``mechanism.outcome_lines``.
+
+    Losers carry empty ugv/q/rank fields, a zero payment, and zero
+    utility, matching their settlement.
+    """
+    rows = []
+    for m, p in zip(outcome.winners, outcome.payments):
+        rows.append(
+            (
+                outcome.window_id,
+                m.uav_id,
+                m.ugv_id,
+                m.bid,
+                m.q,
+                p,
+                outcome.uav_utilities[m.uav_id],
+                m.rank,
+            )
+        )
+    for uav_id in outcome.losers:
+        rows.append((outcome.window_id, uav_id, "", "", "", 0.0, 0.0, ""))
+    return rows
+
+
+def csv_writer_text(rows):
+    """The text ``csv.writer`` writes for ``rows``, with the ``\n`` line
+    ending of the package's CSV files."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):

@@ -5,7 +5,11 @@ import hashlib
 import pytest
 
 from skymarket.cli import main
+from skymarket.mechanism import OUTCOME_CSV_HEADER, outcome_lines
+from skymarket.simulator import ALL_SCHEMES, run_experiment
 from skymarket.types import ScenarioConfig, save_config
+
+from conftest import csv_writer_text, outcome_rows, run_benchmark_script
 
 
 def read_bytes(path):
@@ -45,6 +49,18 @@ def test_validate_reports_an_overflowing_window_slot_ratio(tmp_path, capsys, tex
 def test_run_rejects_an_infinite_window_sweep(tmp_path, capsys):
     assert main(["run", "--tau", "8", "inf", "--out", str(tmp_path / "out")]) == 2
     assert "window_len: must be a positive multiple of slot_len" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
+    # an area of inf used to pass validate and crash the run with exit 1
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("area_width = inf\nhorizon_slots = 48\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().out == "area_width: must be finite (got inf)\n"
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid config: area_width: must be finite (got inf)\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -187,6 +203,31 @@ def test_contested_run_csvs_match_pinned_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.glob("*.csv")}
     assert digests == CONTESTED_DIGESTS
+
+
+def test_contested_outcomes_are_what_csv_writer_writes(tmp_path):
+    # every outcome of the contested command, and the outcomes.csv the
+    # CLI writes from them, against the tuple rows through csv.writer
+    result = run_experiment(CONTESTED_CONFIG, {"ugv_count": [5, 25]}, replications=2,
+                            schemes=ALL_SCHEMES, base_seed=5, keep_outcomes=True)
+    kinds, rows = set(), []
+    for scheme, seed, outcome in result.outcomes:
+        oracle = outcome_rows(outcome)
+        assert "".join(outcome_lines(outcome)) == csv_writer_text(oracle)
+        kinds.add((scheme, bool(outcome.winners), bool(outcome.losers)))
+        rows += [(scheme, seed) + r for r in oracle]
+    # per scheme: windows with a trade, bidders with no trade, no bidder
+    assert kinds >= {(s, w, l) for s in ALL_SCHEMES for w, l in
+                     [(True, True), (False, True), (False, False)]}
+
+    cfg_path = tmp_path / "contested.cfg"
+    save_config(CONTESTED_CONFIG, cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--scheme", "all", "--ugvs", "5", "25",
+                 "--reps", "2", "--seed", "5", "--outcomes", "--out", str(out)]) == 0
+    provenance, text = (out / "outcomes.csv").read_text(encoding="utf-8").split("\n", 1)
+    assert provenance.startswith("# skymarket ")
+    assert text == csv_writer_text([("scheme", "seed") + OUTCOME_CSV_HEADER] + rows)
 
 
 # UAVs that start at 0-30% charge, 2 s slots in 8 s windows and losers
@@ -351,3 +392,11 @@ def test_every_name_the_benchmark_hooks_resolves():
         owner, attr = tracer._resolve(target)
         assert callable(getattr(owner, attr)), target
     assert skymarket._kernels.active_backend() == "numpy"
+
+
+def test_outputs_benchmark_script_runs():
+    # a short smoke run, so the script tracks the CLI's writers
+    out = run_benchmark_script("bench_outputs.py", "--repeats", "1", "--horizon-slots", "16")
+    assert out.returncode == 0, out.stderr
+    for name in ("metrics_raw.csv", "metrics_aggregate.csv", "audits.csv", "outcomes.csv"):
+        assert name in out.stdout

@@ -8,7 +8,7 @@ import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
 
-from conftest import step_world_loop
+from conftest import run_benchmark_script, step_world_loop
 
 
 def snapshot(world):
@@ -130,22 +130,8 @@ def test_backend_flag_reports():
 
 
 def test_kernel_benchmark_script_runs():
-    # a two-step smoke run, so the script tracks the kernel's API; the
-    # child imports the same copy of skymarket as this process
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    repo = Path(__file__).resolve().parents[1]
-    src_dir = str(Path(K.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src_dir, inherited))))
-    out = subprocess.run(
-        [sys.executable, str(repo / "benchmarks" / "bench_kernels.py"),
-         "--steps", "2", "--repeats", "1"],
-        env=env, capture_output=True, text=True,
-    )
+    # a two-step smoke run, so the script tracks the kernel's API
+    out = run_benchmark_script("bench_kernels.py", "--steps", "2", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     assert "1000x1000" in out.stdout and "full default run" in out.stdout
 

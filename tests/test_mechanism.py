@@ -9,13 +9,19 @@ from skymarket.mechanism import (
     WindowMarket,
     admit,
     allocate,
-    outcome_rows,
+    outcome_lines,
     price,
     run_auction,
     with_replaced_bid,
 )
 
-from conftest import naive_best_assignment, payment_closed_form, payment_unrolled
+from conftest import (
+    csv_writer_text,
+    naive_best_assignment,
+    outcome_rows,
+    payment_closed_form,
+    payment_unrolled,
+)
 
 # satisfactory level 87.822 Wh minus a SoC of 40 Wh
 GAP = 87.822 - 40.0
@@ -231,14 +237,45 @@ def test_raising_losing_bid_above_cutoff_wins(rng):
         assert loser in new_winners
 
 
-def test_outcome_rows_schema():
+def test_outcome_lines_schema():
     market = WindowMarket.from_values([4.0, 2.0, 1.0], [4.0, 2.0, 1.0], [0.9, 0.5], window_id=3)
-    rows = outcome_rows(run_auction(market))
-    assert len(rows) == 3
-    win = rows[0]
-    assert win[0] == 3 and win[7] == 1  # window id, rank
-    lose = rows[-1]
-    assert lose[2] == "" and lose[5] == 0.0
+    lines = outcome_lines(run_auction(market))
+    assert len(lines) == 3
+    win = lines[0].rstrip("\n").split(",")
+    assert len(win) == 8
+    assert win[0] == "3" and win[1] == "0" and win[7] == "1"  # window id, uav id, rank
+    assert lines[-1] == "3,2,,,,0.0,0.0,\n"  # the loser
+
+
+def test_outcome_lines_are_what_csv_writer_writes(rng):
+    # random markets with bids and quality scores rounded, so equal bids
+    # and equal q (ranked by id) are common, including empty sides
+    ties = 0
+    for window_id in range(120):
+        drawn = random_market(rng, int(rng.integers(0, 9)), int(rng.integers(0, 9)),
+                              truthful=False)
+        market = WindowMarket.from_values(
+            [e.phi_bar for e in drawn.demand], [round(e.bid) for e in drawn.demand],
+            [max(round(s.q, 1), 0.1) for s in drawn.supply], window_id=window_id)
+        bids = [e.bid for e in market.demand]
+        ties += len(set(bids)) < len(bids)
+        outcome = run_auction(market)
+        assert "".join(outcome_lines(outcome)) == csv_writer_text(outcome_rows(outcome))
+    assert ties > 20
+
+
+def test_outcome_lines_write_exponent_floats_as_csv_writer_does():
+    market = WindowMarket.from_values([1e-07, 1e+17, 2.0], [1e-07, 1e+17, 2.0], [1e-07, 0.5],
+                                      window_id=10**6)
+    outcome = run_auction(market)
+    text = "".join(outcome_lines(outcome))
+    assert text == csv_writer_text(outcome_rows(outcome))
+    assert "1e+17" in text and "1e-07" in text and "e-15" in text
+
+
+def test_outcome_with_no_participants_has_no_lines():
+    outcome = run_auction(WindowMarket.from_values([], [], [0.5, 0.9], window_id=4))
+    assert outcome_lines(outcome) == [] == outcome_rows(outcome)
 
 
 def test_beta_matrix_row_col_sums(rng):

@@ -1,5 +1,9 @@
 """Domain type invariants, config files and their round trips."""
 
+import math
+import pathlib
+import typing
+
 import pytest
 
 from skymarket.types import (
@@ -18,6 +22,9 @@ from skymarket.types import (
     validate,
 )
 
+BASELINE_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
+FLOAT_FIELDS = [name for name, hint in typing.get_type_hints(ScenarioConfig).items()
+                if hint in (float, typing.Optional[float])]
 
 
 def make_uav(uid, soc=40.0):
@@ -191,6 +198,20 @@ def test_validate_reports_a_window_with_infinitely_many_slots(window_len, slot_l
     assert problems == ["window_len: must be a positive multiple of slot_len"]
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_validate_names_every_non_finite_number(name, value):
+    problems = validate(ScenarioConfig().replace(**{name: value}))
+    assert any(p.startswith(f"{name}:") for p in problems), problems
+
+
+def test_config_hash_is_pinned():
+    # base_station is read by nothing but kept in the hashed text, so the
+    # config digest of every provenance line stays as it was
+    assert config_hash(ScenarioConfig()) == "a191e5dc8ab2"
+    assert config_hash(load_config(BASELINE_CFG)) == "a191e5dc8ab2"
+
+
 def test_config_hash_tracks_content():
     a = ScenarioConfig()
     b = ScenarioConfig(ugv_count=14)
@@ -199,10 +220,7 @@ def test_config_hash_tracks_content():
 
 
 def test_shipped_default_config_matches_defaults():
-    import pathlib
-
-    shipped = pathlib.Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
-    cfg = load_config(shipped)
+    cfg = load_config(BASELINE_CFG)
     assert cfg == ScenarioConfig()
     assert validate(cfg) == []
 
