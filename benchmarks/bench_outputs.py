@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
-"""Time each CSV that ``skymarket run`` writes on a crowded market.
+"""Time each CSV that ``skymarket run`` writes, on a crowded market and on criterion 7's sweep.
 
-Calls ``run --scheme all --outcomes --audit`` through ``skymarket.cli.main``
-on 100 UAVs starting at 30-60% charge against 25 vehicles (the config of
-perfbench's ``crowded_market``), and times every writer call the CLI
-makes: metrics_raw, metrics_aggregate, audits and outcomes. A writer's
-time includes building the rows it consumes as it writes. Prints each
-file's best time over the repeats, with its line count and size, next to
-the best time of the whole call.
+Calls ``skymarket.cli.main`` and times every writer call the CLI makes
+(metrics_raw, metrics_aggregate, audits and outcomes) next to the whole
+call. Two workloads:
 
-Usage: python benchmarks/bench_outputs.py [--repeats 5] [--horizon-slots 600]
+* ``run --scheme all --outcomes --audit`` on 100 UAVs starting at 30-60%
+  charge against 25 vehicles (the config of perfbench's
+  ``crowded_market``);
+* criterion 7's sweep, ``run --ugvs 6 8 10 12 14 --reps 100 --scheme
+  all`` on the default config, without and with ``--audit``.
+
+A writer's time includes building the rows it consumes as it writes:
+for audits.csv, the rows are built from the audit fields kept beside
+the window metrics. Prints each file's best time over the repeats, with
+its line count and size, next to the best time of the whole call.
+``--horizon-slots`` sets every workload's horizon.
+
+Usage: python benchmarks/bench_outputs.py [--repeats 5] [--horizon-slots 600] [--seed 7]
 """
 
 import argparse
@@ -37,18 +45,22 @@ def timed(write, best):
     return wrapper
 
 
-def bench(repeats, horizon_slots, seed):
+CRITERION_7 = ["--ugvs", "6", "8", "10", "12", "14", "--reps", "100", "--scheme", "all"]
+
+
+def bench(title, config, args, repeats):
+    """Time ``run --config <config> <args>``; print the best whole call
+    and each file's best writer call."""
     best = {}
     best_call = math.inf
     writers = cli.write_csv, cli.write_csv_text
     cli.write_csv, cli.write_csv_text = (timed(w, best) for w in writers)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "crowded.cfg"
-            save_config(CROWDED.replace(horizon_slots=horizon_slots), cfg)
+            cfg = Path(tmp) / "scenario.cfg"
+            save_config(config, cfg)
             out = Path(tmp) / "out"
-            argv = ["run", "--config", str(cfg), "--scheme", "all", "--outcomes", "--audit",
-                    "--seed", str(seed), "--out", str(out)]
+            argv = ["run", "--config", str(cfg), *args, "--out", str(out)]
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 with contextlib.redirect_stdout(io.StringIO()):
@@ -60,8 +72,7 @@ def bench(repeats, horizon_slots, seed):
     finally:
         cli.write_csv, cli.write_csv_text = writers
 
-    print(f"run --scheme all --outcomes --audit, 100 UAVs vs 25 vehicles, "
-          f"{horizon_slots} slots, seed {seed}, best of {repeats}:")
+    print(f"{title}, {config.horizon_slots} slots, best of {repeats}:")
     print(f"  {'whole call':<24}{best_call * 1e3:>10.2f} ms")
     for name, seconds in best.items():
         lines, kb = files[name].count(b"\n"), len(files[name]) / 1e3
@@ -76,7 +87,14 @@ def main():
     parser.add_argument("--horizon-slots", type=int, default=600)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
-    bench(args.repeats, args.horizon_slots, args.seed)
+    seed = ["--seed", str(args.seed)]
+    bench(f"run --scheme all --outcomes --audit, 100 UAVs vs 25 vehicles, seed {args.seed}",
+          CROWDED.replace(horizon_slots=args.horizon_slots),
+          ["--scheme", "all", "--outcomes", "--audit", *seed], args.repeats)
+    default = ScenarioConfig(horizon_slots=args.horizon_slots)
+    for audit in ([], ["--audit"]):
+        bench(f"criterion 7: run {' '.join(CRITERION_7 + audit)}, seed {args.seed}",
+              default, CRITERION_7 + audit + seed, args.repeats)
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ maximum, so ``optimal_scheme_outcome`` clears a copy of the market whose
 bids are the valuations through the auction itself; the result is priced
 by the auction's externality rule and its utilities stay comparable.
 Under truthful bids, which is every market the simulator and the presets
-build, it returns exactly the auction's outcome. So the simulator never
-calls it: every window clears through ``run_auction``, and a sweep
-reports its ``optimal`` rows from the ``ours`` world. The tests run it
-inside worlds as the oracle for that shortcut; ``table-envy`` calls it.
+build, it returns exactly the auction's outcome. So no product code
+calls it: every window clears through ``run_auction``, a sweep reports
+its ``optimal`` rows from the ``ours`` world, and ``table-envy`` copies
+its ``ours`` statistics. The tests run it inside worlds as the oracle.
 
 ``best_assignment`` is an exact branch-and-bound search over injections,
 kept as the oracle the closed form is checked against; no scheme calls it.

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .audit import AUDIT_CSV_HEADER, audit_report_row
+from .audit import AUDIT_CSV_HEADER
 from .mechanism import OUTCOME_CSV_HEADER, outcome_lines
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
 from .presets import PRESETS, count_problem, run_audit_suite, run_preset
@@ -156,7 +156,7 @@ def cmd_run(args) -> int:
     ]
     if args.audit:
         files.append(write_csv(out / "audits.csv", AUDIT_CSV_HEADER,
-                               map(audit_report_row, result.audits), prov))
+                               result.metrics.audit_tuples(), prov))
     if args.outcomes:
         files.append(write_csv_text(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
                                     _outcome_text(result.outcomes), prov))

@@ -1,8 +1,9 @@
 """Window metrics: one row per cleared window, kept in columns.
 
 ``close_window`` reports a window as a ``MetricsRow``; a sweep keeps its
-windows in a ``MetricsColumns`` store, writes the CSV rows straight from
-it and reduces it to per-(scheme, J, tau) aggregates.
+windows in a ``MetricsColumns`` store, beside each window's outcome and
+audit findings when asked for, writes the CSV rows straight from it and
+reduces it to per-(scheme, J, tau) aggregates.
 """
 
 from __future__ import annotations
@@ -62,10 +63,12 @@ class MetricsColumns:
     ``ours`` and ``optimal`` list the same block. ``uav_empty`` and
     ``ugv_empty`` mark utilities that are empty sums (no agent of that
     side in the market), which a ``MetricsRow`` holds as the int ``0``.
+    ``audits`` (each entry's audit fields after the instance name) and
+    ``outcomes`` (its ``AuctionOutcome``) are lists only when asked for.
     New entries hold a window with neither bidder nor offered vehicle.
     """
 
-    def __init__(self, runs: list, window: np.ndarray):
+    def __init__(self, runs: list, window: np.ndarray, with_audit: bool, keep_outcomes: bool):
         n = len(window)
         self.runs = runs
         self.window = window
@@ -77,6 +80,8 @@ class MetricsColumns:
         self.winners = np.zeros(n, dtype=np.int64)
         self.uav_empty = np.ones(n, dtype=bool)
         self.ugv_empty = np.ones(n, dtype=bool)
+        self.audits = [_NO_MARKET_AUDIT] * n if with_audit else None
+        self.outcomes = [None] * n if keep_outcomes else None
 
     def record(self, k: int, row: MetricsRow) -> None:
         """Set entry k's metrics to ``row``'s; ``uav_empty`` and
@@ -110,14 +115,17 @@ class MetricsColumns:
         """The rows in output order, as ``MetricsRow``s."""
         return list(itertools.starmap(MetricsRow, self.tuples()))
 
-    def audit_reports(self, audits: list, run: tuple) -> list[AuditReport]:
-        """Audit reports of ``run``'s windows; ``audits`` holds each entry's
-        fields after the instance name, or None for a window with no trade."""
-        scheme, _, _, seed, start, stop = run
-        return [
-            AuditReport(f"{scheme}-seed{seed}-w{w}", *(fields or _NO_MARKET_AUDIT))
-            for w, fields in zip(self.window[start:stop].tolist(), audits[start:stop])
-        ]
+    def audit_tuples(self):
+        """The audit rows in output order, as ``AUDIT_CSV_HEADER`` tuples."""
+        if self.audits is None:
+            return
+        for scheme, _, _, seed, start, stop in self.runs:
+            for w, fields in zip(self.window[start:stop].tolist(), self.audits[start:stop]):
+                yield (f"{scheme}-seed{seed}-w{w}", *fields)
+
+    def audit_reports(self) -> list[AuditReport]:
+        """The audit rows in output order, as ``AuditReport``s."""
+        return list(itertools.starmap(AuditReport, self.audit_tuples()))
 
 
 METRICS_CSV_HEADER = (

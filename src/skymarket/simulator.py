@@ -20,12 +20,13 @@ bookkeeping pass for the whole sweep rather than one per world, and
 each world still clears its windows at its own ``window_len``. Nothing
 couples agents except partner indices, which are offset into the stack,
 so every world evolves bit-identically to a run on its own. Window
-metrics are kept in columns (``MetricsColumns``), one block of entries
-per world, and rows are built only when written or asked for. Most
-windows of a sweep have no trade: no sampled bidder, or no vehicle
-that could serve the neediest one. Segment reductions over the stack
-tell those apart, and they are settled in bulk, without building a
-market; only windows with a trade clear through ``close_window``.
+metrics, and the outcomes and audit findings asked for, are kept in
+columns (``MetricsColumns``), one block of entries per world; rows and
+reports are built only when written or read. Most windows of a sweep
+have no trade: no sampled bidder, or no vehicle that could serve the
+neediest one. Segment reductions over the stack tell those apart, and
+they are settled in bulk, without building a market; only windows with
+a trade clear through ``close_window``, and only their markets are audited.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -373,7 +374,7 @@ def advance_slot(world: World) -> World:
     return world
 
 
-def close_window(world: World, with_audit: bool = False):
+def close_window(world: World):
     """Clear the pending window at the current slot boundary.
 
     Reads the market inputs as whole-array slices: the queued bidders'
@@ -381,7 +382,7 @@ def close_window(world: World, with_audit: bool = False):
     each idle vehicle's quality score and remaining supply. Clears the
     market through the auction and schedules rendezvous for matched
     pairs; losers are settled by ``_settle_losers``, as in a window with
-    no trade. Returns (outcome, metrics row[, audit report]).
+    no trade. Returns (outcome, metrics row, the market it cleared).
     """
     c = world.config
     spw = c.slots_per_window
@@ -445,11 +446,7 @@ def close_window(world: World, with_audit: bool = False):
     world.phi_sum[won] = world.rho_sum[won] = 0.0
     world.sample_count[won] = 0
     _settle_losers(world, np.array(outcome.losers, dtype=np.int64), c.max_failed_windows)
-
-    if with_audit:
-        report = audit_market(market, instance=f"{world.scheme}-seed{world.seed}-w{window_id}")
-        return outcome, row, report
-    return outcome, row
+    return outcome, row, market
 
 
 # agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
@@ -522,8 +519,7 @@ def _no_trade_outcome(world: World, window_id: int, sampled: np.ndarray,
 
 
 def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
-                  cols: MetricsColumns, outcomes: Optional[list],
-                  audits: Optional[list]) -> None:
+                  cols: MetricsColumns) -> None:
     """Step worlds that share advance_slot's constants as one stack.
 
     Member k's windows fill ``cols`` from entry ``first_entry[k]`` on. At
@@ -537,9 +533,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     every bidder loses, through the ``_settle_losers`` that
     ``close_window`` settles its own losers with, and the entry, whose
     other fields start at a no-trade window's values, keeps them. Every
-    due entry's empty-side flags are set here. ``outcomes`` (one list
-    per member) and ``audits`` (one item per entry) are filled unless
-    None.
+    due entry's empty-side flags are set here, and its outcome and the
+    audit fields of a trade when ``cols`` keeps them.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -579,13 +574,13 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
             trade = bids & sells
             # every due entry's empty-side flags are set here, trades included
             cols.ugv_empty[entry] = ~sells
-            if outcomes is not None:
+            if cols.outcomes is not None:
                 for k, e in zip(ks[~trade].tolist(), entry[~trade].tolist()):
                     w = worlds[k]
-                    outcomes[k].append(_no_trade_outcome(
+                    cols.outcomes[e] = _no_trade_outcome(
                         w, int(cols.window[e]),
                         sampled[w.uav_base:w.uav_base + w.num_uavs],
-                        admitted[w.ugv_base:w.ugv_base + w.num_ugvs]))
+                        admitted[w.ugv_base:w.ugv_base + w.num_ugvs])
             if not bidding:
                 continue
             cols.uav_empty[entry] = ~bids
@@ -600,12 +595,12 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
             for k, e in zip(ks[trade].tolist(), entry[trade].tolist()):
                 world = worlds[k]
                 world.clock = clock
-                outcome, row, *report = close_window(world, with_audit=audits is not None)
+                outcome, row, market = close_window(world)
                 cols.record(e, row)
-                if outcomes is not None:
-                    outcomes[k].append(outcome)
-                if audits is not None:
-                    audits[e] = audit_report_row(report[0])[1:]
+                if cols.outcomes is not None:
+                    cols.outcomes[e] = outcome
+                if cols.audits is not None:
+                    cols.audits[e] = audit_report_row(audit_market(market))[1:]
     finally:
         for w in worlds:
             w.clock = stack.clock
@@ -638,10 +633,9 @@ def _settle_losers(world: World, losers: np.ndarray, max_fails) -> None:
 
 
 def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
-                 with_audit: bool, keep_outcomes: bool):
-    """``run_worlds`` into columns: (``MetricsColumns`` with one run per
-    world, under its own scheme; outcomes per world or None; audit
-    fields per entry or None, see ``MetricsColumns.audit_reports``)."""
+                 with_audit: bool, keep_outcomes: bool) -> MetricsColumns:
+    """``run_worlds`` into columns: one run per world, under its own
+    scheme, with audit fields and outcomes if asked for."""
     if len({w.clock for w in worlds}) > 1:
         raise ValueError("run_worlds needs every world at the same clock")
     groups: dict[tuple, list[int]] = {}
@@ -657,14 +651,10 @@ def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
         windows.append(np.arange(first + 1, last + 1))
         runs.append((w.scheme, c.ugv_count, c.window_len, w.seed, stop, stop + count))
         stop += count
-    cols = MetricsColumns(runs, np.concatenate(windows))
-    outcomes = [[] for _ in worlds] if keep_outcomes else None
-    audits = [None] * stop if with_audit else None
+    cols = MetricsColumns(runs, np.concatenate(windows), with_audit, keep_outcomes)
     for (horizon, *_), members in groups.items():
-        _run_lockstep([worlds[k] for k in members], horizon,
-                      [runs[k][4] for k in members], cols,
-                      None if outcomes is None else [outcomes[k] for k in members], audits)
-    return cols, outcomes, audits
+        _run_lockstep([worlds[k] for k in members], horizon, [runs[k][4] for k in members], cols)
+    return cols
 
 
 def run_worlds(
@@ -681,17 +671,17 @@ def run_worlds(
     own ``slots_per_window``. The kernel and the bookkeeping are per
     agent, so every world evolves exactly as it would alone. A window
     with no trade is settled without building a market; its row,
-    outcome, audit report and state updates equal ``close_window``'s.
-    Each result is (metrics rows, outcomes, audit reports), as from
-    ``run_world``.
+    outcome, audit report and state updates equal those of
+    ``close_window`` and ``audit_market`` on its market. Each result is
+    (metrics rows, outcomes, audit reports), as from ``run_world``.
     """
-    cols, outcomes, audits = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
-    rows = cols.rows()
+    cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
+    # one run per world, in entry order: output position is entry index
+    rows, audits = cols.rows(), cols.audit_reports()
     return [
-        (rows[run[4]:run[5]],
-         outcomes[k] if keep_outcomes else [],
-         cols.audit_reports(audits, run) if with_audit else [])
-        for k, run in enumerate(cols.runs)
+        (rows[start:stop], cols.outcomes[start:stop] if keep_outcomes else [],
+         audits[start:stop])
+        for *_, start, stop in cols.runs
     ]
 
 
@@ -707,18 +697,27 @@ def run_world(
 
 @dataclass
 class ExperimentResult:
-    """A sweep's window metrics in columns, its aggregates, and the audit
-    reports and outcomes asked for, all in row order."""
+    """A sweep's windows in columns (metrics, and the audit findings and
+    outcomes asked for) and its aggregates; rows, audit reports and
+    outcomes are built from the columns, in row order, on each access."""
 
     metrics: MetricsColumns
     aggregates: list[dict]
-    audits: list = field(default_factory=list)
-    outcomes: list = field(default_factory=list)  # (scheme, seed, AuctionOutcome)
 
     @property
     def rows(self) -> list[MetricsRow]:
-        """The metrics rows in output order, built from the columns on each access."""
         return self.metrics.rows()
+
+    @property
+    def audits(self) -> list:
+        return self.metrics.audit_reports()
+
+    @property
+    def outcomes(self) -> list:
+        """(scheme, seed, AuctionOutcome) per window; empty unless kept."""
+        kept = self.metrics.outcomes or ()
+        return [(scheme, seed, outcome) for scheme, _, _, seed, start, stop in self.metrics.runs
+                for outcome in kept[start:stop]]
 
 
 def sweep_cells(config: ScenarioConfig, sweep: Mapping[str, Sequence]) -> list[ScenarioConfig]:
@@ -770,16 +769,6 @@ def run_experiment(
                     built[kind] = len(worlds)
                     worlds.append(_build_world(cfg, base_seed + rep, kind, *draws[rep]))
                 emitted.append((scheme, built[kind]))
-    cols, world_outcomes, world_audits = _run_columns(worlds, None, with_audit, keep_outcomes)
-    runs, audits, outcomes = [], [], []
-    for scheme, k in emitted:
-        run = (scheme, *cols.runs[k][1:])
-        runs.append(run)
-        if with_audit:
-            audits += cols.audit_reports(world_audits, run)
-        if keep_outcomes:
-            outcomes += [(scheme, run[3], o) for o in world_outcomes[k]]
-    cols.runs = runs
-    return ExperimentResult(
-        metrics=cols, aggregates=aggregate_rows(cols), audits=audits, outcomes=outcomes,
-    )
+    cols = _run_columns(worlds, None, with_audit, keep_outcomes)
+    cols.runs = [(scheme, *cols.runs[k][1:]) for scheme, k in emitted]
+    return ExperimentResult(metrics=cols, aggregates=aggregate_rows(cols))

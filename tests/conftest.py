@@ -21,7 +21,7 @@ from skymarket._kernels import (  # the names step_world_loop reads
     F_TX, F_TY, F_X, F_Y, F_Z, G_STEP, G_SUPPLY, G_TX, G_TY, G_X, G_Y, GI_PARTNER, GI_STATE,
     I_ACT, I_PARTNER, UGV_ENROUTE, UGV_IDLE, UGV_SERVING,
 )
-from skymarket.audit import deviation_grid
+from skymarket.audit import audit_market, deviation_grid
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import run_auction, with_replaced_bid
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
@@ -132,16 +132,19 @@ def csv_writer_text(rows):
 
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     """One world run alone, slot by slot, every window through
-    ``close_window``: the oracle for ``run_worlds``, which stacks worlds
-    and settles windows with no trade without building a market."""
+    ``close_window`` and, with ``with_audit``, every market it clears
+    through ``audit_market``: the oracle for ``run_worlds``, which stacks
+    worlds and settles windows with no trade without building a market."""
     spw = world.config.slots_per_window
     rows, outcomes, audits = [], [], []
     for _ in range(horizon):
         advance_slot(world)
         if world.clock % spw == 0:
-            outcome, row, *report = close_window(world, with_audit=with_audit)
+            outcome, row, market = close_window(world)
             rows.append(row)
-            audits.extend(report)
+            if with_audit:
+                audits.append(audit_market(
+                    market, instance=f"{world.scheme}-seed{world.seed}-w{world.clock // spw}"))
             if keep_outcomes:
                 outcomes.append(outcome)
     return rows, outcomes, audits

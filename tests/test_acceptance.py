@@ -233,7 +233,7 @@ def test_criterion_9_energy_model_identities():
             ok_bounds = False
             break
         if world.clock % cfg.slots_per_window == 0:
-            _, row = close_window(world)
+            _, row, _ = close_window(world)
             rows.append(row)
 
     # (c) surplus == total utilities on every recorded window (1e-9)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from skymarket.audit import audit_report_row
 from skymarket.cli import main
 from skymarket.mechanism import OUTCOME_CSV_HEADER, outcome_lines
 from skymarket.simulator import ALL_SCHEMES, run_experiment
@@ -230,6 +231,33 @@ def test_contested_outcomes_are_what_csv_writer_writes(tmp_path):
     assert text == csv_writer_text([("scheme", "seed") + OUTCOME_CSV_HEADER] + rows)
 
 
+def test_contested_audit_rows_come_from_the_columns():
+    # audits.csv is written from the audit fields kept in the columns;
+    # they are the rows of the audit reports built from them, field types
+    # included, over windows with a trade, with bidders and no trade, and
+    # with no bidder, under every scheme
+    sweep = {"ugv_count": [5, 25]}
+    result = run_experiment(CONTESTED_CONFIG, sweep, replications=2, schemes=ALL_SCHEMES,
+                            base_seed=5, with_audit=True, keep_outcomes=True)
+    tuples = list(result.metrics.audit_tuples())
+    reports = [audit_report_row(r) for r in result.audits]
+    assert tuples == reports
+    assert [tuple(map(type, t)) for t in tuples] == [tuple(map(type, r)) for r in reports]
+    assert {tuple(map(type, t)) for t in tuples} == {(str, int, int, float, float, float, int)}
+    rows = result.rows
+    assert [t[0] for t in tuples] == [f"{r.scheme}-seed{r.seed}-w{r.window}" for r in rows]
+    assert [(s, seed, o.window_id) for s, seed, o in result.outcomes] == [
+        (r.scheme, r.seed, r.window) for r in rows]
+    kinds = {(s, bool(o.winners), bool(o.uav_utilities)) for s, _, o in result.outcomes}
+    assert kinds == {(s, w, b) for s in ALL_SCHEMES
+                     for w, b in [(True, True), (False, True), (False, False)]}
+
+    plain = run_experiment(CONTESTED_CONFIG, sweep, replications=1, schemes=ALL_SCHEMES,
+                           base_seed=5)
+    assert plain.audits == plain.outcomes == []
+    assert list(plain.metrics.audit_tuples()) == []
+
+
 # UAVs that start at 0-30% charge, 2 s slots in 8 s windows and losers
 # leaving after two failed windows, against 1, 4 or 9 mobile vehicles or
 # static pads. Recorded before close_window and the stack shared one
@@ -400,3 +428,4 @@ def test_outputs_benchmark_script_runs():
     assert out.returncode == 0, out.stderr
     for name in ("metrics_raw.csv", "metrics_aggregate.csv", "audits.csv", "outcomes.csv"):
         assert name in out.stdout
+    assert out.stdout.count("criterion 7: run --ugvs") == 2

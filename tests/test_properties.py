@@ -114,8 +114,8 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
             seen.append((len(offers), market.num_ugvs))
         return market
 
-    def counting_close(world, with_audit=False):
-        result = real_close(world, with_audit=with_audit)
+    def counting_close(world):
+        result = real_close(world)
         cleared.append(result[0])
         return result
 

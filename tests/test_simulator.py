@@ -657,9 +657,9 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     depth = [0]  # close_window calls in progress
     scored_inside = []  # per ugv_qors call: was it inside close_window?
 
-    def counting_close(world, with_audit=False):
+    def counting_close(world):
         depth[0] += 1
-        result = real_close(world, with_audit=with_audit)
+        result = real_close(world)
         depth[0] -= 1
         cleared.append(result[0])
         return result
@@ -753,6 +753,26 @@ def test_close_window_rejects_a_bidder_soc_beyond_capacity():
     world.uav_f[i, K.F_SOC] = world.uav_f[i, K.F_CAP] + 1.0
     with pytest.raises(ValueError, match="capacity"):
         close_window(world)
+
+
+def test_close_window_returns_the_market_its_outcome_clears():
+    # the market close_window returns, which a sweep audits, re-clears to
+    # the returned outcome, in windows with a trade, with bidders and no
+    # trade, and with no bidder
+    cfg = ScenarioConfig(uav_count=100, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6,
+                         max_failed_windows=3, horizon_slots=240)
+    kinds = set()
+    for m, scheme in itertools.product((5, 25), (SCHEME_OURS, SCHEME_STATIC)):
+        world = generate_scenario(cfg.replace(ugv_count=m), seed=5, scheme=scheme)
+        for _ in range(cfg.horizon_slots):
+            advance_slot(world)
+            if world.clock % cfg.slots_per_window == 0:
+                outcome, row, market = close_window(world)
+                assert run_auction(market) == outcome
+                assert market.window_id == outcome.window_id == row.window
+                kinds.add((scheme, bool(outcome.winners), bool(market.demand)))
+    assert kinds == {(s, w, d) for s in (SCHEME_OURS, SCHEME_STATIC)
+                     for w, d in [(True, True), (False, True), (False, False)]}
 
 
 def _snapshot_market(world):
