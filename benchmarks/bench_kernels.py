@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Time the slot-stepping kernel.
 
-Two workloads:
+Three workloads:
 
 * raw kernel throughput on synthetic fleets of increasing size, agents
   mid-mission so every activity branch stays hot;
+* ``run_worlds`` on one stack per slot, kernel, bookkeeping and windows
+  together, on the stacks perfbench's sweeps step: ``fleet_sweep``'s
+  (10 worlds of 10 UAVs, J = 6..14, mobile and static) and
+  ``crowded_market``'s (2 worlds of 100 UAVs against 25 vehicles), over
+  the first ``--steps`` slots of the 600-slot horizon;
 * a full default-scenario run (600 slots, 75 auction windows), which
   shows how much of the end-to-end wall time the kernel actually owns.
 
@@ -17,8 +22,13 @@ import time
 import numpy as np
 
 import skymarket._kernels as K
-from skymarket.simulator import advance_slot, close_window, generate_scenario, run_world
+from skymarket.simulator import (
+    SCHEME_OURS, SCHEME_STATIC, advance_slot, close_window, generate_scenario, run_world,
+    run_worlds,
+)
 from skymarket.types import ScenarioConfig
+
+CROWDED = ScenarioConfig(uav_count=100, ugv_count=25, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
 
 
 def warmed_arrays(n_uavs, n_ugvs, seed=0):
@@ -56,6 +66,24 @@ def bench_raw(steps, repeats):
         print(f"  {n_uavs:>4}x{n_ugvs:<5} {best * 1e6 / steps:>10.2f}us")
 
 
+def bench_run_worlds(steps, repeats):
+    stacks = (
+        ("fleet_sweep, 10 worlds x 10 UAVs", ScenarioConfig(), (6, 8, 10, 12, 14)),
+        ("crowded_market, 2 worlds x 100 UAVs", CROWDED, (25,)),
+    )
+    slots = min(steps, ScenarioConfig().horizon_slots)
+    print(f"\nrun_worlds on one stack, {slots} slots (best of {repeats}), time per slot:")
+    for title, cfg, ugv_counts in stacks:
+        best = np.inf
+        for _ in range(repeats):
+            worlds = [generate_scenario(cfg.replace(ugv_count=m), 7000, scheme)
+                      for m in ugv_counts for scheme in (SCHEME_OURS, SCHEME_STATIC)]
+            t0 = time.perf_counter()
+            run_worlds(worlds, slots)
+            best = min(best, time.perf_counter() - t0)
+        print(f"  {title:<38}{best * 1e6 / slots:>10.2f}us")
+
+
 def bench_full_run(repeats):
     best = np.inf
     for _ in range(repeats):
@@ -73,6 +101,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     bench_raw(args.steps, args.repeats)
+    bench_run_worlds(args.steps, args.repeats)
     bench_full_run(args.repeats)
 
 

@@ -116,8 +116,9 @@ def _checked_config(path: str | None) -> ScenarioConfig | None:
 
 def _outcome_text(outcomes):
     """``outcomes.csv``'s rows as text, one chunk per outcome that has a
-    participant, each line led by its scheme and seed. Streamed: only one
-    window's lines are alive at a time."""
+    participant, each line led by its scheme and seed. Streamed from
+    ``MetricsColumns.outcome_tuples``: only one window's lines are alive
+    at a time."""
     for scheme, seed, outcome in outcomes:
         lines = outcome_lines(outcome)
         if lines:
@@ -159,7 +160,7 @@ def cmd_run(args) -> int:
                                result.metrics.audit_tuples(), prov))
     if args.outcomes:
         files.append(write_csv_text(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
-                                    _outcome_text(result.outcomes), prov))
+                                    _outcome_text(result.metrics.outcome_tuples()), prov))
     for f in files:
         print(f)
     return EXIT_OK

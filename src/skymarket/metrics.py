@@ -123,6 +123,15 @@ class MetricsColumns:
             for w, fields in zip(self.window[start:stop].tolist(), self.audits[start:stop]):
                 yield (f"{scheme}-seed{seed}-w{w}", *fields)
 
+    def outcome_tuples(self):
+        """(scheme, seed, ``AuctionOutcome``) per row in output order;
+        none unless outcomes are kept."""
+        if self.outcomes is None:
+            return
+        for scheme, _, _, seed, start, stop in self.runs:
+            for outcome in self.outcomes[start:stop]:
+                yield scheme, seed, outcome
+
     def audit_reports(self) -> list[AuditReport]:
         """The audit rows in output order, as ``AuditReport``s."""
         return list(itertools.starmap(AuditReport, self.audit_tuples()))

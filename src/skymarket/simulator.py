@@ -15,11 +15,14 @@ sweep steps one mobile world per (cell, seed) and reports it under both
 ``ours`` and ``optimal``.
 
 A sweep runs all its worlds in lockstep (``run_worlds``): their agent
-arrays are stacked, so each slot costs one kernel call and one
-bookkeeping pass for the whole sweep rather than one per world, and
-each world still clears its windows at its own ``window_len``. Nothing
-couples agents except partner indices, which are offset into the stack,
-so every world evolves bit-identically to a run on its own. Window
+arrays are stacked, so each slot costs one kernel call for the whole
+sweep rather than one per world. The bidder bookkeeping (urgency,
+joining the bidders, valuation sums) needs only each slot's SoC and
+activity, so it runs once per block of slots that ends at a window
+boundary (``_book``). Each world still clears its windows at its own
+``window_len``. Nothing couples agents except partner indices, which
+are offset into the stack, so every world evolves bit-identically to a
+run on its own. Window
 metrics, and the outcomes and audit findings asked for, are kept in
 columns (``MetricsColumns``), one block of entries per world; rows and
 reports are built only when written or read. Most windows of a sweep
@@ -204,11 +207,6 @@ class World:
         d = min(self.service_distance(j), c.qors_ref_distance)
         return qors_from_distance(d, c.qors_ref_distance, c.qors_floor)
 
-    def urgency(self) -> np.ndarray:
-        """Charging urgency per UAV, pinned to 1 below the alert level."""
-        rho = 1.0 - (self.uav_f[:, K.F_SOC] - self.soc_alert) / self.uav_f[:, K.F_CAP]
-        return np.minimum(rho, 1.0)
-
 
 def rendezvous(spot: Sequence[float], ugv_pos: Sequence[float]) -> tuple[float, float]:
     """Meeting point for a matched pair: the spot-to-vehicle midpoint."""
@@ -356,22 +354,40 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
 def advance_slot(world: World) -> World:
     """Advance one slot: physics step, then bidder bookkeeping."""
     K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i)
-
-    # run_worlds stacks only worlds that agree on every config field read here
-    c = world.config
-    act = world.uav_i[:, K.I_ACT]
-    rho = world.urgency()
-    sensing = act == K.ACT_SENSE
-    joining = sensing & ~world.bidder & ~world.excluded & (rho >= c.enter_urgency)
-    world.bidder |= joining
-
-    sampling = world.bidder & sensing
-    np.add(world.phi_sum, c.mu0 + c.mu1 * rho, out=world.phi_sum, where=sampling)
-    np.add(world.rho_sum, rho, out=world.rho_sum, where=sampling)
-    world.sample_count += sampling
-
+    _book(world, world.uav_f[None, :, K.F_SOC], world.uav_i[None, :, K.I_ACT] == K.ACT_SENSE)
     world.clock += 1
     return world
+
+
+def _book(world: World, soc: np.ndarray, sensing: np.ndarray) -> None:
+    """Bidder bookkeeping for a block of consecutive slots, in slot order.
+
+    ``soc[t]`` and ``sensing[t]`` are every UAV's SoC and whether it is
+    sensing after the block's slot t was stepped. A sensing UAV that is
+    not excluded joins the bidders once its urgency reaches
+    ``enter_urgency``; every sensing bidder samples its valuation and
+    urgency. Each element goes through the float operations of a
+    slot-by-slot pass: the sums add one slot row at a time, and a slot
+    that does not sample adds +0.0, which leaves a sum that starts at
+    +0.0 unchanged. Only a window boundary removes bidders or excludes
+    UAVs, so a block must not span one.
+    """
+    # run_worlds stacks only worlds that agree on every config field read here
+    c = world.config
+    # charging urgency, pinned to 1 below the alert level
+    rho = np.minimum(1.0 - (soc - world.soc_alert) / world.uav_f[:, K.F_CAP], 1.0)
+    joins = sensing & ~world.excluded & (rho >= c.enter_urgency)
+    bidder = world.bidder
+    sampling = np.empty_like(sensing)
+    for t in range(len(sampling)):
+        bidder |= joins[t]
+        np.logical_and(bidder, sensing[t], out=sampling[t])
+    phi_sum, rho_sum = world.phi_sum, world.rho_sum
+    for phi_t, rho_t in zip(np.where(sampling, c.mu0 + c.mu1 * rho, 0.0),
+                            np.where(sampling, rho, 0.0)):
+        phi_sum += phi_t
+        rho_sum += rho_t
+    world.sample_count += sampling.sum(0)
 
 
 def close_window(world: World):
@@ -449,6 +465,10 @@ def close_window(world: World):
     return outcome, row, market
 
 
+# most slots _run_lockstep buffers before booking them: at least one
+# window's worth at the usual window lengths, a few MB at 10,000 UAV rows
+_BOOK_SLOTS = 32
+
 # agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
 _UAV_ARRAYS = (
     "uav_f", "uav_i", "soc_alert", "bidder", "excluded", "fail_count",
@@ -520,8 +540,12 @@ def _no_trade_outcome(world: World, window_id: int, sampled: np.ndarray,
 
 def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
                   cols: MetricsColumns) -> None:
-    """Step worlds that share advance_slot's constants as one stack.
+    """Step worlds that share ``_book``'s constants as one stack.
 
+    Each slot is one kernel call on the stack. Its SoC and sensing mask
+    are buffered, and ``_book`` books the buffered slots at once: at
+    every slot where a member's window closes, before that boundary
+    reads the bidders, when the buffer is full, and after the last slot.
     Member k's windows fill ``cols`` from entry ``first_entry[k]`` on. At
     a slot boundary, segment reductions over the stack find each world's
     sampled bidders and their largest satisfaction gap (0 with no bidder,
@@ -550,11 +574,23 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     uav_world = np.repeat(np.arange(len(worlds)), [w.num_uavs for w in worlds])
     ugv_world = np.repeat(np.arange(len(worlds)), [w.num_ugvs for w in worlds])
     max_fails = np.array([w.config.max_failed_windows for w in worlds])[uav_world]
+    # each slot's SoC and sensing mask, booked a block of slots at a time
+    soc_col, act_col = stack.uav_f[:, K.F_SOC], stack.uav_i[:, K.I_ACT]
+    block = min(max(by_spw), _BOOK_SLOTS)
+    soc = np.empty((block, stack.num_uavs))
+    sensing = np.empty((block, stack.num_uavs), dtype=bool)
+    pending = 0
     try:
-        for _ in range(horizon):
-            advance_slot(stack)
-            clock = stack.clock
+        for clock in range(start + 1, start + horizon + 1):
+            K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i)
+            stack.clock = clock
+            soc[pending] = soc_col
+            np.equal(act_col, K.ACT_SENSE, out=sensing[pending])
+            pending += 1
             due = [(ks, base + clock // s) for s, ks, base in classes if clock % s == 0]
+            if due or pending == block or clock == start + horizon:
+                _book(stack, soc[:pending], sensing[:pending])
+                pending = 0
             if not due:
                 continue
             ks, entry = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
@@ -665,15 +701,17 @@ def run_worlds(
 ) -> list[tuple[list[MetricsRow], list[AuctionOutcome], list]]:
     """Run every world's horizon in lockstep; one result per world, in order.
 
-    Worlds that share a horizon and the constants ``advance_slot`` reads
-    (``enter_urgency``, ``mu0``, ``mu1``) are stacked and stepped by one
-    ``advance_slot`` call per slot; each world's windows still close at its
-    own ``slots_per_window``. The kernel and the bookkeeping are per
-    agent, so every world evolves exactly as it would alone. A window
-    with no trade is settled without building a market; its row,
-    outcome, audit report and state updates equal those of
-    ``close_window`` and ``audit_market`` on its market. Each result is
-    (metrics rows, outcomes, audit reports), as from ``run_world``.
+    Worlds that share a horizon and the constants the bidder bookkeeping
+    reads (``enter_urgency``, ``mu0``, ``mu1``) are stacked and stepped by
+    one kernel call per slot, with the bookkeeping done once per block of
+    slots up to a window boundary; each world's windows still close at
+    its own ``slots_per_window``. The kernel and the bookkeeping are per
+    agent, so every world evolves exactly as it would alone, slot by slot
+    through ``advance_slot``. A window with no trade is settled without
+    building a market; its row, outcome, audit report and state updates
+    equal those of ``close_window`` and ``audit_market`` on its market.
+    Each result is (metrics rows, outcomes, audit reports), as from
+    ``run_world``.
     """
     cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
     # one run per world, in entry order: output position is entry index
@@ -715,9 +753,7 @@ class ExperimentResult:
     @property
     def outcomes(self) -> list:
         """(scheme, seed, AuctionOutcome) per window; empty unless kept."""
-        kept = self.metrics.outcomes or ()
-        return [(scheme, seed, outcome) for scheme, _, _, seed, start, stop in self.metrics.runs
-                for outcome in kept[start:stop]]
+        return list(self.metrics.outcome_tuples())
 
 
 def sweep_cells(config: ScenarioConfig, sweep: Mapping[str, Sequence]) -> list[ScenarioConfig]:

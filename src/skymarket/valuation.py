@@ -2,11 +2,11 @@
 
 A UAV values a recharge linearly in its charging urgency,
 Phi = mu0 + mu1 * rho, which is increasing and (weakly) convex in rho as
-the market model requires; ``simulator.advance_slot`` accumulates it
-per slot over whole arrays. A vehicle's quality-of-recharging-service
-(QoRS) is the linear complement of its normalized distance to the
-service point, clamped to a strictly positive floor so admitted vehicles
-always sort with q > 0.
+the market model requires; ``simulator._book`` accumulates it per slot,
+for blocks of slots over whole arrays. A vehicle's
+quality-of-recharging-service (QoRS) is the linear complement of its
+normalized distance to the service point, clamped to a strictly
+positive floor so admitted vehicles always sort with q > 0.
 """
 
 from __future__ import annotations

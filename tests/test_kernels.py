@@ -109,6 +109,46 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
                     "tops out", "home"}
 
 
+def test_kernel_steps_the_arrays_it_is_given_as_they_change():
+    # step_world binds its column views once per set of arrays; world A,
+    # then B, then A again, then a fresh copy of A, then A once more, a set
+    # that shares only its UAV arrays with A, and the arrays _unstack hands
+    # back in place of a stack's views must each step as the loop oracle
+    # steps them
+    def check(got, ref):
+        K.step_world(*got)
+        step_world_loop(*ref)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    a, b = snapshot(warmed_world(seed=7)), snapshot(warmed_world(seed=8))
+    ref_a, ref_b = ([x.copy(order="K") for x in s] for s in (a, b))
+    for got, ref in ((a, ref_a), (a, ref_a), (b, ref_b), (a, ref_a)):
+        check(got, ref)
+    fresh = tuple(x.copy(order="K") for x in a)
+    ref_fresh = [x.copy(order="K") for x in ref_a]
+    check(fresh, ref_fresh)
+    check(a, ref_a)
+    check(fresh, ref_fresh)
+    assert a[0].tobytes() != fresh[0].tobytes()  # each stepped only by its own calls
+    mixed = (*a[:2], *(x.copy(order="K") for x in a[2:]))
+    ref_mixed = [*ref_a[:2], *(x.copy(order="K") for x in ref_a[2:])]
+    check(mixed, ref_mixed)
+    check(a, ref_a)
+
+    worlds = [warmed_world(seed=s) for s in (9, 10)]
+    stack = simulator._stack(worlds)
+    ref_stack = snapshot(stack)
+    for _ in range(3):
+        check((stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i), ref_stack)
+    simulator._unstack(worlds)
+    del stack
+    for w in worlds:
+        ref = snapshot(w)
+        for _ in range(3):
+            check((w.uav_f, w.uav_i, w.ugv_f, w.ugv_i), ref)
+
+
 def test_full_runs_identical_across_backends(monkeypatch):
     from skymarket.simulator import run_world
 
@@ -134,6 +174,8 @@ def test_kernel_benchmark_script_runs():
     out = run_benchmark_script("bench_kernels.py", "--steps", "2", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     assert "1000x1000" in out.stdout and "full default run" in out.stdout
+    assert "fleet_sweep, 10 worlds x 10 UAVs" in out.stdout
+    assert "crowded_market, 2 worlds x 100 UAVs" in out.stdout
 
 
 def test_starved_pad_releases_uav_early():

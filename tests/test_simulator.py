@@ -299,12 +299,16 @@ def test_session_length_tracks_charge_duration_estimate():
 
 def test_urgency_matches_scalar_oracle():
     # at or above its alert level a UAV's urgency is the scalar formula to
-    # the bit; below it the simulator pins urgency to 1
-    from conftest import charging_urgency
+    # the bit; below it the simulator pins urgency to 1. With an entry
+    # urgency of 0 every sensing UAV bids from the first slot, so after
+    # one slot its sums hold that slot's urgency and valuation
+    from conftest import charging_urgency, instant_valuation
 
-    cfg = ScenarioConfig(uav_count=40, uav_soc_frac_min=0.1, uav_soc_frac_max=0.9)
-    world = generate_scenario(cfg, seed=4)
-    rho = world.urgency().tolist()
+    cfg = ScenarioConfig(uav_count=40, uav_soc_frac_min=0.1, uav_soc_frac_max=0.9,
+                         enter_urgency=0.0)
+    world = advance_slot(generate_scenario(cfg, seed=4))
+    assert world.sample_count.tolist() == [1] * world.num_uavs
+    rho, phi = world.rho_sum.tolist(), world.phi_sum.tolist()
     below = 0
     for i in range(world.num_uavs):
         soc = float(world.uav_f[i, K.F_SOC])
@@ -314,6 +318,7 @@ def test_urgency_matches_scalar_oracle():
         else:
             assert rho[i] == 1.0
             below += 1
+        assert phi[i] == instant_valuation(rho[i], cfg.mu0, cfg.mu1)
     assert 0 < below < world.num_uavs
 
 
@@ -611,6 +616,43 @@ def test_lockstep_sweep_matches_worlds_run_alone():
         assert (a.uav_base, a.ugv_base, a.clock) == (0, 0, 48)
     # the partner columns were exercised, not left at -1
     assert any((w.uav_i[:, K.I_PARTNER] >= 0).any() for w in together[3:])
+
+
+def test_block_bookkeeping_matches_slot_by_slot_runs():
+    # one stack whose worlds close windows every 5, 8 and 37 slots (more
+    # than _run_lockstep buffers, so some blocks are booked on a full
+    # buffer), over a horizon that is a multiple of none (the last slots
+    # are booked after the loop), with losers excluded after 1, 2 or 40
+    # failed windows: rows, outcomes and every world's bookkeeping match
+    # the slot-by-slot oracle bit for bit
+    assert 37 > simulator._BOOK_SLOTS
+    cfg = ScenarioConfig(uav_count=12, uav_soc_frac_min=0.1, uav_soc_frac_max=0.45,
+                         ugv_transfer_power_w=6000.0)
+    cells = [cfg.replace(window_len=5.0, max_failed_windows=2),
+             cfg.replace(slot_len=0.5, window_len=4.0, max_failed_windows=40),
+             cfg.replace(window_len=37.0, max_failed_windows=1)]
+    horizon = 123
+
+    def worlds():
+        return [generate_scenario(c.replace(ugv_count=m), seed, scheme)
+                for c in cells for m, seed, scheme in ((2, 3, SCHEME_OURS), (3, 4, SCHEME_STATIC))]
+
+    stacked, alone = worlds(), worlds()
+    assert sorted({w.config.slots_per_window for w in stacked}) == [5, 8, 37]
+    got = run_worlds(stacked, horizon, keep_outcomes=True)
+    want = [run_world_windowwise(w, horizon, keep_outcomes=True) for w in alone]
+    # repr, not ==: an int 0 where the oracle writes 0.0 changes the CSVs
+    assert repr(got) == repr(want)
+    for a, b in zip(stacked, alone):
+        for name in ("bidder", "excluded", "fail_count", "phi_sum", "rho_sum",
+                     "sample_count"):
+            # bytes, not ==: a sum at -0.0 would equal one at +0.0
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.clock == b.clock == horizon
+    # exclusions, winners, and bidders with samples pending at the horizon
+    assert any(w.excluded.any() for w in alone)
+    assert any(o.winners for _, outcomes, _ in want for o in outcomes)
+    assert any((w.bidder & (w.sample_count > 0)).any() for w in alone)
 
 
 def test_agent_arrays_stay_column_contiguous():
