@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the slot-stepping kernel.
 
-Three workloads:
+Four workloads:
 
 * raw kernel throughput on synthetic fleets of increasing size, agents
   mid-mission so every activity branch stays hot;
@@ -11,9 +11,15 @@ Three workloads:
   ``crowded_market``'s (2 worlds of 100 UAVs against 25 vehicles), over
   the first ``--steps`` slots of the 600-slot horizon;
 * a full default-scenario run (600 slots, 75 auction windows), which
-  shows how much of the end-to-end wall time the kernel actually owns.
+  shows how much of the end-to-end wall time the kernel actually owns;
+* a replay of the kernel's inputs, recorded slot by slot over a
+  ``run_experiment`` of each perfbench-shaped sweep (one seed, every
+  scheme): ``step_world`` alone is timed on each recorded state, and
+  each branch's share of slots with rows and with a transition is
+  printed. Only the kernel call is timed, so this is the steadiest
+  measure of a kernel change.
 
-Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
+Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5] [--seed 7000]
 """
 
 import argparse
@@ -23,8 +29,8 @@ import numpy as np
 
 import skymarket._kernels as K
 from skymarket.simulator import (
-    SCHEME_OURS, SCHEME_STATIC, advance_slot, close_window, generate_scenario, run_world,
-    run_worlds,
+    SCHEME_OURS, SCHEME_STATIC, advance_slot, close_window, generate_scenario, run_experiment,
+    run_world, run_worlds,
 )
 from skymarket.types import ScenarioConfig
 
@@ -95,14 +101,84 @@ def bench_full_run(repeats):
           f"{best * 1e3:.1f} ms")
 
 
+# perfbench's sweeps: (title, config, sweep); each runs every scheme
+SWEEPS = (
+    ("fleet_sweep", ScenarioConfig(), {"ugv_count": [6, 8, 10, 12, 14]}),
+    ("crowded_market", CROWDED, {}),
+)
+
+# the kernel's branches with a transition gate: (name, which of the four
+# arrays, column, codes); a row transitions when that column changes
+BRANCHES = (
+    ("flying UAVs", 1, K.I_ACT, (K.ACT_FLY_OUT, K.ACT_FLY_BACK)),
+    ("charging UAVs", 1, K.I_ACT, (K.ACT_CHARGE,)),
+    ("en-route vehicles", 3, K.GI_STATE, (K.UGV_ENROUTE,)),
+)
+
+
+def record_states(cfg, sweep, seed):
+    """Copies of step_world's four input arrays at every slot of the sweep."""
+    states, step = [], K.step_world
+
+    def recording(*arrays):
+        states.append(tuple(a.copy(order="K") for a in arrays))
+        step(*arrays)
+
+    K.step_world = recording
+    try:
+        run_experiment(cfg, sweep, replications=1, base_seed=seed)
+    finally:
+        K.step_world = step
+    return states
+
+
+def replay(states, arrays):
+    """Step each recorded state once, copied into the same four arrays so
+    the kernel's view memo holds; yields the time of each kernel call."""
+    for state in states:
+        for dst, src in zip(arrays, state):
+            np.copyto(dst, src)
+        t0 = time.perf_counter()
+        K.step_world(*arrays)
+        yield time.perf_counter() - t0
+
+
+def bench_replay(steps, repeats, seed):
+    print(f"\nkernel replay of each perfbench sweep (cli seed {seed}, first {steps} slots, "
+          f"best of {repeats} per slot):")
+    for title, cfg, sweep in SWEEPS:
+        states = record_states(cfg, sweep, seed)[:steps]
+        arrays = tuple(a.copy(order="K") for a in states[0])
+        # each slot's best time: a burst of host noise spoils one slot, not the run
+        best = np.array([list(replay(states, arrays)) for _ in range(repeats)]).min(0)
+        uavs, ugvs = states[0][0].shape[0], states[0][2].shape[0]
+        print(f"  {title} ({uavs} UAVs x {ugvs} vehicles, {len(states)} slots): "
+              f"{best.mean() * 1e6:.2f}us per step")
+        with_rows = dict.fromkeys((name for name, *_ in BRANCHES), 0)
+        moving = dict(with_rows)
+        # replay yields once it has stepped a state: arrays hold the step's result
+        for state, _ in zip(states, replay(states, arrays)):
+            for name, k, col, codes in BRANCHES:
+                old = state[k][:, col]
+                rows = np.isin(old, codes)
+                with_rows[name] += bool(rows.any())
+                moving[name] += bool((rows & (arrays[k][:, col] != old)).any())
+        for name, *_ in BRANCHES:
+            print(f"    {name:<18} rows in {with_rows[name] / len(states):>4.0%} of slots, "
+                  f"a transition in {moving[name] / len(states):>4.0%}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=7000,
+                        help="base seed of the replayed sweeps (perfbench's call 0 at seed 7)")
     args = parser.parse_args()
     bench_raw(args.steps, args.repeats)
     bench_run_worlds(args.steps, args.repeats)
     bench_full_run(args.repeats)
+    bench_replay(args.steps, args.repeats, args.seed)
 
 
 if __name__ == "__main__":

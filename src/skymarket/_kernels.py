@@ -12,6 +12,14 @@ operations, in the same per-element order as the scalar loop
 ``step_world_loop`` in ``tests/conftest.py``, which the tests hold it
 to bit for bit; ``benchmarks/bench_kernels.py`` times it.
 
+Most of a step's numpy calls would serve transitions: arrivals, pads
+that starve and sessions that end. They happen in few slots (on
+perfbench's sweeps a flying UAV arrives in about one slot in seven, a
+session ends in about one in twelve), so the flight, vehicle and
+charging branches test first whether any of their rows transitions,
+and otherwise update the whole group without splitting it. Each
+element gets the same float operations either way.
+
 Array layouts (float64 / int64), one row per agent:
 
     uav_f[i]: soc, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
@@ -104,9 +112,10 @@ _GROUP_KEY = np.array([_BRANCH_ORDER.index(code) for code in range(len(_BRANCH_O
 
 # the last four arrays stepped, then their 1-D column views: a run steps
 # the same arrays every slot, so their views are bound once per run. It
-# keeps those arrays alive until another set is stepped (about 2.4 MB
-# for a stack of 10,000 UAVs and 10,000 vehicles)
-_bound = (None, None, None, None, ())
+# keeps those arrays alive until another set is stepped or ``unbind`` is
+# called, as the simulator does when a stack is done
+_UNBOUND = (None, None, None, None, ())
+_bound = _UNBOUND
 
 
 def _bind(uav_f, uav_i, ugv_f, ugv_i):
@@ -116,6 +125,12 @@ def _bind(uav_f, uav_i, ugv_f, ugv_i):
     return _bound
 
 
+def unbind():
+    """Forget the remembered arrays and views, so they can be freed."""
+    global _bound
+    _bound = _UNBOUND
+
+
 def step_world(uav_f, uav_i, ugv_f, ugv_i):
     """Advance every agent one slot, in place.
 
@@ -123,7 +138,9 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i):
     grouped by activity with one sort per step: on column-contiguous
     arrays each fancy index is then a plain 1-D gather. The views are
     bound on the first step of a set of arrays and reused while the same
-    four arrays come back.
+    four arrays come back. A group is split into the rows that
+    transition and the rest (arrivals, starved pads, ended sessions)
+    only in a slot where some of its rows transition.
     """
     bound = _bound  # read once: the views below belong to these arrays
     if (bound[0] is not uav_f or bound[1] is not uav_i
@@ -145,15 +162,15 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i):
         dist = np.sqrt(dx * dx + dy * dy)
         step = gstep[en]
         arrive = dist <= step
-        a_idx = en[arrive]
-        gx[a_idx] = gtx[a_idx]
-        gy[a_idx] = gty[a_idx]
-        state[a_idx] = UGV_SERVING
-        move = ~arrive
-        m_idx = en[move]
-        nd = dist[move]
-        gx[m_idx] += step[move] * dx[move] / nd
-        gy[m_idx] += step[move] * dy[move] / nd
+        if arrive.any():  # rare: split off the arrivals, move the rest
+            a_idx = en[arrive]
+            gx[a_idx] = gtx[a_idx]
+            gy[a_idx] = gty[a_idx]
+            state[a_idx] = UGV_SERVING
+            move = ~arrive
+            en, dx, dy, dist, step = en[move], dx[move], dy[move], dist[move], step[move]
+        gx[en] += step * dx / dist
+        gy[en] += step * dy / dist
 
     # group rows by their activity at the start of the slot; int8 keys
     # radix-sort, and the key order puts each branch's codes side by side
@@ -182,17 +199,17 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i):
         dist = np.sqrt(dx * dx + dy * dy)
         step = step_xy[f_idx]
         arrive = dist <= step
-        a_idx = f_idx[arrive]
-        x[a_idx] = tx[a_idx]
-        y[a_idx] = ty[a_idx]
-        n_out = e_out - e_wait
-        act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
-        act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
-        move = ~arrive
-        m_idx = f_idx[move]
-        nd = dist[move]
-        x[m_idx] += step[move] * dx[move] / nd
-        y[m_idx] += step[move] * dy[move] / nd
+        if arrive.any():  # rare, as for vehicles
+            a_idx = f_idx[arrive]
+            x[a_idx] = tx[a_idx]
+            y[a_idx] = ty[a_idx]
+            n_out = e_out - e_wait
+            act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
+            act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
+            move = ~arrive
+            f_idx, dx, dy, dist, step = f_idx[move], dx[move], dy[move], dist[move], step[move]
+        x[f_idx] += step * dx / dist
+        y[f_idx] += step * dy / dist
 
     # vertical legs
     d_idx = rows[e_back:e_desc]
@@ -217,24 +234,32 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i):
         tx[t_idx] = home_x[t_idx]
         ty[t_idx] = home_y[t_idx]
 
-    # charging transfers (partners are unique while charging)
+    # charging transfers (partners are unique while charging, so each
+    # pad's supply is read and written once)
     c_idx = rows[e_asc:e_chg]
     if c_idx.size:
         pads = partner[c_idx]
         draw = supply_draw[c_idx]
-        ok = supply[pads] >= draw
-        ok_idx = c_idx[ok]
-        supply[pads[ok]] -= draw[ok]
-        c_soc = soc[ok_idx] + charge_gain[ok_idx]
-        soc[ok_idx] = np.minimum(c_soc, cap[ok_idx])
-        done = ~ok
-        done[ok] = soc[ok_idx] >= sat[ok_idx]
-        done_idx = c_idx[done]
-        done_pads = pads[done]
-        act[done_idx] = ACT_ASCEND
-        partner[done_idx] = -1
-        state[done_pads] = UGV_IDLE
-        gpartner[done_pads] = -1
+        left = supply[pads]
+        ok = left >= draw
+        fed, fed_pads = c_idx, pads
+        starved = not ok.all()  # rare: a pad that cannot cover its draw
+        if starved:
+            fed, fed_pads, left, draw = c_idx[ok], pads[ok], left[ok], draw[ok]
+        supply[fed_pads] = left - draw
+        c_soc = np.minimum(soc[fed] + charge_gain[fed], cap[fed])
+        soc[fed] = c_soc
+        done = c_soc >= sat[fed]
+        if starved:  # a starved session ends without a transfer
+            full, done = done, ~ok
+            done[ok] = full
+        if done.any():
+            done_idx = c_idx[done]
+            done_pads = pads[done]
+            act[done_idx] = ACT_ASCEND
+            partner[done_idx] = -1
+            state[done_pads] = UGV_IDLE
+            gpartner[done_pads] = -1
 
 
 def active_backend() -> str:

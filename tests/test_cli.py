@@ -285,6 +285,22 @@ def test_low_soc_run_csvs_match_pinned_digests(tmp_path):
     assert digests == LOW_SOC_DIGESTS
 
 
+@pytest.mark.parametrize("config, ugvs, reps, seed", [
+    (CONTESTED_CONFIG, [5, 25], 2, 5), (LOW_SOC_CONFIG, [1, 4, 9], 1, 0),
+], ids=["contested", "low_soc"])
+def test_every_window_is_envy_free_as_the_theorem_says(config, ugvs, reps, seed):
+    # close_window writes the non-envy ratio 1.0 that the paper's theorem
+    # gives truthful bids; the audit still computes it, and on every trading
+    # window of the pinned commands it reads 1.0 too
+    result = run_experiment(config, {"ugv_count": ugvs}, replications=reps,
+                            schemes=ALL_SCHEMES, base_seed=seed, with_audit=True,
+                            keep_outcomes=True)
+    trading = [(a, o) for a, (_, _, o) in zip(result.audits, result.outcomes) if o.winners]
+    assert {a.non_envy_ratio for a, _ in trading} == {1.0}
+    assert max(len(o.uav_utilities) for _, o in trading) > 1  # bidders who could envy
+    assert {r.non_envy_ratio for r in result.rows} == {1.0}
+
+
 @pytest.mark.parametrize("args, problem", [
     (["--ugvs", "6", "0"], "ugv_count: must be >= 1"),
     (["--tau", "4", "3.5"], "window_len: must be a positive multiple of slot_len"),

@@ -1,5 +1,8 @@
 """The vectorized stepper against the scalar loop oracle, bit for bit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,8 +68,31 @@ def stacked_sweep_states(slots=200):
                 close_window(w)
 
 
+def with_every_transition(state):
+    """A copy of a kernel input in which every flying UAV and every en-route
+    vehicle is half a step short of its target, and every charging UAV's
+    pad holds half its draw: each branch's rows all transition at once."""
+    uf, ui, gf, gi = (a.copy(order="K") for a in state)
+    flying = np.isin(ui[:, K.I_ACT], (K.ACT_FLY_OUT, K.ACT_FLY_BACK))
+    uf[flying, K.F_X] = uf[flying, K.F_TX] - 0.5 * uf[flying, K.F_STEP_XY]
+    uf[flying, K.F_Y] = uf[flying, K.F_TY]
+    en = gi[:, K.GI_STATE] == K.UGV_ENROUTE
+    gf[en, K.G_X] = gf[en, K.G_TX] - 0.5 * gf[en, K.G_STEP]
+    gf[en, K.G_Y] = gf[en, K.G_TY]
+    charging = ui[:, K.I_ACT] == K.ACT_CHARGE
+    gf[ui[charging, K.I_PARTNER], K.G_SUPPLY] = 0.5 * uf[charging, K.F_SUPPLY_DRAW]
+    return uf, ui, gf, gi
+
+
+def share(mask):
+    """How many of a non-empty mask's entries are set: none, some or all."""
+    return "all" if mask.all() else "some" if mask.any() else "none"
+
+
 def transitions(before, after):
-    """Names of the state changes one kernel step made."""
+    """Names of the state changes one kernel step made, and of the side of
+    each of the kernel's gates it took: how many rows of a branch that has
+    rows arrive, starve or end their session."""
     uf, ui, gf, gi = before
     act0, act1 = ui[:, K.I_ACT], after[1][:, K.I_ACT]
     st0, st1 = gi[:, K.GI_STATE], after[3][:, K.GI_STATE]
@@ -88,25 +114,59 @@ def transitions(before, after):
         seen.add("pad starves")
     if (~starved).any():
         seen.add("charge completes")
+    flying = np.isin(act0, (K.ACT_FLY_OUT, K.ACT_FLY_BACK))
+    if flying.any():
+        seen.add(f"flights arriving: {share(act1[flying] != act0[flying])}")
+    en = st0 == K.UGV_ENROUTE
+    if en.any():
+        seen.add(f"vehicles arriving: {share(st1[en] != K.UGV_ENROUTE)}")
+    charging = np.flatnonzero(act0 == K.ACT_CHARGE)
+    if charging.size:
+        draw = uf[charging, K.F_SUPPLY_DRAW]
+        seen.add(f"pads starving: {share(gf[ui[charging, K.I_PARTNER], K.G_SUPPLY] < draw)}")
+        seen.add(f"sessions ending: {share(act1[charging] != K.ACT_CHARGE)}")
     return seen
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
+    # every tenth slot is also stepped with every transition forced, so
+    # both sides of each of the kernel's gates are reached
     contiguous = {"C": "C_CONTIGUOUS", "F": "F_CONTIGUOUS"}[order]
     seen = set()
-    for state in stacked_sweep_states():
-        ref = [a.copy() for a in state]
-        got = [np.array(a, order=order) for a in state]
-        assert all(a.flags[contiguous] for a in got)
-        step_world_loop(*ref)
-        K.step_world(*got)
-        for a, b in zip(ref, got):
-            assert a.tobytes() == b.tobytes()  # bit for bit, in C order
-        seen |= transitions(state, ref)
+    for k, state in enumerate(stacked_sweep_states()):
+        for case in (state, with_every_transition(state)) if k % 10 == 0 else (state,):
+            ref = [a.copy() for a in case]
+            got = [np.array(a, order=order) for a in case]
+            assert all(a.flags[contiguous] for a in got)
+            step_world_loop(*ref)
+            K.step_world(*got)
+            for a, b in zip(ref, got):
+                assert a.tobytes() == b.tobytes()  # bit for bit, in C order
+            seen |= transitions(case, ref)
+    gates = {f"{name}: {side}" for name in ("flights arriving", "vehicles arriving",
+                                            "pads starving", "sessions ending")
+             for side in ("none", "some", "all")}
     assert seen == {"vehicle en route", "vehicle arrives", "reaches rendezvous",
                     "pad ready", "lands", "pad starves", "charge completes",
-                    "tops out", "home"}
+                    "tops out", "home"} | gates
+
+
+def test_a_finished_stack_is_freed(monkeypatch):
+    # the kernel's view memo must not keep a lockstep run's stack alive
+    # once its worlds have their own arrays again
+    refs, stack = [], simulator._stack
+
+    def stack_and_watch(worlds):
+        built = stack(worlds)
+        refs.append(weakref.ref(built.uav_f))
+        return built
+
+    monkeypatch.setattr(simulator, "_stack", stack_and_watch)
+    worlds = [generate_scenario(ScenarioConfig(), 3, scheme) for scheme in ("ours", "static")]
+    simulator.run_worlds(worlds, 16)
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_kernel_steps_the_arrays_it_is_given_as_they_change():
@@ -176,6 +236,12 @@ def test_kernel_benchmark_script_runs():
     assert "1000x1000" in out.stdout and "full default run" in out.stdout
     assert "fleet_sweep, 10 worlds x 10 UAVs" in out.stdout
     assert "crowded_market, 2 worlds x 100 UAVs" in out.stdout
+    assert "kernel replay" in out.stdout
+    for title in ("fleet_sweep (100 UAVs x 100 vehicles, 2 slots)",
+                  "crowded_market (200 UAVs x 50 vehicles, 2 slots)"):
+        assert title in out.stdout
+    for branch in ("flying UAVs", "charging UAVs", "en-route vehicles"):
+        assert out.stdout.count(branch) == 2
 
 
 def test_starved_pad_releases_uav_early():
