@@ -19,7 +19,7 @@ Four workloads:
   printed. Only the kernel call is timed, so this is the steadiest
   measure of a kernel change.
 
-Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5] [--seed 7000]
+Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
 import argparse
@@ -101,6 +101,8 @@ def bench_full_run(repeats):
           f"{best * 1e3:.1f} ms")
 
 
+REPLAY_SEED = 7000  # perfbench's call 0 at seed 7
+
 # perfbench's sweeps: (title, config, sweep); each runs every scheme
 SWEEPS = (
     ("fleet_sweep", ScenarioConfig(), {"ugv_count": [6, 8, 10, 12, 14]}),
@@ -116,7 +118,7 @@ BRANCHES = (
 )
 
 
-def record_states(cfg, sweep, seed):
+def record_states(cfg, sweep):
     """Copies of step_world's four input arrays at every slot of the sweep."""
     states, step = [], K.step_world
 
@@ -126,7 +128,7 @@ def record_states(cfg, sweep, seed):
 
     K.step_world = recording
     try:
-        run_experiment(cfg, sweep, replications=1, base_seed=seed)
+        run_experiment(cfg, sweep, replications=1, base_seed=REPLAY_SEED)
     finally:
         K.step_world = step
     return states
@@ -143,11 +145,11 @@ def replay(states, arrays):
         yield time.perf_counter() - t0
 
 
-def bench_replay(steps, repeats, seed):
-    print(f"\nkernel replay of each perfbench sweep (cli seed {seed}, first {steps} slots, "
+def bench_replay(steps, repeats):
+    print(f"\nkernel replay of each perfbench sweep (cli seed {REPLAY_SEED}, first {steps} slots, "
           f"best of {repeats} per slot):")
     for title, cfg, sweep in SWEEPS:
-        states = record_states(cfg, sweep, seed)[:steps]
+        states = record_states(cfg, sweep)[:steps]
         arrays = tuple(a.copy(order="K") for a in states[0])
         # each slot's best time: a burst of host noise spoils one slot, not the run
         best = np.array([list(replay(states, arrays)) for _ in range(repeats)]).min(0)
@@ -172,13 +174,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=7000,
-                        help="base seed of the replayed sweeps (perfbench's call 0 at seed 7)")
     args = parser.parse_args()
     bench_raw(args.steps, args.repeats)
     bench_run_worlds(args.steps, args.repeats)
     bench_full_run(args.repeats)
-    bench_replay(args.steps, args.repeats, args.seed)
+    bench_replay(args.steps, args.repeats)
 
 
 if __name__ == "__main__":
