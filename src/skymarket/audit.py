@@ -7,21 +7,25 @@ O(1) quantities):
 * incentive compatibility: no bid on a deviation grid beats an agent's
   truthful utility. A misreport only moves the agent to another rank
   among its fixed opponents, and the rank-r payment depends only on the
-  opponents ranked at or below r, so one suffix pass over the opponents
-  prices every grid bid without replaying the auction;
+  opponents ranked at or below r. So one suffix of payments over the
+  ranked bids serves every bidder of a market: a bidder redoes only the
+  ranks above its own, and its utility is evaluated once per distinct
+  rank its grid reaches, without replaying the auction;
 * envy-freeness: no participant strictly prefers another winner's
   (vehicle, payment) pair under its own valuation;
 * stability: no (UAV, vehicle) pair would both gain by abandoning the
   cleared assignment.
 
-Losers have no assigned slot, so loser envy is measured against every
-winner slot at that slot's payment: a loser envies iff some slot would
-give it strictly positive utility.
+Envy and stability read one table: each participant's utility at every
+admitted vehicle at that vehicle's cleared payment. Losers have no
+assigned slot, so loser envy is measured against every winner slot at
+that slot's payment: a loser envies iff some slot would give it strictly
+positive utility.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -93,16 +97,66 @@ def check_ir(outcome: AuctionOutcome) -> list[tuple[str, int, float]]:
     return bad
 
 
+def _position(market: WindowMarket, uav_id: int) -> int:
+    """Rank position of ``uav_id`` among the market's bidders."""
+    for p, e in enumerate(market.demand_ranked):
+        if e.uav_id == uav_id:
+            return p
+    raise KeyError(uav_id)
+
+
+def _scaled_bids(truthful: float) -> list[float]:
+    return [b for b in (truthful * m for m in DEVIATION_MULTIPLIERS) if b >= 0.0]
+
+
+def _nudged(bids: Iterable[float]) -> list[float]:
+    """Every bid nudged just below and just above (the rank-change
+    boundaries), negatives dropped."""
+    return [v for b in bids for v in (b - DEVIATION_EPS, b + DEVIATION_EPS) if v >= 0.0]
+
+
 def deviation_grid(market: WindowMarket, uav_id: int) -> list[float]:
     """Misreport candidates: scaled truthful bids plus every opponent bid
     nudged just above and below (the rank-change boundaries)."""
-    truthful = next(e.bid for e in market.demand if e.uav_id == uav_id)
-    grid = [truthful * m for m in DEVIATION_MULTIPLIERS]
-    for e in market.demand:
-        if e.uav_id != uav_id:
-            grid.append(e.bid - DEVIATION_EPS)
-            grid.append(e.bid + DEVIATION_EPS)
-    return [b for b in grid if b >= 0.0]
+    truthful = market.demand_ranked[_position(market, uav_id)].bid
+    opponents = [e.bid for e in market.demand if e.uav_id != uav_id]
+    return _scaled_bids(truthful) + _nudged(opponents)
+
+
+def _misreport_payments(
+    q: list[float], bids: list[float], p: int, top: Optional[list[float]] = None
+) -> list[float]:
+    """Payment by rank that the bidder at rank position ``p`` of ``bids``
+    (descending) would pay after moving to that rank.
+
+    This is ``price``'s base case and rank recursion over the other bids,
+    ``bids[:p] + bids[p + 1:]``, float for float: rank j reads the bid
+    below it, ``bids[j + 1]`` from rank p down and ``bids[j]`` above it.
+    ``top``, the result for p = 0, already holds every rank from a winning
+    position p down, so only the ranks above p are redone from it.
+    """
+    n, m = len(bids), len(q)
+    k = min(n, m)
+    if top is not None and p < k:
+        pay, start = top[:], p - 1
+    else:
+        pay, start = [0.0] * k, k - 2
+        if 0 < m < n:
+            pay[k - 1] = q[m - 1] * (bids[m] if p < m else bids[m - 1])
+    for j in range(start, -1, -1):
+        b = bids[j + 1] if j >= p else bids[j]
+        pay[j] = (q[j] - q[j + 1]) * b + pay[j + 1]
+    return pay
+
+
+def _ranks(keys: list[tuple[float, int]], bidder, bids: Iterable[float]) -> list[int]:
+    """Rank ``bidder`` lands at among its opponents after bidding each of ``bids``.
+
+    ``keys`` are (-bid, id) of every bidder, the bidder included, in rank
+    order; its own key sorts before (-b, id) exactly when b < its bid.
+    """
+    i, t = bidder.uav_id, bidder.bid
+    return [bisect_left(keys, (-b, i)) - (b < t) for b in bids]
 
 
 def _misreport_utilities(
@@ -115,34 +169,18 @@ def _misreport_utilities(
     the opponents (ties by id), and the rank-r payment of ``price`` reads
     only q and the opponent bids from rank r down.
     """
-    opp = [e for e in market.demand_ranked if e.uav_id != uav_id]
-    phi = next(e.phi_bar for e in market.demand if e.uav_id == uav_id)
+    bids = list(bids)
+    if any(b < 0 for b in bids):
+        raise ValueError("bids must be >= 0")
+    ranked = market.demand_ranked
+    p = _position(market, uav_id)
+    bidder = ranked[p]
     q = [s.q for s in market.supply_ranked]
-    n, m = len(opp) + 1, len(q)
-    k = min(n, m)
-    pay = [0.0] * k
-    if 0 < m < n:
-        pay[k - 1] = q[m - 1] * opp[m - 1].bid
-    for j in range(k - 2, -1, -1):
-        pay[j] = (q[j] - q[j + 1]) * opp[j].bid + pay[j + 1]
-    keys = [(-e.bid, e.uav_id) for e in opp]
-    utilities = []
-    for b in bids:
-        if b < 0:
-            raise ValueError("bids must be >= 0")
-        r = bisect_left(keys, (-b, uav_id))
-        utilities.append(uav_utility(phi, q[r], pay[r]) if r < k else 0.0)
-    return utilities
-
-
-def _best_gain(
-    market: WindowMarket, uav_id: int, base: float, grid: Optional[Iterable[float]]
-) -> float:
-    candidates = deviation_grid(market, uav_id) if grid is None else grid
-    best_gain = float("-inf")
-    for u in _misreport_utilities(market, uav_id, candidates):
-        best_gain = max(best_gain, u - base)
-    return best_gain
+    pay = _misreport_payments(q, [e.bid for e in ranked], p)
+    keys = [(-e.bid, e.uav_id) for e in ranked]
+    k = len(pay)
+    return [uav_utility(bidder.phi_bar, q[r], pay[r]) if r < k else 0.0
+            for r in _ranks(keys, bidder, bids)]
 
 
 def deviation_probe(
@@ -157,36 +195,138 @@ def deviation_probe(
     to tolerance. ``grid`` defaults to :func:`deviation_grid`.
     """
     base = run_auction(market).uav_utilities[uav_id]
-    return _best_gain(market, uav_id, base, grid)
+    candidates = deviation_grid(market, uav_id) if grid is None else grid
+    utilities = _misreport_utilities(market, uav_id, candidates)
+    return max((u - base for u in utilities), default=float("-inf"))
+
+
+def _ic_gains(market: WindowMarket, outcome: AuctionOutcome) -> list[float]:
+    """Every bidder's best gain over its :func:`deviation_grid`, by rank.
+
+    Each grid bid is priced at the rank it lands at, so each bidder's
+    utility is evaluated once per distinct rank its grid reaches.
+    """
+    ranked = market.demand_ranked
+    bids = [e.bid for e in ranked]
+    keys = [(-e.bid, e.uav_id) for e in ranked]
+    negs = [-b for b in bids]
+    q = [s.q for s in market.supply_ranked]
+    n, k = len(bids), min(len(bids), len(q))
+    top = _misreport_payments(q, bids, 0)
+    # every loser's misreports face the same payments
+    bottom = _misreport_payments(q, bids, k) if k < n else None
+    # the opponent nudges of every grid, with the number of bids above
+    # each: a nudge that ties no bid lands there whoever makes it, less
+    # one if it is below the mover's own bid
+    nudges = []
+    for j, b in enumerate(bids):
+        for v in _nudged((b,)):
+            above = bisect_left(negs, -v)
+            nudges.append((j, v, above if above == bisect_right(negs, -v) else None))
+    gains = []
+    for p, e in enumerate(ranked):
+        t = e.bid
+        ranks = {
+            _ranks(keys, e, (v,))[0] if above is None else above - (v < t)
+            for j, v, above in nudges if j != p
+        }
+        if len(ranks) < n:  # else the nudges reach every rank, 0..n-1, already
+            ranks.update(_ranks(keys, e, _scaled_bids(t)))
+        pay = top if p == 0 else bottom if p >= k else _misreport_payments(q, bids, p, top)
+        base = outcome.uav_utilities[e.uav_id]
+        gains.append(max(
+            ((uav_utility(e.phi_bar, q[r], pay[r]) if r < k else 0.0) - base for r in ranks),
+            default=float("-inf"),
+        ))
+    return gains
+
+
+class _SlotTable(NamedTuple):
+    """Each participant's utility at every vehicle at that vehicle's
+    cleared payment (0 for an unmatched vehicle): what the envy and
+    stability probes read.
+
+    Rows are the winners by rank, then the losers. Columns are the
+    winners' vehicles by rank, then the unmatched ones, so the first
+    ``winners`` rows and columns pair each winner with its own slot.
+    """
+
+    participants: list[int]
+    own: list[float]  # each participant's settled utility
+    winners: int
+    vehicles: list[int]
+    values: list[list[float]]
+    # the rows with a vehicle they prefer to their own by more than the
+    # tolerance: only these can envy or be half of a blocking pair
+    tempted: list[int]
+
+
+def _slot_table(
+    outcome: AuctionOutcome, phi_bars: Mapping[int, float], qs: Mapping[int, float]
+) -> _SlotTable:
+    """The table over the winners' vehicles and the vehicles of ``qs``
+    that no winner holds."""
+    vehicles = [m.ugv_id for m in outcome.winners]
+    slots = [(m.q, p) for m, p in zip(outcome.winners, outcome.payments)]
+    held = set(vehicles)
+    for v, q in qs.items():
+        if v not in held:
+            vehicles.append(v)
+            slots.append((q, 0.0))
+    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
+    values = [[uav_utility(phi, q, p) for q, p in slots]
+              for phi in [phi_bars[i] for i in participants]]
+    own = [outcome.uav_utilities.get(i, 0.0) for i in participants]
+    tempted = [row for row, (u, row_values) in enumerate(zip(own, values))
+               if row_values and max(row_values) > u + UTILITY_TOL]
+    return _SlotTable(participants, own, len(outcome.winners), vehicles, values, tempted)
+
+
+def _other_slots(table: _SlotTable, row: int) -> list[float]:
+    """A row's values at the winners' slots other than its own."""
+    values, k = table.values[row], table.winners
+    return values[:min(row, k)] + values[row + 1:k]
+
+
+def _envy_stats(table: _SlotTable) -> EnvyStats:
+    participants = table.participants
+    if not participants:
+        return EnvyStats(1.0, 1.0, ())
+    envious = [
+        row for row in table.tempted
+        if max(_other_slots(table, row), default=float("-inf")) > table.own[row] + UTILITY_TOL
+    ]
+    n_all, n_win = len(participants), table.winners
+    envious_winners = sum(1 for row in envious if row < n_win)
+    ratio_all = (n_all - len(envious)) / n_all
+    ratio_win = 1.0 if n_win == 0 else (n_win - envious_winners) / n_win
+    return EnvyStats(ratio_all, ratio_win, tuple(participants[row] for row in envious))
+
+
+def _blocking_pairs(table: _SlotTable, qs: Mapping[int, float]) -> list[tuple[int, int]]:
+    """The blocking pairs over the vehicles of ``qs``, in its order."""
+    if not table.tempted:
+        return []
+    k = table.winners
+    # a winner moves if it weakly prefers walking away or another slot
+    movable = [max([0.0] + _other_slots(table, row)) >= table.own[row] - UTILITY_TOL
+               for row in range(k)]
+    column = {v: c for c, v in enumerate(table.vehicles)}
+    offered = [(column[v], v) for v in qs if v in column]
+    blocking = []
+    for row in table.tempted:
+        uav_id, own, values = table.participants[row], table.own[row], table.values[row]
+        here = row if row < k else -1
+        for c, v in offered:
+            if c != here and values[c] > own + UTILITY_TOL and (c >= k or movable[c]):
+                blocking.append((uav_id, v))
+    return blocking
 
 
 def non_envy_ratio(outcome: AuctionOutcome, phi_bars: Mapping[int, float]) -> EnvyStats:
     """Fraction of participants that do not strictly prefer another
     winner's (slot, payment) pair evaluated at their own valuation."""
-    slots = [(m.q, p) for m, p in zip(outcome.winners, outcome.payments)]
-    winner_rank = {m.uav_id: j for j, m in enumerate(outcome.winners)}
-    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
-    if not participants:
-        return EnvyStats(1.0, 1.0, ())
-
-    envious = []
-    for uav_id in participants:
-        own = outcome.uav_utilities.get(uav_id, 0.0)
-        phi = phi_bars[uav_id]
-        own_rank = winner_rank.get(uav_id)
-        for j, (q, p) in enumerate(slots):
-            if j == own_rank:
-                continue
-            if uav_utility(phi, q, p) > own + UTILITY_TOL:
-                envious.append(uav_id)
-                break
-
-    n_all = len(participants)
-    n_win = len(outcome.winners)
-    envious_winners = sum(1 for u in envious if u in winner_rank)
-    ratio_all = (n_all - len(envious)) / n_all
-    ratio_win = 1.0 if n_win == 0 else (n_win - envious_winners) / n_win
-    return EnvyStats(ratio_all, ratio_win, tuple(envious))
+    return _envy_stats(_slot_table(outcome, phi_bars, {}))
 
 
 def check_stability(
@@ -198,42 +338,10 @@ def check_stability(
 
     Pair (UAV i, vehicle l) blocks iff i strictly prefers l's slot at l's
     cleared payment (0 for unmatched vehicles) AND l's occupant, if any,
-    weakly prefers some alternative over staying put.
+    weakly prefers some alternative over staying put. The pairs are over
+    the vehicles of ``qs``; a matched vehicle's q is read off its match.
     """
-    pay_by_ugv = {m.ugv_id: p for m, p in zip(outcome.winners, outcome.payments)}
-    occupant = {m.ugv_id: m.uav_id for m in outcome.winners}
-    slot_q = {m.ugv_id: m.q for m in outcome.winners}
-    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
-    matched_ugv = {m.uav_id: m.ugv_id for m in outcome.winners}
-
-    def prefers_elsewhere(uav_id: int) -> bool:
-        own = outcome.uav_utilities.get(uav_id, 0.0)
-        phi = phi_bars[uav_id]
-        here = matched_ugv.get(uav_id)
-        options = [0.0]  # walking away is always available
-        options += [
-            uav_utility(phi, slot_q[v], pay_by_ugv[v])
-            for v in slot_q
-            if v != here
-        ]
-        return any(alt >= own - UTILITY_TOL for alt in options)
-
-    movable = {occ: prefers_elsewhere(occ) for occ in occupant.values()}
-    blocking = []
-    for uav_id in participants:
-        own = outcome.uav_utilities.get(uav_id, 0.0)
-        phi = phi_bars[uav_id]
-        here = matched_ugv.get(uav_id)
-        for ugv_id, q in qs.items():
-            if ugv_id == here:
-                continue
-            alt = uav_utility(phi, q, pay_by_ugv.get(ugv_id, 0.0))
-            if alt <= own + UTILITY_TOL:
-                continue
-            occ = occupant.get(ugv_id)
-            if occ is None or movable[occ]:
-                blocking.append((uav_id, ugv_id))
-    return blocking
+    return _blocking_pairs(_slot_table(outcome, phi_bars, qs), qs)
 
 
 def random_market(
@@ -256,34 +364,23 @@ def random_market(
 def audit_market(market: WindowMarket, instance: str = "") -> AuditReport:
     """Run every probe on one truthful market; package the findings.
 
-    The market is cleared once by the auction; IR, envy and stability are
-    measured on that outcome, and the deviation probe measures each
-    bidder's misreport gains against it.
+    The market is cleared once by the auction. IR is read off that
+    outcome, IC prices every bidder's grid from one pass over the ranked
+    bids, and envy and stability read one table of slot utilities.
     """
     outcome = run_auction(market)
-    phi_bars = {e.uav_id: e.phi_bar for e in market.demand}
+    gains = _ic_gains(market, outcome)
     qs = {s.ugv_id: s.q for s in market.supply}
-
-    ir = check_ir(outcome)
-    worst_gain = float("-inf")
-    ic_violations = 0
-    for e in market.demand:
-        gain = _best_gain(market, e.uav_id, outcome.uav_utilities[e.uav_id], None)
-        worst_gain = max(worst_gain, gain)
-        if gain > UTILITY_TOL:
-            ic_violations += 1
-    if market.num_uavs == 0:
-        worst_gain = 0.0
-    envy = non_envy_ratio(outcome, phi_bars)
-    blocking = check_stability(outcome, phi_bars, qs)
+    table = _slot_table(outcome, {e.uav_id: e.phi_bar for e in market.demand}, qs)
+    envy = _envy_stats(table)
     return AuditReport(
         instance=instance,
-        ir_violations=len(ir),
-        ic_violations=ic_violations,
-        worst_ic_gain=worst_gain,
+        ir_violations=len(check_ir(outcome)),
+        ic_violations=sum(g > UTILITY_TOL for g in gains),
+        worst_ic_gain=max(gains, default=0.0),
         non_envy_ratio=envy.all_participants,
         non_envy_ratio_winners=envy.winners_only,
-        blocking_pairs=len(blocking),
+        blocking_pairs=len(_blocking_pairs(table, qs)),
     )
 
 

@@ -21,9 +21,9 @@ from skymarket._kernels import (  # the names step_world_loop reads
     F_TX, F_TY, F_X, F_Y, F_Z, G_STEP, G_SUPPLY, G_TX, G_TY, G_X, G_Y, GI_PARTNER, GI_STATE,
     I_ACT, I_PARTNER, UGV_ENROUTE, UGV_IDLE, UGV_SERVING,
 )
-from skymarket.audit import audit_market, deviation_grid
+from skymarket.audit import UTILITY_TOL, EnvyStats, audit_market, deviation_grid
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
-from skymarket.mechanism import run_auction, with_replaced_bid
+from skymarket.mechanism import run_auction, uav_utility, with_replaced_bid
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity
 
@@ -94,6 +94,74 @@ def replay_deviation_probe(market, uav_id, grid=None):
         outcome = run_auction(with_replaced_bid(market, uav_id, b_prime))
         best_gain = max(best_gain, outcome.uav_utilities[uav_id] - base_utility)
     return best_gain
+
+
+def non_envy_ratio_loop(outcome, phi_bars):
+    """Non-envy ratios by a scan of every participant over every other
+    winner slot: the oracle for ``non_envy_ratio`` and ``audit_market``."""
+    slots = [(m.q, p) for m, p in zip(outcome.winners, outcome.payments)]
+    winner_rank = {m.uav_id: j for j, m in enumerate(outcome.winners)}
+    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
+    if not participants:
+        return EnvyStats(1.0, 1.0, ())
+
+    envious = []
+    for uav_id in participants:
+        own = outcome.uav_utilities.get(uav_id, 0.0)
+        phi = phi_bars[uav_id]
+        own_rank = winner_rank.get(uav_id)
+        for j, (q, p) in enumerate(slots):
+            if j == own_rank:
+                continue
+            if uav_utility(phi, q, p) > own + UTILITY_TOL:
+                envious.append(uav_id)
+                break
+
+    n_all = len(participants)
+    n_win = len(outcome.winners)
+    envious_winners = sum(1 for u in envious if u in winner_rank)
+    ratio_all = (n_all - len(envious)) / n_all
+    ratio_win = 1.0 if n_win == 0 else (n_win - envious_winners) / n_win
+    return EnvyStats(ratio_all, ratio_win, tuple(envious))
+
+
+def check_stability_loop(outcome, phi_bars, qs):
+    """Blocking pairs by a scan of every (participant, vehicle) pair: the
+    oracle for ``check_stability`` and ``audit_market``."""
+    pay_by_ugv = {m.ugv_id: p for m, p in zip(outcome.winners, outcome.payments)}
+    occupant = {m.ugv_id: m.uav_id for m in outcome.winners}
+    slot_q = {m.ugv_id: m.q for m in outcome.winners}
+    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
+    matched_ugv = {m.uav_id: m.ugv_id for m in outcome.winners}
+
+    def prefers_elsewhere(uav_id):
+        own = outcome.uav_utilities.get(uav_id, 0.0)
+        phi = phi_bars[uav_id]
+        here = matched_ugv.get(uav_id)
+        options = [0.0]  # walking away is always available
+        options += [
+            uav_utility(phi, slot_q[v], pay_by_ugv[v])
+            for v in slot_q
+            if v != here
+        ]
+        return any(alt >= own - UTILITY_TOL for alt in options)
+
+    movable = {occ: prefers_elsewhere(occ) for occ in occupant.values()}
+    blocking = []
+    for uav_id in participants:
+        own = outcome.uav_utilities.get(uav_id, 0.0)
+        phi = phi_bars[uav_id]
+        here = matched_ugv.get(uav_id)
+        for ugv_id, q in qs.items():
+            if ugv_id == here:
+                continue
+            alt = uav_utility(phi, q, pay_by_ugv.get(ugv_id, 0.0))
+            if alt <= own + UTILITY_TOL:
+                continue
+            occ = occupant.get(ugv_id)
+            if occ is None or movable[occ]:
+                blocking.append((uav_id, ugv_id))
+    return blocking
 
 
 def outcome_rows(outcome):

@@ -263,6 +263,17 @@ def test_deviation_probe_rejects_negative_bid_and_unknown_uav():
     assert deviation_probe(market, 1, grid=[]) == float("-inf")
 
 
+def test_an_unknown_bidder_is_a_key_error():
+    # a StopIteration from the lookup would end a surrounding map() early
+    # and silently instead: [9] here, the grid of uav 0 alone
+    market = WindowMarket.from_values([4.0, 2.0], [4.0, 2.0], [0.9])
+    with pytest.raises(KeyError):
+        list(map(lambda u: len(deviation_grid(market, u)), [0, 5, 1]))
+    with pytest.raises(KeyError):
+        audit._misreport_utilities(market, 5, [1.0])
+    assert [len(deviation_grid(market, u)) for u in (0, 1)] == [9, 9]
+
+
 def test_audit_market_clears_each_market_once(rng, monkeypatch):
     calls = []
 

@@ -289,6 +289,26 @@ LOW_SOC_DIGESTS = {
 }
 
 
+# sha256 of the CSV each audit command writes, recorded while the audit
+# still priced each bidder's misreports on its own
+AUDIT_DIGESTS = [
+    (["audit", "--instances", "200", "--max-size", "8", "--seed", "7"], "audit-suite.csv",
+     "d35e065d325ae925df97c0614a496d2f6ea93609efd2d0197fe71e03857e6642"),
+    (["preset", "table-truthful", "--reps", "20", "--seed", "7"], "table-truthful.csv",
+     "dba7c351fa6d0de6d528bf77ebe0b8dbe3d251272ac9a6acaad9442c9f867697"),
+    (["preset", "table-envy", "--reps", "20", "--seed", "7"], "table-envy.csv",
+     "e287865c8fe8586073c14f10131be02541ac7a910f9d692dafc67f09457a92d8"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", AUDIT_DIGESTS,
+                         ids=[name for _, name, _ in AUDIT_DIGESTS])
+def test_audit_csvs_match_pinned_digests(tmp_path, argv, name, digest):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.glob("*.csv")] == [name]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_low_soc_run_csvs_match_pinned_digests(tmp_path):
     cfg_path = tmp_path / "low_soc.cfg"
     save_config(LOW_SOC_CONFIG, cfg_path)
@@ -445,3 +465,19 @@ def test_outputs_benchmark_script_runs():
     for name in ("metrics_raw.csv", "metrics_aggregate.csv", "audits.csv", "outcomes.csv"):
         assert name in out.stdout
     assert out.stdout.count("criterion 7: run --ugvs") == 2
+
+
+def test_audit_benchmark_script_runs():
+    # a short smoke run, so the script tracks the audit's parts
+    out = run_benchmark_script("bench_audit.py", "--repeats", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    titles = [line for line in lines if not line.startswith(" ")]
+    assert titles == [
+        "audit_suite mix (CLI seed 7000, 1-8 per side), 100 markets, best of 1:",
+        "20x20, 20 markets, best of 1:",
+        "73x25, 20 markets, best of 1:",
+    ]
+    parts = [line.split()[0] for line in lines if line.startswith(" ")]
+    assert parts == ["audit_market", "run_auction", "IC", "envy+stability"] * 3
+    assert all(line.split()[2:4] == ["ms", "per"] for line in lines if line.startswith(" "))

@@ -1,11 +1,25 @@
-"""Property tests over generated scenario configs."""
+"""Property tests over generated scenario configs and markets."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
-from conftest import run_world_windowwise  # noqa: E402
+from conftest import (  # noqa: E402
+    check_stability_loop,
+    non_envy_ratio_loop,
+    replay_deviation_probe,
+    run_world_windowwise,
+)
+from skymarket.audit import (  # noqa: E402
+    DEVIATION_EPS,
+    UTILITY_TOL,
+    audit_market,
+    check_stability,
+    deviation_probe,
+    non_envy_ratio,
+)
+from skymarket.mechanism import WindowMarket, run_auction  # noqa: E402
 from skymarket.simulator import (  # noqa: E402
     SCHEME_OURS,
     SCHEME_STATIC,
@@ -134,3 +148,53 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
     assert all(o.winners for o in cleared)
     assert len(cleared) == sum(1 for o in outcomes if o.winners) > 0
     assert all(w.excluded.any() and not w.excluded.all() for w in worlds)
+
+
+# a bidder's (valuation, bid / valuation) and a vehicle's q: levels make
+# tied bids, tied q and zero bids common, and the bids are truthful,
+# shaded, zeroed or doubled, as in test_audit.py's tie-heavy markets
+_bidder = st.tuples(
+    st.sampled_from([1.0, 2.5, 4.0]) | st.floats(0.5, 6.0),
+    st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0]) | st.floats(0.0, 2.0),
+)
+_q = st.sampled_from([0.2, 0.5, 0.5, 0.9]) | st.floats(0.05, 1.0)
+_NUDGE_APART = [2.5, 2.5 - DEVIATION_EPS, 2.5, 2.5 + DEVIATION_EPS]
+
+
+@st.composite
+def _markets(draw):
+    bidders = draw(st.lists(_bidder, max_size=9))
+    qs = draw(st.lists(_q, max_size=9))
+    return WindowMarket.from_values([phi for phi, _ in bidders],
+                                    [phi * shade for phi, shade in bidders], qs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(market=_markets())
+@example(market=WindowMarket.from_values([2.5, 4.0, 2.5], [2.5, 0.0, 5.0], []))
+@example(market=WindowMarket.from_values([], [], [0.5, 0.9]))
+@example(market=WindowMarket.from_values([4.0, 2.5, 1.0], [2.0, 2.5, 2.0], [0.5, 0.5]))
+# truthful bids one nudge apart: a nudge that ties a bid ranks by id
+@example(market=WindowMarket.from_values(_NUDGE_APART, _NUDGE_APART, [0.9, 0.5, 0.2]))
+def test_one_pass_audit_matches_the_replay_and_the_scans(market):
+    # audit_market prices every bidder's grid from one pass over the
+    # ranked bids and reads envy and stability off one table; the replay
+    # clears the auction once per grid bid, and the scans are the old
+    # per-pair loops. Shaded bids make IC, envy and stability fail too
+    gains = [replay_deviation_probe(market, e.uav_id) for e in market.demand]
+    for e, gain in zip(market.demand, gains):
+        assert repr(deviation_probe(market, e.uav_id)) == repr(gain)
+    outcome = run_auction(market)
+    phi = {e.uav_id: e.phi_bar for e in market.demand}
+    qs = {s.ugv_id: s.q for s in market.supply}
+    envy = non_envy_ratio_loop(outcome, phi)
+    blocking = check_stability_loop(outcome, phi, qs)
+    assert non_envy_ratio(outcome, phi) == envy
+    assert check_stability(outcome, phi, qs) == blocking
+
+    report = audit_market(market)
+    assert repr(report.worst_ic_gain) == repr(max(gains, default=0.0))
+    assert report.ic_violations == sum(g > UTILITY_TOL for g in gains)
+    assert repr((report.non_envy_ratio, report.non_envy_ratio_winners)) == repr(envy[:2])
+    assert report.blocking_pairs == len(blocking)
