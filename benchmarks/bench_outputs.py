@@ -5,16 +5,17 @@ Calls ``skymarket.cli.main`` and times every writer call the CLI makes
 (metrics_raw, metrics_aggregate, audits and outcomes) next to the whole
 call. Two workloads:
 
-* ``run --scheme all --outcomes --audit`` on 100 UAVs starting at 30-60%
-  charge against 25 vehicles (the config of perfbench's
-  ``crowded_market``);
+* 100 UAVs starting at 30-60% charge against 25 vehicles (the config of
+  perfbench's ``crowded_market``), under perfbench's own command ``run
+  --scheme all --outcomes`` and with ``--audit`` added;
 * criterion 7's sweep, ``run --ugvs 6 8 10 12 14 --reps 100 --scheme
   all`` on the default config, without and with ``--audit``.
 
-A writer's time includes building the rows it consumes as it writes:
-for audits.csv, the rows are built from the audit fields kept beside
-the window metrics. Prints each file's best time over the repeats, with
-its line count and size, next to the best time of the whole call.
+A writer's time includes formatting the text it writes as it writes:
+``MetricsColumns`` formats metrics_raw, audits and outcomes from its
+columns, one chunk per run. Prints each file's best time over the
+repeats, with its line count and size, next to the best time of the
+whole call.
 ``--horizon-slots`` sets every workload's horizon.
 
 Usage: python benchmarks/bench_outputs.py [--repeats 5] [--horizon-slots 600] [--seed 7]
@@ -88,9 +89,11 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     seed = ["--seed", str(args.seed)]
-    bench(f"run --scheme all --outcomes --audit, 100 UAVs vs 25 vehicles, seed {args.seed}",
-          CROWDED.replace(horizon_slots=args.horizon_slots),
-          ["--scheme", "all", "--outcomes", "--audit", *seed], args.repeats)
+    crowded = CROWDED.replace(horizon_slots=args.horizon_slots)
+    for audit in ([], ["--audit"]):
+        command = ["--scheme", "all", "--outcomes", *audit]
+        bench(f"run {' '.join(command)}, 100 UAVs vs 25 vehicles, seed {args.seed}",
+              crowded, command + seed, args.repeats)
     default = ScenarioConfig(horizon_slots=args.horizon_slots)
     for audit in ([], ["--audit"]):
         bench(f"criterion 7: run {' '.join(CRITERION_7 + audit)}, seed {args.seed}",

@@ -7,8 +7,9 @@ Subcommands:
 * ``audit``    - property probes over random market instances
 * ``validate`` - check a config file, list violations
 
-Exit codes: 0 success, 1 usage error, 2 invalid/unreadable config (for
-``run``, any cell of the sweep). The default output directory comes from
+Exit codes: 0 success, 1 usage error (for ``run``, also a sweep that
+repeats a value), 2 invalid/unreadable config (for ``run``, any cell of
+the sweep). The default output directory comes from
 ``SKYMARKET_OUT`` (falling back to ``./results``).
 """
 
@@ -20,8 +21,8 @@ import sys
 from pathlib import Path
 
 from .audit import AUDIT_CSV_HEADER
-from .mechanism import OUTCOME_CSV_HEADER, outcome_lines
-from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
+from .mechanism import OUTCOME_CSV_HEADER
+from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER, aggregate_tuple
 from .presets import PRESETS, count_problem, run_audit_suite, run_preset
 from .reporting import __version__, provenance_line, write_csv, write_csv_text
 from .simulator import (
@@ -114,18 +115,6 @@ def _checked_config(path: str | None) -> ScenarioConfig | None:
     return None if problems else config
 
 
-def _outcome_text(outcomes):
-    """``outcomes.csv``'s rows as text, one chunk per outcome that has a
-    participant, each line led by its scheme and seed. Streamed from
-    ``MetricsColumns.outcome_tuples``: only one window's lines are alive
-    at a time."""
-    for scheme, seed, outcome in outcomes:
-        lines = outcome_lines(outcome)
-        if lines:
-            lead = f"{scheme},{seed},"
-            yield lead + lead.join(lines)
-
-
 def cmd_run(args) -> int:
     config = _checked_config(args.config)
     if config is None:
@@ -137,7 +126,12 @@ def cmd_run(args) -> int:
         sweep["ugv_count"] = args.ugvs
     if args.tau:
         sweep["window_len"] = args.tau
-    problems = [p for cell in sweep_cells(config, sweep) for p in validate(cell)]
+    try:
+        cells = sweep_cells(config, sweep)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    problems = [p for cell in cells for p in validate(cell)]
     for p in dict.fromkeys(problems):
         print(f"invalid config: {p}", file=sys.stderr)
     if problems:
@@ -149,18 +143,18 @@ def cmd_run(args) -> int:
     )
     out = Path(args.out)
     prov = provenance_line(args.seed, config, note=f"cmd=run reps={args.reps}")
+    cols = result.metrics
     files = [
-        write_csv(out / "metrics_raw.csv", METRICS_CSV_HEADER,
-                  result.metrics.tuples(), prov),
+        write_csv_text(out / "metrics_raw.csv", METRICS_CSV_HEADER, cols.text(), prov),
         write_csv(out / "metrics_aggregate.csv", AGGREGATE_CSV_HEADER,
-                  [tuple(a[k] for k in AGGREGATE_CSV_HEADER) for a in result.aggregates], prov),
+                  map(aggregate_tuple, result.aggregates), prov),
     ]
     if args.audit:
-        files.append(write_csv(out / "audits.csv", AUDIT_CSV_HEADER,
-                               result.metrics.audit_tuples(), prov))
+        files.append(write_csv_text(out / "audits.csv", AUDIT_CSV_HEADER,
+                                    cols.audit_text(), prov))
     if args.outcomes:
         files.append(write_csv_text(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
-                                    _outcome_text(result.metrics.outcome_tuples()), prov))
+                                    cols.outcome_text(), prov))
     for f in files:
         print(f)
     return EXIT_OK

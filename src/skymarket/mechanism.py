@@ -41,6 +41,7 @@ __all__ = [
     "social_surplus",
     "run_auction",
     "outcome_lines",
+    "loser_line",
     "OUTCOME_CSV_HEADER",
 ]
 
@@ -234,13 +235,20 @@ def outcome_lines(outcome: AuctionOutcome) -> list[str]:
 
     Winners come first by rank, then losers in rank order. A loser has
     empty ugv/q/rank fields, a zero payment and zero utility, matching its
-    settlement. Each line is what ``csv.writer`` writes for these fields
-    (``str`` of an int, ``repr`` of a float, nothing for an empty field);
-    no field needs quoting, as none can hold a comma, a quote or a newline.
+    settlement (``loser_line``). Each line is what ``csv.writer`` writes
+    for these fields (``str`` of an int, ``repr`` of a float, nothing for
+    an empty field); no field needs quoting, as none can hold a comma, a
+    quote or a newline.
     """
     wid = outcome.window_id
     utilities = outcome.uav_utilities
     lines = [f"{wid},{m.uav_id},{m.ugv_id},{m.bid!r},{m.q!r},{p!r},{utilities[m.uav_id]!r},"
              f"{m.rank}\n" for m, p in zip(outcome.winners, outcome.payments)]
-    lines += [f"{wid},{uav_id},,,,0.0,0.0,\n" for uav_id in outcome.losers]
+    lead = f"{wid},"
+    lines += [lead + loser_line(uav_id) for uav_id in outcome.losers]
     return lines
+
+
+def loser_line(uav_id: int) -> str:
+    """A losing bidder's ``outcomes.csv`` line after its window id."""
+    return f"{uav_id},,,,0.0,0.0,\n"

@@ -2,25 +2,36 @@
 
 ``close_window`` reports a window as a ``MetricsRow``; a sweep keeps its
 windows in a ``MetricsColumns`` store, beside each window's outcome and
-audit findings when asked for, writes the CSV rows straight from it and
-reduces it to per-(scheme, J, tau) aggregates.
+audit findings when asked for, and reduces it to per-(scheme, J, tau)
+aggregates. The store writes the text of the run's per-window CSVs
+(``metrics_raw.csv``, ``audits.csv`` and ``outcomes.csv``) straight from
+its columns, one chunk per run, with the bytes ``csv.writer`` would
+write for its tuple rows; the tuples, ``MetricsRow``s, ``AuditReport``s
+and ``AuctionOutcome``s are built only when read.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .audit import AuditReport
+from .mechanism import loser_line, outcome_lines
+from .types import AuctionOutcome
 
 __all__ = [
     "MetricsRow",
     "MetricsColumns",
+    "NoTrade",
     "METRICS_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
     "aggregate_rows",
+    "aggregate_tuple",
 ]
 
 
@@ -48,10 +59,50 @@ class MetricsRow:
             )
 
 
+def _fields_text(fields) -> str:
+    """CSV text of ``fields`` after a first field: what ``csv.writer``
+    writes for ints and floats (``str`` of an int is its ``repr``)."""
+    return "," + ",".join(map(repr, fields)) + "\n"
+
+
 # audit fields after the instance name for a window with no trade (no
 # sampled bidder or no admitted vehicle): every utility and misreport
 # settles at 0 and nobody envies or blocks
 _NO_MARKET_AUDIT = (0, 0, 0.0, 1.0, 1.0, 0)
+_NO_MARKET_AUDIT_TEXT = _fields_text(_NO_MARKET_AUDIT)
+
+
+def _utilities(values: np.ndarray, empty: np.ndarray) -> list:
+    """``values`` as a list, with the int 0 where a sum is ``empty``."""
+    out = values.astype(object)
+    out[empty] = 0
+    return out.tolist()
+
+
+class NoTrade(NamedTuple):
+    """What is kept of a window with no trade: its sampled bidders, every
+    one a loser, ranked as the auction ranks them (bid descending, id
+    ascending), and its admitted vehicles' ids; at least one is empty."""
+
+    losers: Sequence[int]
+    ugvs: Sequence[int]
+
+    def outcome(self, window_id: int) -> AuctionOutcome:
+        """``close_window``'s outcome for the window: nobody trades and
+        everyone settles at 0."""
+        return AuctionOutcome(
+            window_id=window_id, winners=(), losers=tuple(self.losers), payments=(),
+            uav_utilities=dict.fromkeys(sorted(self.losers), 0.0),
+            ugv_utilities=dict.fromkeys(self.ugvs, 0.0), social_surplus=0.0,
+        )
+
+
+class _LoserLines(dict):
+    """``mechanism.loser_line`` by UAV id, each formatted on first use."""
+
+    def __missing__(self, uav_id: int) -> str:
+        self[uav_id] = line = loser_line(uav_id)
+        return line
 
 
 class MetricsColumns:
@@ -64,8 +115,11 @@ class MetricsColumns:
     ``ugv_empty`` mark utilities that are empty sums (no agent of that
     side in the market), which a ``MetricsRow`` holds as the int ``0``.
     ``audits`` (each entry's audit fields after the instance name) and
-    ``outcomes`` (its ``AuctionOutcome``) are lists only when asked for.
-    New entries hold a window with neither bidder nor offered vehicle.
+    ``outcomes`` are lists only when asked for. A window with a trade
+    keeps its ``AuctionOutcome`` there; a window with no trade keeps only
+    a ``NoTrade`` record (ranked loser ids and admitted vehicle ids),
+    whose ``AuctionOutcome`` ``outcome_tuples`` builds on read. New
+    entries hold a window with neither bidder nor offered vehicle.
     """
 
     def __init__(self, runs: list, window: np.ndarray, with_audit: bool, keep_outcomes: bool):
@@ -81,7 +135,7 @@ class MetricsColumns:
         self.uav_empty = np.ones(n, dtype=bool)
         self.ugv_empty = np.ones(n, dtype=bool)
         self.audits = [_NO_MARKET_AUDIT] * n if with_audit else None
-        self.outcomes = [None] * n if keep_outcomes else None
+        self.outcomes = [NoTrade((), ())] * n if keep_outcomes else None
 
     def record(self, k: int, row: MetricsRow) -> None:
         """Set entry k's metrics to ``row``'s; ``uav_empty`` and
@@ -95,15 +149,10 @@ class MetricsColumns:
 
     def tuples(self):
         """The rows in output order, as ``METRICS_CSV_HEADER`` tuples."""
-        def utility(values, empty):
-            out = values.astype(object)
-            out[empty] = 0
-            return out.tolist()
-
         cols = (
             self.window.tolist(), self.sl.tolist(),
-            utility(self.uav_utility, self.uav_empty),
-            utility(self.ugv_utility, self.ugv_empty),
+            _utilities(self.uav_utility, self.uav_empty),
+            _utilities(self.ugv_utility, self.ugv_empty),
             self.surplus.tolist(), self.non_envy_ratio.tolist(), self.winners.tolist(),
         )
         repeat = itertools.repeat
@@ -129,12 +178,85 @@ class MetricsColumns:
         if self.outcomes is None:
             return
         for scheme, _, _, seed, start, stop in self.runs:
-            for outcome in self.outcomes[start:stop]:
-                yield scheme, seed, outcome
+            for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
+                yield scheme, seed, kept.outcome(w) if isinstance(kept, NoTrade) else kept
 
     def audit_reports(self) -> list[AuditReport]:
         """The audit rows in output order, as ``AuditReport``s."""
         return list(itertools.starmap(AuditReport, self.audit_tuples()))
+
+    def _chunks(self, lead, body):
+        """One chunk of CSV text per run with lines, in output order: the
+        lines ``body(start, stop)`` formats for its block, each led by
+        ``lead(scheme, ugv_count, tau, seed)``. A block's lines are
+        formatted once, however many runs list it (``ours`` and
+        ``optimal``), and dropped after its last run, so only the blocks
+        of runs in flight are alive at a time."""
+        left = Counter(run[4:] for run in self.runs)
+        bodies = {}
+        for run in self.runs:
+            block = run[4:]
+            text = bodies.pop(block) if block in bodies else body(*block)
+            left[block] -= 1
+            if left[block]:
+                bodies[block] = text
+            if text:
+                head = lead(*run[:4])
+                # every line ends in "\n", and no field holds one
+                yield head + text[:-1].replace("\n", "\n" + head) + "\n"
+
+    def text(self):
+        """``metrics_raw.csv``'s rows as text chunks: the bytes
+        ``csv.writer`` writes for ``tuples()``."""
+        def body(start, stop):
+            cols = (
+                self.window[start:stop].tolist(), self.sl[start:stop].tolist(),
+                _utilities(self.uav_utility[start:stop], self.uav_empty[start:stop]),
+                _utilities(self.ugv_utility[start:stop], self.ugv_empty[start:stop]),
+                self.surplus[start:stop].tolist(), self.non_envy_ratio[start:stop].tolist(),
+                self.winners[start:stop].tolist(),
+            )
+            # repr of the int 0 of an empty sum is "0", as csv.writer writes it
+            return "".join([f"{w},{sl!r},{uu!r},{gu!r},{sp!r},{ne!r},{wn}\n"
+                            for w, sl, uu, gu, sp, ne, wn in zip(*cols)])
+
+        return self._chunks(lambda scheme, ugv_count, tau, seed:
+                            f"{scheme},{ugv_count},{tau!r},{seed},", body)
+
+    def audit_text(self):
+        """``audits.csv``'s rows as text chunks: the bytes ``csv.writer``
+        writes for ``audit_tuples()``; none unless audits are kept."""
+        if self.audits is None:
+            return iter(())
+
+        def body(start, stop):
+            return "".join([f"{w}{_NO_MARKET_AUDIT_TEXT}" if fields is _NO_MARKET_AUDIT
+                            else f"{w}{_fields_text(fields)}"
+                            for w, fields in zip(self.window[start:stop].tolist(),
+                                                 self.audits[start:stop])])
+
+        return self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme}-seed{seed}-w", body)
+
+    def outcome_text(self):
+        """``outcomes.csv``'s rows as text chunks, each line led by its
+        scheme and seed: ``mechanism.outcome_lines`` of every outcome in
+        ``outcome_tuples()``, without building those of windows with no
+        trade; none unless outcomes are kept."""
+        if self.outcomes is None:
+            return iter(())
+        loser_text = _LoserLines()
+
+        def body(start, stop):
+            parts = []
+            for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
+                if not isinstance(kept, NoTrade):
+                    parts += outcome_lines(kept)
+                elif kept.losers:
+                    wid = f"{w},"
+                    parts.append(wid + wid.join(map(loser_text.__getitem__, kept.losers)))
+            return "".join(parts)
+
+        return self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme},{seed},", body)
 
 
 METRICS_CSV_HEADER = (
@@ -184,3 +306,8 @@ def aggregate_rows(cols: MetricsColumns) -> list[dict]:
             }
         )
     return out
+
+
+# a row of ``metrics_aggregate.csv``: an ``aggregate_rows`` dict's values
+# in ``AGGREGATE_CSV_HEADER`` order
+aggregate_tuple = operator.itemgetter(*AGGREGATE_CSV_HEADER)

@@ -25,8 +25,8 @@ from .audit import (
     random_market,
 )
 from .mechanism import run_auction
-from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER
-from .reporting import provenance_line, write_csv
+from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER, aggregate_tuple
+from .reporting import provenance_line, write_csv, write_csv_text
 from .simulator import (
     ALL_SCHEMES,
     SCHEME_OURS,
@@ -61,16 +61,16 @@ def _run_fig_sweep(
 ) -> list[Path]:
     result = run_experiment(config, sweep, replications=reps, schemes=schemes, base_seed=seed)
     prov = provenance_line(seed, config, note=f"preset={name} reps={reps}")
-    raw = write_csv(
+    raw = write_csv_text(
         out_dir / f"{name}_raw.csv",
         METRICS_CSV_HEADER,
-        result.metrics.tuples(),
+        result.metrics.text(),
         prov,
     )
     agg = write_csv(
         out_dir / f"{name}_aggregate.csv",
         AGGREGATE_CSV_HEADER,
-        [tuple(a[k] for k in AGGREGATE_CSV_HEADER) for a in result.aggregates],
+        map(aggregate_tuple, result.aggregates),
         prov,
     )
     return [raw, agg]

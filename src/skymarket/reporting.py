@@ -6,10 +6,15 @@ a results file can be traced back to its exact inputs. Nothing
 time-dependent is written: identical invocations produce byte-identical
 files.
 
-``write_csv`` writes tuple rows through ``csv.writer``. ``write_csv_text``
-writes rows its caller already formatted as CSV text, chunk by chunk as
-they come, so a streamed file is never held in memory whole; it writes
-``outcomes.csv``, whose rows ``csv.writer`` formatted four times slower.
+``write_csv`` writes tuple rows through ``csv.writer``: the aggregates
+and the audit and table presets' files. ``write_csv_text`` writes rows
+its caller already formatted as CSV text, chunk by chunk as they come,
+so a streamed file is never held in memory whole. It writes the
+per-window files of ``run`` and the fig presets (``metrics_raw.csv``,
+``audits.csv``, ``outcomes.csv`` and ``<preset>_raw.csv``), which
+``MetricsColumns`` formats from its columns one run at a time, with the
+bytes ``csv.writer`` would write for their tuple rows, in a fraction of
+its time.
 """
 
 from __future__ import annotations

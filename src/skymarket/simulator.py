@@ -24,8 +24,9 @@ boundary (``_book``). Each world still clears its windows at its own
 are offset into the stack, so every world evolves bit-identically to a
 run on its own. Window
 metrics, and the outcomes and audit findings asked for, are kept in
-columns (``MetricsColumns``), one block of entries per world; rows and
-reports are built only when written or read. Most windows of a sweep
+columns (``MetricsColumns``), one block of entries per world, and the
+CSVs are written from them as text; rows, reports and the outcomes of
+windows with no trade are built only when read. Most windows of a sweep
 have no trade: no sampled bidder, or no vehicle that could serve the
 neediest one. Segment reductions over the stack tell those apart, and
 they are settled in bulk, without building a market; only windows with
@@ -59,7 +60,7 @@ from .audit import non_envy_ratio
 from .baselines import optimal_scheme_outcome
 from .energy import ascend_power, descend_power, flight_power, hover_power
 from .mechanism import DemandEntry, admit, run_auction
-from .metrics import MetricsColumns, MetricsRow, aggregate_rows
+from .metrics import MetricsColumns, MetricsRow, NoTrade, aggregate_rows
 from .types import (
     Activity,
     AuctionOutcome,
@@ -524,20 +525,11 @@ def _unstack(worlds: Sequence[World]) -> None:
         w.uav_base = w.ugv_base = 0
 
 
-def _no_trade_outcome(world: World, window_id: int, sampled: np.ndarray,
-                      admitted: np.ndarray) -> AuctionOutcome:
-    """``close_window``'s outcome for a window with no trade, given the
-    world's masks of sampled bidders and admitted vehicles (one of them
-    empty): every bidder loses, ranked by bid descending and id
-    ascending as the auction ranks them, and everyone settles at 0."""
-    ids = np.flatnonzero(sampled)
-    bids = world.phi_sum[ids] / world.sample_count[ids]
-    return AuctionOutcome(
-        window_id=window_id, winners=(), losers=tuple(ids[np.lexsort((ids, -bids))].tolist()),
-        payments=(), uav_utilities=dict.fromkeys(ids.tolist(), 0.0),
-        ugv_utilities=dict.fromkeys(np.flatnonzero(admitted).tolist(), 0.0),
-        social_surplus=0.0,
-    )
+def _split(values: np.ndarray, counts: np.ndarray) -> list[list]:
+    """``values`` as consecutive lists of ``counts[k]`` items each."""
+    values = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [values[b:e] for b, e in zip([0, *ends], ends)]
 
 
 def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
@@ -559,8 +551,9 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     every bidder loses, through the ``_settle_losers`` that
     ``close_window`` settles its own losers with, and the entry, whose
     other fields start at a no-trade window's values, keeps them. Every
-    due entry's empty-side flags are set here, and its outcome and the
-    audit fields of a trade when ``cols`` keeps them.
+    due entry's empty-side flags are set here, and when ``cols`` keeps
+    them, its outcome (a ``NoTrade`` record for a window with no trade)
+    and the audit fields of a trade.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -575,6 +568,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     ugv_starts = np.array([w.ugv_base for w in worlds])
     uav_world = np.repeat(np.arange(len(worlds)), [w.num_uavs for w in worlds])
     ugv_world = np.repeat(np.arange(len(worlds)), [w.num_ugvs for w in worlds])
+    # each row's world's first row
+    uav_row_base, ugv_row_base = uav_starts[uav_world], ugv_starts[ugv_world]
     max_fails = np.array([w.config.max_failed_windows for w in worlds])[uav_world]
     # each slot's SoC and sensing mask, booked a block of slots at a time
     soc_col, act_col = stack.uav_f[:, K.F_SOC], stack.uav_i[:, K.I_ACT]
@@ -597,7 +592,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 continue
             ks, entry = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
             sampled = stack.bidder & (stack.sample_count > 0)
-            queued = np.add.reduceat(sampled, uav_starts) > 0
+            n_sampled = np.add.reduceat(sampled, uav_starts)
+            queued = n_sampled > 0
             bids = queued[ks]
             bidding = bids.any()  # false at most boundaries of a sweep
             need = 0.0  # admit's largest satisfaction gap with no bidder
@@ -607,18 +603,24 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 need = np.where(queued, np.maximum.reduceat(gap, uav_starts), 0.0)[ugv_world]
             admitted = ((stack.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
                         & (stack.ugv_f[:, K.G_SUPPLY] >= need))
-            stocked = np.add.reduceat(admitted, ugv_starts) > 0
+            n_admitted = np.add.reduceat(admitted, ugv_starts)
+            stocked = n_admitted > 0
             sells = stocked[ks]
             trade = bids & sells
             # every due entry's empty-side flags are set here, trades included
             cols.ugv_empty[entry] = ~sells
             if cols.outcomes is not None:
+                # a window with no trade keeps its bidders, ranked as the
+                # auction ranks them (bid descending, then id: lexsort is
+                # stable), and its admitted vehicles
+                rows = np.flatnonzero(sampled)
+                bid = stack.phi_sum[rows] / stack.sample_count[rows]
+                rows = rows[np.lexsort((-bid, uav_world[rows]))]
+                ranked = _split(rows - uav_row_base[rows], n_sampled)
+                rows = np.flatnonzero(admitted)
+                offered = _split(rows - ugv_row_base[rows], n_admitted)
                 for k, e in zip(ks[~trade].tolist(), entry[~trade].tolist()):
-                    w = worlds[k]
-                    cols.outcomes[e] = _no_trade_outcome(
-                        w, int(cols.window[e]),
-                        sampled[w.uav_base:w.uav_base + w.num_uavs],
-                        admitted[w.ugv_base:w.ugv_base + w.num_ugvs])
+                    cols.outcomes[e] = NoTrade(ranked[k], offered[k])
             if not bidding:
                 continue
             cols.uav_empty[entry] = ~bids
@@ -719,9 +721,9 @@ def run_worlds(
     cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
     # one run per world, in entry order: output position is entry index
     rows, audits = cols.rows(), cols.audit_reports()
+    outcomes = [outcome for *_, outcome in cols.outcome_tuples()]
     return [
-        (rows[start:stop], cols.outcomes[start:stop] if keep_outcomes else [],
-         audits[start:stop])
+        (rows[start:stop], outcomes[start:stop], audits[start:stop])
         for *_, start, stop in cols.runs
     ]
 
@@ -761,7 +763,13 @@ class ExperimentResult:
 
 def sweep_cells(config: ScenarioConfig, sweep: Mapping[str, Sequence]) -> list[ScenarioConfig]:
     """``config`` with each combination of ``sweep``'s value lists applied,
-    in cartesian-product order; ``sweep`` maps field names to values."""
+    in cartesian-product order; ``sweep`` maps field names to values.
+    ValueError if a list repeats a value: its cells would be simulated,
+    written and aggregated twice."""
+    for key, values in sweep.items():
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ValueError(f"{key}: the sweep repeats {value!r}")
     keys = list(sweep)
     return [
         config.replace(**dict(zip(keys, combo)))
@@ -788,12 +796,14 @@ def run_experiment(
     world the same draws pinned in place. ``ours`` and ``optimal`` clear
     identically under truthful bids, so they share one mobile world per
     (cell, seed); its windows are emitted once per scheme, under that
-    scheme's label, in (cell, seed, ``schemes``) order.
+    scheme's label, in (cell, seed, ``schemes``) order. A value list
+    that repeats a value is a ValueError (``sweep_cells``).
     """
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-    cells = [_checked(cfg) for cfg in sweep_cells(config, sweep)] if replications > 0 else []
+    cells = sweep_cells(config, sweep)
+    cells = [_checked(cfg) for cfg in cells] if replications > 0 else []
     uavs = max((cfg.uav_count for cfg in cells), default=0)
     ugvs = max((cfg.ugv_count for cfg in cells), default=0)
     draws = [_draw_agents(base_seed + rep, uavs, ugvs) for rep in range(replications)]

@@ -25,7 +25,7 @@ from skymarket.audit import UTILITY_TOL, EnvyStats, audit_market, deviation_grid
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import run_auction, uav_utility, with_replaced_bid
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
-from skymarket.types import Activity
+from skymarket.types import Activity, AuctionOutcome
 
 
 def run_benchmark_script(name, *args):
@@ -198,21 +198,48 @@ def csv_writer_text(rows):
     return buf.getvalue()
 
 
+def no_trade_outcome(world, window_id, sampled, admitted):
+    """``close_window``'s outcome for a window with no trade, given the
+    world's masks of sampled bidders and admitted vehicles (one of them
+    empty): every bidder loses, ranked by bid descending and id
+    ascending as the auction ranks them, and everyone settles at 0. The
+    oracle for the ``NoTrade`` records ``MetricsColumns`` keeps."""
+    ids = np.flatnonzero(sampled)
+    bids = world.phi_sum[ids] / world.sample_count[ids]
+    return AuctionOutcome(
+        window_id=window_id, winners=(), losers=tuple(ids[np.lexsort((ids, -bids))].tolist()),
+        payments=(), uav_utilities=dict.fromkeys(ids.tolist(), 0.0),
+        ugv_utilities=dict.fromkeys(np.flatnonzero(admitted).tolist(), 0.0),
+        social_surplus=0.0,
+    )
+
+
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     """One world run alone, slot by slot, every window through
     ``close_window`` and, with ``with_audit``, every market it clears
     through ``audit_market``: the oracle for ``run_worlds``, which stacks
-    worlds and settles windows with no trade without building a market."""
+    worlds and settles windows with no trade without building a market.
+    The outcome of a window with no trade (no sampled bidder, or no
+    vehicle ``admit`` keeps) must be its ``no_trade_outcome``."""
     spw = world.config.slots_per_window
     rows, outcomes, audits = [], [], []
     for _ in range(horizon):
         advance_slot(world)
         if world.clock % spw == 0:
+            sampled = world.bidder & (world.sample_count > 0)
+            gaps = world.uav_f[sampled, F_SAT] - world.uav_f[sampled, F_SOC]
+            admitted = ((world.ugv_i[:, GI_STATE] == UGV_IDLE)
+                        & (world.ugv_f[:, G_SUPPLY] >= gaps.max(initial=0.0)))
+            no_trade = None
+            if not (sampled.any() and admitted.any()):
+                no_trade = no_trade_outcome(world, world.clock // spw, sampled, admitted)
             outcome, row, market = close_window(world)
             rows.append(row)
             if with_audit:
                 audits.append(audit_market(
                     market, instance=f"{world.scheme}-seed{world.seed}-w{world.clock // spw}"))
+            if no_trade is not None:
+                assert repr(outcome) == repr(no_trade)
             if keep_outcomes:
                 outcomes.append(outcome)
     return rows, outcomes, audits

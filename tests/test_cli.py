@@ -2,16 +2,18 @@
 
 import csv
 import hashlib
+import re
 
 import pytest
 
-from skymarket.audit import audit_report_row
+from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row
 from skymarket.cli import main
 from skymarket.mechanism import OUTCOME_CSV_HEADER, outcome_lines
-from skymarket.simulator import ALL_SCHEMES, run_experiment
+from skymarket.metrics import METRICS_CSV_HEADER
+from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment
 from skymarket.types import ScenarioConfig, save_config
 
-from conftest import csv_writer_text, outcome_rows, run_benchmark_script
+from conftest import csv_writer_text, outcome_rows, run_benchmark_script, run_world_windowwise
 
 
 def read_bytes(path):
@@ -222,10 +224,25 @@ def test_contested_run_csvs_match_pinned_digests(tmp_path):
 
 
 def test_contested_outcomes_are_what_csv_writer_writes(tmp_path):
-    # every outcome of the contested command, and the outcomes.csv the
-    # CLI writes from them, against the tuple rows through csv.writer
+    # every outcome of the contested command equals its world's run alone,
+    # where each window with no trade is held to the no_trade_outcome
+    # oracle; the outcomes.csv, metrics_raw.csv and audits.csv text the
+    # CLI writes is what csv.writer writes for the tuple rows. The command
+    # has UAV ids up to 99, windows with no bidder, and utilities of both
+    # the int 0 and 0.0
     result = run_experiment(CONTESTED_CONFIG, {"ugv_count": [5, 25]}, replications=2,
-                            schemes=ALL_SCHEMES, base_seed=5, keep_outcomes=True)
+                            schemes=ALL_SCHEMES, base_seed=5, with_audit=True,
+                            keep_outcomes=True)
+    alone = []
+    for m in (5, 25):
+        for seed in (5, 6):
+            by_kind = {kind: run_world_windowwise(
+                generate_scenario(CONTESTED_CONFIG.replace(ugv_count=m), seed, kind),
+                CONTESTED_CONFIG.horizon_slots, keep_outcomes=True)[1]
+                for kind in ("ours", "static")}
+            alone += [(s, seed, o) for s in ALL_SCHEMES
+                      for o in by_kind["static" if s == "static" else "ours"]]
+    assert repr(result.outcomes) == repr(alone)
     kinds, rows = set(), []
     for scheme, seed, outcome in result.outcomes:
         oracle = outcome_rows(outcome)
@@ -235,15 +252,25 @@ def test_contested_outcomes_are_what_csv_writer_writes(tmp_path):
     # per scheme: windows with a trade, bidders with no trade, no bidder
     assert kinds >= {(s, w, l) for s in ALL_SCHEMES for w, l in
                      [(True, True), (False, True), (False, False)]}
+    assert max(r[3] for r in rows) >= 10
+    metrics = list(result.metrics.tuples())
+    utilities = [u for t in metrics for u in t[6:8]]
+    assert {(type(u), u) for u in utilities} >= {(int, 0), (float, 0.0)}
 
     cfg_path = tmp_path / "contested.cfg"
     save_config(CONTESTED_CONFIG, cfg_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--scheme", "all", "--ugvs", "5", "25",
-                 "--reps", "2", "--seed", "5", "--outcomes", "--out", str(out)]) == 0
-    provenance, text = (out / "outcomes.csv").read_text(encoding="utf-8").split("\n", 1)
-    assert provenance.startswith("# skymarket ")
-    assert text == csv_writer_text([("scheme", "seed") + OUTCOME_CSV_HEADER] + rows)
+                 "--reps", "2", "--seed", "5", "--audit", "--outcomes",
+                 "--out", str(out)]) == 0
+    for name, header, want in [
+        ("outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER, rows),
+        ("metrics_raw.csv", METRICS_CSV_HEADER, metrics),
+        ("audits.csv", AUDIT_CSV_HEADER, result.metrics.audit_tuples()),
+    ]:
+        provenance, text = (out / name).read_text(encoding="utf-8").split("\n", 1)
+        assert provenance.startswith("# skymarket ")
+        assert text == csv_writer_text([header, *want]), name
 
 
 def test_contested_audit_rows_come_from_the_columns():
@@ -330,6 +357,25 @@ def test_run_rejects_an_invalid_sweep_cell(tmp_path, capsys, args, problem):
     err = capsys.readouterr().err
     assert f"invalid config: {problem}" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, field, value", [
+    (["--ugvs", "6", "6"], "ugv_count", 6),
+    (["--tau", "8", "8.0"], "window_len", 8.0),
+    (["--ugvs", "6", "8", "6", "0"], "ugv_count", 6),
+])
+def test_run_rejects_a_sweep_that_repeats_a_value(tmp_path, capsys, args, field, value):
+    # a repeated value would simulate its cells twice and aggregate the
+    # duplicate rows as one group; it is a usage error, reported before
+    # any cell is validated or simulated
+    message = f"{field}: the sweep repeats {value!r}"
+    assert main(["run", "--out", str(tmp_path)] + args) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(ScenarioConfig(horizon_slots=8), {field: [value, value]},
+                       replications=1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,6 +511,8 @@ def test_outputs_benchmark_script_runs():
     for name in ("metrics_raw.csv", "metrics_aggregate.csv", "audits.csv", "outcomes.csv"):
         assert name in out.stdout
     assert out.stdout.count("criterion 7: run --ugvs") == 2
+    assert out.stdout.count("100 UAVs vs 25 vehicles") == 2
+    assert "run --scheme all --outcomes, 100 UAVs" in out.stdout
 
 
 def test_audit_benchmark_script_runs():
