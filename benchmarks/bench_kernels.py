@@ -9,7 +9,9 @@ Four workloads:
   together, on the stacks perfbench's sweeps step: ``fleet_sweep``'s
   (10 worlds of 10 UAVs, J = 6..14, mobile and static) and
   ``crowded_market``'s (2 worlds of 100 UAVs against 25 vehicles), over
-  the first ``--steps`` slots of the 600-slot horizon;
+  the first ``--steps`` slots of the 600-slot horizon, with the time of
+  the kernel, of the bookkeeping (``_book``) and of the slot boundaries
+  (``_close_boundary``) split out;
 * a full default-scenario run (600 slots, 75 auction windows), which
   shows how much of the end-to-end wall time the kernel actually owns;
 * a replay of the kernel's inputs, recorded slot by slot over a
@@ -23,11 +25,13 @@ Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
 import argparse
+import contextlib
 import time
 
 import numpy as np
 
 import skymarket._kernels as K
+import skymarket.simulator as simulator
 from skymarket.simulator import (
     SCHEME_OURS, SCHEME_STATIC, advance_slot, close_window, generate_scenario, run_experiment,
     run_world, run_worlds,
@@ -72,22 +76,60 @@ def bench_raw(steps, repeats):
         print(f"  {n_uavs:>4}x{n_ugvs:<5} {best * 1e6 / steps:>10.2f}us")
 
 
+# the layers of run_worlds timed apart: (label, module, attribute); each
+# is looked up on its module at every call, so a wrapper sees every call
+LAYERS = (
+    ("kernel", K, "step_world"),
+    ("_book", simulator, "_book"),
+    ("_close_boundary", simulator, "_close_boundary"),
+)
+
+
+@contextlib.contextmanager
+def layer_timers():
+    """Wrap each of ``LAYERS`` in a timer; yields {label: seconds so far}."""
+    spent = dict.fromkeys((label for label, *_ in LAYERS), 0.0)
+    real = [getattr(module, name) for _, module, name in LAYERS]
+
+    def timed(label, fn):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[label] += time.perf_counter() - t0
+        return wrapper
+
+    for (label, module, name), fn in zip(LAYERS, real):
+        setattr(module, name, timed(label, fn))
+    try:
+        yield spent
+    finally:
+        for (_, module, name), fn in zip(LAYERS, real):
+            setattr(module, name, fn)
+
+
 def bench_run_worlds(steps, repeats):
     stacks = (
         ("fleet_sweep, 10 worlds x 10 UAVs", ScenarioConfig(), (6, 8, 10, 12, 14)),
         ("crowded_market, 2 worlds x 100 UAVs", CROWDED, (25,)),
     )
     slots = min(steps, ScenarioConfig().horizon_slots)
-    print(f"\nrun_worlds on one stack, {slots} slots (best of {repeats}), time per slot:")
+    print(f"\nrun_worlds on one stack, {slots} slots (best of {repeats}), time per slot, "
+          f"with the layers of the best run timed apart (each timer adds its own call):")
     for title, cfg, ugv_counts in stacks:
-        best = np.inf
+        best, layers = np.inf, {}
         for _ in range(repeats):
             worlds = [generate_scenario(cfg.replace(ugv_count=m), 7000, scheme)
                       for m in ugv_counts for scheme in (SCHEME_OURS, SCHEME_STATIC)]
-            t0 = time.perf_counter()
-            run_worlds(worlds, slots)
-            best = min(best, time.perf_counter() - t0)
-        print(f"  {title:<38}{best * 1e6 / slots:>10.2f}us")
+            with layer_timers() as spent:
+                t0 = time.perf_counter()
+                run_worlds(worlds, slots)
+                total = time.perf_counter() - t0
+            if total < best:
+                best, layers = total, spent
+        split = ", ".join(f"{label} {t * 1e6 / slots:.2f}" for label, t in layers.items())
+        print(f"  {title:<38}{best * 1e6 / slots:>10.2f}us  ({split} us)")
 
 
 def bench_full_run(repeats):

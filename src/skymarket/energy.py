@@ -7,7 +7,7 @@ Power draws:
     P_desc(v) = eps1 * m g * (sqrt(v^2/4 + m g / eps2^2) - v/2) + kappa3 (m g)^(3/2)
     P_asc(v)  = eps1 * m g * (sqrt(v^2/4 + m g / eps2^2) + v/2) + kappa3 (m g)^(3/2)
 
-Powers are in W. The simulator turns them into per-slot energy deltas
+Powers are in W. ``slot_constants`` turns them into per-slot energy deltas
 for the kernel's linear battery model: discharging activities
 drain eta_i * P * dt, charging adds eta_i * eta_j * P_e * dt, and the
 result is clamped to [0, capacity] (energies in Wh, 1 Wh = 3600 J).
@@ -16,6 +16,7 @@ result is clamped to [0, capacity] (energies in Wh, 1 Wh = 3600 J).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 GRAVITY = 9.8  # m/s^2
 
@@ -25,6 +26,8 @@ __all__ = [
     "flight_power",
     "descend_power",
     "ascend_power",
+    "SlotConstants",
+    "slot_constants",
 ]
 
 
@@ -67,3 +70,47 @@ def descend_power(v_d: float, mass: float, eps1: float, eps2: float, kappa3: flo
 def ascend_power(v_a: float, mass: float, eps1: float, eps2: float, kappa3: float) -> float:
     """Power while ascending at constant v_a (the +v/2 branch), in W."""
     return _vertical_power(v_a, mass, eps1, eps2, kappa3, +1.0)
+
+
+class SlotConstants(NamedTuple):
+    """A config's per-slot UAV constants, as the kernel reads them."""
+
+    drain_fly: float  # Wh per slot of each activity
+    drain_hov: float
+    drain_desc: float
+    drain_asc: float
+    charge_gain: float  # Wh a charging UAV gains per slot
+    supply_draw: float  # Wh its pad gives up for that gain
+    step_xy: float  # m per slot
+    step_down: float
+    step_up: float
+
+
+def slot_constants(c) -> SlotConstants:
+    """The per-slot constants of the ``ScenarioConfig`` ``c``.
+
+    Raises what the power laws raise: ``OverflowError`` when the flight
+    power's ``v ** 3`` overflows (Python's float ``**`` raises where
+    ``*`` gives inf), ``ZeroDivisionError`` when ``eps2 ** 2``
+    underflows to 0.
+    """
+    thrust = c.thrust_newton if c.thrust_newton is not None else c.uav_mass_kg * GRAVITY
+    p_fly = flight_power(c.uav_speed_max, thrust, c.kappa1, c.kappa2, c.kappa3)
+    p_hov = hover_power(c.uav_mass_kg, c.kappa2, c.kappa3)
+    p_desc = descend_power(c.uav_descend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
+    p_asc = ascend_power(c.uav_ascend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
+    dt = c.slot_len
+    # eta_i * eta_j * P_e * dt per charging slot; the pad draws gain / eta_j
+    # from its stock (sender-side loss)
+    gain = c.uav_discharge_eff * c.ugv_transfer_eff * c.ugv_transfer_power_w * dt / 3600.0
+    return SlotConstants(
+        drain_fly=c.uav_discharge_eff * p_fly * dt / 3600.0,
+        drain_hov=c.uav_discharge_eff * p_hov * dt / 3600.0,
+        drain_desc=c.uav_discharge_eff * p_desc * dt / 3600.0,
+        drain_asc=c.uav_discharge_eff * p_asc * dt / 3600.0,
+        charge_gain=gain,
+        supply_draw=gain / c.ugv_transfer_eff,
+        step_xy=c.uav_speed_max * dt,
+        step_down=c.uav_descend_speed * dt,
+        step_up=c.uav_ascend_speed * dt,
+    )

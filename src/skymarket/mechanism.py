@@ -41,6 +41,7 @@ __all__ = [
     "social_surplus",
     "run_auction",
     "outcome_lines",
+    "winner_line",
     "loser_line",
     "OUTCOME_CSV_HEADER",
 ]
@@ -233,20 +234,26 @@ OUTCOME_CSV_HEADER = ("window_id", "uav_id", "ugv_id", "bid", "q", "payment", "u
 def outcome_lines(outcome: AuctionOutcome) -> list[str]:
     """Format an outcome as CSV text lines, one per participating UAV.
 
-    Winners come first by rank, then losers in rank order. A loser has
-    empty ugv/q/rank fields, a zero payment and zero utility, matching its
-    settlement (``loser_line``). Each line is what ``csv.writer`` writes
-    for these fields (``str`` of an int, ``repr`` of a float, nothing for
-    an empty field); no field needs quoting, as none can hold a comma, a
-    quote or a newline.
+    Winners come first by rank (``winner_line``), then losers in rank
+    order (``loser_line``), each after the window id. A loser has empty
+    ugv/q/rank fields, a zero payment and zero utility, matching its
+    settlement. Each line is what ``csv.writer`` writes for these fields
+    (``str`` of an int, ``repr`` of a float, nothing for an empty
+    field); no field needs quoting, as none can hold a comma, a quote or
+    a newline.
     """
-    wid = outcome.window_id
+    lead = f"{outcome.window_id},"
     utilities = outcome.uav_utilities
-    lines = [f"{wid},{m.uav_id},{m.ugv_id},{m.bid!r},{m.q!r},{p!r},{utilities[m.uav_id]!r},"
-             f"{m.rank}\n" for m, p in zip(outcome.winners, outcome.payments)]
-    lead = f"{wid},"
+    lines = [lead + winner_line(m.uav_id, m.ugv_id, m.bid, m.q, p, utilities[m.uav_id], m.rank)
+             for m, p in zip(outcome.winners, outcome.payments)]
     lines += [lead + loser_line(uav_id) for uav_id in outcome.losers]
     return lines
+
+
+def winner_line(uav_id: int, ugv_id: int, bid: float, q: float, payment: float,
+                utility: float, rank: int) -> str:
+    """A winner's ``outcomes.csv`` line after its window id."""
+    return f"{uav_id},{ugv_id},{bid!r},{q!r},{payment!r},{utility!r},{rank}\n"
 
 
 def loser_line(uav_id: int) -> str:

@@ -7,7 +7,8 @@ aggregates. The store writes the text of the run's per-window CSVs
 (``metrics_raw.csv``, ``audits.csv`` and ``outcomes.csv``) straight from
 its columns, one chunk per run, with the bytes ``csv.writer`` would
 write for its tuple rows; the tuples, ``MetricsRow``s, ``AuditReport``s
-and ``AuctionOutcome``s are built only when read.
+and ``AuctionOutcome``s are built only when read. A window's outcome is
+kept as a compact ``Trade`` or ``NoTrade`` record.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .audit import AuditReport
-from .mechanism import loser_line, outcome_lines
-from .types import AuctionOutcome
+from .mechanism import loser_line, winner_line
+from .types import AuctionOutcome, Match
 
 __all__ = [
     "MetricsRow",
     "MetricsColumns",
     "NoTrade",
+    "Trade",
     "METRICS_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
     "aggregate_rows",
@@ -97,6 +99,45 @@ class NoTrade(NamedTuple):
         )
 
 
+class Trade(NamedTuple):
+    """What is kept of a window with a trade: its sampled bidders ranked
+    as the auction ranks them, of which the first ``len(matches)`` won,
+    its admitted vehicles' ids in id order, and per winner, by rank, its
+    match (vehicle id, bid, q), payment and utility; and the surplus."""
+
+    ranked: Sequence[int]
+    ugvs: Sequence[int]
+    matches: Sequence[tuple[int, float, float]]
+    payments: Sequence[float]
+    utilities: Sequence[float]
+    surplus: float
+
+    @property
+    def losers(self) -> Sequence[int]:
+        return self.ranked[len(self.matches):]
+
+    def outcome(self, window_id: int) -> AuctionOutcome:
+        """``close_window``'s outcome for the window."""
+        uav_utilities = dict.fromkeys(sorted(self.ranked), 0.0)
+        uav_utilities.update(zip(self.ranked, self.utilities))
+        ugv_utilities = dict.fromkeys(self.ugvs, 0.0)
+        ugv_utilities.update(zip([ugv for ugv, _, _ in self.matches], self.payments))
+        return AuctionOutcome(
+            window_id=window_id,
+            winners=tuple(Match(rank, uav, ugv, bid, q) for rank, (uav, (ugv, bid, q))
+                          in enumerate(zip(self.ranked, self.matches), 1)),
+            losers=tuple(self.losers), payments=tuple(self.payments),
+            uav_utilities=uav_utilities, ugv_utilities=ugv_utilities,
+            social_surplus=self.surplus,
+        )
+
+    def winner_lines(self, lead: str) -> list[str]:
+        """``outcomes.csv``'s winner lines, each led by ``lead``."""
+        return [lead + winner_line(uav, ugv, bid, q, p, u, rank)
+                for rank, (uav, (ugv, bid, q), p, u)
+                in enumerate(zip(self.ranked, self.matches, self.payments, self.utilities), 1)]
+
+
 class _LoserLines(dict):
     """``mechanism.loser_line`` by UAV id, each formatted on first use."""
 
@@ -116,9 +157,9 @@ class MetricsColumns:
     side in the market), which a ``MetricsRow`` holds as the int ``0``.
     ``audits`` (each entry's audit fields after the instance name) and
     ``outcomes`` are lists only when asked for. A window with a trade
-    keeps its ``AuctionOutcome`` there; a window with no trade keeps only
-    a ``NoTrade`` record (ranked loser ids and admitted vehicle ids),
-    whose ``AuctionOutcome`` ``outcome_tuples`` builds on read. New
+    keeps a ``Trade`` record there, and a window with no trade a
+    ``NoTrade`` record (ranked loser ids and admitted vehicle ids);
+    ``outcome_tuples`` builds their ``AuctionOutcome``s on read. New
     entries hold a window with neither bidder nor offered vehicle.
     """
 
@@ -179,7 +220,7 @@ class MetricsColumns:
             return
         for scheme, _, _, seed, start, stop in self.runs:
             for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
-                yield scheme, seed, kept.outcome(w) if isinstance(kept, NoTrade) else kept
+                yield scheme, seed, kept.outcome(w)
 
     def audit_reports(self) -> list[AuditReport]:
         """The audit rows in output order, as ``AuditReport``s."""
@@ -240,8 +281,8 @@ class MetricsColumns:
     def outcome_text(self):
         """``outcomes.csv``'s rows as text chunks, each line led by its
         scheme and seed: ``mechanism.outcome_lines`` of every outcome in
-        ``outcome_tuples()``, without building those of windows with no
-        trade; none unless outcomes are kept."""
+        ``outcome_tuples()``, without building any outcome; none unless
+        outcomes are kept."""
         if self.outcomes is None:
             return iter(())
         loser_text = _LoserLines()
@@ -249,10 +290,10 @@ class MetricsColumns:
         def body(start, stop):
             parts = []
             for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
-                if not isinstance(kept, NoTrade):
-                    parts += outcome_lines(kept)
-                elif kept.losers:
-                    wid = f"{w},"
+                wid = f"{w},"
+                if isinstance(kept, Trade):
+                    parts += kept.winner_lines(wid)
+                if kept.losers:
                     parts.append(wid + wid.join(map(loser_text.__getitem__, kept.losers)))
             return "".join(parts)
 

@@ -25,12 +25,20 @@ are offset into the stack, so every world evolves bit-identically to a
 run on its own. Window
 metrics, and the outcomes and audit findings asked for, are kept in
 columns (``MetricsColumns``), one block of entries per world, and the
-CSVs are written from them as text; rows, reports and the outcomes of
-windows with no trade are built only when read. Most windows of a sweep
-have no trade: no sampled bidder, or no vehicle that could serve the
-neediest one. Segment reductions over the stack tell those apart, and
-they are settled in bulk, without building a market; only windows with
-a trade clear through ``close_window``, and only their markets are audited.
+CSVs are written from them as text; rows, reports and outcomes are
+built only when read.
+
+Every window that closes at a slot boundary is cleared by one
+``_close_boundary`` call for the whole stack, from arrays. Most windows
+of a sweep have no trade: no sampled bidder, or no vehicle that could
+serve the neediest one. Segment reductions over the stack tell those
+apart, and they are settled in bulk. A window with a trade is cleared
+as ``close_window`` clears it, float for float, but without building a
+market: one sort ranks the bidders of every due world, and Python
+visits only each trade's admitted vehicles and winners. A market object
+is built only for a window that is audited. ``close_window`` stays as
+the one-window reference, through ``admit`` and ``run_auction``, that
+the tests hold the boundary routine to.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -49,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +66,9 @@ from .audit import audit_market, audit_report_row
 # no caller here; kept importable because the benchmark's tracer hooks these names
 from .audit import non_envy_ratio
 from .baselines import optimal_scheme_outcome
-from .energy import ascend_power, descend_power, flight_power, hover_power
-from .mechanism import DemandEntry, admit, run_auction
-from .metrics import MetricsColumns, MetricsRow, NoTrade, aggregate_rows
+from .energy import slot_constants
+from .mechanism import DemandEntry, SupplyEntry, WindowMarket, admit, run_auction
+from .metrics import MetricsColumns, MetricsRow, NoTrade, Trade, aggregate_rows
 from .types import (
     Activity,
     AuctionOutcome,
@@ -295,12 +303,7 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
     # a static pad is the same draw pinned in place (paired comparison)
     speeds = np.zeros(m) if scheme == SCHEME_STATIC else np.array(speeds, dtype=float)
 
-    thrust = c.thrust_newton if c.thrust_newton is not None else c.uav_mass_kg * 9.8
-    p_fly = flight_power(c.uav_speed_max, thrust, c.kappa1, c.kappa2, c.kappa3)
-    p_hov = hover_power(c.uav_mass_kg, c.kappa2, c.kappa3)
-    p_desc = descend_power(c.uav_descend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
-    p_asc = ascend_power(c.uav_ascend_speed, c.uav_mass_kg, c.eps1, c.eps2, c.kappa3)
-    dt = c.slot_len
+    per_slot = slot_constants(c)
 
     # column-contiguous: the kernel and the bookkeeping read whole columns
     uav_f = np.zeros((n, K.N_UAV_F), order="F")
@@ -315,23 +318,20 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
     uav_f[:, K.F_Z] = uav_f[:, K.F_CRUISE_Z] = zs
     uav_f[:, K.F_CAP] = c.uav_capacity_wh
     uav_f[:, K.F_SAT] = c.uav_sat_frac * c.uav_capacity_wh
-    uav_f[:, K.F_DRAIN_FLY] = c.uav_discharge_eff * p_fly * dt / 3600.0
-    uav_f[:, K.F_DRAIN_HOV] = c.uav_discharge_eff * p_hov * dt / 3600.0
-    uav_f[:, K.F_DRAIN_DESC] = c.uav_discharge_eff * p_desc * dt / 3600.0
-    uav_f[:, K.F_DRAIN_ASC] = c.uav_discharge_eff * p_asc * dt / 3600.0
-    # eta_i * eta_j * P_e * dt per charging slot; the pad draws gain / eta_j
-    # from its stock (sender-side loss). The kernel reads both only while
-    # a UAV charges
-    gain = c.uav_discharge_eff * c.ugv_transfer_eff * c.ugv_transfer_power_w * dt / 3600.0
-    uav_f[:, K.F_CHARGE_GAIN] = gain
-    uav_f[:, K.F_SUPPLY_DRAW] = gain / c.ugv_transfer_eff
-    uav_f[:, K.F_STEP_XY] = c.uav_speed_max * dt
-    uav_f[:, K.F_STEP_DOWN] = c.uav_descend_speed * dt
-    uav_f[:, K.F_STEP_UP] = c.uav_ascend_speed * dt
+    uav_f[:, K.F_DRAIN_FLY] = per_slot.drain_fly
+    uav_f[:, K.F_DRAIN_HOV] = per_slot.drain_hov
+    uav_f[:, K.F_DRAIN_DESC] = per_slot.drain_desc
+    uav_f[:, K.F_DRAIN_ASC] = per_slot.drain_asc
+    # the kernel reads both only while a UAV charges
+    uav_f[:, K.F_CHARGE_GAIN] = per_slot.charge_gain
+    uav_f[:, K.F_SUPPLY_DRAW] = per_slot.supply_draw
+    uav_f[:, K.F_STEP_XY] = per_slot.step_xy
+    uav_f[:, K.F_STEP_DOWN] = per_slot.step_down
+    uav_f[:, K.F_STEP_UP] = per_slot.step_up
     ugv_f[:, K.G_X] = gxs
     ugv_f[:, K.G_Y] = gys
     ugv_f[:, K.G_SUPPLY] = c.ugv_supply_wh
-    ugv_f[:, K.G_STEP] = (speeds / 3.6) * dt
+    ugv_f[:, K.G_STEP] = (speeds / 3.6) * c.slot_len
     ugv_i[:, K.GI_STATE] = K.UGV_IDLE
 
     return World(
@@ -525,11 +525,45 @@ def _unstack(worlds: Sequence[World]) -> None:
         w.uav_base = w.ugv_base = 0
 
 
-def _split(values: np.ndarray, counts: np.ndarray) -> list[list]:
-    """``values`` as consecutive lists of ``counts[k]`` items each."""
-    values = values.tolist()
-    ends = np.cumsum(counts).tolist()
-    return [values[b:e] for b, e in zip([0, *ends], ends)]
+class _Layout(NamedTuple):
+    """Where each member of a stack lies in it, and the per-world
+    constants a slot boundary reads."""
+
+    uav_starts: np.ndarray  # each world's first UAV row
+    ugv_starts: np.ndarray  # each world's first vehicle row
+    uav_world: np.ndarray  # each UAV row's world
+    ugv_world: np.ndarray  # each vehicle row's world
+    uav_base: np.ndarray  # each UAV row's world's first row
+    ugv_base: np.ndarray  # each vehicle row's world's first row
+    max_fails: np.ndarray  # each UAV row's world's max_failed_windows
+    static: np.ndarray  # per world: static pads, met where they stand
+    spot_x: np.ndarray  # per world: the sensing spot
+    spot_y: np.ndarray
+
+
+def _layout(worlds: Sequence[World]) -> _Layout:
+    """The layout of the stacked ``worlds`` (after ``_stack``)."""
+    uav_starts = np.array([w.uav_base for w in worlds])
+    ugv_starts = np.array([w.ugv_base for w in worlds])
+    uav_world = np.repeat(np.arange(len(worlds)), [w.num_uavs for w in worlds])
+    ugv_world = np.repeat(np.arange(len(worlds)), [w.num_ugvs for w in worlds])
+    return _Layout(
+        uav_starts, ugv_starts, uav_world, ugv_world,
+        uav_starts[uav_world], ugv_starts[ugv_world],
+        np.array([w.config.max_failed_windows for w in worlds])[uav_world],
+        np.array([w.scheme == SCHEME_STATIC for w in worlds]),
+        np.array([w.spot[0] for w in worlds]), np.array([w.spot[1] for w in worlds]),
+    )
+
+
+class _Boundary(NamedTuple):
+    """The masks ``_close_boundary`` computes at one slot boundary."""
+
+    sampled: np.ndarray  # per UAV row: a bidder with a valuation sample
+    queued: np.ndarray  # per world: some UAV row is sampled
+    admitted: np.ndarray  # per vehicle row: idle, and covers its world's largest gap
+    trading: np.ndarray  # per due member: bidders and an admitted vehicle
+    losing: np.ndarray  # per UAV row: lost a window that closed here
 
 
 def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
@@ -540,20 +574,10 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     are buffered, and ``_book`` books the buffered slots at once: at
     every slot where a member's window closes, before that boundary
     reads the bidders, when the buffer is full, and after the last slot.
-    Member k's windows fill ``cols`` from entry ``first_entry[k]`` on. At
-    a slot boundary, segment reductions over the stack find each world's
-    sampled bidders and their largest satisfaction gap (0 with no bidder,
-    as in ``admit``), and then the vehicles ``admit`` would keep: idle,
-    with supply covering that gap (every q is at least ``qors_floor`` >
-    0). A due world with a bidder and an admitted vehicle trades, and
-    clears through ``close_window``. The others (most windows of a
-    sweep) have no trade, and are settled for the whole stack at once:
-    every bidder loses, through the ``_settle_losers`` that
-    ``close_window`` settles its own losers with, and the entry, whose
-    other fields start at a no-trade window's values, keeps them. Every
-    due entry's empty-side flags are set here, and when ``cols`` keeps
-    them, its outcome (a ``NoTrade`` record for a window with no trade)
-    and the audit fields of a trade.
+    Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
+    Every window that closes at a slot, whatever its world's window
+    length, is cleared by one ``_close_boundary`` call for the whole
+    stack, which fills the windows' entries.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -564,13 +588,7 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     # that close at clock t, less t // s
     classes = [(s, np.array(ks), np.array([first_entry[k] for k in ks]) - start // s - 1)
                for s, ks in by_spw.items()]
-    uav_starts = np.array([w.uav_base for w in worlds])
-    ugv_starts = np.array([w.ugv_base for w in worlds])
-    uav_world = np.repeat(np.arange(len(worlds)), [w.num_uavs for w in worlds])
-    ugv_world = np.repeat(np.arange(len(worlds)), [w.num_ugvs for w in worlds])
-    # each row's world's first row
-    uav_row_base, ugv_row_base = uav_starts[uav_world], ugv_starts[ugv_world]
-    max_fails = np.array([w.config.max_failed_windows for w in worlds])[uav_world]
+    layout = _layout(worlds)
     # each slot's SoC and sensing mask, booked a block of slots at a time
     soc_col, act_col = stack.uav_f[:, K.F_SOC], stack.uav_i[:, K.I_ACT]
     block = min(max(by_spw), _BOOK_SLOTS)
@@ -590,62 +608,201 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 pending = 0
             if not due:
                 continue
-            ks, entry = due[0] if len(due) == 1 else map(np.concatenate, zip(*due))
-            sampled = stack.bidder & (stack.sample_count > 0)
-            n_sampled = np.add.reduceat(sampled, uav_starts)
-            queued = n_sampled > 0
-            bids = queued[ks]
-            bidding = bids.any()  # false at most boundaries of a sweep
-            need = 0.0  # admit's largest satisfaction gap with no bidder
-            if bidding:
-                gap = np.where(sampled, stack.uav_f[:, K.F_SAT] - stack.uav_f[:, K.F_SOC],
-                               -np.inf)
-                need = np.where(queued, np.maximum.reduceat(gap, uav_starts), 0.0)[ugv_world]
-            admitted = ((stack.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
-                        & (stack.ugv_f[:, K.G_SUPPLY] >= need))
-            n_admitted = np.add.reduceat(admitted, ugv_starts)
-            stocked = n_admitted > 0
-            sells = stocked[ks]
-            trade = bids & sells
-            # every due entry's empty-side flags are set here, trades included
-            cols.ugv_empty[entry] = ~sells
-            if cols.outcomes is not None:
-                # a window with no trade keeps its bidders, ranked as the
-                # auction ranks them (bid descending, then id: lexsort is
-                # stable), and its admitted vehicles
-                rows = np.flatnonzero(sampled)
-                bid = stack.phi_sum[rows] / stack.sample_count[rows]
-                rows = rows[np.lexsort((-bid, uav_world[rows]))]
-                ranked = _split(rows - uav_row_base[rows], n_sampled)
-                rows = np.flatnonzero(admitted)
-                offered = _split(rows - ugv_row_base[rows], n_admitted)
-                for k, e in zip(ks[~trade].tolist(), entry[~trade].tolist()):
-                    cols.outcomes[e] = NoTrade(ranked[k], offered[k])
-            if not bidding:
-                continue
-            cols.uav_empty[entry] = ~bids
-            losing = bids & ~sells
-            if losing.any():
-                settling = np.zeros(len(worlds), dtype=bool)
-                settling[ks[losing]] = True
-                losers = np.flatnonzero(sampled & settling[uav_world])
-                _check_soc(stack, losers, lambda row: (
-                    clock // worlds[uav_world[row]].config.slots_per_window))
-                _settle_losers(stack, losers, max_fails[losers])
-            for k, e in zip(ks[trade].tolist(), entry[trade].tolist()):
-                world = worlds[k]
-                world.clock = clock
-                outcome, row, market = close_window(world)
-                cols.record(e, row)
-                if cols.outcomes is not None:
-                    cols.outcomes[e] = outcome
-                if cols.audits is not None:
-                    cols.audits[e] = audit_report_row(audit_market(market))[1:]
+            if len(due) == 1:
+                ks, entry = due[0]
+            else:  # members in stack order, as the boundary ranks them
+                ks, entry = map(np.concatenate, zip(*due))
+                order = np.argsort(ks)
+                ks, entry = ks[order], entry[order]
+            _close_boundary(stack, worlds, ks, entry, clock, cols, layout)
     finally:
         for w in worlds:
             w.clock = stack.clock
         _unstack(worlds)
         K.unbind()  # the kernel's view memo would keep the stack alive
+
+
+def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
+                    entry: np.ndarray, clock: int, cols: MetricsColumns,
+                    layout: _Layout) -> _Boundary:
+    """Clear every window of the stack that closes at ``clock``.
+
+    ``ks`` are the due members, ascending, and ``entry`` their windows'
+    entries in ``cols``. Segment reductions over the stack find each
+    world's sampled bidders and their largest satisfaction gap (0 with
+    no bidder, as in ``admit``), and then the vehicles ``admit`` would
+    keep: idle, with supply covering that gap (every q is at least
+    ``qors_floor`` > 0). A due world with a bidder and an admitted
+    vehicle trades. One stable ``np.lexsort`` ranks the due worlds'
+    bidders by (world, bid descending, row), as the auction ranks them.
+
+    A trade clears as ``close_window`` clears it, float for float,
+    without building a market: Python visits only the world's admitted
+    vehicles (each q from ``World.ugv_qors``) and its winners, which
+    the ranking pairs with the vehicles ranked by (q descending, id).
+    The winners are priced by ``mechanism.price``'s recursion; SL,
+    utilities and surplus are summed in ``close_window``'s order, and
+    its ``MetricsRow`` checks them; the pairs are scheduled in one
+    array pass. Every other bidder of a due world loses, and all of
+    them, in trades or not, settle through one ``_settle_losers``.
+    Every due entry's empty-side flags are set here, and when ``cols``
+    keeps them, its outcome (a ``Trade`` or ``NoTrade`` record) and a
+    trade's audit fields, from the ``WindowMarket`` that is built only
+    for the audit.
+    """
+    L = layout
+    sampled = stack.bidder & (stack.sample_count > 0)
+    n_sampled = np.add.reduceat(sampled, L.uav_starts)
+    queued = n_sampled > 0
+    bids = queued[ks]
+    bidding = bids.any()  # false at most boundaries of a sweep
+    need = 0.0  # admit's largest satisfaction gap with no bidder
+    if bidding:
+        gap = np.where(sampled, stack.uav_f[:, K.F_SAT] - stack.uav_f[:, K.F_SOC], -np.inf)
+        need = np.where(queued, np.maximum.reduceat(gap, L.uav_starts), 0.0)[L.ugv_world]
+    admitted = ((stack.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
+                & (stack.ugv_f[:, K.G_SUPPLY] >= need))
+    n_admitted = np.add.reduceat(admitted, L.ugv_starts)
+    sells = n_admitted[ks] > 0
+    trading = bids & sells
+    # every due entry's empty-side flags are set here, trades included
+    cols.ugv_empty[entry] = ~sells
+    keep = cols.outcomes is not None
+    trades = np.flatnonzero(trading).tolist()
+    losing = np.zeros(stack.num_uavs, dtype=bool)
+    masks = _Boundary(sampled, queued, admitted, trading, losing)
+    if not (bidding or keep):
+        return masks
+    due = np.zeros(len(worlds), dtype=bool)
+    due[ks] = True
+    if bidding:
+        cols.uav_empty[entry] = ~bids
+        rows = np.flatnonzero(sampled & due[L.uav_world])
+        _check_soc(stack, rows, lambda row: (
+            clock // worlds[L.uav_world[row]].config.slots_per_window))
+        losing[rows] = True
+    if keep or trades:
+        # the due members' bidders, ranked, and admitted vehicles in id
+        # order (local ids), member after member
+        ranked: list = []
+        if bidding:
+            n = stack.sample_count[rows]
+            bid = stack.phi_sum[rows] / n
+            # lexsort is stable: equal bids stay in row (id) order
+            order = np.lexsort((-bid, L.uav_world[rows]))
+            rows, bid, n = rows[order], bid[order], n[order]
+            ranked = (rows - L.uav_base[rows]).tolist()
+        n_bid = n_sampled[ks].tolist()
+        bid_end = list(itertools.accumulate(n_bid))
+        offered = np.flatnonzero(admitted & due[L.ugv_world])
+        offered = (offered - L.ugv_base[offered]).tolist()
+        n_offer = n_admitted[ks].tolist()
+        offer_end = list(itertools.accumulate(n_offer))
+        members, entries = ks.tolist(), entry.tolist()
+    if trades:
+        rho_bar = (stack.rho_sum[rows] / n).tolist()
+        rows, bid = rows.tolist(), bid.tolist()
+        won, won_ugvs = [], []  # stack rows of the pairs
+        for i in trades:
+            world, e = worlds[members[i]], entries[i]
+            window = clock // world.config.slots_per_window
+            s, stop = bid_end[i] - n_bid[i], bid_end[i]
+            js = offered[offer_end[i] - n_offer[i]:offer_end[i]]
+            trade, row = _clear_window(world, window, ranked[s:stop], bid[s:stop],
+                                       rho_bar[s:stop], js)
+            cols.record(e, row)
+            won += rows[s:s + row.winners]
+            won_ugvs += [j + world.ugv_base for j, _, _ in trade.matches]
+            if keep:
+                cols.outcomes[e] = trade
+            if cols.audits is not None:
+                market = _market(world, window, trade.ranked, bid[s:stop], js)
+                cols.audits[e] = audit_report_row(audit_market(market))[1:]
+        won, won_ugvs = np.array(won), np.array(won_ugvs)
+        _schedule(stack, L, won, won_ugvs)
+        losing[won] = False
+    if bidding:
+        losers = np.flatnonzero(losing)
+        _settle_losers(stack, losers, L.max_fails[losers])
+    if keep:
+        for i in np.flatnonzero(~trading).tolist():
+            cols.outcomes[entries[i]] = NoTrade(ranked[bid_end[i] - n_bid[i]:bid_end[i]],
+                                               offered[offer_end[i] - n_offer[i]:offer_end[i]])
+    return masks
+
+
+def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: list,
+                  ugvs: list) -> tuple[Trade, MetricsRow]:
+    """One trading window of ``world``, cleared as ``close_window`` clears
+    it, float for float, without building a market.
+
+    ``ranked``, ``bid`` and ``rho_bar`` are the window's bidders in the
+    auction's order (local id, truthful bid, window-average urgency),
+    and ``ugvs`` its admitted vehicles in id order, each scored by
+    ``World.ugv_qors``. The k = min(bidders, vehicles) top bidders win
+    the vehicles ranked by (q descending, id) and pay ``mechanism.price``'s
+    recursion. Only the vehicles and the winners are visited.
+    """
+    c = world.config
+    q_of = {j: world.ugv_qors(j) for j in ugvs}
+    k = min(len(ranked), len(ugvs))
+    # sorted is stable: equal q stay in id order
+    matched = sorted(ugvs, key=lambda j: -q_of[j])[:k]
+    q = [q_of[j] for j in matched]
+    b = bid[:k]  # truthful: each winner's bid is its valuation
+    pay = [0.0] * k
+    if k < len(ranked):  # the last winner pays its q times the best losing bid
+        pay[-1] = q[-1] * bid[k]
+    for r in range(k - 2, -1, -1):
+        pay[r] = (q[r] - q[r + 1]) * b[r + 1] + pay[r + 1]
+    utilities = [q_r * b_r - p for q_r, b_r, p in zip(q, b, pay)]
+    surplus = sl = 0.0
+    for q_r, b_r, rho_r in zip(q, b, rho_bar):
+        surplus += q_r * b_r
+        sl += q_r * rho_r
+    # close_window sums every participant's utility in id order; a
+    # loser's 0.0 leaves a sum that starts at the int 0 unchanged
+    row = MetricsRow(
+        scheme=world.scheme, ugv_count=c.ugv_count, tau=c.window_len, seed=world.seed,
+        window=window, sl=sl, uav_utility=sum([u for _, u in sorted(zip(ranked, utilities))]),
+        ugv_utility=sum([p for _, p in sorted(zip(matched, pay))]), surplus=surplus,
+        non_envy_ratio=1.0, winners=k,
+    )
+    return Trade(ranked, ugvs, list(zip(matched, b, q)), pay, utilities, surplus), row
+
+
+def _market(world: World, window: int, ranked: list, bid: list, ugvs: list) -> WindowMarket:
+    """The market ``close_window`` builds for a trading window of
+    ``_clear_window``'s arguments; only an audit reads it."""
+    demand = [DemandEntry(i, v, v) for i, v in sorted(zip(ranked, bid))]
+    return WindowMarket(window, demand, [SupplyEntry(j, world.ugv_qors(j)) for j in ugvs])
+
+
+def _schedule(stack: World, layout: _Layout, uavs: np.ndarray, ugvs: np.ndarray) -> None:
+    """Send each winner (stack row ``uavs[r]``) to its vehicle (row
+    ``ugvs[r]``), as ``close_window`` schedules a pair: a mobile vehicle
+    drives to the ``rendezvous`` halfway to the spot, a static pad is
+    met where it stands and starts serving. The winners leave the queue
+    with a fresh valuation series."""
+    world = layout.ugv_world[ugvs]
+    static = layout.static[world]
+    x, y = stack.ugv_f[ugvs, K.G_X], stack.ugv_f[ugvs, K.G_Y]
+    # rendezvous' float operations, elementwise
+    tx = np.where(static, x, (layout.spot_x[world] + x) / 2.0)
+    ty = np.where(static, y, (layout.spot_y[world] + y) / 2.0)
+    stack.uav_i[uavs, K.I_ACT] = K.ACT_FLY_OUT
+    stack.uav_i[uavs, K.I_PARTNER] = ugvs
+    stack.uav_f[uavs, K.F_TX] = tx
+    stack.uav_f[uavs, K.F_TY] = ty
+    stack.ugv_i[ugvs, K.GI_PARTNER] = uavs
+    stack.ugv_i[ugvs, K.GI_STATE] = np.where(static, K.UGV_SERVING, K.UGV_ENROUTE)
+    mobile = ~static
+    stack.ugv_f[ugvs[mobile], K.G_TX] = tx[mobile]
+    stack.ugv_f[ugvs[mobile], K.G_TY] = ty[mobile]
+    stack.bidder[uavs] = False
+    stack.fail_count[uavs] = 0
+    stack.phi_sum[uavs] = stack.rho_sum[uavs] = 0.0
+    stack.sample_count[uavs] = 0
 
 
 def _check_soc(world: World, rows: np.ndarray, window_of: Callable[[int], int]) -> None:
@@ -712,11 +869,12 @@ def run_worlds(
     slots up to a window boundary; each world's windows still close at
     its own ``slots_per_window``. The kernel and the bookkeeping are per
     agent, so every world evolves exactly as it would alone, slot by slot
-    through ``advance_slot``. A window with no trade is settled without
-    building a market; its row, outcome, audit report and state updates
-    equal those of ``close_window`` and ``audit_market`` on its market.
-    Each result is (metrics rows, outcomes, audit reports), as from
-    ``run_world``.
+    through ``advance_slot``. Every window that closes at a slot is
+    cleared by one ``_close_boundary`` call for the stack, without
+    building a market (only an audited trade builds one); each window's
+    row, outcome, audit report and state updates equal those of
+    ``close_window`` and ``audit_market`` on its market. Each result is
+    (metrics rows, outcomes, audit reports), as from ``run_world``.
     """
     cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
     # one run per world, in entry order: output position is entry index

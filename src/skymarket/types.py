@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
+from .energy import slot_constants
+
 
 class Activity(enum.Enum):
     """Exclusive activity state of a UAV (one-hot at any instant)."""
@@ -338,7 +340,27 @@ def validate(config: ScenarioConfig) -> list[str]:
         value = getattr(c, f.name)
         if isinstance(value, float) and not math.isfinite(value) and f.name not in named:
             v.append(f"{f.name}: must be finite (got {value})")
+    if not v:
+        v += _derived_problems(c)
     return v
+
+
+def _derived_problems(c: ScenarioConfig) -> list[str]:
+    """What is not finite among the constants a world of the valid
+    config ``c`` is built with and bids with: the per-slot drains,
+    charging gain, pad draw and step lengths, a vehicle's largest step
+    and the largest valuation ``mu0 + mu1``. Computed without raising:
+    a power law that raises in ``slot_constants`` is reported too."""
+    try:
+        derived = slot_constants(c)._asdict()
+    except OverflowError:  # the one float ** of the power laws
+        return ["uav_speed_max: the flight power kappa1 * v ** 3 overflows"]
+    except ZeroDivisionError:
+        return ["eps2: eps2 * eps2 underflows to 0 in the vertical power"]
+    derived["ugv_step"] = (c.ugv_speed_max_kmh / 3.6) * c.slot_len
+    derived["mu0 + mu1"] = c.mu0 + c.mu1
+    return [f"{name}: derived constant must be finite (got {value})"
+            for name, value in derived.items() if not math.isfinite(value)]
 
 
 # --- flat key=value config files -------------------------------------------

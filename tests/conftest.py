@@ -218,7 +218,8 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     """One world run alone, slot by slot, every window through
     ``close_window`` and, with ``with_audit``, every market it clears
     through ``audit_market``: the oracle for ``run_worlds``, which stacks
-    worlds and settles windows with no trade without building a market.
+    worlds and clears every window of a slot boundary at once, without
+    building a market (``simulator._close_boundary``).
     The outcome of a window with no trade (no sampled bidder, or no
     vehicle ``admit`` keeps) must be its ``no_trade_outcome``."""
     spw = world.config.slots_per_window

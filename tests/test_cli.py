@@ -68,6 +68,30 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, problem", [
+    # Python's float ** raises where * gives inf: _build_world used to
+    # raise OverflowError from flight_power
+    ("uav_speed_max = 1e103\n", "uav_speed_max: the flight power kappa1 * v ** 3 overflows"),
+    # the largest valuation is inf: the run used to write inf surplus
+    ("mu0 = 1e308\nmu1 = 1e308\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
+     "uav_soc_frac_max = 0.3\n", "mu0 + mu1: derived constant must be finite (got inf)"),
+    # eps2 ** 2 underflows to 0: _build_world used to raise ZeroDivisionError
+    ("eps2 = 1e-200\n", "eps2: eps2 * eps2 underflows to 0 in the vertical power"),
+    # an inf drain per slot: every descending UAV used to empty at once
+    ("uav_descend_speed = 1e200\n", "drain_desc: derived constant must be finite (got inf)"),
+], ids=["flight-power-overflow", "infinite-valuation", "eps2-underflow", "infinite-drain"])
+def test_configs_whose_derived_constants_overflow_are_config_errors(tmp_path, capsys, text,
+                                                                    problem):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().out == problem + "\n"
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid config: {problem}\n" and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("uav_count = 10.0\n", "line 1: uav_count needs an integer, got '10.0'"),
     ("seed = 1\nmu0 = abc\n", "line 2: mu0 needs a number, got 'abc'"),

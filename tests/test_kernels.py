@@ -236,6 +236,7 @@ def test_kernel_benchmark_script_runs():
     assert "1000x1000" in out.stdout and "full default run" in out.stdout
     assert "fleet_sweep, 10 worlds x 10 UAVs" in out.stdout
     assert "crowded_market, 2 worlds x 100 UAVs" in out.stdout
+    assert out.stdout.count("_close_boundary") == 2
     assert "kernel replay" in out.stdout
     for title in ("fleet_sweep (100 UAVs x 100 vehicles, 2 slots)",
                   "crowded_market (200 UAVs x 50 vehicles, 2 slots)"):

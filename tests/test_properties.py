@@ -114,13 +114,16 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
     # every bidder loses, counts a failed window and is excluded at its
     # world's max_failed_windows. Here one world's only vehicle is busy
     # after its first match, and the others' vehicles carry less supply
-    # than their neediest bidder's gap. Only windows with a trade reach
-    # close_window from the stack (the oracle calls its own reference)
+    # than their neediest bidder's gap. Only windows with a trade are
+    # cleared by the stack (the oracle clears every window through
+    # close_window)
     from skymarket import simulator
 
     seen = []  # per market with a bidder: (idle vehicles, admitted vehicles)
-    cleared = []  # outcomes of the stack's close_window calls
-    real_admit, real_close = simulator.admit, simulator.close_window
+    cleared = []  # per window the stack clears: its winners
+    trading = [0]  # trading windows, by _close_boundary's masks
+    real_admit, real_clear = simulator.admit, simulator._clear_window
+    real_boundary = simulator._close_boundary
 
     def recording(demand, offers, window_id, gaps):
         market = real_admit(demand, offers, window_id, gaps)
@@ -128,13 +131,19 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
             seen.append((len(offers), market.num_ugvs))
         return market
 
-    def counting_close(world):
-        result = real_close(world)
-        cleared.append(result[0])
-        return result
+    def counting_clear(*args):
+        trade, row = real_clear(*args)
+        cleared.append(row.winners)
+        return trade, row
+
+    def counting_boundary(*args):
+        masks = real_boundary(*args)
+        trading[0] += int(masks.trading.sum())
+        return masks
 
     monkeypatch.setattr(simulator, "admit", recording)
-    monkeypatch.setattr(simulator, "close_window", counting_close)
+    monkeypatch.setattr(simulator, "_clear_window", counting_clear)
+    monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
     specs = [
         (12, 1, 0.5, 2, 0.1, 0.15, 3, 500.0, SCHEME_OURS, 1),
         (10, 3, 2.0, 2, 0.1, 0.15, 2, 5.0, SCHEME_STATIC, 2),
@@ -145,8 +154,8 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
     assert any(idle > 0 and admitted == 0 for idle, admitted in seen)  # under-supplied
     assert any(admitted > 0 for _, admitted in seen)  # and a trade
     assert sum(1 for o in outcomes if o.losers and not o.winners) >= 6
-    assert all(o.winners for o in cleared)
-    assert len(cleared) == sum(1 for o in outcomes if o.winners) > 0
+    assert all(cleared)
+    assert len(cleared) == trading[0] == sum(1 for o in outcomes if o.winners) > 0
     assert all(w.excluded.any() and not w.excluded.all() for w in worlds)
 
 

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import aggregate_row_objects, agent_arrays_per_agent, run_world_windowwise
+from conftest import (
+    aggregate_row_objects,
+    agent_arrays_per_agent,
+    csv_writer_text,
+    outcome_rows,
+    run_world_windowwise,
+)
 import skymarket._kernels as K
 import skymarket.simulator as simulator
 from skymarket.simulator import (
@@ -27,6 +33,7 @@ from skymarket.simulator import (
 )
 from skymarket.baselines import optimal_scheme_outcome
 from skymarket.mechanism import DemandEntry, SupplyEntry, WindowMarket, run_auction
+from skymarket.metrics import Trade
 from skymarket.types import ScenarioConfig
 
 
@@ -468,40 +475,58 @@ def test_run_experiment_shapes_and_aggregates():
 
 
 def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
-    # a sweep reads `optimal` off the `ours` world. The oracle runs the
-    # real welfare planner in place of the auction inside the worlds, so
-    # its outcomes steer the rendezvous; every row, outcome and audit
-    # report must match, including windows of 12 eager bidders against
-    # 12 idle pads
+    # a sweep reads `optimal` off the `ours` world. The oracle runs each
+    # world alone with the real welfare planner in place of the auction
+    # inside close_window, so its outcomes steer the rendezvous; every
+    # row, outcome and audit report must match, including windows of 12
+    # eager bidders against 12 idle pads
     cfg = ScenarioConfig(
         uav_count=12, ugv_count=12, horizon_slots=24,
         uav_soc_frac_min=0.3, uav_soc_frac_max=0.55,
     )
     kw = dict(sweep={"ugv_count": [6, 12]}, replications=2, base_seed=3,
               with_audit=True, keep_outcomes=True)
+    traded_at_boundaries = []  # trading windows per _close_boundary call
+    real_boundary = simulator._close_boundary
+
+    def counting_boundary(*args):
+        masks = real_boundary(*args)
+        traded_at_boundaries.append(int(masks.trading.sum()))
+        return masks
+
+    monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
     res = run_experiment(cfg, schemes=("ours", "optimal"), **kw)
     ours = [r for r in res.rows if r.scheme == "ours"]
     opt = [r for r in res.rows if r.scheme == "optimal"]
     assert len(ours) == 12 and opt == [dataclasses.replace(r, scheme="optimal") for r in ours]
     assert max(r.winners for r in ours) == 12
 
-    planner_calls = []
+    planned = []  # per market the planner clears: does it have both sides?
 
     def planner(market):
-        planner_calls.append(market.window_id)
+        planned.append(not market.is_empty)
         return optimal_scheme_outcome(market)
 
     monkeypatch.setattr(simulator, "run_auction", planner)
-    oracle = run_experiment(cfg, schemes=("optimal",), **kw)
-    # only windows with a bidder and an admitted vehicle build a market;
-    # windows with no bidder, and with bidders but no trade, occur too
-    with_bidders = sum(1 for _, _, o in oracle.outcomes if o.uav_utilities)
-    traded = sum(1 for _, _, o in oracle.outcomes if o.winners)
-    assert len(planner_calls) == traded and 0 < traded < with_bidders < 12
-    assert oracle.rows == opt
-    assert oracle.outcomes == [o for o in res.outcomes if o[0] == "optimal"]
-    assert oracle.audits == [a for a in res.audits if a.instance.startswith("optimal-")]
-    assert [a.instance for a in oracle.audits][:3] == [
+    rows, outcomes, audits = [], [], []
+    for m in kw["sweep"]["ugv_count"]:
+        for seed in (3, 4):
+            world = generate_scenario(cfg.replace(ugv_count=m), seed, "optimal")
+            r, outs, reps = run_world_windowwise(world, cfg.horizon_slots,
+                                                 with_audit=True, keep_outcomes=True)
+            rows += r
+            outcomes += [("optimal", seed, o) for o in outs]
+            audits += reps
+    # only windows with a bidder and an admitted vehicle trade; windows
+    # with no bidder, and with bidders but no trade, occur too
+    with_bidders = sum(1 for _, _, o in outcomes if o.uav_utilities)
+    traded = sum(1 for _, _, o in outcomes if o.winners)
+    assert len(planned) == 12 and sum(planned) == traded
+    assert sum(traded_at_boundaries) == traded and 0 < traded < with_bidders < 12
+    assert rows == opt
+    assert outcomes == [o for o in res.outcomes if o[0] == "optimal"]
+    assert audits == [a for a in res.audits if a.instance.startswith("optimal-")]
+    assert [a.instance for a in audits][:3] == [
         "optimal-seed3-w1", "optimal-seed3-w2", "optimal-seed3-w3"]
 
 
@@ -618,6 +643,64 @@ def test_lockstep_sweep_matches_worlds_run_alone():
     assert any((w.uav_i[:, K.I_PARTNER] >= 0).any() for w in together[3:])
 
 
+def test_a_boundary_with_several_trades_clears_as_each_world_alone(monkeypatch):
+    # worlds that trade at the same slot boundary, cleared by one
+    # _close_boundary call: mobile and static, windows of 8 and 4 slots
+    # (so two classes fall due at once), UAVs started below the alert
+    # level that all join at once and bid the same, and markets with more
+    # bidders than vehicles and with more vehicles than bidders; in the
+    # first world, losers never leave and short charging sessions free the
+    # vehicles, so some winners had lost before. Rows, outcomes, audits,
+    # the outcomes.csv text and every world's arrays must be each world's
+    # run alone through close_window
+    cfg = ScenarioConfig(uav_soc_frac_min=0.05, uav_soc_frac_max=0.15, enter_urgency=0.0,
+                         max_failed_windows=3)
+    cells = [
+        (cfg.replace(uav_count=12, ugv_count=3, max_failed_windows=0,
+                     ugv_transfer_power_w=20000.0), 1, SCHEME_OURS),
+        (cfg.replace(uav_count=2, ugv_count=6, window_len=4.0), 2, SCHEME_STATIC),
+        (cfg.replace(uav_count=9, ugv_count=4, uav_soc_frac_max=0.6), 3, SCHEME_STATIC),
+        (cfg.replace(uav_count=3, ugv_count=8, uav_soc_frac_max=0.6), 4, SCHEME_OURS),
+        # every pad past the floor distance: all q tie at qors_floor
+        (cfg.replace(uav_count=4, ugv_count=6, ugv_distance_min=2400.0), 5, SCHEME_STATIC),
+    ]
+    horizon = 120
+
+    def worlds():
+        return [generate_scenario(c, seed, scheme) for c, seed, scheme in cells]
+
+    trades_per_boundary = []
+    real_boundary = simulator._close_boundary
+
+    def counting_boundary(*args):
+        masks = real_boundary(*args)
+        trades_per_boundary.append(int(masks.trading.sum()))
+        return masks
+
+    monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
+    stacked, alone = worlds(), worlds()
+    got = run_worlds(stacked, horizon, with_audit=True, keep_outcomes=True)
+    cols = simulator._run_columns(worlds(), horizon, True, True)
+    want = [run_world_windowwise(w, horizon, with_audit=True, keep_outcomes=True)
+            for w in alone]
+    # repr, not ==: an int 0 where the oracle writes 0.0 changes the CSVs
+    assert repr(got) == repr(want)
+    for a, b in zip(stacked, alone):
+        for name in simulator._UAV_ARRAYS + simulator._UGV_ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert max(trades_per_boundary) >= 3
+    assert any(isinstance(kept, Trade) for kept in cols.outcomes)
+    text = csv_writer_text([(w.scheme, w.seed, *r) for w, (_, outcomes, _) in zip(worlds(), want)
+                            for o in outcomes for r in outcome_rows(o)])
+    assert "".join(cols.outcome_text()) == text
+    traded = [o for _, outcomes, _ in want for o in outcomes if o.winners]
+    assert any(len({m.bid for m in o.winners}) < len(o.winners) for o in traded)  # ties
+    assert any(len({m.q for m in o.winners}) < len(o.winners) for o in traded)
+    assert any(o.losers for o in traded)  # more bidders than vehicles
+    assert any(len(o.ugv_utilities) > len(o.uav_utilities) for o in traded)
+    assert all(any(o.winners for o in outcomes) for _, outcomes, _ in want)
+
+
 def test_block_bookkeeping_matches_slot_by_slot_runs():
     # one stack whose worlds close windows every 5, 8 and 37 slots (more
     # than _run_lockstep buffers, so some blocks are booked on a full
@@ -682,8 +765,9 @@ def test_agent_arrays_stay_column_contiguous():
 def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     # the sweep of perfbench's fleet_sweep call 0 (10 worlds, J = 6..14, all
     # schemes, seed 7000): only windows with a sampled bidder and an
-    # admitted vehicle reach close_window, and no vehicle is scored
-    # outside one
+    # admitted vehicle are cleared (the sweep builds no market object for
+    # them unless it audits), and no vehicle is scored outside one: each
+    # cleared window scores exactly its admitted vehicles
     cfg = ScenarioConfig()
     sweep = {"ugv_count": [6, 8, 10, 12, 14]}
     traded = 0
@@ -694,29 +778,40 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
                                                   keep_outcomes=True)
             traded += sum(1 for o in outcomes if o.winners)
 
-    real_close, real_qors = simulator.close_window, simulator.World.ugv_qors
-    cleared = []
-    depth = [0]  # close_window calls in progress
-    scored_inside = []  # per ugv_qors call: was it inside close_window?
+    real_boundary = simulator._close_boundary
+    real_clear, real_qors = simulator._clear_window, simulator.World.ugv_qors
+    trading = [0]  # trading windows, by _close_boundary's masks
+    offered = [0]  # their admitted vehicles, by the same masks
+    cleared = []  # per _clear_window call: its winners
+    depth = [0]  # _clear_window calls in progress
+    scored_inside = []  # per ugv_qors call: was it inside _clear_window?
 
-    def counting_close(world):
+    def counting_boundary(stack, worlds, ks, entry, clock, cols, layout):
+        masks = real_boundary(stack, worlds, ks, entry, clock, cols, layout)
+        trading[0] += int(masks.trading.sum())
+        offered[0] += int((masks.admitted & np.isin(layout.ugv_world,
+                                                    ks[masks.trading])).sum())
+        return masks
+
+    def counting_clear(*args):
         depth[0] += 1
-        result = real_close(world)
+        trade, row = real_clear(*args)
         depth[0] -= 1
-        cleared.append(result[0])
-        return result
+        cleared.append(row.winners)
+        return trade, row
 
     def counting_qors(self, j):
         scored_inside.append(depth[0] > 0)
         return real_qors(self, j)
 
-    monkeypatch.setattr(simulator, "close_window", counting_close)
+    monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
+    monkeypatch.setattr(simulator, "_clear_window", counting_clear)
     monkeypatch.setattr(simulator.World, "ugv_qors", counting_qors)
     res = run_experiment(cfg, sweep, replications=1, schemes=ALL_SCHEMES, base_seed=7000)
     assert len(res.rows) == 15 * 75
-    assert len(cleared) == traded and 0 < traded < 10 * 75 // 2
-    assert all(o.winners for o in cleared)
-    assert scored_inside and all(scored_inside)
+    assert len(cleared) == trading[0] == traded and 0 < traded < 10 * 75 // 2
+    assert all(cleared)
+    assert len(scored_inside) == offered[0] and all(scored_inside)
 
 
 def test_run_experiment_groups_worlds_by_slot_constants():
