@@ -33,7 +33,7 @@ import numpy as np
 
 # with_replaced_bid has no caller here; it stays importable from this module
 # because the benchmark's tracer hooks it by this name
-from .mechanism import WindowMarket, run_auction, uav_utility, with_replaced_bid
+from .mechanism import WindowMarket, rank_payments, run_auction, uav_utility, with_replaced_bid
 from .types import AuctionOutcome
 
 UTILITY_TOL = 1e-9
@@ -129,23 +129,17 @@ def _misreport_payments(
     """Payment by rank that the bidder at rank position ``p`` of ``bids``
     (descending) would pay after moving to that rank.
 
-    This is ``price``'s base case and rank recursion over the other bids,
-    ``bids[:p] + bids[p + 1:]``, float for float: rank j reads the bid
-    below it, ``bids[j + 1]`` from rank p down and ``bids[j]`` above it.
-    ``top``, the result for p = 0, already holds every rank from a winning
+    This is ``rank_payments`` over the other bids, ``bids[:p] +
+    bids[p + 1:]``, float for float: rank j reads the bid below it,
+    ``bids[j + 1]`` from rank p down and ``bids[j]`` above it. ``top``,
+    the result for p = 0, already holds every rank from a winning
     position p down, so only the ranks above p are redone from it.
     """
-    n, m = len(bids), len(q)
-    k = min(n, m)
-    if top is not None and p < k:
-        pay, start = top[:], p - 1
-    else:
-        pay, start = [0.0] * k, k - 2
-        if 0 < m < n:
-            pay[k - 1] = q[m - 1] * (bids[m] if p < m else bids[m - 1])
-    for j in range(start, -1, -1):
-        b = bids[j + 1] if j >= p else bids[j]
-        pay[j] = (q[j] - q[j + 1]) * b + pay[j + 1]
+    if top is None or p >= len(top):
+        return rank_payments(bids[p:p + 1] + bids[:p] + bids[p + 1:], q)
+    pay = top[:]
+    for j in range(p - 1, -1, -1):
+        pay[j] = (q[j] - q[j + 1]) * bids[j] + pay[j + 1]
     return pay
 
 
@@ -166,8 +160,8 @@ def _misreport_utilities(
 
     Equal to ``run_auction(with_replaced_bid(market, uav_id, b))``'s
     utility for ``uav_id``, float for float: the bid lands at rank r among
-    the opponents (ties by id), and the rank-r payment of ``price`` reads
-    only q and the opponent bids from rank r down.
+    the opponents (ties by id), and the rank-r payment of
+    ``rank_payments`` reads only q and the opponent bids from rank r down.
     """
     bids = list(bids)
     if any(b < 0 for b in bids):
@@ -212,7 +206,7 @@ def _ic_gains(market: WindowMarket, outcome: AuctionOutcome) -> list[float]:
     negs = [-b for b in bids]
     q = [s.q for s in market.supply_ranked]
     n, k = len(bids), min(len(bids), len(q))
-    top = _misreport_payments(q, bids, 0)
+    top = rank_payments(bids, q)
     # every loser's misreports face the same payments
     bottom = _misreport_payments(q, bids, k) if k < n else None
     # the opponent nudges of every grid, with the number of bids above

@@ -1,25 +1,28 @@
 """Sealed-bid window auction: admission, assortative allocation, pricing.
 
-Each window clears in four steps:
+Each window clears in three steps:
 
 1.  ``admit`` takes the window's bidders as (id, Phi_bar, bid) rows and
     the idle vehicles as (id, q, supply) values, keeps the vehicles with
     q > 0 whose supply covers every bidder's satisfaction gap, and forms
     a :class:`WindowMarket`, which ranks its own sides (bids descending,
     quality scores descending; ties broken by agent id ascending).
-2.  ``allocate`` matches the j-th highest bid to the j-th highest quality
-    score for j = 1..K, K = min(demand, supply).
-3.  ``price`` charges each winner the externality its presence imposes:
-    the last winner pays q_J * (best losing bid) when demand exceeds
-    supply and nothing otherwise, and winner j pays
-    (q_j - q_{j+1}) * b_{j+1} on top of winner j+1's payment.
-4.  Utilities and the social surplus close the books: a winner at rank j
+2.  ``clear`` matches the j-th highest bid to the j-th highest quality
+    score for j = 1..K, K = min(demand, supply), and charges each winner
+    the externality its presence imposes (``rank_payments``): the last
+    winner pays q_K * (best losing bid) when demand exceeds supply and
+    nothing otherwise, and winner j pays (q_j - q_{j+1}) * b_{j+1} on
+    top of winner j+1's payment.
+3.  Utilities and the social surplus close the books: a winner at rank j
     gets q_j * Phi_bar - p_j, a matched vehicle collects its payment, and
     the surplus is the payment-free sum q_j * Phi_bar over matched pairs.
 
-Allocation and pricing read only the submitted bids; the true average
-valuations carried by the market are used solely for utility accounting
-and downstream audits (sealed-bid semantics).
+``clear`` returns a compact :class:`Trade` record, which the simulator
+keeps per window and ``run_auction`` turns into an ``AuctionOutcome``;
+a window with no trade is a ``Trade`` with no winner. Allocation and
+pricing read only the submitted bids; the true average valuations are
+used solely for utility accounting and downstream audits (sealed-bid
+semantics).
 """
 
 from __future__ import annotations
@@ -35,12 +38,11 @@ __all__ = [
     "WindowMarket",
     "admit",
     "with_replaced_bid",
-    "allocate",
-    "price",
     "uav_utility",
-    "social_surplus",
+    "rank_payments",
+    "Trade",
+    "clear",
     "run_auction",
-    "outcome_lines",
     "winner_line",
     "loser_line",
     "OUTCOME_CSV_HEADER",
@@ -157,97 +159,107 @@ def with_replaced_bid(market: WindowMarket, uav_id: int, new_bid: float) -> Wind
     return WindowMarket(market.window_id, demand, market.supply)
 
 
-def allocate(market: WindowMarket) -> tuple[Match, ...]:
-    """Assortative matching: rank-j bid gets the rank-j quality score."""
-    matches = [
-        Match(rank=j + 1, uav_id=d.uav_id, ugv_id=s.ugv_id, bid=d.bid, q=s.q)
-        for j, (d, s) in enumerate(zip(market.demand_ranked, market.supply_ranked))
-    ]
-    return tuple(matches)
-
-
-def price(market: WindowMarket, allocation: Sequence[Match]) -> tuple[float, ...]:
-    """Winner payments by rank, built by the last-winner base case plus the
-    rank recursion p_j = (q_j - q_{j+1}) * b_{j+1} + p_{j+1}."""
-    k = len(allocation)
-    if k == 0:
-        return ()
-    n_uavs, n_ugvs = market.num_uavs, market.num_ugvs
-    payments = [0.0] * k
-    if n_ugvs < n_uavs:
-        # q of the lowest-ranked admitted vehicle times the best losing bid
-        q_last = market.supply_ranked[n_ugvs - 1].q
-        best_loser_bid = market.demand_ranked[n_ugvs].bid
-        payments[k - 1] = q_last * best_loser_bid
-    for j in range(k - 2, -1, -1):
-        gap = allocation[j].q - allocation[j + 1].q
-        payments[j] = gap * allocation[j + 1].bid + payments[j + 1]
-    return tuple(payments)
-
-
 def uav_utility(phi_bar: float, q: float, payment: float) -> float:
     """Winner utility q * Phi_bar - p; losers and non-participants get 0."""
     return q * phi_bar - payment
 
 
-def social_surplus(allocation: Sequence[Match], phi_bars: dict[int, float]) -> float:
-    """Payment-free welfare: sum of q_j * Phi_bar_i over matched pairs."""
-    total = 0.0
-    for m in allocation:
-        total += m.q * phi_bars[m.uav_id]
-    return total
+def rank_payments(bids: Sequence[float], qs: Sequence[float]) -> list[float]:
+    """Winner payments by rank for ``bids`` (descending) against ``qs``
+    (descending): the last winner pays q_K times the best losing bid when
+    bids outnumber vehicles and nothing otherwise, and winner j pays
+    (q_j - q_{j+1}) * b_{j+1} on top of winner j+1's payment. The first
+    bid is never read, so a bidder's payments at every rank among
+    opponents ``o`` are ``rank_payments([its bid] + o, qs)``."""
+    k = min(len(bids), len(qs))
+    pay = [0.0] * k
+    if 0 < k < len(bids):
+        pay[-1] = qs[k - 1] * bids[k]
+    for j in range(k - 2, -1, -1):
+        pay[j] = (qs[j] - qs[j + 1]) * bids[j + 1] + pay[j + 1]
+    return pay
+
+
+class Trade(NamedTuple):
+    """A cleared window: its bidders' ids in rank order, of which the
+    first ``len(vehicles)`` won, and its admitted vehicles' ids; per
+    winner, by rank, the vehicle it won, its bid, that vehicle's q, its
+    payment and its utility; and the surplus. A window with no trade
+    has no winner."""
+
+    ranked: Sequence[int]
+    ugvs: Sequence[int]
+    vehicles: Sequence[int] = ()
+    bids: Sequence[float] = ()
+    qs: Sequence[float] = ()
+    payments: Sequence[float] = ()
+    utilities: Sequence[float] = ()
+    surplus: float = 0.0
+
+    @property
+    def losers(self) -> Sequence[int]:
+        return self.ranked[len(self.vehicles):]
+
+    def outcome(self, window_id: int) -> AuctionOutcome:
+        """The window's outcome; participants' utilities are keyed in id order."""
+        ranked, vehicles = self.ranked, self.vehicles
+        uav_utilities = dict.fromkeys(sorted(ranked), 0.0)
+        uav_utilities.update(zip(ranked, self.utilities))
+        ugv_utilities = dict.fromkeys(self.ugvs, 0.0)
+        ugv_utilities.update(zip(vehicles, self.payments))
+        winners = tuple(map(Match, range(1, len(vehicles) + 1), ranked, vehicles, self.bids,
+                            self.qs))
+        return AuctionOutcome(window_id, winners, tuple(self.losers),
+                              tuple(self.payments), uav_utilities, ugv_utilities, self.surplus)
+
+    def winner_lines(self, lead: str) -> list[str]:
+        """``outcomes.csv``'s winner lines, each led by ``lead``."""
+        return [lead + winner_line(*fields, rank) for rank, fields in enumerate(zip(
+            self.ranked, self.vehicles, self.bids, self.qs, self.payments, self.utilities), 1)]
+
+
+def clear(
+    ranked: Sequence[int],
+    bids: Sequence[float],
+    phis: Sequence[float],
+    ugvs: Sequence[int],
+    offers: Sequence[tuple[int, float]],
+) -> Trade:
+    """Clear one window's ranked sides.
+
+    ``ranked``, ``bids`` and ``phis`` are the bidders in rank order (id,
+    bid, average valuation), ``offers`` the admitted vehicles ranked by q
+    descending as (id, q) and ``ugvs`` their ids in the order the
+    outcome lists them. The rank-j bidder wins the rank-j vehicle, pays
+    ``rank_payments`` and keeps q_j * Phi_bar - p_j; the surplus is the
+    payment-free sum of q_j * Phi_bar in rank order.
+    """
+    matched = offers[:len(ranked)]
+    if not matched:
+        return Trade(ranked, ugvs)
+    vehicles, qs = zip(*matched)
+    pay = rank_payments(bids, qs)
+    surplus = 0.0
+    for q, phi in zip(qs, phis):
+        surplus += q * phi
+    return Trade(ranked, ugvs, vehicles, bids[:len(qs)], qs, pay,
+                 [q * phi - p for q, phi, p in zip(qs, phis, pay)], surplus)
 
 
 def run_auction(market: WindowMarket) -> AuctionOutcome:
-    """Clear one window: allocate, price, and settle utilities.
+    """Clear one window through ``clear``.
 
     Deterministic given the market (ties were already broken in the ranked
     views). Losers, in rank order, are listed for re-entry into the next
     window. A matched vehicle's utility is the payment it collects.
     """
-    allocation = allocate(market)
-    payments = price(market, allocation)
-    phi_by_id = {e.uav_id: e.phi_bar for e in market.demand}
-
-    uav_utils: dict[int, float] = {e.uav_id: 0.0 for e in market.demand}
-    ugv_utils: dict[int, float] = {e.ugv_id: 0.0 for e in market.supply}
-    for m, p in zip(allocation, payments):
-        uav_utils[m.uav_id] = uav_utility(phi_by_id[m.uav_id], m.q, p)
-        ugv_utils[m.ugv_id] = p
-
-    # the winners are exactly the top len(allocation) ranked bidders
-    losers = [e.uav_id for e in market.demand_ranked[len(allocation):]]
-    return AuctionOutcome(
-        window_id=market.window_id,
-        winners=allocation,
-        losers=tuple(losers),
-        payments=payments,
-        uav_utilities=uav_utils,
-        ugv_utilities=ugv_utils,
-        social_surplus=social_surplus(allocation, phi_by_id),
-    )
+    demand = market.demand_ranked
+    ranked, phis, bids = zip(*demand) if demand else ((), (), ())
+    trade = clear(ranked, bids, phis, [s.ugv_id for s in market.supply], market.supply_ranked)
+    return trade.outcome(market.window_id)
 
 
 OUTCOME_CSV_HEADER = ("window_id", "uav_id", "ugv_id", "bid", "q", "payment", "utility", "rank")
-
-
-def outcome_lines(outcome: AuctionOutcome) -> list[str]:
-    """Format an outcome as CSV text lines, one per participating UAV.
-
-    Winners come first by rank (``winner_line``), then losers in rank
-    order (``loser_line``), each after the window id. A loser has empty
-    ugv/q/rank fields, a zero payment and zero utility, matching its
-    settlement. Each line is what ``csv.writer`` writes for these fields
-    (``str`` of an int, ``repr`` of a float, nothing for an empty
-    field); no field needs quoting, as none can hold a comma, a quote or
-    a newline.
-    """
-    lead = f"{outcome.window_id},"
-    utilities = outcome.uav_utilities
-    lines = [lead + winner_line(m.uav_id, m.ugv_id, m.bid, m.q, p, utilities[m.uav_id], m.rank)
-             for m, p in zip(outcome.winners, outcome.payments)]
-    lines += [lead + loser_line(uav_id) for uav_id in outcome.losers]
-    return lines
 
 
 def winner_line(uav_id: int, ugv_id: int, bid: float, q: float, payment: float,

@@ -8,28 +8,26 @@ aggregates. The store writes the text of the run's per-window CSVs
 its columns, one chunk per run, with the bytes ``csv.writer`` would
 write for its tuple rows; the tuples, ``MetricsRow``s, ``AuditReport``s
 and ``AuctionOutcome``s are built only when read. A window's outcome is
-kept as a compact ``Trade`` or ``NoTrade`` record.
+kept as the compact ``mechanism.Trade`` record that clears it; a window
+with no trade is a ``Trade`` with no winner.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .audit import AuditReport
-from .mechanism import loser_line, winner_line
-from .types import AuctionOutcome, Match
+from .mechanism import Trade, loser_line
 
 __all__ = [
     "MetricsRow",
     "MetricsColumns",
-    "NoTrade",
-    "Trade",
     "METRICS_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
     "aggregate_rows",
@@ -54,7 +52,10 @@ class MetricsRow:
     winners: int
 
     def __post_init__(self):
-        if abs(self.surplus - (self.uav_utility + self.ugv_utility)) > 1e-9:
+        # the sums round a few times per winner, each by at most half an
+        # ulp of the surplus, which no term exceeds; 1e-9 floors it near 0
+        tol = max(1e-9, 4 * (self.winners + 1) * math.ulp(self.surplus))
+        if abs(self.surplus - (self.uav_utility + self.ugv_utility)) > tol:
             raise ValueError(
                 "surplus must equal total UAV + UGV utility "
                 f"({self.surplus} vs {self.uav_utility + self.ugv_utility})"
@@ -81,63 +82,6 @@ def _utilities(values: np.ndarray, empty: np.ndarray) -> list:
     return out.tolist()
 
 
-class NoTrade(NamedTuple):
-    """What is kept of a window with no trade: its sampled bidders, every
-    one a loser, ranked as the auction ranks them (bid descending, id
-    ascending), and its admitted vehicles' ids; at least one is empty."""
-
-    losers: Sequence[int]
-    ugvs: Sequence[int]
-
-    def outcome(self, window_id: int) -> AuctionOutcome:
-        """``close_window``'s outcome for the window: nobody trades and
-        everyone settles at 0."""
-        return AuctionOutcome(
-            window_id=window_id, winners=(), losers=tuple(self.losers), payments=(),
-            uav_utilities=dict.fromkeys(sorted(self.losers), 0.0),
-            ugv_utilities=dict.fromkeys(self.ugvs, 0.0), social_surplus=0.0,
-        )
-
-
-class Trade(NamedTuple):
-    """What is kept of a window with a trade: its sampled bidders ranked
-    as the auction ranks them, of which the first ``len(matches)`` won,
-    its admitted vehicles' ids in id order, and per winner, by rank, its
-    match (vehicle id, bid, q), payment and utility; and the surplus."""
-
-    ranked: Sequence[int]
-    ugvs: Sequence[int]
-    matches: Sequence[tuple[int, float, float]]
-    payments: Sequence[float]
-    utilities: Sequence[float]
-    surplus: float
-
-    @property
-    def losers(self) -> Sequence[int]:
-        return self.ranked[len(self.matches):]
-
-    def outcome(self, window_id: int) -> AuctionOutcome:
-        """``close_window``'s outcome for the window."""
-        uav_utilities = dict.fromkeys(sorted(self.ranked), 0.0)
-        uav_utilities.update(zip(self.ranked, self.utilities))
-        ugv_utilities = dict.fromkeys(self.ugvs, 0.0)
-        ugv_utilities.update(zip([ugv for ugv, _, _ in self.matches], self.payments))
-        return AuctionOutcome(
-            window_id=window_id,
-            winners=tuple(Match(rank, uav, ugv, bid, q) for rank, (uav, (ugv, bid, q))
-                          in enumerate(zip(self.ranked, self.matches), 1)),
-            losers=tuple(self.losers), payments=tuple(self.payments),
-            uav_utilities=uav_utilities, ugv_utilities=ugv_utilities,
-            social_surplus=self.surplus,
-        )
-
-    def winner_lines(self, lead: str) -> list[str]:
-        """``outcomes.csv``'s winner lines, each led by ``lead``."""
-        return [lead + winner_line(uav, ugv, bid, q, p, u, rank)
-                for rank, (uav, (ugv, bid, q), p, u)
-                in enumerate(zip(self.ranked, self.matches, self.payments, self.utilities), 1)]
-
-
 class _LoserLines(dict):
     """``mechanism.loser_line`` by UAV id, each formatted on first use."""
 
@@ -156,11 +100,11 @@ class MetricsColumns:
     ``ugv_empty`` mark utilities that are empty sums (no agent of that
     side in the market), which a ``MetricsRow`` holds as the int ``0``.
     ``audits`` (each entry's audit fields after the instance name) and
-    ``outcomes`` are lists only when asked for. A window with a trade
-    keeps a ``Trade`` record there, and a window with no trade a
-    ``NoTrade`` record (ranked loser ids and admitted vehicle ids);
-    ``outcome_tuples`` builds their ``AuctionOutcome``s on read. New
-    entries hold a window with neither bidder nor offered vehicle.
+    ``outcomes`` are lists only when asked for. Each window keeps its
+    ``Trade`` record there (a window with no trade keeps only its ranked
+    loser ids and admitted vehicle ids); ``outcome_tuples`` builds their
+    ``AuctionOutcome``s on read. New entries hold a window with neither
+    bidder nor offered vehicle.
     """
 
     def __init__(self, runs: list, window: np.ndarray, with_audit: bool, keep_outcomes: bool):
@@ -176,7 +120,7 @@ class MetricsColumns:
         self.uav_empty = np.ones(n, dtype=bool)
         self.ugv_empty = np.ones(n, dtype=bool)
         self.audits = [_NO_MARKET_AUDIT] * n if with_audit else None
-        self.outcomes = [NoTrade((), ())] * n if keep_outcomes else None
+        self.outcomes = [Trade((), ())] * n if keep_outcomes else None
 
     def record(self, k: int, row: MetricsRow) -> None:
         """Set entry k's metrics to ``row``'s; ``uav_empty`` and
@@ -280,9 +224,10 @@ class MetricsColumns:
 
     def outcome_text(self):
         """``outcomes.csv``'s rows as text chunks, each line led by its
-        scheme and seed: ``mechanism.outcome_lines`` of every outcome in
-        ``outcome_tuples()``, without building any outcome; none unless
-        outcomes are kept."""
+        scheme and seed: for every outcome in ``outcome_tuples()``, its
+        winners' ``mechanism.winner_line`` by rank, then its losers'
+        ``mechanism.loser_line`` in rank order, each after the window id,
+        without building any outcome; none unless outcomes are kept."""
         if self.outcomes is None:
             return iter(())
         loser_text = _LoserLines()
@@ -291,8 +236,7 @@ class MetricsColumns:
             parts = []
             for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
                 wid = f"{w},"
-                if isinstance(kept, Trade):
-                    parts += kept.winner_lines(wid)
+                parts += kept.winner_lines(wid)
                 if kept.losers:
                     parts.append(wid + wid.join(map(loser_text.__getitem__, kept.losers)))
             return "".join(parts)

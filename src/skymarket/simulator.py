@@ -35,7 +35,8 @@ serve the neediest one. Segment reductions over the stack tell those
 apart, and they are settled in bulk. A window with a trade is cleared
 as ``close_window`` clears it, float for float, but without building a
 market: one sort ranks the bidders of every due world, and Python
-visits only each trade's admitted vehicles and winners. A market object
+scores only each trade's admitted vehicles and clears both sides
+through ``mechanism.clear``, as ``run_auction`` does. A market object
 is built only for a window that is audited. ``close_window`` stays as
 the one-window reference, through ``admit`` and ``run_auction``, that
 the tests hold the boundary routine to.
@@ -67,8 +68,8 @@ from .audit import audit_market, audit_report_row
 from .audit import non_envy_ratio
 from .baselines import optimal_scheme_outcome
 from .energy import slot_constants
-from .mechanism import DemandEntry, SupplyEntry, WindowMarket, admit, run_auction
-from .metrics import MetricsColumns, MetricsRow, NoTrade, Trade, aggregate_rows
+from .mechanism import DemandEntry, SupplyEntry, Trade, WindowMarket, admit, clear, run_auction
+from .metrics import MetricsColumns, MetricsRow, aggregate_rows
 from .types import (
     Activity,
     AuctionOutcome,
@@ -637,18 +638,16 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     bidders by (world, bid descending, row), as the auction ranks them.
 
     A trade clears as ``close_window`` clears it, float for float,
-    without building a market: Python visits only the world's admitted
-    vehicles (each q from ``World.ugv_qors``) and its winners, which
-    the ranking pairs with the vehicles ranked by (q descending, id).
-    The winners are priced by ``mechanism.price``'s recursion; SL,
-    utilities and surplus are summed in ``close_window``'s order, and
-    its ``MetricsRow`` checks them; the pairs are scheduled in one
-    array pass. Every other bidder of a due world loses, and all of
-    them, in trades or not, settle through one ``_settle_losers``.
-    Every due entry's empty-side flags are set here, and when ``cols``
-    keeps them, its outcome (a ``Trade`` or ``NoTrade`` record) and a
-    trade's audit fields, from the ``WindowMarket`` that is built only
-    for the audit.
+    without building a market: ``_clear_window`` passes the ranking and
+    the world's admitted vehicles (each q from ``World.ugv_qors``) to
+    ``mechanism.clear``, and sums SL and the utilities in
+    ``close_window``'s order into the ``MetricsRow`` that checks them;
+    the pairs are scheduled in one array pass. Every other bidder of a
+    due world loses, and all of them, in trades or not, settle through
+    one ``_settle_losers``. Every due entry's empty-side flags are set
+    here, and when ``cols`` keeps them, its ``Trade`` record (with no
+    winner for a window with no trade) and a trade's audit fields, from
+    the ``WindowMarket`` that is built only for the audit.
     """
     L = layout
     sampled = stack.bidder & (stack.sample_count > 0)
@@ -712,7 +711,7 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
                                        rho_bar[s:stop], js)
             cols.record(e, row)
             won += rows[s:s + row.winners]
-            won_ugvs += [j + world.ugv_base for j, _, _ in trade.matches]
+            won_ugvs += [j + world.ugv_base for j in trade.vehicles]
             if keep:
                 cols.outcomes[e] = trade
             if cols.audits is not None:
@@ -726,8 +725,8 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
         _settle_losers(stack, losers, L.max_fails[losers])
     if keep:
         for i in np.flatnonzero(~trading).tolist():
-            cols.outcomes[entries[i]] = NoTrade(ranked[bid_end[i] - n_bid[i]:bid_end[i]],
-                                               offered[offer_end[i] - n_offer[i]:offer_end[i]])
+            cols.outcomes[entries[i]] = Trade(ranked[bid_end[i] - n_bid[i]:bid_end[i]],
+                                             offered[offer_end[i] - n_offer[i]:offer_end[i]])
     return masks
 
 
@@ -739,36 +738,28 @@ def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: l
     ``ranked``, ``bid`` and ``rho_bar`` are the window's bidders in the
     auction's order (local id, truthful bid, window-average urgency),
     and ``ugvs`` its admitted vehicles in id order, each scored by
-    ``World.ugv_qors``. The k = min(bidders, vehicles) top bidders win
-    the vehicles ranked by (q descending, id) and pay ``mechanism.price``'s
-    recursion. Only the vehicles and the winners are visited.
+    ``World.ugv_qors``; ``mechanism.clear`` clears them against the
+    vehicles ranked by (q descending, id). Only the vehicles and the
+    winners are visited.
     """
     c = world.config
-    q_of = {j: world.ugv_qors(j) for j in ugvs}
-    k = min(len(ranked), len(ugvs))
+    offers = [(j, world.ugv_qors(j)) for j in ugvs]
     # sorted is stable: equal q stay in id order
-    matched = sorted(ugvs, key=lambda j: -q_of[j])[:k]
-    q = [q_of[j] for j in matched]
-    b = bid[:k]  # truthful: each winner's bid is its valuation
-    pay = [0.0] * k
-    if k < len(ranked):  # the last winner pays its q times the best losing bid
-        pay[-1] = q[-1] * bid[k]
-    for r in range(k - 2, -1, -1):
-        pay[r] = (q[r] - q[r + 1]) * b[r + 1] + pay[r + 1]
-    utilities = [q_r * b_r - p for q_r, b_r, p in zip(q, b, pay)]
-    surplus = sl = 0.0
-    for q_r, b_r, rho_r in zip(q, b, rho_bar):
-        surplus += q_r * b_r
-        sl += q_r * rho_r
+    offers.sort(key=lambda offer: -offer[1])
+    trade = clear(ranked, bid, bid, ugvs, offers)  # truthful: each bid is its valuation
+    sl = 0.0
+    for q, rho in zip(trade.qs, rho_bar):
+        sl += q * rho
     # close_window sums every participant's utility in id order; a
     # loser's 0.0 leaves a sum that starts at the int 0 unchanged
     row = MetricsRow(
         scheme=world.scheme, ugv_count=c.ugv_count, tau=c.window_len, seed=world.seed,
-        window=window, sl=sl, uav_utility=sum([u for _, u in sorted(zip(ranked, utilities))]),
-        ugv_utility=sum([p for _, p in sorted(zip(matched, pay))]), surplus=surplus,
-        non_envy_ratio=1.0, winners=k,
+        window=window, sl=sl,
+        uav_utility=sum([u for _, u in sorted(zip(ranked, trade.utilities))]),
+        ugv_utility=sum([p for _, p in sorted(zip(trade.vehicles, trade.payments))]),
+        surplus=trade.surplus, non_envy_ratio=1.0, winners=len(trade.vehicles),
     )
-    return Trade(ranked, ugvs, list(zip(matched, b, q)), pay, utilities, surplus), row
+    return trade, row
 
 
 def _market(world: World, window: int, ranked: list, bid: list, ugvs: list) -> WindowMarket:

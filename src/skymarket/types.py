@@ -162,11 +162,10 @@ class AuctionOutcome:
             raise ValueError("one payment per winner required")
         if any(p < 0 for p in self.payments):
             raise ValueError("winner payments must be >= 0")
-        uav_ids = [m.uav_id for m in self.winners]
-        ugv_ids = [m.ugv_id for m in self.winners]
-        if len(set(uav_ids)) != len(uav_ids) or len(set(ugv_ids)) != len(ugv_ids):
+        uav_ids = {m.uav_id for m in self.winners}
+        if not len(uav_ids) == len({m.ugv_id for m in self.winners}) == len(self.winners):
             raise ValueError("allocation rows/columns must sum to <= 1")
-        if set(uav_ids) & set(self.losers):
+        if not uav_ids.isdisjoint(self.losers):
             raise ValueError("winner and loser sets must be disjoint")
 
     @property
@@ -348,9 +347,10 @@ def validate(config: ScenarioConfig) -> list[str]:
 def _derived_problems(c: ScenarioConfig) -> list[str]:
     """What is not finite among the constants a world of the valid
     config ``c`` is built with and bids with: the per-slot drains,
-    charging gain, pad draw and step lengths, a vehicle's largest step
-    and the largest valuation ``mu0 + mu1``. Computed without raising:
-    a power law that raises in ``slot_constants`` is reported too."""
+    charging gain, pad draw and step lengths, a vehicle's largest step,
+    the largest valuation ``mu0 + mu1`` and the largest sum of them a
+    window makes. Computed without raising: a power law that raises in
+    ``slot_constants`` is reported too."""
     try:
         derived = slot_constants(c)._asdict()
     except OverflowError:  # the one float ** of the power laws
@@ -358,7 +358,12 @@ def _derived_problems(c: ScenarioConfig) -> list[str]:
     except ZeroDivisionError:
         return ["eps2: eps2 * eps2 underflows to 0 in the vertical power"]
     derived["ugv_step"] = (c.ugv_speed_max_kmh / 3.6) * c.slot_len
-    derived["mu0 + mu1"] = c.mu0 + c.mu1
+    derived["mu0 + mu1"] = valuation = c.mu0 + c.mu1
+    if math.isfinite(valuation):
+        # a window sums up to slots_per_window valuation samples, and its
+        # surplus up to min(uav_count, ugv_count) terms q * Phi_bar, q <= 1
+        derived["max(slots_per_window, min(uav_count, ugv_count)) * (mu0 + mu1)"] = (
+            max(c.slots_per_window, min(c.uav_count, c.ugv_count)) * valuation)
     return [f"{name}: derived constant must be finite (got {value})"
             for name, value in derived.items() if not math.isfinite(value)]
 

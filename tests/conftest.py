@@ -23,7 +23,9 @@ from skymarket._kernels import (  # the names step_world_loop reads
 )
 from skymarket.audit import UTILITY_TOL, EnvyStats, audit_market, deviation_grid
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
-from skymarket.mechanism import run_auction, uav_utility, with_replaced_bid
+from skymarket.mechanism import (
+    loser_line, run_auction, uav_utility, winner_line, with_replaced_bid,
+)
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity, AuctionOutcome
 
@@ -164,9 +166,24 @@ def check_stability_loop(outcome, phi_bars, qs):
     return blocking
 
 
+def outcome_lines(outcome):
+    """An outcome's ``outcomes.csv`` lines, one per participating UAV:
+    winners first by rank (``mechanism.winner_line``), then losers in
+    rank order (``mechanism.loser_line``), each after the window id. The
+    oracle for ``MetricsColumns.outcome_text``, which writes these lines
+    from the kept ``Trade`` records without building any outcome."""
+    lead = f"{outcome.window_id},"
+    utilities = outcome.uav_utilities
+    lines = [lead + winner_line(m.uav_id, m.ugv_id, m.bid, m.q, p, utilities[m.uav_id], m.rank)
+             for m, p in zip(outcome.winners, outcome.payments)]
+    lines += [lead + loser_line(uav_id) for uav_id in outcome.losers]
+    return lines
+
+
 def outcome_rows(outcome):
     """Flatten an outcome to tuple rows for ``csv.writer``, one per
-    participating UAV: the oracle for ``mechanism.outcome_lines``.
+    participating UAV: the oracle for ``outcome_lines``, and so for the
+    line formats ``mechanism.winner_line`` and ``loser_line``.
 
     Losers carry empty ugv/q/rank fields, a zero payment, and zero
     utility, matching their settlement.
@@ -203,7 +220,7 @@ def no_trade_outcome(world, window_id, sampled, admitted):
     world's masks of sampled bidders and admitted vehicles (one of them
     empty): every bidder loses, ranked by bid descending and id
     ascending as the auction ranks them, and everyone settles at 0. The
-    oracle for the ``NoTrade`` records ``MetricsColumns`` keeps."""
+    oracle for the ``Trade`` records with no winner that ``MetricsColumns`` keeps."""
     ids = np.flatnonzero(sampled)
     bids = world.phi_sum[ids] / world.sample_count[ids]
     return AuctionOutcome(

@@ -22,7 +22,7 @@ from skymarket.audit import (
 from skymarket.baselines import optimal_scheme_outcome
 from skymarket.cli import main
 from skymarket.energy import ascend_power, descend_power
-from skymarket.mechanism import allocate, price, run_auction
+from skymarket.mechanism import run_auction
 from skymarket.simulator import (
     advance_slot,
     close_window,
@@ -146,8 +146,8 @@ def test_criterion_6_payment_consistency():
         n_uavs = int(rng.integers(1, 9))
         n_ugvs = int(rng.integers(1, 9))
         market = random_market(rng, n_uavs, n_ugvs)
-        allocation = allocate(market)
-        pay = price(market, allocation)
+        outcome = run_auction(market)
+        allocation, pay = outcome.winners, outcome.payments
         for j in range(1, len(allocation) + 1):
             worst_rec = max(
                 worst_rec, abs(pay[j - 1] - payment_unrolled(market, allocation, j))

@@ -8,12 +8,14 @@ import pytest
 
 from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row
 from skymarket.cli import main
-from skymarket.mechanism import OUTCOME_CSV_HEADER, outcome_lines
+from skymarket.mechanism import OUTCOME_CSV_HEADER
 from skymarket.metrics import METRICS_CSV_HEADER
 from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment
 from skymarket.types import ScenarioConfig, save_config
 
-from conftest import csv_writer_text, outcome_rows, run_benchmark_script, run_world_windowwise
+from conftest import (
+    csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script, run_world_windowwise,
+)
 
 
 def read_bytes(path):
@@ -75,11 +77,16 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
     # the largest valuation is inf: the run used to write inf surplus
     ("mu0 = 1e308\nmu1 = 1e308\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
      "uav_soc_frac_max = 0.3\n", "mu0 + mu1: derived constant must be finite (got inf)"),
+    # a finite valuation whose window sum is inf: the run used to write inf surplus
+    ("mu0 = 1e308\nmu1 = 0\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
+     "uav_soc_frac_max = 0.3\n", "max(slots_per_window, min(uav_count, ugv_count)) * "
+     "(mu0 + mu1): derived constant must be finite (got inf)"),
     # eps2 ** 2 underflows to 0: _build_world used to raise ZeroDivisionError
     ("eps2 = 1e-200\n", "eps2: eps2 * eps2 underflows to 0 in the vertical power"),
     # an inf drain per slot: every descending UAV used to empty at once
     ("uav_descend_speed = 1e200\n", "drain_desc: derived constant must be finite (got inf)"),
-], ids=["flight-power-overflow", "infinite-valuation", "eps2-underflow", "infinite-drain"])
+], ids=["flight-power-overflow", "infinite-valuation", "infinite-window-valuation-sum",
+        "eps2-underflow", "infinite-drain"])
 def test_configs_whose_derived_constants_overflow_are_config_errors(tmp_path, capsys, text,
                                                                     problem):
     cfg = tmp_path / "huge.cfg"

@@ -8,9 +8,6 @@ from skymarket.mechanism import (
     SupplyEntry,
     WindowMarket,
     admit,
-    allocate,
-    outcome_lines,
-    price,
     run_auction,
     with_replaced_bid,
 )
@@ -18,6 +15,7 @@ from skymarket.mechanism import (
 from conftest import (
     csv_writer_text,
     naive_best_assignment,
+    outcome_lines,
     outcome_rows,
     payment_closed_form,
     payment_unrolled,
@@ -56,8 +54,8 @@ def test_admit_filters_insufficient_supply():
 def test_equal_bids_break_ties_by_id():
     market = WindowMarket.from_values([3.0, 3.0], [3.0, 3.0], [0.9, 0.5])
     m2 = WindowMarket.from_values([3.0, 3.0], [3.0, 3.0], [0.9, 0.5])
-    assert allocate(market) == allocate(m2)
-    assert allocate(market)[0].uav_id == 0  # lower id wins the better pad
+    assert run_auction(market).winners == run_auction(m2).winners
+    assert run_auction(market).winners[0].uav_id == 0  # lower id wins the better pad
 
 
 def test_ties_rank_by_id_ascending_on_both_sides():
@@ -72,7 +70,8 @@ def test_ties_rank_by_id_ascending_on_both_sides():
     assert [s.ugv_id for s in market.supply_ranked] == [4, 2, 6, 9]
     # the sides keep the order they were given in
     assert market.demand == tuple(demand) and market.supply == tuple(supply)
-    assert [(m.uav_id, m.ugv_id) for m in allocate(market)] == [(3, 4), (1, 2), (5, 6), (7, 9)]
+    pairs = [(m.uav_id, m.ugv_id) for m in run_auction(market).winners]
+    assert pairs == [(3, 4), (1, 2), (5, 6), (7, 9)]
 
 
 def test_window_market_rejects_nonpositive_q():
@@ -92,34 +91,33 @@ def test_with_replaced_bid_rejects_negative_bid_and_unknown_uav():
 
 def test_allocate_assortative_3x2():
     market = WindowMarket.from_values([4.0, 2.0, 1.0], [4.0, 2.0, 1.0], [0.5, 0.9])
-    matches = allocate(market)
-    assert [(m.bid, m.q) for m in matches] == [(4.0, 0.9), (2.0, 0.5)]
     outcome = run_auction(market)
+    assert [(m.bid, m.q) for m in outcome.winners] == [(4.0, 0.9), (2.0, 0.5)]
     assert outcome.losers == (2,)
 
 
 def test_allocate_single_pair():
     market = WindowMarket.from_values([0.5], [0.5], [0.1])
-    assert len(allocate(market)) == 1
+    assert len(run_auction(market).winners) == 1
 
 
 def test_price_balanced_market():
     # I = J = 2: last winner pays zero, first pays the q-gap times b2
     market = WindowMarket.from_values([4.0, 2.0], [4.0, 2.0], [0.9, 0.5])
-    pay = price(market, allocate(market))
+    pay = run_auction(market).payments
     assert pay == pytest.approx((0.8, 0.0), abs=1e-12)
 
 
 def test_price_excess_demand():
     market = WindowMarket.from_values([4.0, 2.0, 1.0], [4.0, 2.0, 1.0], [0.9, 0.5])
-    pay = price(market, allocate(market))
+    pay = run_auction(market).payments
     # base: q_2 * b_3 = 0.5; rank 1: (0.9-0.5)*2 + 0.5
     assert pay == pytest.approx((1.3, 0.5), abs=1e-12)
 
 
 def test_price_equal_qualities_telescope_to_base():
     market = WindowMarket.from_values([4.0, 3.0, 2.0], [4.0, 3.0, 2.0], [0.7, 0.7, 0.7])
-    pay = price(market, allocate(market))
+    pay = run_auction(market).payments
     assert pay == (0.0, 0.0, 0.0)
 
 
@@ -128,8 +126,8 @@ def test_payment_recursive_equals_unrolled_and_closed_form(rng):
         n_uavs = int(rng.integers(1, 9))
         n_ugvs = int(rng.integers(1, 9))
         market = random_market(rng, n_uavs, n_ugvs)
-        allocation = allocate(market)
-        pay = price(market, allocation)
+        outcome = run_auction(market)
+        allocation, pay = outcome.winners, outcome.payments
         for j in range(1, len(allocation) + 1):
             assert pay[j - 1] == pytest.approx(
                 payment_unrolled(market, allocation, j), abs=1e-12
@@ -147,8 +145,8 @@ def test_closed_form_offset_is_exactly_the_base_term_under_excess_demand(rng):
         n_ugvs = int(rng.integers(1, 7))
         n_uavs = int(rng.integers(n_ugvs + 1, n_ugvs + 5))
         market = random_market(rng, n_uavs, n_ugvs)
-        allocation = allocate(market)
-        pay = price(market, allocation)
+        outcome = run_auction(market)
+        allocation, pay = outcome.winners, outcome.payments
         base = market.supply_ranked[-1].q * market.demand_ranked[n_ugvs].bid
         for j in range(1, len(allocation) + 1):
             offset = pay[j - 1] - payment_closed_form(allocation, j)
@@ -216,9 +214,9 @@ def test_identical_markets_identical_outcomes(rng):
 def test_raising_top_bid_never_changes_allocation(rng):
     for _ in range(50):
         market = random_market(rng, int(rng.integers(2, 8)), int(rng.integers(1, 8)))
-        base = allocate(market)
+        base = run_auction(market).winners
         top = market.demand_ranked[0]
-        bumped = allocate(with_replaced_bid(market, top.uav_id, top.bid * 3.0))
+        bumped = run_auction(with_replaced_bid(market, top.uav_id, top.bid * 3.0)).winners
         assert [(m.uav_id, m.ugv_id) for m in bumped] == [(m.uav_id, m.ugv_id) for m in base]
 
 
@@ -233,7 +231,7 @@ def test_raising_losing_bid_above_cutoff_wins(rng):
         loser = outcome.losers[-1]
         cutoff = outcome.winners[-1].bid
         raised = with_replaced_bid(market, loser, cutoff * 1.01)
-        new_winners = {m.uav_id for m in allocate(raised)}
+        new_winners = {m.uav_id for m in run_auction(raised).winners}
         assert loser in new_winners
 
 

@@ -1,5 +1,7 @@
 """Property tests over generated scenario configs and markets."""
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -7,7 +9,10 @@ from hypothesis import Phase, example, given, settings, strategies as st  # noqa
 
 from conftest import (  # noqa: E402
     check_stability_loop,
+    naive_best_assignment,
     non_envy_ratio_loop,
+    payment_closed_form,
+    payment_unrolled,
     replay_deviation_probe,
     run_world_windowwise,
 )
@@ -19,14 +24,14 @@ from skymarket.audit import (  # noqa: E402
     deviation_probe,
     non_envy_ratio,
 )
-from skymarket.mechanism import WindowMarket, run_auction  # noqa: E402
+from skymarket.mechanism import WindowMarket, clear, run_auction  # noqa: E402
 from skymarket.simulator import (  # noqa: E402
     SCHEME_OURS,
     SCHEME_STATIC,
     generate_scenario,
     run_worlds,
 )
-from skymarket.types import ScenarioConfig, validate  # noqa: E402
+from skymarket.types import Match, ScenarioConfig, validate  # noqa: E402
 
 _STATE = ("uav_f", "uav_i", "ugv_f", "ugv_i", "soc_alert", "bidder", "excluded",
           "fail_count", "phi_sum", "rho_sum", "sample_count")
@@ -207,3 +212,46 @@ def test_one_pass_audit_matches_the_replay_and_the_scans(market):
     assert report.ic_violations == sum(g > UTILITY_TOL for g in gains)
     assert repr((report.non_envy_ratio, report.non_envy_ratio_winners)) == repr(envy[:2])
     assert report.blocking_pairs == len(blocking)
+
+
+def _clear_ranked(demand, supply):
+    """``mechanism.clear`` of ranked (DemandEntry, SupplyEntry) sides."""
+    return clear([e.uav_id for e in demand], [e.bid for e in demand],
+                 [e.phi_bar for e in demand], [s.ugv_id for s in supply], supply)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(market=_markets())
+@example(market=WindowMarket.from_values([2.5] * 9, [2.5] * 9, [0.5] * 9))
+@example(market=WindowMarket.from_values([4.0, 1.0, 2.5], [0.0, 0.0, 5.0], [0.9]))
+def test_clear_matches_the_payment_and_welfare_oracles(market):
+    # clear on a market's ranked sides matches them rank by rank, and
+    # each payment is the telescoped sum of the rank recursion (the
+    # closed form when supply covers demand). Truthful bids reach the
+    # enumerated optimum; tied, zero and untruthful ones never beat it
+    demand, supply = market.demand_ranked, market.supply_ranked
+    trade = _clear_ranked(demand, supply)
+    k = min(len(demand), len(supply))
+    allocation = [Match(r, d.uav_id, s.ugv_id, d.bid, s.q)
+                  for r, (d, s) in enumerate(zip(demand, supply), 1)]
+    assert list(trade.ranked) == [e.uav_id for e in demand]
+    assert list(trade.vehicles) == [s.ugv_id for s in supply[:k]]
+    assert list(trade.losers) == [e.uav_id for e in demand[k:]]
+    assert (list(trade.bids), list(trade.qs)) == ([m.bid for m in allocation],
+                                                  [m.q for m in allocation])
+    for j, p in enumerate(trade.payments, 1):
+        assert p == pytest.approx(payment_unrolled(market, allocation, j), abs=1e-9)
+        if len(supply) >= len(demand):
+            assert p == pytest.approx(payment_closed_form(allocation, j), abs=1e-9)
+    assert list(trade.utilities) == [m.q * d.phi_bar - p
+                                     for m, d, p in zip(allocation, demand, trade.payments)]
+
+    phis, qs = [e.phi_bar for e in market.demand], [s.q for s in market.supply]
+    if math.perm(max(len(phis), len(qs)), min(len(phis), len(qs))) > 5040:
+        return  # enumeration too slow; the payments are checked above
+    best = naive_best_assignment(phis, qs)
+    assert trade.surplus <= best + 1e-9
+    truthful = sorted((e._replace(bid=e.phi_bar) for e in market.demand),
+                      key=lambda e: (-e.bid, e.uav_id))
+    assert _clear_ranked(truthful, supply).surplus == pytest.approx(best, abs=1e-9)

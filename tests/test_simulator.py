@@ -33,7 +33,6 @@ from skymarket.simulator import (
 )
 from skymarket.baselines import optimal_scheme_outcome
 from skymarket.mechanism import DemandEntry, SupplyEntry, WindowMarket, run_auction
-from skymarket.metrics import Trade
 from skymarket.types import ScenarioConfig
 
 
@@ -346,6 +345,26 @@ def test_window_metrics_surplus_identity_enforced():
             scheme="ours", ugv_count=10, tau=8.0, seed=0, window=1,
             sl=0.1, uav_utility=1.0, ugv_utility=0.5, surplus=2.0,
             non_envy_ratio=1.0, winners=1,
+        )
+
+
+def test_surplus_identity_scales_with_the_surplus():
+    # mu0 = mu1 = 1e6 puts surpluses near 1e7, where one ulp is about
+    # 2e-9: an absolute 1e-9 once failed every run of this config on
+    # rounding alone
+    cfg = ScenarioConfig(mu0=1e6, mu1=1e6, uav_soc_frac_min=0.1, uav_soc_frac_max=0.3)
+    result = run_experiment(cfg, {"ugv_count": [6, 14]}, replications=5, with_audit=True)
+    rows = result.rows
+    assert any(r.winners and r.surplus > 1e6 for r in rows)
+    reports = result.audits
+    assert len(reports) == len(rows)
+    assert sum(r.ir_violations + r.ic_violations + r.blocking_pairs for r in reports) == 0
+    # a mismatch of 1e-6 of the surplus is no rounding
+    with pytest.raises(ValueError, match="surplus must equal"):
+        MetricsRow(
+            scheme="ours", ugv_count=10, tau=8.0, seed=0, window=1, sl=0.1,
+            uav_utility=6e6, ugv_utility=4e6 - 10.0, surplus=1e7, non_envy_ratio=1.0,
+            winners=25,
         )
 
 
@@ -689,7 +708,7 @@ def test_a_boundary_with_several_trades_clears_as_each_world_alone(monkeypatch):
         for name in simulator._UAV_ARRAYS + simulator._UGV_ARRAYS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert max(trades_per_boundary) >= 3
-    assert any(isinstance(kept, Trade) for kept in cols.outcomes)
+    assert any(kept.vehicles for kept in cols.outcomes)  # some window traded
     text = csv_writer_text([(w.scheme, w.seed, *r) for w, (_, outcomes, _) in zip(worlds(), want)
                             for o in outcomes for r in outcome_rows(o)])
     assert "".join(cols.outcome_text()) == text
