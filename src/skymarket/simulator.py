@@ -37,7 +37,8 @@ as ``close_window`` clears it, float for float, but without building a
 market: one sort ranks the bidders of every due world, and Python
 scores only each trade's admitted vehicles and clears both sides
 through ``mechanism.clear``, as ``run_auction`` does. A market object
-is built only for a window that is audited. ``close_window`` stays as
+is built only for a window that is audited, and audited in one batch
+after the run's last slot. ``close_window`` stays as
 the one-window reference, through ``admit`` and ``run_auction``, that
 the tests hold the boundary routine to.
 
@@ -63,9 +64,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .audit import audit_market, audit_report_row
+from .audit import audit_markets, audit_report_row
 # no caller here; kept importable because the benchmark's tracer hooks these names
-from .audit import non_envy_ratio
+from .audit import audit_market, non_envy_ratio
 from .baselines import optimal_scheme_outcome
 from .energy import slot_constants
 from .mechanism import DemandEntry, SupplyEntry, Trade, WindowMarket, admit, clear, run_auction
@@ -578,7 +579,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
     Every window that closes at a slot, whatever its world's window
     length, is cleared by one ``_close_boundary`` call for the whole
-    stack, which fills the windows' entries.
+    stack, which fills the windows' entries. The markets it keeps for
+    the audit are audited in one batch after the last slot.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -616,6 +618,11 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 order = np.argsort(ks)
                 ks, entry = ks[order], entry[order]
             _close_boundary(stack, worlds, ks, entry, clock, cols, layout)
+        if cols.audited:
+            entries, markets = zip(*cols.audited)
+            for e, report in zip(entries, audit_markets(markets)):
+                cols.audits[e] = audit_report_row(report)[1:]
+            cols.audited.clear()
     finally:
         for w in worlds:
             w.clock = stack.clock
@@ -646,8 +653,8 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     due world loses, and all of them, in trades or not, settle through
     one ``_settle_losers``. Every due entry's empty-side flags are set
     here, and when ``cols`` keeps them, its ``Trade`` record (with no
-    winner for a window with no trade) and a trade's audit fields, from
-    the ``WindowMarket`` that is built only for the audit.
+    winner for a window with no trade); for an audit, a trade's
+    ``WindowMarket`` is built and kept in ``cols.audited``.
     """
     L = layout
     sampled = stack.bidder & (stack.sample_count > 0)
@@ -715,8 +722,7 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
             if keep:
                 cols.outcomes[e] = trade
             if cols.audits is not None:
-                market = _market(world, window, trade.ranked, bid[s:stop], js)
-                cols.audits[e] = audit_report_row(audit_market(market))[1:]
+                cols.audited.append((e, _market(world, window, trade.ranked, bid[s:stop], js)))
         won, won_ugvs = np.array(won), np.array(won_ugvs)
         _schedule(stack, L, won, won_ugvs)
         losing[won] = False

@@ -348,9 +348,11 @@ def _derived_problems(c: ScenarioConfig) -> list[str]:
     """What is not finite among the constants a world of the valid
     config ``c`` is built with and bids with: the per-slot drains,
     charging gain, pad draw and step lengths, a vehicle's largest step,
-    the largest valuation ``mu0 + mu1`` and the largest sum of them a
-    window makes. Computed without raising: a power law that raises in
-    ``slot_constants`` is reported too."""
+    the largest valuation ``mu0 + mu1``, the largest sum of them a
+    window makes, and that sum squared over 2**32 windows, as the
+    aggregates' standard deviations sum squares. Computed without
+    raising: a power law that raises in ``slot_constants`` is reported
+    too."""
     try:
         derived = slot_constants(c)._asdict()
     except OverflowError:  # the one float ** of the power laws
@@ -362,8 +364,11 @@ def _derived_problems(c: ScenarioConfig) -> list[str]:
     if math.isfinite(valuation):
         # a window sums up to slots_per_window valuation samples, and its
         # surplus up to min(uav_count, ugv_count) terms q * Phi_bar, q <= 1
-        derived["max(slots_per_window, min(uav_count, ugv_count)) * (mu0 + mu1)"] = (
+        window = "max(slots_per_window, min(uav_count, ugv_count)) * (mu0 + mu1)"
+        derived[window] = bound = (
             max(c.slots_per_window, min(c.uav_count, c.ugv_count)) * valuation)
+        if math.isfinite(bound):
+            derived[f"2**32 * ({window}) ** 2"] = 2.0 ** 32 * (bound * bound)
     return [f"{name}: derived constant must be finite (got {value})"
             for name, value in derived.items() if not math.isfinite(value)]
 

@@ -1,5 +1,6 @@
 """Shared helpers: independent oracles kept free of package internals."""
 
+import bisect
 import csv
 import io
 import itertools
@@ -21,10 +22,12 @@ from skymarket._kernels import (  # the names step_world_loop reads
     F_TX, F_TY, F_X, F_Y, F_Z, G_STEP, G_SUPPLY, G_TX, G_TY, G_X, G_Y, GI_PARTNER, GI_STATE,
     I_ACT, I_PARTNER, UGV_ENROUTE, UGV_IDLE, UGV_SERVING,
 )
-from skymarket.audit import UTILITY_TOL, EnvyStats, audit_market, deviation_grid
+from skymarket.audit import (
+    DEVIATION_EPS, DEVIATION_MULTIPLIERS, UTILITY_TOL, EnvyStats, audit_market, deviation_grid,
+)
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import (
-    loser_line, run_auction, uav_utility, winner_line, with_replaced_bid,
+    loser_line, rank_payments, run_auction, uav_utility, winner_line, with_replaced_bid,
 )
 from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity, AuctionOutcome
@@ -164,6 +167,176 @@ def check_stability_loop(outcome, phi_bars, qs):
             if occ is None or movable[occ]:
                 blocking.append((uav_id, ugv_id))
     return blocking
+
+
+def market_tolerance(market):
+    """The audit's tolerance for ``market``: ``UTILITY_TOL`` times its
+    largest q times its largest valuation or bid, at least 1."""
+    q_max = max((s.q for s in market.supply), default=0.0)
+    top = max((v for e in market.demand for v in (e.phi_bar, e.bid)), default=0.0)
+    return UTILITY_TOL * max(1.0, q_max * top)
+
+
+def _misreport_payments(q, bids, p, top):
+    """Payment by rank that the bidder at rank position ``p`` of ``bids``
+    would pay after moving to that rank: ``rank_payments`` over the other
+    bids. ``top``, the result for p = 0, already holds every rank from a
+    winning position p down, so only the ranks above p are redone."""
+    if p >= len(top):
+        return rank_payments(bids[p:p + 1] + bids[:p] + bids[p + 1:], q)
+    pay = top[:]
+    for j in range(p - 1, -1, -1):
+        pay[j] = (q[j] - q[j + 1]) * bids[j] + pay[j + 1]
+    return pay
+
+
+def _nudged(bids):
+    return [v for b in bids for v in (b - DEVIATION_EPS, b + DEVIATION_EPS) if v >= 0.0]
+
+
+def ic_gains(market, outcome):
+    """Every bidder's best gain over its ``deviation_grid``, by rank: the
+    scalar IC probe, and the oracle for ``audit_markets``' IC fields.
+
+    Each grid bid lands at a rank among the bidder's opponents (ties by
+    id) and pays ``rank_payments`` over them there, so each bidder's
+    utility is evaluated once per distinct rank its grid reaches.
+    """
+    ranked = market.demand_ranked
+    bids = [e.bid for e in ranked]
+    keys = [(-e.bid, e.uav_id) for e in ranked]
+    negs = [-b for b in bids]
+    q = [s.q for s in market.supply_ranked]
+    n, k = len(bids), min(len(bids), len(q))
+    top = rank_payments(bids, q)
+    # every loser's misreports face the same payments
+    bottom = _misreport_payments(q, bids, k, top) if k < n else None
+
+    def rank(e, v):  # its own key sorts before (-v, id) exactly when v < its bid
+        return bisect.bisect_left(keys, (-v, e.uav_id)) - (v < e.bid)
+
+    # the opponent nudges of every grid, with the number of bids above
+    # each: a nudge that ties no bid lands there whoever makes it, less
+    # one if it is below the mover's own bid
+    nudges = []
+    for j, b in enumerate(bids):
+        for v in _nudged((b,)):
+            above = bisect.bisect_left(negs, -v)
+            nudges.append((j, v, above if above == bisect.bisect_right(negs, -v) else None))
+    gains = []
+    for p, e in enumerate(ranked):
+        t = e.bid
+        ranks = {rank(e, v) if above is None else above - (v < t)
+                 for j, v, above in nudges if j != p}
+        if len(ranks) < n:  # else the nudges reach every rank, 0..n-1, already
+            ranks.update(rank(e, t * m) for m in DEVIATION_MULTIPLIERS if t * m >= 0.0)
+        pay = top if p == 0 else bottom if p >= k else _misreport_payments(q, bids, p, top)
+        base = outcome.uav_utilities[e.uav_id]
+        gains.append(max(
+            ((uav_utility(e.phi_bar, q[r], pay[r]) if r < k else 0.0) - base for r in ranks),
+            default=float("-inf"),
+        ))
+    return gains
+
+
+@dataclass
+class SlotTable:
+    """Each participant's utility at every vehicle at that vehicle's
+    cleared payment (0 for an unmatched vehicle). Rows are the winners
+    by rank, then the losers; columns the winners' vehicles by rank, then
+    the unmatched ones, so the first ``winners`` rows and columns pair
+    each winner with its own slot. ``tempted`` lists the rows that prefer
+    some vehicle to their own by more than ``tol``."""
+
+    participants: list
+    own: list
+    winners: int
+    vehicles: list
+    values: list
+    tempted: list
+    tol: float
+
+
+def slot_table(outcome, phi_bars, qs, tol=UTILITY_TOL):
+    """The table over the winners' vehicles and the vehicles of ``qs``
+    that no winner holds."""
+    vehicles = [m.ugv_id for m in outcome.winners]
+    slots = [(m.q, p) for m, p in zip(outcome.winners, outcome.payments)]
+    held = set(vehicles)
+    for v, q in qs.items():
+        if v not in held:
+            vehicles.append(v)
+            slots.append((q, 0.0))
+    participants = [m.uav_id for m in outcome.winners] + list(outcome.losers)
+    values = [[uav_utility(phi, q, p) for q, p in slots]
+              for phi in [phi_bars[i] for i in participants]]
+    own = [outcome.uav_utilities.get(i, 0.0) for i in participants]
+    tempted = [row for row, (u, row_values) in enumerate(zip(own, values))
+               if row_values and max(row_values) > u + tol]
+    return SlotTable(participants, own, len(outcome.winners), vehicles, values, tempted, tol)
+
+
+def _other_slots(table, row):
+    """A row's values at the winners' slots other than its own."""
+    values, k = table.values[row], table.winners
+    return values[:min(row, k)] + values[row + 1:k]
+
+
+def envy_stats(table):
+    """``EnvyStats`` of a ``slot_table``."""
+    participants = table.participants
+    if not participants:
+        return EnvyStats(1.0, 1.0, ())
+    envious = [
+        row for row in table.tempted
+        if max(_other_slots(table, row), default=float("-inf")) > table.own[row] + table.tol
+    ]
+    n_all, n_win = len(participants), table.winners
+    envious_winners = sum(1 for row in envious if row < n_win)
+    ratio_all = (n_all - len(envious)) / n_all
+    ratio_win = 1.0 if n_win == 0 else (n_win - envious_winners) / n_win
+    return EnvyStats(ratio_all, ratio_win, tuple(participants[row] for row in envious))
+
+
+def blocking_pairs(table, qs):
+    """The blocking pairs of a ``slot_table`` over the vehicles of ``qs``,
+    in its order."""
+    if not table.tempted:
+        return []
+    k, tol = table.winners, table.tol
+    # a winner moves if it weakly prefers walking away or another slot
+    movable = [max([0.0] + _other_slots(table, row)) >= table.own[row] - tol
+               for row in range(k)]
+    column = {v: c for c, v in enumerate(table.vehicles)}
+    offered = [(column[v], v) for v in qs if v in column]
+    blocking = []
+    for row in table.tempted:
+        uav_id, own, values = table.participants[row], table.own[row], table.values[row]
+        here = row if row < k else -1
+        for c, v in offered:
+            if c != here and values[c] > own + tol and (c >= k or movable[c]):
+                blocking.append((uav_id, v))
+    return blocking
+
+
+def check_ir(outcome, tol=UTILITY_TOL):
+    """Agents settled below -``tol`` as (kind, id, utility): the oracle
+    for the IR count of ``audit_markets``."""
+    return ([("uav", i, u) for i, u in outcome.uav_utilities.items() if u < -tol]
+            + [("ugv", j, u) for j, u in outcome.ugv_utilities.items() if u < -tol])
+
+
+def audit_fields(market):
+    """An ``AuditReport``'s fields after the instance name, by the scalar
+    probes above: the oracle for ``audit_markets``."""
+    outcome = run_auction(market)
+    tol = market_tolerance(market)
+    gains = ic_gains(market, outcome)
+    qs = {s.ugv_id: s.q for s in market.supply}
+    table = slot_table(outcome, {e.uav_id: e.phi_bar for e in market.demand}, qs, tol)
+    envy = envy_stats(table)
+    return (len(check_ir(outcome, tol)), sum(g > tol for g in gains), max(gains, default=0.0),
+            envy.all_participants, envy.winners_only, len(blocking_pairs(table, qs)))
 
 
 def outcome_lines(outcome):

@@ -13,7 +13,7 @@ import pytest
 
 import skymarket._kernels as K
 from skymarket.audit import (
-    check_ir,
+    audit_markets,
     check_stability,
     deviation_probe,
     non_envy_ratio,
@@ -31,7 +31,7 @@ from skymarket.simulator import (
 )
 from skymarket.types import ScenarioConfig
 
-from conftest import naive_best_assignment, payment_closed_form, payment_unrolled
+from conftest import check_ir, naive_best_assignment, payment_closed_form, payment_unrolled
 
 SWEEP_SEEDS = 100
 TREND_UGVS = (6, 8, 10, 12, 14)
@@ -86,7 +86,8 @@ def test_criterion_1_incentive_compatibility(market_corpus):
 
 
 def test_criterion_2_individual_rationality(market_corpus):
-    violations = 0
+    # the audit's count, and the scalar scan of every settled utility
+    violations = sum(r.ir_violations for r in audit_markets(market_corpus))
     for market in market_corpus:
         violations += len(check_ir(run_auction(market)))
     report(2, "individual rationality: zero negative utilities", violations == 0,

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import replay_deviation_probe
+from conftest import audit_fields, check_ir, replay_deviation_probe
 
 import skymarket.audit as audit
 from skymarket.audit import (
     UTILITY_TOL,
     audit_market,
-    check_ir,
+    audit_report_row,
     check_stability,
     deviation_grid,
     deviation_probe,
@@ -189,7 +189,6 @@ def test_audit_market_all_clean(rng):
 def test_audit_of_a_market_with_no_supply_is_the_no_trade_report(phi):
     # a sweep writes this report for a window with no trade instead of
     # auditing it: bidders with no vehicle, or no bidder at all
-    from skymarket.audit import audit_report_row
     from skymarket.metrics import _NO_MARKET_AUDIT
 
     report = audit_market(WindowMarket.from_values(phi, phi, []), instance="w")
@@ -274,7 +273,9 @@ def test_an_unknown_bidder_is_a_key_error():
     assert [len(deviation_grid(market, u)) for u in (0, 1)] == [9, 9]
 
 
-def test_audit_market_clears_each_market_once(rng, monkeypatch):
+def test_audit_markets_replays_no_auction(rng, monkeypatch):
+    # the batch reads every payment off its own arrays: no market is
+    # cleared through run_auction, and no misreport is replayed
     calls = []
 
     def counted(market):
@@ -282,10 +283,38 @@ def test_audit_market_clears_each_market_once(rng, monkeypatch):
         return run_auction(market)
 
     monkeypatch.setattr(audit, "run_auction", counted)
-    market = random_market(rng, 100, 25)
-    report = audit_market(market)
-    assert calls == [market]
-    assert report.ic_violations == 0 and report.blocking_pairs == 0
+    markets = [random_market(rng, 100, 25), random_market(rng, 3, 7)]
+    reports = audit.audit_markets(markets)
+    assert calls == []
+    assert all(r.ic_violations == 0 and r.blocking_pairs == 0 for r in reports)
+    assert [audit_report_row(r)[1:] for r in reports] == [audit_fields(m) for m in markets]
+
+
+def test_audit_markets_splits_a_batch_by_size_and_keeps_its_order(rng, monkeypatch):
+    # markets are padded in chunks of similar size; a chunk's padding must
+    # not leak into a report, and reports come back in input order
+    sizes = [(9, 3), (0, 4), (2, 2), (30, 12), (5, 0), (1, 1), (12, 30), (4, 6)]
+    markets = [random_market(rng, n, m, truthful=bool(i % 2)) for i, (n, m) in enumerate(sizes)]
+    # bids a nudge apart: several nudges tie a bid, so their ids are compared
+    apart = [2.5, 2.5 - audit.DEVIATION_EPS, 2.5, 2.5 + audit.DEVIATION_EPS, 1.0]
+    markets.append(WindowMarket.from_values(apart, apart, [0.9, 0.5, 0.2]))
+    names = [f"m{i}" for i in range(len(markets))]
+    whole = audit.audit_markets(markets, names)
+    chunks = []
+    real_chunk = audit._audit_chunk
+
+    def counted(batch):
+        chunks.append(len(batch))
+        return real_chunk(batch)
+
+    monkeypatch.setattr(audit, "_audit_chunk", counted)
+    monkeypatch.setattr(audit, "_CHUNK_CELLS", 50)  # also compares ties in slices
+    split = audit.audit_markets(markets, names)
+    assert len(chunks) > 2 and sum(chunks) == len(markets)
+    assert repr(split) == repr(whole)
+    assert [r.instance for r in split] == names
+    assert [audit_report_row(r)[1:] for r in split] == [audit_fields(m) for m in markets]
+    assert audit.audit_markets([]) == []
 
 
 def test_table_truthful_rows_match_the_replay(tmp_path):

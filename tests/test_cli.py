@@ -81,12 +81,17 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
     ("mu0 = 1e308\nmu1 = 0\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
      "uav_soc_frac_max = 0.3\n", "max(slots_per_window, min(uav_count, ugv_count)) * "
      "(mu0 + mu1): derived constant must be finite (got inf)"),
+    # a finite window sum whose square is inf: the run used to write inf
+    # standard deviations of the utilities and the surplus
+    ("mu0 = 1e306\nmu1 = 0\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
+     "uav_soc_frac_max = 0.3\n", "2**32 * (max(slots_per_window, min(uav_count, ugv_count)) "
+     "* (mu0 + mu1)) ** 2: derived constant must be finite (got inf)"),
     # eps2 ** 2 underflows to 0: _build_world used to raise ZeroDivisionError
     ("eps2 = 1e-200\n", "eps2: eps2 * eps2 underflows to 0 in the vertical power"),
     # an inf drain per slot: every descending UAV used to empty at once
     ("uav_descend_speed = 1e200\n", "drain_desc: derived constant must be finite (got inf)"),
 ], ids=["flight-power-overflow", "infinite-valuation", "infinite-window-valuation-sum",
-        "eps2-underflow", "infinite-drain"])
+        "infinite-squared-window-sum", "eps2-underflow", "infinite-drain"])
 def test_configs_whose_derived_constants_overflow_are_config_errors(tmp_path, capsys, text,
                                                                     problem):
     cfg = tmp_path / "huge.cfg"
@@ -547,7 +552,7 @@ def test_outputs_benchmark_script_runs():
 
 
 def test_audit_benchmark_script_runs():
-    # a short smoke run, so the script tracks the audit's parts
+    # a short smoke run, so the script tracks the batch and its scalar baseline
     out = run_benchmark_script("bench_audit.py", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -558,5 +563,5 @@ def test_audit_benchmark_script_runs():
         "73x25, 20 markets, best of 1:",
     ]
     parts = [line.split()[0] for line in lines if line.startswith(" ")]
-    assert parts == ["audit_market", "run_auction", "IC", "envy+stability"] * 3
+    assert parts == ["audit_markets", "scalar"] * 3
     assert all(line.split()[2:4] == ["ms", "per"] for line in lines if line.startswith(" "))

@@ -8,6 +8,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from conftest import (  # noqa: E402
+    audit_fields,
     check_stability_loop,
     naive_best_assignment,
     non_envy_ratio_loop,
@@ -20,6 +21,8 @@ from skymarket.audit import (  # noqa: E402
     DEVIATION_EPS,
     UTILITY_TOL,
     audit_market,
+    audit_markets,
+    audit_report_row,
     check_stability,
     deviation_probe,
     non_envy_ratio,
@@ -212,6 +215,33 @@ def test_one_pass_audit_matches_the_replay_and_the_scans(market):
     assert report.ic_violations == sum(g > UTILITY_TOL for g in gains)
     assert repr((report.non_envy_ratio, report.non_envy_ratio_winners)) == repr(envy[:2])
     assert report.blocking_pairs == len(blocking)
+
+
+@st.composite
+def _large_markets(draw):
+    # 0-80 per side: the sizes run from empty sides to crowded windows
+    n, m = draw(st.integers(0, 80)), draw(st.integers(0, 80))
+    bidders = draw(st.lists(_bidder, min_size=n, max_size=n))
+    qs = draw(st.lists(_q, min_size=m, max_size=m))
+    return WindowMarket.from_values([phi for phi, _ in bidders],
+                                    [phi * shade for phi, shade in bidders], qs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          phases=(Phase.explicit, Phase.generate))
+@given(markets=st.lists(_markets() | _large_markets(), min_size=1, max_size=6))
+@example(markets=[WindowMarket.from_values(_NUDGE_APART, _NUDGE_APART, [0.9, 0.5, 0.2]),
+                  WindowMarket.from_values([], [], [0.5]),
+                  WindowMarket.from_values([0.0, 4.0], [0.0, 0.0], [0.9, 0.9]),
+                  WindowMarket.from_values([2.5] * 80, [2.5] * 80, [0.5] * 25)])
+def test_audit_markets_matches_the_scalar_probes_in_any_batch(markets):
+    # every report field equals the scalar probes' (by repr, so a signed
+    # zero would show), and each market's report is the one it gets alone
+    reports = audit_markets(markets, [str(i) for i in range(len(markets))])
+    for i, (market, report) in enumerate(zip(markets, reports)):
+        assert report.instance == str(i)
+        assert repr(audit_report_row(report)[1:]) == repr(audit_fields(market))
+        assert repr(audit_market(market, str(i))) == repr(report)
 
 
 def _clear_ranked(demand, supply):

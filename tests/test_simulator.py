@@ -31,6 +31,7 @@ from skymarket.simulator import (
     run_worlds,
     satisfaction_level,
 )
+from skymarket.audit import UTILITY_TOL
 from skymarket.baselines import optimal_scheme_outcome
 from skymarket.mechanism import DemandEntry, SupplyEntry, WindowMarket, run_auction
 from skymarket.types import ScenarioConfig
@@ -366,6 +367,19 @@ def test_surplus_identity_scales_with_the_surplus():
             uav_utility=6e6, ugv_utility=4e6 - 10.0, surplus=1e7, non_envy_ratio=1.0,
             winners=25,
         )
+
+
+def test_audit_tolerance_scales_with_the_market():
+    # mu0 = mu1 = 1e7 puts utilities near 1e7, where the IC probe's
+    # rounding reaches 3.7e-9: an absolute 1e-9 reported 29 IC violations
+    # and 63 blocking pairs on rounding alone
+    cfg = ScenarioConfig(mu0=1e7, mu1=1e7, uav_soc_frac_min=0.1, uav_soc_frac_max=0.3)
+    reports = run_experiment(cfg, {"ugv_count": [6, 14]}, replications=5,
+                             with_audit=True).audits
+    assert sum(r.ir_violations + r.ic_violations + r.blocking_pairs for r in reports) == 0
+    assert min(r.non_envy_ratio for r in reports) == 1.0
+    # worst_ic_gain stays the raw maximum: the rounding still shows there
+    assert max(r.worst_ic_gain for r in reports) > UTILITY_TOL
 
 
 def test_static_scheme_vehicles_never_move():
