@@ -14,12 +14,17 @@ times its largest utility ``q·max(φ, bid)``, at least 1:
 * stability: no (UAV, vehicle) pair would both gain by abandoning the
   cleared assignment.
 
-``audit_markets`` runs all four on many markets at once, in arrays
-padded to the largest market of a chunk of similar sizes: every
-bidder's payments at every rank are one reversed ``np.add.accumulate``
-(the floats of ``rank_payments``), and envy and stability read one
-(bidder, vehicle) table of ``q·φ − p``. The scalar probes it replaced
-are the tests' oracles.
+``_audit_arrays`` runs all four on many markets at once, given as flat
+arrays: each market's bidder and vehicle counts, and its bidders' ids,
+bids and valuations and its vehicles' q, concatenated market by
+market. It ranks every market's sides with one ``np.lexsort`` each and
+audits them in arrays padded to the largest market of a chunk of
+similar sizes: every bidder's payments at every rank are one reversed
+``np.add.accumulate`` (the floats of ``rank_payments``), and envy and
+stability read one (bidder, vehicle) table of ``q·φ − p``. The audit
+suite, ``preset table-envy`` and the simulator's audited trades call it
+on arrays; ``audit_markets`` flattens ``WindowMarket`` objects into it.
+The scalar probes it replaced are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "deviation_grid",
     "non_envy_ratio",
     "check_stability",
+    "market_values",
     "random_market",
     "audit_markets",
     "audit_market",
@@ -227,6 +233,25 @@ def check_stability(
     return [(participants[r], vehicles[offered[c]]) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
+def market_values(
+    rng: np.random.Generator,
+    n_uavs: int,
+    n_ugvs: int,
+    mu0: float = 1.0,
+    mu1: float = 5.0,
+    q_floor: float = 0.05,
+    truthful: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A random market's valuations, bids and quality scores, as arrays:
+    one ``uniform`` draw for the valuations, one for the scores and, for
+    untruthful bids, one for the bid factors."""
+    rho = rng.uniform(0.0, 1.0, size=n_uavs)
+    phi = mu0 + mu1 * rho
+    qs = rng.uniform(q_floor, 1.0, size=n_ugvs)
+    bids = phi if truthful else phi * rng.uniform(0.5, 2.0, size=n_uavs)
+    return phi, bids, qs
+
+
 def random_market(
     rng: np.random.Generator,
     n_uavs: int,
@@ -236,23 +261,28 @@ def random_market(
     q_floor: float = 0.05,
     truthful: bool = True,
 ) -> WindowMarket:
-    """Random truthful market instance for audits and property suites."""
-    rho = rng.uniform(0.0, 1.0, size=n_uavs)
-    phi = mu0 + mu1 * rho
-    qs = rng.uniform(q_floor, 1.0, size=n_ugvs)
-    bids = phi if truthful else phi * rng.uniform(0.5, 2.0, size=n_uavs)
+    """Random truthful market instance for audits and property suites:
+    the market of ``market_values``' draw."""
+    phi, bids, qs = market_values(rng, n_uavs, n_ugvs, mu0, mu1, q_floor, truthful)
     return WindowMarket.from_values(phi.tolist(), bids.tolist(), qs.tolist())
 
 
-def _padded(counts: np.ndarray, width: int, values, fill: float) -> np.ndarray:
-    """Row b holds the next ``counts[b]`` of ``values``, then ``fill``."""
+def _padded(values: np.ndarray, starts: np.ndarray, counts: np.ndarray, width: int,
+            fill: float) -> np.ndarray:
+    """Row b holds ``values[starts[b]:starts[b] + counts[b]]``, then ``fill``."""
     out = np.full((len(counts), width), fill)
-    out[np.arange(width) < counts[:, None]] = values
+    inside = np.arange(width) < counts[:, None]
+    out[inside] = values[(starts[:, None] + np.arange(width))[inside]]
     return out
 
 
-def _audit_chunk(markets: Sequence[WindowMarket]) -> list:
-    """``audit_markets``' fields for markets padded to the largest of them.
+def _audit_chunk(n: np.ndarray, m: np.ndarray, ids: np.ndarray, phi: np.ndarray,
+                 b: np.ndarray, q: np.ndarray) -> tuple:
+    """``_audit_arrays``' field columns for markets padded to the largest
+    of them: ``n`` bidders and ``m`` vehicles each, the bidders' ids,
+    valuations and bids by rank (``ids`` padded with inf, ``phi`` and
+    ``b`` with 0.0, and ``b`` one column wider) and the vehicles' q by
+    rank (padded with 0.0, one column wider).
 
     Axes are (market, bidder by rank, rank or vehicle by rank). Bidder
     p's payments at every rank among its opponents are one reversed
@@ -262,16 +292,10 @@ def _audit_chunk(markets: Sequence[WindowMarket]) -> list:
     rank-t bid above it. Ranks past the last winner hold -0.0, which
     adds to any float exactly.
     """
-    B = len(markets)
-    n = np.array([mk.num_uavs for mk in markets])
-    m = np.array([mk.num_ugvs for mk in markets])
+    B, N = ids.shape
+    M = q.shape[1] - 1
     k = np.minimum(n, m)
-    N, M, K = max(n.max(), 1), m.max(), k.max()  # a row for pay[:, 0] with no bidder
-    demand = np.array([e for mk in markets for e in mk.demand_ranked]).reshape(-1, 3)
-    ids = _padded(n, N, demand[:, 0], np.inf)  # never below a bidder's id
-    phi = _padded(n, N, demand[:, 1], 0.0)
-    b = _padded(n, N + 1, demand[:, 2], 0.0)  # never above a candidate bid
-    q = _padded(m, M + 1, [s.q for mk in markets for s in mk.supply_ranked], 0.0)
+    K = k.max()
     at, pos, rank = np.arange(B), np.arange(N), np.arange(K)
     mover, last = pos[:, None], np.maximum(k - 1, 0)
     dq = q[:, :K] - q[:, 1:K + 1]
@@ -327,15 +351,79 @@ def _audit_chunk(markets: Sequence[WindowMarket]) -> list:
                       q[:, None, :M] * phi[:, :, None] - slot_pay, -np.inf)
     _, ratio_all, ratio_win, blocking = _verdicts(values, own, n, k, tol)
     ir = (own < -tol[:, None]).sum(axis=1) + (slot_pay[:, 0] < -tol[:, None]).sum(axis=1)
-    return list(zip(ir.tolist(), (best > tol[:, None]).sum(axis=1).tolist(),
-                    np.where(n > 0, best.max(axis=1, initial=-np.inf), 0.0).tolist(),
-                    ratio_all.tolist(), ratio_win.tolist(),
-                    blocking.sum(axis=(1, 2)).tolist()))
+    return (ir, (best > tol[:, None]).sum(axis=1),
+            np.where(n > 0, best.max(axis=1, initial=-np.inf), 0.0),
+            ratio_all, ratio_win, blocking.sum(axis=(1, 2)))
 
 
 # most (market, bidder, rank) cells of one padded pass: markets are
 # audited in order of size, as many at a time as fit
 _CHUNK_CELLS = 1 << 16
+
+
+def _audit_arrays(n_uavs, n_ugvs, uav_ids, bids, phi, qs) -> list[tuple]:
+    """Every probe on many markets given as flat arrays: one tuple of an
+    ``AuditReport``'s fields after the instance name per market, in
+    input order.
+
+    Market b has ``n_uavs[b]`` bidders and ``n_ugvs[b]`` vehicles. The
+    bidders' ``uav_ids``, ``bids`` and valuations ``phi``, and the
+    vehicles' ``qs``, are concatenated market by market, each market's
+    in any order; a market's ids must be distinct. One stable
+    ``np.lexsort`` ranks every market's bidders by (market, bid
+    descending, id) and one its vehicles by (market, q descending), as
+    ``WindowMarket`` ranks them. Markets are padded in chunks of similar
+    size, at most ``_CHUNK_CELLS`` (market, bidder, rank) cells each.
+    ValueError if a field breaks ``AuditReport``'s invariants.
+    """
+    n, m = np.asarray(n_uavs, dtype=np.int64), np.asarray(n_ugvs, dtype=np.int64)
+    bids = np.asarray(bids, dtype=float)
+    B = len(n)
+    demand_market, supply_market = np.repeat(np.arange(B), n), np.repeat(np.arange(B), m)
+    order = np.lexsort((uav_ids, -bids, demand_market))
+    ids, bids, phi = np.asarray(uav_ids)[order], bids[order], np.asarray(phi, dtype=float)[order]
+    qs = np.asarray(qs, dtype=float)
+    qs = qs[np.lexsort((-qs, supply_market))]
+    d_start, s_start = np.cumsum(n) - n, np.cumsum(m) - m
+    cells = np.maximum(np.maximum(n, m), 1) ** 2
+    by_size = np.argsort(cells, kind="stable")
+    cells = cells[by_size]
+    columns = [np.empty(B, dtype=t) for t in (np.int64, np.int64, float, float, float, np.int64)]
+    start = 0
+    while start < B:
+        # a market joins the chunk while the chunk's cells, counted at
+        # its size (the largest so far), stay within the bound
+        over = np.arange(1, B - start + 1) * cells[start:] > _CHUNK_CELLS
+        over[0] = False
+        stop = start + int(over.argmax()) if over.any() else B
+        chunk = by_size[start:stop]
+        cn, cm = n[chunk], m[chunk]
+        N, M = max(cn.max(), 1), cm.max()  # a row for pay[:, 0] with no bidder
+        starts = d_start[chunk]
+        fields = _audit_chunk(
+            cn, cm,
+            _padded(ids, starts, cn, N, np.inf),  # never below a bidder's id
+            _padded(phi, starts, cn, N, 0.0),
+            _padded(bids, starts, cn, N + 1, 0.0),  # never above a candidate bid
+            _padded(qs, s_start[chunk], cm, M + 1, 0.0))
+        for column, field in zip(columns, fields):
+            column[chunk] = field
+        start = stop
+    ir, ic, worst, ratio_all, ratio_win, blocking = columns
+    if min(ir.min(initial=0), ic.min(initial=0), blocking.min(initial=0)) < 0:
+        raise ValueError("violation counts must be >= 0")
+    ratios = np.concatenate([ratio_all, ratio_win])
+    if not ((ratios >= 0.0) & (ratios <= 1.0)).all():
+        raise ValueError("non-envy ratios must lie in [0, 1]")
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _flat_sides(markets: Sequence[WindowMarket]) -> tuple:
+    """``_audit_arrays``' arguments for ``markets``, each market's sides
+    in the order it holds them."""
+    demand = np.array([e for mk in markets for e in mk.demand], dtype=float).reshape(-1, 3)
+    return ([mk.num_uavs for mk in markets], [mk.num_ugvs for mk in markets],
+            demand[:, 0], demand[:, 2], demand[:, 1], [s.q for mk in markets for s in mk.supply])
 
 
 def audit_markets(markets: Sequence[WindowMarket],
@@ -348,19 +436,11 @@ def audit_markets(markets: Sequence[WindowMarket],
     stability read one (bidder, vehicle) table of ``q·φ − p``, each
     within the market's tolerance (``UTILITY_TOL`` times its largest
     ``q·max(φ, bid)``, at least 1). Each report equals that of the
-    market audited alone.
+    market audited alone: ``_audit_arrays`` of the markets' flat sides.
     """
-    cells = [max(mk.num_uavs, mk.num_ugvs, 1) ** 2 for mk in markets]
-    chunks: list[list[int]] = []
-    for i in sorted(range(len(markets)), key=cells.__getitem__):
-        if not chunks or (len(chunks[-1]) + 1) * cells[i] > _CHUNK_CELLS:
-            chunks.append([])
-        chunks[-1].append(i)
-    fields = {}
-    for chunk in chunks:
-        fields.update(zip(chunk, _audit_chunk([markets[i] for i in chunk])))
+    fields = _audit_arrays(*_flat_sides(markets))
     names = [""] * len(markets) if instances is None else instances
-    return [AuditReport(name, *fields[i]) for i, name in enumerate(names)]
+    return [AuditReport(name, *f) for name, f in zip(names, fields)]
 
 
 def audit_market(market: WindowMarket, instance: str = "") -> AuditReport:

@@ -120,7 +120,9 @@ class MetricsColumns:
         self.uav_empty = np.ones(n, dtype=bool)
         self.ugv_empty = np.ones(n, dtype=bool)
         self.audits = [_NO_MARKET_AUDIT] * n if with_audit else None
-        self.audited: list = []  # (entry, market) of the trades awaiting their audit
+        # (entry, ranked bidder ids, their bids, the vehicles' q) of the
+        # trades awaiting their audit
+        self.audited: list = []
         self.outcomes = [Trade((), ())] * n if keep_outcomes else None
 
     def record(self, k: int, row: MetricsRow) -> None:

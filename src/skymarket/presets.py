@@ -17,11 +17,10 @@ import numpy as np
 
 from .audit import (
     AUDIT_CSV_HEADER,
+    _audit_arrays,
     _misreport_utilities,
-    audit_markets,
-    audit_report_row,
     deviation_grid,
-    non_envy_ratio,
+    market_values,
     random_market,
 )
 # no caller here; kept importable because the benchmark's tracer hooks this name
@@ -127,21 +126,22 @@ def run_table_truthful(config, seed, out_dir, reps=DEFAULT_REPS, **_):
 def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
     """Non-envy ratios, auction vs welfare-optimal matcher, both sizes.
 
-    The markets are truthful, so the planner's outcome is the auction's
-    own (``optimal_scheme_outcome``); the ``optimal`` rows repeat the
+    Every market of both sizes is drawn as ``random_market`` draws it
+    and audited in one ``_audit_arrays`` batch; its two ratios are
+    ``non_envy_ratio`` of the cleared auction, float for float. The
+    markets are truthful, so the planner's outcome is the auction's own
+    (``optimal_scheme_outcome``); the ``optimal`` rows repeat the
     ``ours`` statistics instead of clearing each market twice.
     """
-    rows = []
+    keys, draws = [], []
     for n_uavs, n_ugvs in TABLE_SIZES:
-        size = f"{n_uavs}x{n_ugvs}"
         for k in range(reps):
             rng = np.random.default_rng(np.random.SeedSequence([seed, n_uavs, n_ugvs, k]))
-            market = random_market(rng, n_uavs, n_ugvs, mu0=config.mu0, mu1=config.mu1,
-                                   q_floor=config.qors_floor)
-            phi = {e.uav_id: e.phi_bar for e in market.demand}
-            stats = non_envy_ratio(run_auction(market), phi)
-            for scheme in ("ours", "optimal"):
-                rows.append((size, k, scheme, stats.all_participants, stats.winners_only))
+            keys.append((f"{n_uavs}x{n_ugvs}", k))
+            draws.append(_truthful_values(rng, n_uavs, n_ugvs, config))
+    fields = _audit_arrays(*_flat_truthful(draws))
+    rows = [(size, k, scheme, f[3], f[4]) for (size, k), f in zip(keys, fields)
+            for scheme in ("ours", "optimal")]
     prov = provenance_line(seed, config, note=f"preset=table-envy instances={reps}")
     return [
         write_csv(
@@ -153,22 +153,54 @@ def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
     ]
 
 
+def _truthful_values(rng: np.random.Generator, n_uavs: int, n_ugvs: int,
+                     config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A truthful market's valuations and quality scores, drawn by
+    ``market_values`` as ``random_market`` draws them."""
+    phi, _, qs = market_values(rng, n_uavs, n_ugvs, config.mu0, config.mu1, config.qors_floor)
+    return phi, qs
+
+
+def _flat_truthful(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
+    """``_audit_arrays``' arguments for truthful markets given as
+    (valuations, quality scores). Each bidder's id is its position in
+    the batch, which ranks ties as its market's own ids 0..n-1 would."""
+    phis, qs = zip(*draws)
+    phi = np.concatenate(phis)
+    return ([len(v) for v in phis], [len(v) for v in qs], np.arange(len(phi)), phi, phi,
+            np.concatenate(qs))
+
+
+AUDIT_BATCH = 1000  # markets the audit suite audits at a time
+
+
+def audit_suite_batches(config: ScenarioConfig, seed: int, instances: int, max_size: int):
+    """The audit suite's markets, ``AUDIT_BATCH`` at a time, as
+    (names, ``_audit_arrays``' arguments).
+
+    Market k draws its bidder count, then its vehicle count, each from
+    1 to ``max_size``, then its values as ``random_market`` draws them,
+    from one generator for the whole suite.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    for start in range(0, instances, AUDIT_BATCH):
+        names, draws = [], []
+        for k in range(start, min(start + AUDIT_BATCH, instances)):
+            n_uavs = int(rng.integers(1, max_size + 1))
+            n_ugvs = int(rng.integers(1, max_size + 1))
+            names.append(f"i{k}-{n_uavs}x{n_ugvs}")
+            draws.append(_truthful_values(rng, n_uavs, n_ugvs, config))
+        yield names, _flat_truthful(draws)
+
+
 def run_audit_suite(config, seed, out_dir, instances=DEFAULT_AUDIT_INSTANCES,
                     max_size=8, **_):
-    """Property probes over random markets, drawn one by one and audited
-    a thousand at a time; expect all-clean reports."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-
-    def draw(k):
-        n_uavs = int(rng.integers(1, max_size + 1))
-        n_ugvs = int(rng.integers(1, max_size + 1))
-        return (random_market(rng, n_uavs, n_ugvs, mu0=config.mu0, mu1=config.mu1,
-                              q_floor=config.qors_floor), f"i{k}-{n_uavs}x{n_ugvs}")
-
+    """Property probes over random truthful markets, drawn one by one
+    (``audit_suite_batches``) and audited ``AUDIT_BATCH`` at a time by
+    ``_audit_arrays``; expect all-clean reports."""
     rows = []
-    for start in range(0, instances, 1000):
-        markets, names = zip(*map(draw, range(start, min(start + 1000, instances))))
-        rows += map(audit_report_row, audit_markets(markets, names))
+    for names, markets in audit_suite_batches(config, seed, instances, max_size):
+        rows += [(name, *fields) for name, fields in zip(names, _audit_arrays(*markets))]
     prov = provenance_line(seed, config, note=f"preset=audit-suite instances={instances}")
     return [write_csv(out_dir / "audit-suite.csv", AUDIT_CSV_HEADER, rows, prov)]
 

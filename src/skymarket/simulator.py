@@ -36,11 +36,12 @@ apart, and they are settled in bulk. A window with a trade is cleared
 as ``close_window`` clears it, float for float, but without building a
 market: one sort ranks the bidders of every due world, and Python
 scores only each trade's admitted vehicles and clears both sides
-through ``mechanism.clear``, as ``run_auction`` does. A market object
-is built only for a window that is audited, and audited in one batch
-after the run's last slot. ``close_window`` stays as
-the one-window reference, through ``admit`` and ``run_auction``, that
-the tests hold the boundary routine to.
+through ``mechanism.clear``, as ``run_auction`` does. An audited
+trade keeps its ranked bids and its vehicles' q, and the run's trades
+are audited from those arrays in one batch after its last slot, still
+with no market object. ``close_window`` stays as the one-window
+reference, through ``admit`` and ``run_auction``, that the tests hold
+the boundary routine to.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -64,12 +65,12 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels as K
-from .audit import audit_markets, audit_report_row
+from .audit import _audit_arrays
 # no caller here; kept importable because the benchmark's tracer hooks these names
 from .audit import audit_market, non_envy_ratio
 from .baselines import optimal_scheme_outcome
 from .energy import slot_constants
-from .mechanism import DemandEntry, SupplyEntry, Trade, WindowMarket, admit, clear, run_auction
+from .mechanism import DemandEntry, Trade, admit, clear, run_auction
 from .metrics import MetricsColumns, MetricsRow, aggregate_rows
 from .types import (
     Activity,
@@ -579,8 +580,9 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
     Every window that closes at a slot, whatever its world's window
     length, is cleared by one ``_close_boundary`` call for the whole
-    stack, which fills the windows' entries. The markets it keeps for
-    the audit are audited in one batch after the last slot.
+    stack, which fills the windows' entries. The trades it keeps for
+    the audit are audited in one ``_audit_arrays`` batch after the last
+    slot.
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -619,9 +621,13 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                 ks, entry = ks[order], entry[order]
             _close_boundary(stack, worlds, ks, entry, clock, cols, layout)
         if cols.audited:
-            entries, markets = zip(*cols.audited)
-            for e, report in zip(entries, audit_markets(markets)):
-                cols.audits[e] = audit_report_row(report)[1:]
+            entries, ranked, bids, qs = zip(*cols.audited)
+            flat = itertools.chain.from_iterable
+            bids = list(flat(bids))  # truthful: each bid is its valuation
+            fields = _audit_arrays([len(r) for r in ranked], [len(q) for q in qs],
+                                   list(flat(ranked)), bids, bids, list(flat(qs)))
+            for e, f in zip(entries, fields):
+                cols.audits[e] = f
             cols.audited.clear()
     finally:
         for w in worlds:
@@ -646,15 +652,16 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
 
     A trade clears as ``close_window`` clears it, float for float,
     without building a market: ``_clear_window`` passes the ranking and
-    the world's admitted vehicles (each q from ``World.ugv_qors``) to
-    ``mechanism.clear``, and sums SL and the utilities in
-    ``close_window``'s order into the ``MetricsRow`` that checks them;
-    the pairs are scheduled in one array pass. Every other bidder of a
-    due world loses, and all of them, in trades or not, settle through
-    one ``_settle_losers``. Every due entry's empty-side flags are set
-    here, and when ``cols`` keeps them, its ``Trade`` record (with no
-    winner for a window with no trade); for an audit, a trade's
-    ``WindowMarket`` is built and kept in ``cols.audited``.
+    the world's admitted vehicles, each scored once by
+    ``World.ugv_qors``, to ``mechanism.clear``, and sums SL and the
+    utilities in ``close_window``'s order into the ``MetricsRow`` that
+    checks them; the pairs are scheduled in one array pass. Every other
+    bidder of a due world loses, and all of them, in trades or not,
+    settle through one ``_settle_losers``. Every due entry's empty-side
+    flags are set here, and when ``cols`` keeps them, its ``Trade``
+    record (with no winner for a window with no trade); for an audit, a
+    trade's ranked bidders, their bids and its vehicles' q are kept in
+    ``cols.audited``.
     """
     L = layout
     sampled = stack.bidder & (stack.sample_count > 0)
@@ -714,15 +721,15 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
             window = clock // world.config.slots_per_window
             s, stop = bid_end[i] - n_bid[i], bid_end[i]
             js = offered[offer_end[i] - n_offer[i]:offer_end[i]]
-            trade, row = _clear_window(world, window, ranked[s:stop], bid[s:stop],
-                                       rho_bar[s:stop], js)
+            trade, row, qs = _clear_window(world, window, ranked[s:stop], bid[s:stop],
+                                           rho_bar[s:stop], js)
             cols.record(e, row)
             won += rows[s:s + row.winners]
             won_ugvs += [j + world.ugv_base for j in trade.vehicles]
             if keep:
                 cols.outcomes[e] = trade
             if cols.audits is not None:
-                cols.audited.append((e, _market(world, window, trade.ranked, bid[s:stop], js)))
+                cols.audited.append((e, trade.ranked, bid[s:stop], qs))
         won, won_ugvs = np.array(won), np.array(won_ugvs)
         _schedule(stack, L, won, won_ugvs)
         losing[won] = False
@@ -737,19 +744,21 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
 
 
 def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: list,
-                  ugvs: list) -> tuple[Trade, MetricsRow]:
+                  ugvs: list) -> tuple[Trade, MetricsRow, list]:
     """One trading window of ``world``, cleared as ``close_window`` clears
     it, float for float, without building a market.
 
     ``ranked``, ``bid`` and ``rho_bar`` are the window's bidders in the
     auction's order (local id, truthful bid, window-average urgency),
-    and ``ugvs`` its admitted vehicles in id order, each scored by
+    and ``ugvs`` its admitted vehicles in id order, each scored once by
     ``World.ugv_qors``; ``mechanism.clear`` clears them against the
     vehicles ranked by (q descending, id). Only the vehicles and the
-    winners are visited.
+    winners are visited. Returns the trade, its row and the vehicles'
+    scores in id order, which an audit reads.
     """
     c = world.config
-    offers = [(j, world.ugv_qors(j)) for j in ugvs]
+    qs = [world.ugv_qors(j) for j in ugvs]
+    offers = list(zip(ugvs, qs))
     # sorted is stable: equal q stay in id order
     offers.sort(key=lambda offer: -offer[1])
     trade = clear(ranked, bid, bid, ugvs, offers)  # truthful: each bid is its valuation
@@ -765,14 +774,7 @@ def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: l
         ugv_utility=sum([p for _, p in sorted(zip(trade.vehicles, trade.payments))]),
         surplus=trade.surplus, non_envy_ratio=1.0, winners=len(trade.vehicles),
     )
-    return trade, row
-
-
-def _market(world: World, window: int, ranked: list, bid: list, ugvs: list) -> WindowMarket:
-    """The market ``close_window`` builds for a trading window of
-    ``_clear_window``'s arguments; only an audit reads it."""
-    demand = [DemandEntry(i, v, v) for i, v in sorted(zip(ranked, bid))]
-    return WindowMarket(window, demand, [SupplyEntry(j, world.ugv_qors(j)) for j in ugvs])
+    return trade, row, qs
 
 
 def _schedule(stack: World, layout: _Layout, uavs: np.ndarray, ugvs: np.ndarray) -> None:
@@ -868,10 +870,10 @@ def run_worlds(
     agent, so every world evolves exactly as it would alone, slot by slot
     through ``advance_slot``. Every window that closes at a slot is
     cleared by one ``_close_boundary`` call for the stack, without
-    building a market (only an audited trade builds one); each window's
-    row, outcome, audit report and state updates equal those of
-    ``close_window`` and ``audit_market`` on its market. Each result is
-    (metrics rows, outcomes, audit reports), as from ``run_world``.
+    building a market, audited or not; each window's row, outcome,
+    audit report and state updates equal those of ``close_window`` and
+    ``audit_market`` on its market. Each result is (metrics rows,
+    outcomes, audit reports), as from ``run_world``.
     """
     cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
     # one run per world, in entry order: output position is entry index

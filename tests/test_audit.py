@@ -17,7 +17,7 @@ from skymarket.audit import (
 )
 from skymarket.mechanism import WindowMarket, run_auction, with_replaced_bid
 from skymarket.baselines import optimal_scheme_outcome
-from skymarket.presets import TABLE_SIZES, run_table_envy, run_table_truthful
+from skymarket.presets import TABLE_SIZES, run_audit_suite, run_table_envy, run_table_truthful
 from skymarket.types import AuctionOutcome, Match, ScenarioConfig
 
 
@@ -303,9 +303,9 @@ def test_audit_markets_splits_a_batch_by_size_and_keeps_its_order(rng, monkeypat
     chunks = []
     real_chunk = audit._audit_chunk
 
-    def counted(batch):
-        chunks.append(len(batch))
-        return real_chunk(batch)
+    def counted(n, *padded):
+        chunks.append(len(n))
+        return real_chunk(n, *padded)
 
     monkeypatch.setattr(audit, "_audit_chunk", counted)
     monkeypatch.setattr(audit, "_CHUNK_CELLS", 50)  # also compares ties in slices
@@ -355,3 +355,25 @@ def test_table_envy_optimal_rows_match_the_planner(tmp_path):
         stats = non_envy_ratio(optimal_scheme_outcome(market), phi)
         assert optimal.pop(0) == [f"{n_uavs}x{n_ugvs}", str(k), "optimal",
                                   str(stats.all_participants), str(stats.winners_only)]
+
+
+@pytest.mark.parametrize("field, value", [
+    (0, -1), (1, -1), (5, -1),  # a negative IR, IC or blocking count
+    (3, 1.5), (4, -0.25), (3, float("nan")),  # a ratio outside [0, 1]
+])
+def test_audit_suite_raises_on_fields_that_break_the_report_invariants(
+        tmp_path, monkeypatch, field, value):
+    # the suite writes rows with no AuditReport; the flat entry checks
+    # the report's invariants on every row, as the report would
+    real = audit._audit_chunk
+
+    def broken(*padded):
+        fields = [column.copy() if i == field else column
+                  for i, column in enumerate(real(*padded))]
+        fields[field][-1] = value
+        return fields
+
+    monkeypatch.setattr(audit, "_audit_chunk", broken)
+    with pytest.raises(ValueError, match="must be >= 0" if field in (0, 1, 5) else "must lie in"):
+        run_audit_suite(ScenarioConfig(), 7, tmp_path, instances=30)
+    assert not (tmp_path / "audit-suite.csv").exists()

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import re
 
+import numpy as np
 import pytest
 
-from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row
+import skymarket.simulator as simulator
+from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row, random_market
 from skymarket.cli import main
-from skymarket.mechanism import OUTCOME_CSV_HEADER
+from skymarket.mechanism import OUTCOME_CSV_HEADER, WindowMarket
 from skymarket.metrics import METRICS_CSV_HEADER
 from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment
 from skymarket.types import ScenarioConfig, save_config
@@ -353,23 +355,59 @@ LOW_SOC_DIGESTS = {
 
 
 # sha256 of the CSV each audit command writes, recorded while the audit
-# still priced each bidder's misreports on its own
+# still priced each bidder's misreports on its own. The 2,500-market
+# suite was recorded while the suite still audited market objects: its
+# sizes of 1-30 fill several size chunks, over three 1,000-market batches
 AUDIT_DIGESTS = [
-    (["audit", "--instances", "200", "--max-size", "8", "--seed", "7"], "audit-suite.csv",
-     "d35e065d325ae925df97c0614a496d2f6ea93609efd2d0197fe71e03857e6642"),
-    (["preset", "table-truthful", "--reps", "20", "--seed", "7"], "table-truthful.csv",
-     "dba7c351fa6d0de6d528bf77ebe0b8dbe3d251272ac9a6acaad9442c9f867697"),
-    (["preset", "table-envy", "--reps", "20", "--seed", "7"], "table-envy.csv",
-     "e287865c8fe8586073c14f10131be02541ac7a910f9d692dafc67f09457a92d8"),
+    pytest.param(["audit", "--instances", "200", "--max-size", "8", "--seed", "7"],
+                 "audit-suite.csv",
+                 "d35e065d325ae925df97c0614a496d2f6ea93609efd2d0197fe71e03857e6642",
+                 id="audit-suite.csv"),
+    pytest.param(["audit", "--instances", "2500", "--max-size", "30", "--seed", "11"],
+                 "audit-suite.csv",
+                 "652aae4d4306a83ca1934e33197326bfecbf30a2e4db0ccc1db05653277ecf9d",
+                 id="audit-suite.csv-2500x30"),
+    pytest.param(["preset", "table-truthful", "--reps", "20", "--seed", "7"],
+                 "table-truthful.csv",
+                 "dba7c351fa6d0de6d528bf77ebe0b8dbe3d251272ac9a6acaad9442c9f867697",
+                 id="table-truthful.csv"),
+    pytest.param(["preset", "table-envy", "--reps", "20", "--seed", "7"], "table-envy.csv",
+                 "e287865c8fe8586073c14f10131be02541ac7a910f9d692dafc67f09457a92d8",
+                 id="table-envy.csv"),
 ]
 
 
-@pytest.mark.parametrize("argv, name, digest", AUDIT_DIGESTS,
-                         ids=[name for _, name, _ in AUDIT_DIGESTS])
+@pytest.mark.parametrize("argv, name, digest", AUDIT_DIGESTS)
 def test_audit_csvs_match_pinned_digests(tmp_path, argv, name, digest):
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert [p.name for p in tmp_path.glob("*.csv")] == [name]
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_neither_the_audit_command_nor_an_audited_run_builds_a_market(tmp_path, monkeypatch):
+    # the audit suite draws its markets as arrays, and an audited trade
+    # keeps its ranked bids and vehicles' q; both are audited by the flat
+    # entry, so no WindowMarket is built on either path
+    built = []
+    real = WindowMarket.__post_init__
+
+    def counted(market):
+        built.append(market)
+        real(market)
+
+    monkeypatch.setattr(WindowMarket, "__post_init__", counted)
+    random_market(np.random.default_rng(0), 2, 2)
+    assert len(built) == 1  # the counter sees a market that is built
+    built.clear()
+    assert main(["audit", "--instances", "50", "--max-size", "8", "--seed", "3",
+                 "--out", str(tmp_path / "audit")]) == 0
+    assert main(["run", "--ugvs", "6", "14", "--reps", "2", "--scheme", "all", "--audit",
+                 "--seed", "5", "--out", str(tmp_path / "run")]) == 0
+    assert built == []
+    raw = list(csv.DictReader((tmp_path / "run" / "metrics_raw.csv").read_text()
+                              .splitlines()[1:]))
+    assert sum(int(r["winners"]) > 0 for r in raw) > 10  # trades were audited
+    assert not hasattr(simulator, "_market")
 
 
 def test_low_soc_run_csvs_match_pinned_digests(tmp_path):
@@ -563,5 +601,5 @@ def test_audit_benchmark_script_runs():
         "73x25, 20 markets, best of 1:",
     ]
     parts = [line.split()[0] for line in lines if line.startswith(" ")]
-    assert parts == ["audit_markets", "scalar"] * 3
+    assert parts == ["_audit_arrays", "audit_markets", "scalar"] * 3
     assert all(line.split()[2:4] == ["ms", "per"] for line in lines if line.startswith(" "))

@@ -1,6 +1,7 @@
 """Property tests over generated scenario configs and markets."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import (  # noqa: E402
     replay_deviation_probe,
     run_world_windowwise,
 )
+import skymarket.audit as audit  # noqa: E402
 from skymarket.audit import (  # noqa: E402
     DEVIATION_EPS,
     UTILITY_TOL,
@@ -27,7 +29,13 @@ from skymarket.audit import (  # noqa: E402
     deviation_probe,
     non_envy_ratio,
 )
-from skymarket.mechanism import WindowMarket, clear, run_auction  # noqa: E402
+from skymarket.mechanism import (  # noqa: E402
+    DemandEntry,
+    SupplyEntry,
+    WindowMarket,
+    clear,
+    run_auction,
+)
 from skymarket.simulator import (  # noqa: E402
     SCHEME_OURS,
     SCHEME_STATIC,
@@ -140,9 +148,9 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
         return market
 
     def counting_clear(*args):
-        trade, row = real_clear(*args)
+        trade, row, qs = real_clear(*args)
         cleared.append(row.winners)
-        return trade, row
+        return trade, row, qs
 
     def counting_boundary(*args):
         masks = real_boundary(*args)
@@ -242,6 +250,37 @@ def test_audit_markets_matches_the_scalar_probes_in_any_batch(markets):
         assert report.instance == str(i)
         assert repr(audit_report_row(report)[1:]) == repr(audit_fields(market))
         assert repr(audit_market(market, str(i))) == repr(report)
+
+
+@st.composite
+def _id_markets(draw):
+    # distinct bidder ids far apart and in no order, so ranking ties by id
+    # cannot lean on the ids being 0..n-1 in input order
+    bidders = draw(st.lists(_bidder, max_size=9))
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=len(bidders), max_size=len(bidders),
+                        unique=True))
+    qs = draw(st.lists(_q, max_size=9))
+    return WindowMarket(0, [DemandEntry(i, phi, phi * shade)
+                            for i, (phi, shade) in zip(ids, bidders)],
+                        [SupplyEntry(j, q) for j, q in enumerate(qs)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          phases=(Phase.explicit, Phase.generate))
+@given(markets=st.lists(_id_markets(), max_size=8), chunk_cells=st.sampled_from([1, 40, 1 << 16]))
+# tied bids whose ids run against input order, a zero bid, empty sides
+@example(markets=[WindowMarket(0, [DemandEntry(907, 2.5, 2.5), DemandEntry(12, 2.5, 2.5),
+                                   DemandEntry(400, 4.0, 0.0)], [SupplyEntry(0, 0.5)]),
+                  WindowMarket(0, [], [SupplyEntry(3, 0.9)]),
+                  WindowMarket(0, [DemandEntry(5, 1.0, 1.0)], [])], chunk_cells=1)
+def test_flat_audit_entry_matches_the_scalar_probes(markets, chunk_cells):
+    # the flat entry ranks every market's sides itself, by lexsort, and
+    # pads them in chunks of at most chunk_cells cells: each market's
+    # fields equal the scalar probes' by repr, so types and signed zeros
+    # show too
+    with mock.patch.object(audit, "_CHUNK_CELLS", chunk_cells):
+        fields = audit._audit_arrays(*audit._flat_sides(markets))
+    assert repr(fields) == repr([audit_fields(mk) for mk in markets])
 
 
 def _clear_ranked(demand, supply):

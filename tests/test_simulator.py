@@ -828,10 +828,10 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
 
     def counting_clear(*args):
         depth[0] += 1
-        trade, row = real_clear(*args)
+        trade, row, qs = real_clear(*args)
         depth[0] -= 1
         cleared.append(row.winners)
-        return trade, row
+        return trade, row, qs
 
     def counting_qors(self, j):
         scored_inside.append(depth[0] > 0)
