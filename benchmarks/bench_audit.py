@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the audit's flat-array entry and ``audit_markets`` per market,
-against the scalar probes they replaced.
+against the scalar probes they replaced, and the layers around the
+audit in a ``skymarket audit`` call.
 
 Three market sets, each audited as one batch:
 
@@ -17,19 +18,26 @@ every market, per market: ``_audit_arrays`` on the set's flat arrays
 ``WindowMarket`` objects (which flattens them and calls the same
 entry), then the scalar probes market by market (``tests/conftest.py``'s
 oracles: clearing, the IC probe over every bidder's deviation grid, and
-envy and stability off one slot table), the "before" line.
+envy and stability off one slot table), the "before" line. The suite's
+mix also times its draw (``audit_suite_batches``) and one whole
+in-process ``cli.main(["audit", ...])`` call (draw, audit and CSV, with
+the parser already built), per market.
 
 Usage: python benchmarks/bench_audit.py [--repeats 5]
 """
 
 import argparse
+import contextlib
+import io
 import math
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
+from skymarket import cli
 from skymarket.audit import _audit_arrays, _flat_sides, audit_markets, random_market
 from skymarket.mechanism import WindowMarket
 from skymarket.presets import audit_suite_batches
@@ -44,13 +52,18 @@ SUITE_MAX_SIZE = 8
 SIZED_MARKETS = 20  # markets in each of the 20x20 and 73x25 sets
 
 
+def suite_draw():
+    """The markets ``skymarket audit`` audits at ``SUITE_SEED``, as
+    ``audit_suite_batches`` yields them."""
+    return list(audit_suite_batches(ScenarioConfig(), SUITE_SEED, SUITE_INSTANCES, SUITE_MAX_SIZE))
+
+
 def suite_markets():
     """The flat arrays of the markets ``skymarket audit`` audits at
     ``SUITE_SEED``, and those markets as ``WindowMarket`` objects."""
-    _, flat = next(audit_suite_batches(ScenarioConfig(), SUITE_SEED, SUITE_INSTANCES,
-                                       SUITE_MAX_SIZE))
+    [(_, flat)] = suite_draw()
     n, m, _, bids, phi, qs = flat
-    d, s = np.cumsum([0] + n), np.cumsum([0] + m)
+    d, s = np.concatenate(([0], np.cumsum(n))), np.concatenate(([0], np.cumsum(m)))
     markets = [WindowMarket.from_values(phi[d[b]:d[b + 1]].tolist(), bids[d[b]:d[b + 1]].tolist(),
                                         qs[s[b]:s[b + 1]].tolist()) for b in range(len(n))]
     return flat, markets
@@ -73,15 +86,35 @@ def best_per_market(work, markets, repeats):
     return best / len(markets)
 
 
-def bench(title, flat, markets, repeats):
+def cli_audit(out_dir):
+    """One in-process ``skymarket audit`` call on the suite's markets,
+    its printed file list swallowed."""
+    argv = ["audit", "--instances", str(SUITE_INSTANCES), "--max-size", str(SUITE_MAX_SIZE),
+            "--seed", str(SUITE_SEED), "--out", out_dir]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def line(part, per_market, arrays=None):
+    ratio = "" if arrays is None else f" ({per_market / arrays:.1f}x)"
+    print(f"  {part:<21}{per_market * 1e3:>9.3f} ms per market{ratio}")
+
+
+def bench(title, flat, markets, repeats, whole_call=False):
     assert _audit_arrays(*flat) == [tuple(f) for f in map(audit_fields, markets)]
     arrays = best_per_market(lambda _: _audit_arrays(*flat), markets, repeats)
     batch = best_per_market(audit_markets, markets, repeats)
     scalar = best_per_market(lambda ms: [audit_fields(m) for m in ms], markets, repeats)
     print(f"{title}, {len(markets)} markets, best of {repeats}:")
-    print(f"  {'_audit_arrays':<16}{arrays * 1e3:>9.3f} ms per market")
-    print(f"  {'audit_markets':<16}{batch * 1e3:>9.3f} ms per market ({batch / arrays:.1f}x)")
-    print(f"  {'scalar':<16}{scalar * 1e3:>9.3f} ms per market ({scalar / arrays:.1f}x)")
+    if whole_call:
+        line("audit_suite_batches", best_per_market(lambda _: suite_draw(), markets, repeats))
+    line("_audit_arrays", arrays)
+    line("audit_markets", batch, arrays)
+    line("scalar", scalar, arrays)
+    if whole_call:
+        with tempfile.TemporaryDirectory() as out_dir:
+            cli_audit(out_dir)  # builds the parser, which later calls reuse
+            line("cli.main", best_per_market(lambda _: cli_audit(out_dir), markets, repeats))
 
 
 def main():
@@ -89,7 +122,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     bench(f"audit_suite mix (CLI seed {SUITE_SEED}, 1-{SUITE_MAX_SIZE} per side)",
-          *suite_markets(), args.repeats)
+          *suite_markets(), args.repeats, whole_call=True)
     for n_uavs, n_ugvs in ((20, 20), (73, 25)):
         bench(f"{n_uavs}x{n_ugvs}", *sized_markets(n_uavs, n_ugvs, SIZED_MARKETS), args.repeats)
 

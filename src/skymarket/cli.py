@@ -16,6 +16,7 @@ the sweep). The default output directory comes from
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -55,7 +56,11 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process on first use. ``--out``
+    defaults to None, which ``main`` resolves by ``_default_out`` on each
+    call, so ``SKYMARKET_OUT`` is read per call."""
     parser = argparse.ArgumentParser(
         prog="skymarket",
         description="Auction-based scheduling of mobile wireless chargers for UAV fleets",
@@ -65,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed")
-        p.add_argument("--out", default=_default_out(), help="output directory")
+        p.add_argument("--out", help="output directory")
 
     p_run = sub.add_parser("run", help="simulate a scenario and emit metrics CSVs")
     common(p_run)
@@ -213,6 +218,8 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    if args.command != "validate" and args.out is None:
+        args.out = _default_out()
     if args.command == "run":
         return cmd_run(args)
     if args.command == "preset":

@@ -263,37 +263,34 @@ AGGREGATE_CSV_HEADER = (
 
 def aggregate_rows(cols: MetricsColumns) -> list[dict]:
     """Mean/sd of every metric over ``cols``' rows, grouped by (scheme,
-    J, tau); each group's entries are gathered in row order."""
+    J, tau); each group's entries are gathered in row order.
+
+    Groups of one length are reduced together, a row each of one
+    C-contiguous (groups, entries) array; a row's ``mean``, ``std`` and
+    ``min`` along axis 1 are the 1-D reductions of its entries, bit for
+    bit."""
     groups: dict[tuple, list[np.ndarray]] = {}
     for scheme, ugv_count, tau, _, start, stop in cols.runs:
         if stop > start:
             groups.setdefault((scheme, ugv_count, tau), []).append(np.arange(start, stop))
-    out = []
-    for key in sorted(groups):
-        at = np.concatenate(groups[key])
-        sl, uu, gu, sp, ne = (col[at] for col in (
+    keys = sorted(groups)
+    at = [np.concatenate(groups[key]) for key in keys]
+    by_length: dict[int, list[int]] = {}
+    for g, entries in enumerate(at):
+        by_length.setdefault(len(entries), []).append(g)
+    stats: list = [None] * len(keys)
+    for length, members in by_length.items():
+        rows = np.stack([at[g] for g in members])
+        sl, uu, gu, sp, ne = (col[rows] for col in (
             cols.sl, cols.uav_utility, cols.ugv_utility, cols.surplus, cols.non_envy_ratio))
-        wn = cols.winners[at].astype(float)
-        out.append(
-            {
-                "scheme": key[0],
-                "J": key[1],
-                "tau": key[2],
-                "windows": len(at),
-                "SL_mean": float(sl.mean()),
-                "SL_sd": float(sl.std()),
-                "uav_utility_mean": float(uu.mean()),
-                "uav_utility_sd": float(uu.std()),
-                "ugv_utility_mean": float(gu.mean()),
-                "ugv_utility_sd": float(gu.std()),
-                "surplus_mean": float(sp.mean()),
-                "surplus_sd": float(sp.std()),
-                "non_envy_min": float(ne.min()),
-                "non_envy_mean": float(ne.mean()),
-                "winners_mean": float(wn.mean()),
-            }
-        )
-    return out
+        wn = cols.winners[rows].astype(float)
+        columns = np.column_stack((
+            sl.mean(1), sl.std(1), uu.mean(1), uu.std(1), gu.mean(1), gu.std(1),
+            sp.mean(1), sp.std(1), ne.min(1), ne.mean(1), wn.mean(1),
+        ))
+        for g, row in zip(members, columns.tolist()):
+            stats[g] = (*keys[g], length, *row)
+    return [dict(zip(AGGREGATE_CSV_HEADER, row)) for row in stats]
 
 
 # a row of ``metrics_aggregate.csv``: an ``aggregate_rows`` dict's values

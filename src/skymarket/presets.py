@@ -20,7 +20,6 @@ from .audit import (
     _audit_arrays,
     _misreport_utilities,
     deviation_grid,
-    market_values,
     random_market,
 )
 # no caller here; kept importable because the benchmark's tracer hooks this name
@@ -126,20 +125,23 @@ def run_table_truthful(config, seed, out_dir, reps=DEFAULT_REPS, **_):
 def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
     """Non-envy ratios, auction vs welfare-optimal matcher, both sizes.
 
-    Every market of both sizes is drawn as ``random_market`` draws it
-    and audited in one ``_audit_arrays`` batch; its two ratios are
-    ``non_envy_ratio`` of the cleared auction, float for float. The
-    markets are truthful, so the planner's outcome is the auction's own
-    (``optimal_scheme_outcome``); the ``optimal`` rows repeat the
-    ``ours`` statistics instead of clearing each market twice.
+    Every market of both sizes is drawn as ``random_market`` draws it,
+    from its own generator, and audited in one ``_audit_arrays`` batch
+    (``_truthful_batch``); its two ratios are ``non_envy_ratio`` of the
+    cleared auction, float for float. The markets are truthful, so the
+    planner's outcome is the auction's own (``optimal_scheme_outcome``);
+    the ``optimal`` rows repeat the ``ours`` statistics instead of
+    clearing each market twice.
     """
-    keys, draws = [], []
-    for n_uavs, n_ugvs in TABLE_SIZES:
+    keys, n_uavs, n_ugvs, uniforms = [], [], [], []
+    for n, m in TABLE_SIZES:
         for k in range(reps):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, n_uavs, n_ugvs, k]))
-            keys.append((f"{n_uavs}x{n_ugvs}", k))
-            draws.append(_truthful_values(rng, n_uavs, n_ugvs, config))
-    fields = _audit_arrays(*_flat_truthful(draws))
+            rng = np.random.default_rng(np.random.SeedSequence([seed, n, m, k]))
+            keys.append((f"{n}x{m}", k))
+            n_uavs.append(n)
+            n_ugvs.append(m)
+            uniforms.append(rng.random(n + m))
+    fields = _audit_arrays(*_truthful_batch(config, n_uavs, n_ugvs, uniforms))
     rows = [(size, k, scheme, f[3], f[4]) for (size, k), f in zip(keys, fields)
             for scheme in ("ours", "optimal")]
     prov = provenance_line(seed, config, note=f"preset=table-envy instances={reps}")
@@ -153,22 +155,22 @@ def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
     ]
 
 
-def _truthful_values(rng: np.random.Generator, n_uavs: int, n_ugvs: int,
-                     config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A truthful market's valuations and quality scores, drawn by
-    ``market_values`` as ``random_market`` draws them."""
-    phi, _, qs = market_values(rng, n_uavs, n_ugvs, config.mu0, config.mu1, config.qors_floor)
-    return phi, qs
-
-
-def _flat_truthful(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple:
-    """``_audit_arrays``' arguments for truthful markets given as
-    (valuations, quality scores). Each bidder's id is its position in
-    the batch, which ranks ties as its market's own ids 0..n-1 would."""
-    phis, qs = zip(*draws)
-    phi = np.concatenate(phis)
-    return ([len(v) for v in phis], [len(v) for v in qs], np.arange(len(phi)), phi, phi,
-            np.concatenate(qs))
+def _truthful_batch(config: ScenarioConfig, n_uavs: Sequence[int], n_ugvs: Sequence[int],
+                    uniforms: Sequence[np.ndarray]) -> tuple:
+    """``_audit_arrays``' arguments for truthful markets whose values are
+    drawn as ``market_values`` draws them. ``uniforms[b]`` holds market
+    b's ``random(n_uavs[b] + n_ugvs[b])`` doubles: its bidders' first,
+    its vehicles' after. ``valuation = mu0 + mu1 * u`` and ``q =
+    qors_floor + (1 - qors_floor) * u`` are ``market_values``' two
+    ``uniform`` draws of the same doubles, bit for bit. Each bidder's id
+    is its position in the batch, which ranks ties as its market's own
+    ids 0..n-1 would."""
+    n, m = np.asarray(n_uavs), np.asarray(n_ugvs)
+    bidder = np.repeat(np.tile([True, False], len(n)), np.column_stack((n, m)).ravel())
+    u = np.concatenate(uniforms)
+    phi = config.mu0 + config.mu1 * u[bidder]
+    qs = config.qors_floor + (1.0 - config.qors_floor) * u[~bidder]
+    return n, m, np.arange(len(phi)), phi, phi, qs
 
 
 AUDIT_BATCH = 1000  # markets the audit suite audits at a time
@@ -179,18 +181,21 @@ def audit_suite_batches(config: ScenarioConfig, seed: int, instances: int, max_s
     (names, ``_audit_arrays``' arguments).
 
     Market k draws its bidder count, then its vehicle count, each from
-    1 to ``max_size``, then its values as ``random_market`` draws them,
-    from one generator for the whole suite.
+    1 to ``max_size``, then its values' doubles in one ``random`` call,
+    from one generator for the whole suite: the values ``random_market``
+    would draw there (``_truthful_batch``).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     for start in range(0, instances, AUDIT_BATCH):
-        names, draws = [], []
+        names, n_uavs, n_ugvs, uniforms = [], [], [], []
         for k in range(start, min(start + AUDIT_BATCH, instances)):
-            n_uavs = int(rng.integers(1, max_size + 1))
-            n_ugvs = int(rng.integers(1, max_size + 1))
-            names.append(f"i{k}-{n_uavs}x{n_ugvs}")
-            draws.append(_truthful_values(rng, n_uavs, n_ugvs, config))
-        yield names, _flat_truthful(draws)
+            n = int(rng.integers(1, max_size + 1))
+            m = int(rng.integers(1, max_size + 1))
+            names.append(f"i{k}-{n}x{m}")
+            n_uavs.append(n)
+            n_ugvs.append(m)
+            uniforms.append(rng.random(n + m))
+        yield names, _truthful_batch(config, n_uavs, n_ugvs, uniforms)
 
 
 def run_audit_suite(config, seed, out_dir, instances=DEFAULT_AUDIT_INSTANCES,

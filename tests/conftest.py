@@ -24,6 +24,7 @@ from skymarket._kernels import (  # the names step_world_loop reads
 )
 from skymarket.audit import (
     DEVIATION_EPS, DEVIATION_MULTIPLIERS, UTILITY_TOL, EnvyStats, audit_market, deviation_grid,
+    market_values,
 )
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import (
@@ -33,15 +34,23 @@ from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
 from skymarket.types import Activity, AuctionOutcome
 
 
-def run_benchmark_script(name, *args):
-    """Run ``benchmarks/<name>`` with ``args`` in a child process that
-    imports the same copy of skymarket as this one."""
-    repo = Path(__file__).resolve().parents[1]
+def _run_child(*argv):
+    """Run ``python argv...`` in a child process that imports the same
+    copy of skymarket as this one."""
     src_dir = str(Path(K.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src_dir, inherited))))
-    return subprocess.run([sys.executable, str(repo / "benchmarks" / name), *args],
-                          env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def run_benchmark_script(name, *args):
+    """Run ``benchmarks/<name>`` with ``args`` in a child process."""
+    return _run_child(str(Path(__file__).resolve().parents[1] / "benchmarks" / name), *args)
+
+
+def run_cli_process(*argv):
+    """Run ``skymarket argv...`` in a fresh child process."""
+    return _run_child("-m", "skymarket", *argv)
 
 
 def naive_best_assignment(phi_values, q_values):
@@ -337,6 +346,39 @@ def audit_fields(market):
     envy = envy_stats(table)
     return (len(check_ir(outcome, tol)), sum(g > tol for g in gains), max(gains, default=0.0),
             envy.all_participants, envy.winners_only, len(blocking_pairs(table, qs)))
+
+
+def truthful_draws(rngs, config):
+    """Truthful markets drawn one after another, each by ``market_values``
+    as ``random_market`` draws it: ``rngs`` yields (generator, bidders,
+    vehicles) per market, and the result is the bidder counts, vehicle
+    counts, valuations and quality scores, concatenated market by market.
+    The oracle for ``presets._truthful_batch``."""
+    n_uavs, n_ugvs, phis, qs = [], [], [], []
+    for rng, n, m in rngs:
+        phi, _, q = market_values(rng, n, m, config.mu0, config.mu1, config.qors_floor)
+        n_uavs.append(n)
+        n_ugvs.append(m)
+        phis.append(phi)
+        qs.append(q)
+    return n_uavs, n_ugvs, np.concatenate(phis), np.concatenate(qs)
+
+
+def audit_suite_draw(config, seed, instances, max_size):
+    """The audit suite's market names and ``truthful_draws``, market by
+    market from one generator: a bidder count and a vehicle count from 1
+    to ``max_size``, then the market's values."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    names = []
+
+    def markets():
+        for k in range(instances):
+            n = int(rng.integers(1, max_size + 1))
+            m = int(rng.integers(1, max_size + 1))
+            names.append(f"i{k}-{n}x{m}")
+            yield rng, n, m
+
+    return names, truthful_draws(markets(), config)
 
 
 def outcome_lines(outcome):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import audit_fields, check_ir, replay_deviation_probe
+from conftest import (
+    audit_fields, audit_suite_draw, check_ir, replay_deviation_probe, truthful_draws,
+)
 
 import skymarket.audit as audit
 from skymarket.audit import (
@@ -17,7 +19,15 @@ from skymarket.audit import (
 )
 from skymarket.mechanism import WindowMarket, run_auction, with_replaced_bid
 from skymarket.baselines import optimal_scheme_outcome
-from skymarket.presets import TABLE_SIZES, run_audit_suite, run_table_envy, run_table_truthful
+import skymarket.presets as presets
+from skymarket.presets import (
+    AUDIT_BATCH,
+    TABLE_SIZES,
+    audit_suite_batches,
+    run_audit_suite,
+    run_table_envy,
+    run_table_truthful,
+)
 from skymarket.types import AuctionOutcome, Match, ScenarioConfig
 
 
@@ -315,6 +325,52 @@ def test_audit_markets_splits_a_batch_by_size_and_keeps_its_order(rng, monkeypat
     assert [r.instance for r in split] == names
     assert [audit_report_row(r)[1:] for r in split] == [audit_fields(m) for m in markets]
     assert audit.audit_markets([]) == []
+
+
+def drawn_bits(batches):
+    """Counts, valuations and q of ``_audit_arrays`` argument tuples,
+    concatenated (the floats as bytes), after checking that each bidder's
+    id is its position in its batch and its bid its valuation."""
+    for _, _, ids, bids, phi, _ in batches:
+        assert bids is phi and ids.tolist() == list(range(len(phi)))
+    n_uavs, n_ugvs, _, _, phi, qs = (np.concatenate(column) for column in zip(*batches))
+    return n_uavs.tolist(), n_ugvs.tolist(), phi.tobytes(), qs.tobytes()
+
+
+def oracle_bits(draws):
+    n_uavs, n_ugvs, phi, qs = draws
+    return n_uavs, n_ugvs, phi.tobytes(), qs.tobytes()
+
+
+@pytest.mark.parametrize("seed, instances, max_size", [
+    (7, 100, 8), (11, 2500, 30), (3, 5, 1), (5, 40, 200),
+])
+def test_audit_suite_draws_what_one_market_at_a_time_draws(seed, instances, max_size):
+    config = ScenarioConfig()
+    batches = list(audit_suite_batches(config, seed, instances, max_size))
+    assert len(batches) == -(-instances // AUDIT_BATCH)
+    names, draws = audit_suite_draw(config, seed, instances, max_size)
+    assert [name for batch_names, _ in batches for name in batch_names] == names
+    assert drawn_bits([markets for _, markets in batches]) == oracle_bits(draws)
+
+
+def test_table_envy_draws_each_market_from_its_own_generator(tmp_path, monkeypatch):
+    config = ScenarioConfig()
+    reps = 4
+    audited = []
+    real = presets._audit_arrays
+
+    def kept(*markets):
+        audited.append(markets)
+        return real(*markets)
+
+    monkeypatch.setattr(presets, "_audit_arrays", kept)
+    run_table_envy(config, 9, tmp_path, reps=reps)
+    draws = truthful_draws(
+        ((np.random.default_rng(np.random.SeedSequence([9, n, m, k])), n, m)
+         for n, m in TABLE_SIZES for k in range(reps)), config)
+    assert len(audited) == 1
+    assert drawn_bits(audited) == oracle_bits(draws)
 
 
 def test_table_truthful_rows_match_the_replay(tmp_path):

@@ -9,14 +9,15 @@ import pytest
 
 import skymarket.simulator as simulator
 from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row, random_market
-from skymarket.cli import main
+from skymarket.cli import build_parser, main
 from skymarket.mechanism import OUTCOME_CSV_HEADER, WindowMarket
 from skymarket.metrics import METRICS_CSV_HEADER
 from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment
 from skymarket.types import ScenarioConfig, save_config
 
 from conftest import (
-    csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script, run_world_windowwise,
+    csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script, run_cli_process,
+    run_world_windowwise,
 )
 
 
@@ -559,6 +560,24 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "metrics_raw.csv").exists()
 
 
+def test_one_parser_serves_many_calls_in_a_process(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process, reads SKYMARKET_OUT on
+    # each call, and a usage error leaves nothing behind for the next call
+    audit = ["audit", "--instances", "3", "--max-size", "2"]
+    for name in ("first", "second"):
+        monkeypatch.setenv("SKYMARKET_OUT", str(tmp_path / name))
+        assert main(audit) == 0
+        assert capsys.readouterr().out == f"{tmp_path / name / 'audit-suite.csv'}\n"
+    assert build_parser() is build_parser()
+    for argv in (["run", "--reps", "0"], audit + ["--out", str(tmp_path / "third")],
+                 ["--version"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        fresh = run_cli_process(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 0 and out.startswith("skymarket ")
+
+
 def test_every_name_the_benchmark_hooks_resolves():
     # perfbench/tracer.py wraps these names by string during a traced
     # benchmark run; a refactor that drops one must fail here, not there
@@ -590,7 +609,8 @@ def test_outputs_benchmark_script_runs():
 
 
 def test_audit_benchmark_script_runs():
-    # a short smoke run, so the script tracks the batch and its scalar baseline
+    # a short smoke run, so the script tracks the batch, its scalar
+    # baseline, the suite's draw and a whole in-process audit call
     out = run_benchmark_script("bench_audit.py", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -601,5 +621,6 @@ def test_audit_benchmark_script_runs():
         "73x25, 20 markets, best of 1:",
     ]
     parts = [line.split()[0] for line in lines if line.startswith(" ")]
-    assert parts == ["_audit_arrays", "audit_markets", "scalar"] * 3
+    audit = ["_audit_arrays", "audit_markets", "scalar"]
+    assert parts == ["audit_suite_batches", *audit, "cli.main"] + audit * 2
     assert all(line.split()[2:4] == ["ms", "per"] for line in lines if line.startswith(" "))

@@ -507,6 +507,27 @@ def test_run_experiment_shapes_and_aggregates():
     assert aggregate_row_objects(res.rows) == res.aggregates
 
 
+def test_aggregates_of_groups_of_several_lengths_match_the_row_oracle():
+    # a window-length sweep gives its groups different window counts;
+    # groups of one length are reduced together, and those of each
+    # length must still read what one group reduced alone reads
+    cfg = ScenarioConfig(horizon_slots=48)
+    res = run_experiment(cfg, {"window_len": [4.0, 8.0, 16.0], "ugv_count": [3, 5]},
+                         replications=2, schemes=ALL_SCHEMES, base_seed=6)
+    assert len({a["windows"] for a in res.aggregates}) == 3
+    assert aggregate_row_objects(res.rows) == res.aggregates
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 16, 50, 127, 128, 129, 1000, 7500])
+def test_row_reductions_match_the_one_dimensional_ones(length):
+    # aggregate_rows relies on numpy reducing each row of a C-contiguous
+    # array along axis 1 as it reduces that row alone
+    x = np.random.default_rng(length).random((4, length)) * [[1.0], [1e6], [1e-3], [3.0]]
+    for reduce in ("mean", "std", "min"):
+        rows = np.array([getattr(row.copy(), reduce)() for row in x])
+        assert getattr(x, reduce)(1).tobytes() == rows.tobytes(), reduce
+
+
 def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
     # a sweep reads `optimal` off the `ours` world. The oracle runs each
     # world alone with the real welfare planner in place of the auction
