@@ -1,13 +1,15 @@
 """Window metrics: one row per cleared window, kept in columns.
 
-``close_window`` reports a window as a ``MetricsRow``; a sweep keeps its
-windows in a ``MetricsColumns`` store, beside each window's outcome and
-audit findings when asked for, and reduces it to per-(scheme, J, tau)
-aggregates. The store writes the text of the run's per-window CSVs
-(``metrics_raw.csv``, ``audits.csv`` and ``outcomes.csv``) straight from
-its columns, one chunk per run, with the bytes ``csv.writer`` would
-write for its tuple rows; the tuples, ``MetricsRow``s, ``AuditReport``s
-and ``AuctionOutcome``s are built only when read. A window's outcome is
+The simulator's one window-clearing routine, ``_close_boundary``, keeps
+a sweep's windows in a ``MetricsColumns`` store (``close_window`` in a
+store of one), beside each window's outcome and audit findings when
+asked for; a window reads as a ``MetricsRow``, and the store reduces to
+per-(scheme, J, tau) aggregates. It writes the text of the run's
+per-window CSVs (``metrics_raw.csv``, ``audits.csv`` and
+``outcomes.csv``) straight from its columns, one chunk per run, with
+the bytes ``csv.writer`` would write for its tuple rows; the tuples,
+``MetricsRow``s, ``AuditReport``s and ``AuctionOutcome``s are built
+only when read. A window's outcome is
 kept as the compact ``mechanism.Trade`` record that clears it; a window
 with no trade is a ``Trade`` with no winner.
 """

@@ -33,15 +33,15 @@ Every window that closes at a slot boundary is cleared by one
 of a sweep have no trade: no sampled bidder, or no vehicle that could
 serve the neediest one. Segment reductions over the stack tell those
 apart, and they are settled in bulk. A window with a trade is cleared
-as ``close_window`` clears it, float for float, but without building a
-market: one sort ranks the bidders of every due world, and Python
-scores only each trade's admitted vehicles and clears both sides
-through ``mechanism.clear``, as ``run_auction`` does. An audited
-trade keeps its ranked bids and its vehicles' q, and the run's trades
-are audited from those arrays in one batch after its last slot, still
-with no market object. ``close_window`` stays as the one-window
-reference, through ``admit`` and ``run_auction``, that the tests hold
-the boundary routine to.
+without building a market: one sort ranks the bidders of every due
+world, and Python scores only each trade's admitted vehicles and clears
+both sides through ``mechanism.clear``, as ``run_auction`` does. An
+audited trade keeps its ranked bids and its vehicles' q, and the run's
+trades are audited from those arrays in one batch after its last slot,
+still with no market object. ``close_window`` is the one-world call of
+``_close_boundary``; the tests hold both to the scalar reference
+``tests/conftest.py::close_window_loop``, which clears each window
+through ``admit`` and ``run_auction``.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -60,7 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +69,9 @@ from .audit import _audit_arrays
 # no caller here; kept importable because the benchmark's tracer hooks these names
 from .audit import audit_market, non_envy_ratio
 from .baselines import optimal_scheme_outcome
+from .mechanism import admit, run_auction
 from .energy import slot_constants
-from .mechanism import DemandEntry, Trade, admit, clear, run_auction
+from .mechanism import Trade, clear
 from .metrics import MetricsColumns, MetricsRow, aggregate_rows
 from .types import (
     Activity,
@@ -105,8 +106,6 @@ __all__ = [
     "ALL_SCHEMES",
     "MetricsRow",
     "World",
-    "rendezvous",
-    "satisfaction_level",
     "generate_scenario",
     "advance_slot",
     "close_window",
@@ -219,19 +218,6 @@ class World:
         c = self.config
         d = min(self.service_distance(j), c.qors_ref_distance)
         return qors_from_distance(d, c.qors_ref_distance, c.qors_floor)
-
-
-def rendezvous(spot: Sequence[float], ugv_pos: Sequence[float]) -> tuple[float, float]:
-    """Meeting point for a matched pair: the spot-to-vehicle midpoint."""
-    return ((spot[0] + ugv_pos[0]) / 2.0, (spot[1] + ugv_pos[1]) / 2.0)
-
-
-def satisfaction_level(outcome: AuctionOutcome, rho_bars: Mapping[int, float]) -> float:
-    """Allocation quality weighted by urgency: sum of q_j * rho_bar_i."""
-    total = 0.0
-    for m in outcome.winners:
-        total += m.q * rho_bars[m.uav_id]
-    return total
 
 
 def _checked(config: ScenarioConfig) -> ScenarioConfig:
@@ -395,80 +381,24 @@ def _book(world: World, soc: np.ndarray, sensing: np.ndarray) -> None:
     world.sample_count += sampling.sum(0)
 
 
-def close_window(world: World):
-    """Clear the pending window at the current slot boundary.
-
-    Reads the market inputs as whole-array slices: the queued bidders'
-    window-average valuations and urgencies, their satisfaction gaps, and
-    each idle vehicle's quality score and remaining supply. Clears the
-    market through the auction and schedules rendezvous for matched
-    pairs; losers are settled by ``_settle_losers``, as in a window with
-    no trade. Every bid is truthful, so the row's non-envy ratio is the
-    1.0 of the paper's envy-freeness theorem; the audit still computes
-    it. Returns (outcome, metrics row, the market it cleared).
-    """
+def close_window(world: World) -> tuple[AuctionOutcome, MetricsRow]:
+    """Clear the pending window of ``world``, a world of its own (not a
+    member of a stack), at the current slot boundary: the one-world call
+    of ``_close_boundary``, with the outcome kept and no market built.
+    Returns (outcome, metrics row). The tests hold it to the scalar
+    reference ``tests/conftest.py::close_window_loop``."""
     c = world.config
     spw = c.slots_per_window
     if world.clock % spw != 0 or world.clock == 0:
         raise ValueError(f"clock {world.clock} is not at a window boundary")
-    window_id = world.clock // spw
-
-    ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
-    _check_soc(world, ids, lambda _: window_id)
-    soc = world.uav_f[ids, K.F_SOC]
-    n_s = world.sample_count[ids]
-    # plain ints and floats from here on: outcomes are written to CSV
-    bidder_ids = ids.tolist()
-    phi = (world.phi_sum[ids] / n_s).tolist()
-    rho_bars = dict(zip(bidder_ids, (world.rho_sum[ids] / n_s).tolist()))
-    gaps = (world.uav_f[ids, K.F_SAT] - soc).tolist()
-    demand = list(map(DemandEntry, bidder_ids, phi, phi))  # truthful bids
-
-    idle = np.flatnonzero(world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).tolist()
-    supply = world.ugv_f[idle, K.G_SUPPLY].tolist()
-    offers = [(j, world.ugv_qors(j), s) for j, s in zip(idle, supply)]
-
-    market = admit(demand, offers, window_id, gaps)
-    outcome = run_auction(market)
-
-    row = MetricsRow(
-        scheme=world.scheme,
-        ugv_count=c.ugv_count,
-        tau=c.window_len,
-        seed=world.seed,
-        window=window_id,
-        sl=satisfaction_level(outcome, rho_bars),
-        uav_utility=sum(outcome.uav_utilities.values()),
-        ugv_utility=sum(outcome.ugv_utilities.values()),
-        surplus=outcome.social_surplus,
-        non_envy_ratio=1.0,  # truthful bids: envy-free by the paper's theorem
-        winners=outcome.num_winners,
-    )
-
-    # schedule matched pairs
-    for m in outcome.winners:
-        i, j = m.uav_id, m.ugv_id
-        pad = (world.ugv_f[j, K.G_X], world.ugv_f[j, K.G_Y])
-        meet = pad if world.scheme == SCHEME_STATIC else rendezvous(world.spot, pad)
-        world.uav_i[i, K.I_ACT] = K.ACT_FLY_OUT
-        world.uav_i[i, K.I_PARTNER] = j + world.ugv_base
-        world.uav_f[i, K.F_TX] = meet[0]
-        world.uav_f[i, K.F_TY] = meet[1]
-        world.ugv_i[j, K.GI_PARTNER] = i + world.uav_base
-        if world.scheme == SCHEME_STATIC:
-            world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
-        else:
-            world.ugv_i[j, K.GI_STATE] = K.UGV_ENROUTE
-            world.ugv_f[j, K.G_TX] = meet[0]
-            world.ugv_f[j, K.G_TY] = meet[1]
-    # winners leave the queue with a fresh valuation series
-    won = [m.uav_id for m in outcome.winners]
-    world.bidder[won] = False
-    world.fail_count[won] = 0
-    world.phi_sum[won] = world.rho_sum[won] = 0.0
-    world.sample_count[won] = 0
-    _settle_losers(world, np.array(outcome.losers, dtype=np.int64), c.max_failed_windows)
-    return outcome, row, market
+    if world.uav_base or world.ugv_base:
+        raise ValueError("close_window clears a world of its own, not a member of a stack")
+    window = world.clock // spw
+    cols = MetricsColumns([(world.scheme, c.ugv_count, c.window_len, world.seed, 0, 1)],
+                          np.array([window]), False, True)
+    one = np.zeros(1, dtype=np.int64)  # the one member, and its one entry
+    _close_boundary(world, [world], one, one, world.clock, cols, _layout([world]))
+    return cols.outcomes[0].outcome(window), cols.rows()[0]
 
 
 # most slots _run_lockstep buffers before booking them: at least one
@@ -582,7 +512,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     length, is cleared by one ``_close_boundary`` call for the whole
     stack, which fills the windows' entries. The trades it keeps for
     the audit are audited in one ``_audit_arrays`` batch after the last
-    slot.
+    slot. The members are left as views of the stack (``run_worlds``
+    unstacks them).
     """
     stack = _stack(worlds)
     start = stack.clock
@@ -632,7 +563,6 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     finally:
         for w in worlds:
             w.clock = stack.clock
-        _unstack(worlds)
         K.unbind()  # the kernel's view memo would keep the stack alive
 
 
@@ -650,18 +580,18 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     vehicle trades. One stable ``np.lexsort`` ranks the due worlds'
     bidders by (world, bid descending, row), as the auction ranks them.
 
-    A trade clears as ``close_window`` clears it, float for float,
-    without building a market: ``_clear_window`` passes the ranking and
-    the world's admitted vehicles, each scored once by
+    A trade clears without building a market: ``_clear_window`` passes
+    the ranking and the world's admitted vehicles, each scored once by
     ``World.ugv_qors``, to ``mechanism.clear``, and sums SL and the
-    utilities in ``close_window``'s order into the ``MetricsRow`` that
-    checks them; the pairs are scheduled in one array pass. Every other
-    bidder of a due world loses, and all of them, in trades or not,
-    settle through one ``_settle_losers``. Every due entry's empty-side
-    flags are set here, and when ``cols`` keeps them, its ``Trade``
-    record (with no winner for a window with no trade); for an audit, a
-    trade's ranked bidders, their bids and its vehicles' q are kept in
-    ``cols.audited``.
+    utilities in the order of ``tests/conftest.py::close_window_loop``,
+    the scalar reference, into the ``MetricsRow`` that checks them; the
+    pairs are scheduled in one array pass. Every other bidder of a due
+    world loses, and all of them, in trades or not, settle through one
+    ``_settle_losers``. Every due entry's empty-side flags are set here,
+    and when ``cols`` keeps them, its ``Trade`` record (with no winner
+    for a window with no trade); for an audit, a trade's ranked bidders,
+    their bids and its vehicles' q are kept in ``cols.audited``. A
+    bidder whose SoC has left [0, capacity] is a ValueError.
     """
     L = layout
     sampled = stack.bidder & (stack.sample_count > 0)
@@ -691,8 +621,11 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     if bidding:
         cols.uav_empty[entry] = ~bids
         rows = np.flatnonzero(sampled & due[L.uav_world])
-        _check_soc(stack, rows, lambda row: (
-            clock // worlds[L.uav_world[row]].config.slots_per_window))
+        soc = stack.uav_f[rows, K.F_SOC]
+        bad = rows[~((soc >= 0.0) & (soc <= stack.uav_f[rows, K.F_CAP]))]
+        if bad.size:
+            window = clock // worlds[L.uav_world[bad[0]]].config.slots_per_window
+            raise ValueError(f"window {window}: a bidder's SoC left [0, capacity]")
         losing[rows] = True
     if keep or trades:
         # the due members' bidders, ranked, and admitted vehicles in id
@@ -745,8 +678,9 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
 
 def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: list,
                   ugvs: list) -> tuple[Trade, MetricsRow, list]:
-    """One trading window of ``world``, cleared as ``close_window`` clears
-    it, float for float, without building a market.
+    """One trading window of ``world``, cleared as the scalar reference
+    ``tests/conftest.py::close_window_loop`` clears it, float for float,
+    without building a market.
 
     ``ranked``, ``bid`` and ``rho_bar`` are the window's bidders in the
     auction's order (local id, truthful bid, window-average urgency),
@@ -765,7 +699,7 @@ def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: l
     sl = 0.0
     for q, rho in zip(trade.qs, rho_bar):
         sl += q * rho
-    # close_window sums every participant's utility in id order; a
+    # the reference sums every participant's utility in id order; a
     # loser's 0.0 leaves a sum that starts at the int 0 unchanged
     row = MetricsRow(
         scheme=world.scheme, ugv_count=c.ugv_count, tau=c.window_len, seed=world.seed,
@@ -779,14 +713,14 @@ def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: l
 
 def _schedule(stack: World, layout: _Layout, uavs: np.ndarray, ugvs: np.ndarray) -> None:
     """Send each winner (stack row ``uavs[r]``) to its vehicle (row
-    ``ugvs[r]``), as ``close_window`` schedules a pair: a mobile vehicle
-    drives to the ``rendezvous`` halfway to the spot, a static pad is
-    met where it stands and starts serving. The winners leave the queue
-    with a fresh valuation series."""
+    ``ugvs[r]``), as ``tests/conftest.py::close_window_loop`` schedules a
+    pair: a mobile vehicle drives to the rendezvous halfway to the spot,
+    a static pad is met where it stands and starts serving. The winners
+    leave the queue with a fresh valuation series."""
     world = layout.ugv_world[ugvs]
     static = layout.static[world]
     x, y = stack.ugv_f[ugvs, K.G_X], stack.ugv_f[ugvs, K.G_Y]
-    # rendezvous' float operations, elementwise
+    # the rendezvous midpoint's float operations, elementwise
     tx = np.where(static, x, (layout.spot_x[world] + x) / 2.0)
     ty = np.where(static, y, (layout.spot_y[world] + y) / 2.0)
     stack.uav_i[uavs, K.I_ACT] = K.ACT_FLY_OUT
@@ -802,15 +736,6 @@ def _schedule(stack: World, layout: _Layout, uavs: np.ndarray, ugvs: np.ndarray)
     stack.fail_count[uavs] = 0
     stack.phi_sum[uavs] = stack.rho_sum[uavs] = 0.0
     stack.sample_count[uavs] = 0
-
-
-def _check_soc(world: World, rows: np.ndarray, window_of: Callable[[int], int]) -> None:
-    """ValueError if a bidder in ``rows`` has left [0, capacity];
-    ``window_of(row)`` names the window it bid in."""
-    soc = world.uav_f[rows, K.F_SOC]
-    bad = rows[~((soc >= 0.0) & (soc <= world.uav_f[rows, K.F_CAP]))]
-    if bad.size:
-        raise ValueError(f"window {window_of(bad[0])}: a bidder's SoC left [0, capacity]")
 
 
 def _settle_losers(world: World, losers: np.ndarray, max_fails) -> None:
@@ -871,11 +796,15 @@ def run_worlds(
     through ``advance_slot``. Every window that closes at a slot is
     cleared by one ``_close_boundary`` call for the stack, without
     building a market, audited or not; each window's row, outcome,
-    audit report and state updates equal those of ``close_window`` and
-    ``audit_market`` on its market. Each result is (metrics rows,
-    outcomes, audit reports), as from ``run_world``.
+    audit report and state updates equal those of the scalar reference
+    ``tests/conftest.py::close_window_loop`` and of ``audit_market`` on
+    its market. Each result is (metrics rows, outcomes, audit reports),
+    as from ``run_world``, and each world gets its own arrays back.
     """
-    cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
+    try:
+        cols = _run_columns(worlds, horizon_slots, with_audit, keep_outcomes)
+    finally:
+        _unstack(worlds)  # the caller keeps its worlds
     # one run per world, in entry order: output position is entry index
     rows, audits = cols.rows(), cols.audit_reports()
     outcomes = [outcome for *_, outcome in cols.outcome_tuples()]

@@ -350,7 +350,8 @@ def _derived_problems(c: ScenarioConfig) -> list[str]:
     charging gain, pad draw and step lengths, a vehicle's largest step,
     the largest valuation ``mu0 + mu1``, the largest sum of them a
     window makes, and that sum squared over 2**32 windows, as the
-    aggregates' standard deviations sum squares. Computed without
+    aggregates' standard deviations sum squares, and a bound on the
+    kernel's squared leg length ``dx*dx + dy*dy``. Computed without
     raising: a power law that raises in ``slot_constants`` is reported
     too."""
     try:
@@ -369,6 +370,11 @@ def _derived_problems(c: ScenarioConfig) -> list[str]:
             max(c.slots_per_window, min(c.uav_count, c.ugv_count)) * valuation)
         if math.isfinite(bound):
             derived[f"2**32 * ({window}) ** 2"] = 2.0 ** 32 * (bound * bound)
+    # a UAV's home lies within task_radius of the spot, and a vehicle or
+    # its rendezvous within ugv_distance_max, so no leg's dx or dy exceeds
+    # their sum; with it bounded, no coordinate of a finite area overflows
+    reach = c.task_radius + c.ugv_distance_max
+    derived["2 * (task_radius + ugv_distance_max) ** 2"] = 2.0 * reach * reach
     return [f"{name}: derived constant must be finite (got {value})"
             for name, value in derived.items() if not math.isfinite(value)]
 

@@ -27,10 +27,12 @@ from skymarket.audit import (
     market_values,
 )
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
-from skymarket.mechanism import (
-    loser_line, rank_payments, run_auction, uav_utility, winner_line, with_replaced_bid,
+from skymarket.mechanism import (  # close_window_loop looks up admit and run_auction here
+    DemandEntry, admit, loser_line, rank_payments, run_auction, uav_utility, winner_line,
+    with_replaced_bid,
 )
-from skymarket.simulator import SCHEME_STATIC, advance_slot, close_window
+from skymarket.metrics import MetricsRow
+from skymarket.simulator import SCHEME_STATIC, advance_slot
 from skymarket.types import Activity, AuctionOutcome
 
 
@@ -430,12 +432,109 @@ def csv_writer_text(rows):
     return buf.getvalue()
 
 
+def rendezvous(spot, ugv_pos):
+    """Meeting point for a matched pair: the spot-to-vehicle midpoint."""
+    return ((spot[0] + ugv_pos[0]) / 2.0, (spot[1] + ugv_pos[1]) / 2.0)
+
+
+def satisfaction_level(outcome, rho_bars):
+    """Allocation quality weighted by urgency: sum of q_j * rho_bar_i."""
+    total = 0.0
+    for m in outcome.winners:
+        total += m.q * rho_bars[m.uav_id]
+    return total
+
+
+def close_window_loop(world):
+    """Clear the pending window of ``world`` through a market object:
+    the scalar oracle for ``simulator.close_window`` and the sweep's
+    ``_close_boundary``, which clear it from arrays without building one.
+
+    Reads the market inputs as whole-array slices: the queued bidders'
+    window-average valuations and urgencies, their satisfaction gaps, and
+    each idle vehicle's quality score and remaining supply. Clears the
+    market through ``admit`` and ``run_auction`` (looked up in this
+    module, so a test can patch them) and schedules rendezvous for
+    matched pairs; losers are settled one at a time by
+    ``settle_losers_loop``. ``world`` may be a member of a stack. Every
+    bid is truthful, so the row's non-envy ratio is the 1.0 of the
+    paper's envy-freeness theorem. Returns (outcome, metrics row, the
+    market it cleared).
+    """
+    c = world.config
+    spw = c.slots_per_window
+    if world.clock % spw != 0 or world.clock == 0:
+        raise ValueError(f"clock {world.clock} is not at a window boundary")
+    window_id = world.clock // spw
+
+    ids = np.flatnonzero(world.bidder & (world.sample_count > 0))
+    soc = world.uav_f[ids, F_SOC]
+    for s, cap in zip(soc.tolist(), world.uav_f[ids, F_CAP].tolist()):
+        if not 0.0 <= s <= cap:
+            raise ValueError(f"window {window_id}: a bidder's SoC left [0, capacity]")
+    n_s = world.sample_count[ids]
+    # plain ints and floats from here on: outcomes are written to CSV
+    bidder_ids = ids.tolist()
+    phi = (world.phi_sum[ids] / n_s).tolist()
+    rho_bars = dict(zip(bidder_ids, (world.rho_sum[ids] / n_s).tolist()))
+    gaps = (world.uav_f[ids, F_SAT] - soc).tolist()
+    demand = list(map(DemandEntry, bidder_ids, phi, phi))  # truthful bids
+
+    idle = np.flatnonzero(world.ugv_i[:, GI_STATE] == UGV_IDLE).tolist()
+    supply = world.ugv_f[idle, G_SUPPLY].tolist()
+    offers = [(j, world.ugv_qors(j), s) for j, s in zip(idle, supply)]
+
+    market = admit(demand, offers, window_id, gaps)
+    outcome = run_auction(market)
+
+    row = MetricsRow(
+        scheme=world.scheme,
+        ugv_count=c.ugv_count,
+        tau=c.window_len,
+        seed=world.seed,
+        window=window_id,
+        sl=satisfaction_level(outcome, rho_bars),
+        uav_utility=sum(outcome.uav_utilities.values()),
+        ugv_utility=sum(outcome.ugv_utilities.values()),
+        surplus=outcome.social_surplus,
+        non_envy_ratio=1.0,  # truthful bids: envy-free by the paper's theorem
+        winners=outcome.num_winners,
+    )
+
+    # schedule matched pairs
+    for m in outcome.winners:
+        i, j = m.uav_id, m.ugv_id
+        pad = (world.ugv_f[j, G_X], world.ugv_f[j, G_Y])
+        meet = pad if world.scheme == SCHEME_STATIC else rendezvous(world.spot, pad)
+        world.uav_i[i, I_ACT] = ACT_FLY_OUT
+        world.uav_i[i, I_PARTNER] = j + world.ugv_base
+        world.uav_f[i, F_TX] = meet[0]
+        world.uav_f[i, F_TY] = meet[1]
+        world.ugv_i[j, GI_PARTNER] = i + world.uav_base
+        if world.scheme == SCHEME_STATIC:
+            world.ugv_i[j, GI_STATE] = UGV_SERVING
+        else:
+            world.ugv_i[j, GI_STATE] = UGV_ENROUTE
+            world.ugv_f[j, G_TX] = meet[0]
+            world.ugv_f[j, G_TY] = meet[1]
+    # winners leave the queue with a fresh valuation series
+    won = [m.uav_id for m in outcome.winners]
+    world.bidder[won] = False
+    world.fail_count[won] = 0
+    world.phi_sum[won] = world.rho_sum[won] = 0.0
+    world.sample_count[won] = 0
+    settle_losers_loop(world, outcome.losers, c.max_failed_windows)
+    return outcome, row, market
+
+
 def no_trade_outcome(world, window_id, sampled, admitted):
-    """``close_window``'s outcome for a window with no trade, given the
+    """``close_window_loop``'s outcome for a window with no trade, given the
     world's masks of sampled bidders and admitted vehicles (one of them
     empty): every bidder loses, ranked by bid descending and id
     ascending as the auction ranks them, and everyone settles at 0. The
-    oracle for the ``Trade`` records with no winner that ``MetricsColumns`` keeps."""
+    oracle for the ``Trade`` records with no winner that ``MetricsColumns``
+    keeps, whether ``_close_boundary`` fills them for a sweep or for a
+    one-world ``close_window``."""
     ids = np.flatnonzero(sampled)
     bids = world.phi_sum[ids] / world.sample_count[ids]
     return AuctionOutcome(
@@ -447,11 +546,12 @@ def no_trade_outcome(world, window_id, sampled, admitted):
 
 
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
-    """One world run alone, slot by slot, every window through
-    ``close_window`` and, with ``with_audit``, every market it clears
-    through ``audit_market``: the oracle for ``run_worlds``, which stacks
-    worlds and clears every window of a slot boundary at once, without
-    building a market (``simulator._close_boundary``).
+    """One world run alone, slot by slot, every window through the
+    scalar ``close_window_loop`` and, with ``with_audit``, every market it
+    clears through ``audit_market``: the oracle for ``run_worlds``, which
+    stacks worlds and clears every window of a slot boundary at once,
+    without building a market (``simulator._close_boundary``, of which
+    ``simulator.close_window`` is the one-world call).
     The outcome of a window with no trade (no sampled bidder, or no
     vehicle ``admit`` keeps) must be its ``no_trade_outcome``."""
     spw = world.config.slots_per_window
@@ -466,7 +566,7 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
             no_trade = None
             if not (sampled.any() and admitted.any()):
                 no_trade = no_trade_outcome(world, world.clock // spw, sampled, admitted)
-            outcome, row, market = close_window(world)
+            outcome, row, market = close_window_loop(world)
             rows.append(row)
             if with_audit:
                 audits.append(audit_market(
@@ -479,8 +579,8 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
 
 
 def settle_losers_loop(world, losers, max_failed_windows):
-    """Settle a window's losers one at a time, as ``close_window`` once
-    did: the oracle for ``simulator._settle_losers``, which settles them
+    """Settle a window's losers one at a time, as ``close_window_loop``
+    does: the oracle for ``simulator._settle_losers``, which settles them
     with array operations. Every loser's valuation series restarts."""
     for i in losers:
         world.fail_count[i] += 1

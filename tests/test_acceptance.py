@@ -25,13 +25,14 @@ from skymarket.energy import ascend_power, descend_power
 from skymarket.mechanism import run_auction
 from skymarket.simulator import (
     advance_slot,
-    close_window,
     generate_scenario,
     run_experiment,
 )
 from skymarket.types import ScenarioConfig
 
-from conftest import check_ir, naive_best_assignment, payment_closed_form, payment_unrolled
+from conftest import (
+    check_ir, close_window_loop, naive_best_assignment, payment_closed_form, payment_unrolled,
+)
 
 SWEEP_SEEDS = 100
 TREND_UGVS = (6, 8, 10, 12, 14)
@@ -234,7 +235,7 @@ def test_criterion_9_energy_model_identities():
             ok_bounds = False
             break
         if world.clock % cfg.slots_per_window == 0:
-            _, row, _ = close_window(world)
+            _, row, _ = close_window_loop(world)
             rows.append(row)
 
     # (c) surplus == total utilities on every recorded window (1e-9)

@@ -2,7 +2,10 @@
 
 import csv
 import hashlib
+import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row, random_market
 from skymarket.cli import build_parser, main
 from skymarket.mechanism import OUTCOME_CSV_HEADER, WindowMarket
 from skymarket.metrics import METRICS_CSV_HEADER
-from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment
-from skymarket.types import ScenarioConfig, save_config
+from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment, run_world
+from skymarket.types import ScenarioConfig, save_config, validate
 
 from conftest import (
     csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script, run_cli_process,
@@ -93,8 +96,15 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
     ("eps2 = 1e-200\n", "eps2: eps2 * eps2 underflows to 0 in the vertical power"),
     # an inf drain per slot: every descending UAV used to empty at once
     ("uav_descend_speed = 1e200\n", "drain_desc: derived constant must be finite (got inf)"),
+    # the kernel's dx * dx overflows on the way to a far vehicle or home:
+    # positions used to turn NaN while every CSV stayed finite
+    ("ugv_distance_max = 1e308\n", "2 * (task_radius + ugv_distance_max) ** 2: "
+     "derived constant must be finite (got inf)"),
+    ("task_radius = 1e308\n", "2 * (task_radius + ugv_distance_max) ** 2: "
+     "derived constant must be finite (got inf)"),
 ], ids=["flight-power-overflow", "infinite-valuation", "infinite-window-valuation-sum",
-        "infinite-squared-window-sum", "eps2-underflow", "infinite-drain"])
+        "infinite-squared-window-sum", "eps2-underflow", "infinite-drain",
+        "overflowing-vehicle-leg", "overflowing-home-leg"])
 def test_configs_whose_derived_constants_overflow_are_config_errors(tmp_path, capsys, text,
                                                                     problem):
     cfg = tmp_path / "huge.cfg"
@@ -105,6 +115,28 @@ def test_configs_whose_derived_constants_overflow_are_config_errors(tmp_path, ca
     err = capsys.readouterr().err
     assert err == f"invalid config: {problem}\n" and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", ["ugv_distance_max", "task_radius"])
+def test_geometry_just_inside_the_bound_runs_without_a_warning(field):
+    # a leg just short of the bound on 2 * (task_radius + ugv_distance_max)
+    # ** 2: under warnings-as-errors the kernel squares every leg without
+    # overflow, pairs fly and drive toward far vehicles, and every
+    # position stays finite
+    reach = 0.99 * math.sqrt(sys.float_info.max / 2.0)
+    base = ScenarioConfig(horizon_slots=200, uav_soc_frac_min=0.1, uav_soc_frac_max=0.4)
+    other = base.ugv_distance_max if field == "task_radius" else base.task_radius
+    cfg = base.replace(**{field: reach - other})
+    assert validate(cfg) == []
+    world = generate_scenario(cfg, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, _, _ = run_world(world)
+    assert sum(r.winners for r in rows) > 0
+    for name in ("uav_f", "ugv_f"):
+        assert np.isfinite(getattr(world, name)).all(), name
+    assert validate(cfg.replace(**{field: 2.0 * reach})) == [
+        "2 * (task_radius + ugv_distance_max) ** 2: derived constant must be finite (got inf)"]
 
 
 @pytest.mark.parametrize("text, message", [

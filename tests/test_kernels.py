@@ -11,7 +11,7 @@ import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
 
-from conftest import run_benchmark_script, step_world_loop
+from conftest import close_window_loop, run_benchmark_script, step_world_loop
 
 
 def snapshot(world):
@@ -49,7 +49,9 @@ def stacked_sweep_states(slots=200):
     """Kernel inputs of a three-world stack, slot by slot, with windows
     clearing in between. Fast pads make sessions short, and the second
     world's 60 Wh pads run dry, so the steps include vehicles en route and
-    arriving, landings, finished and starved charges and top-outs."""
+    arriving, landings, finished and starved charges and top-outs. The
+    members' windows close one by one through ``close_window_loop``, as
+    ``close_window`` clears only a world of its own."""
     cfg = ScenarioConfig(uav_count=12, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6,
                          ugv_transfer_power_w=6000.0)
     worlds = [
@@ -65,7 +67,7 @@ def stacked_sweep_states(slots=200):
         if stack.clock % spw == 0:
             for w in worlds:
                 w.clock = stack.clock
-                close_window(w)
+                close_window_loop(w)
 
 
 def with_every_transition(state):
@@ -167,6 +169,24 @@ def test_a_finished_stack_is_freed(monkeypatch):
     simulator.run_worlds(worlds, 16)
     gc.collect()
     assert len(refs) == 1 and refs[0]() is None
+
+
+def test_a_sweeps_stack_is_freed_once_it_returns(monkeypatch):
+    # run_experiment discards its worlds without copying their arrays
+    # back, and nothing it returns keeps their stack alive
+    refs, stack, unstacked = [], simulator._stack, []
+
+    def stack_and_watch(worlds):
+        built = stack(worlds)
+        refs.append(weakref.ref(built.uav_f))
+        return built
+
+    monkeypatch.setattr(simulator, "_stack", stack_and_watch)
+    monkeypatch.setattr(simulator, "_unstack", unstacked.append)
+    res = simulator.run_experiment(ScenarioConfig(horizon_slots=16), {"ugv_count": [3, 5]}, 2)
+    gc.collect()
+    assert len(res.rows) == 2 * 2 * 3 * 2
+    assert len(refs) == 1 and refs[0]() is None and unstacked == []
 
 
 def test_kernel_steps_the_arrays_it_is_given_as_they_change():

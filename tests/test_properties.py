@@ -8,6 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
+import conftest  # noqa: E402
 from conftest import (  # noqa: E402
     audit_fields,
     check_stability_loop,
@@ -103,7 +104,7 @@ def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon
     # a stack of worlds that mix window lengths, slot lengths and schemes,
     # started below the alert level, with losers leaving after a few
     # failed windows, clears every window as each world would alone with
-    # every window going through close_window; windows with no bidder
+    # every window going through close_window_loop; windows with no bidder
     # and windows whose bidders meet no admissible vehicle are settled
     # for the whole stack at once
     _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency)
@@ -132,13 +133,13 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
     # after its first match, and the others' vehicles carry less supply
     # than their neediest bidder's gap. Only windows with a trade are
     # cleared by the stack (the oracle clears every window through
-    # close_window)
+    # close_window_loop)
     from skymarket import simulator
 
     seen = []  # per market with a bidder: (idle vehicles, admitted vehicles)
     cleared = []  # per window the stack clears: its winners
     trading = [0]  # trading windows, by _close_boundary's masks
-    real_admit, real_clear = simulator.admit, simulator._clear_window
+    real_admit, real_clear = conftest.admit, simulator._clear_window
     real_boundary = simulator._close_boundary
 
     def recording(demand, offers, window_id, gaps):
@@ -157,7 +158,7 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
         trading[0] += int(masks.trading.sum())
         return masks
 
-    monkeypatch.setattr(simulator, "admit", recording)
+    monkeypatch.setattr(conftest, "admit", recording)
     monkeypatch.setattr(simulator, "_clear_window", counting_clear)
     monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
     specs = [

@@ -7,12 +7,16 @@ import math
 import numpy as np
 import pytest
 
+import conftest
 from conftest import (
     aggregate_row_objects,
     agent_arrays_per_agent,
+    close_window_loop,
     csv_writer_text,
     outcome_rows,
+    rendezvous,
     run_world_windowwise,
+    satisfaction_level,
 )
 import skymarket._kernels as K
 import skymarket.simulator as simulator
@@ -25,11 +29,9 @@ from skymarket.simulator import (
     aggregate_rows,
     close_window,
     generate_scenario,
-    rendezvous,
     run_experiment,
     run_world,
     run_worlds,
-    satisfaction_level,
 )
 from skymarket.audit import UTILITY_TOL
 from skymarket.baselines import optimal_scheme_outcome
@@ -443,8 +445,8 @@ def test_simulated_outcomes_hold_plain_ints_and_floats():
 
 @pytest.mark.parametrize("per_loser", [False, True])
 def test_settle_losers_matches_the_per_loser_loop(rng, per_loser):
-    # the array settlement that close_window and the stack share, against
-    # the loop close_window once ran, on failure counts at and around
+    # the array settlement of every window a boundary closes, against
+    # the loop close_window_loop runs, on failure counts at and around
     # the limit; a limit is the world's (scalar) or each loser's own
     from conftest import settle_losers_loop
 
@@ -478,8 +480,8 @@ def test_settle_losers_matches_the_per_loser_loop(rng, per_loser):
 
 
 def test_stack_rejects_a_losing_bidder_soc_beyond_capacity():
-    # a bidder of a window with no trade is checked as close_window checks
-    # one, and the error names the window of the bidder's own world
+    # a bidder of a window with no trade is checked as close_window_loop
+    # checks one, and the error names the window of the bidder's own world
     worlds = []
     for window_len in (8.0, 4.0):
         cfg = ScenarioConfig(window_len=window_len, enter_urgency=0.0, ugv_supply_wh=1.0,
@@ -531,7 +533,7 @@ def test_row_reductions_match_the_one_dimensional_ones(length):
 def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
     # a sweep reads `optimal` off the `ours` world. The oracle runs each
     # world alone with the real welfare planner in place of the auction
-    # inside close_window, so its outcomes steer the rendezvous; every
+    # inside close_window_loop, so its outcomes steer the rendezvous; every
     # row, outcome and audit report must match, including windows of 12
     # eager bidders against 12 idle pads
     cfg = ScenarioConfig(
@@ -561,7 +563,7 @@ def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
         planned.append(not market.is_empty)
         return optimal_scheme_outcome(market)
 
-    monkeypatch.setattr(simulator, "run_auction", planner)
+    monkeypatch.setattr(conftest, "run_auction", planner)
     rows, outcomes, audits = [], [], []
     for m in kw["sweep"]["ugv_count"]:
         for seed in (3, 4):
@@ -706,7 +708,7 @@ def test_a_boundary_with_several_trades_clears_as_each_world_alone(monkeypatch):
     # first world, losers never leave and short charging sessions free the
     # vehicles, so some winners had lost before. Rows, outcomes, audits,
     # the outcomes.csv text and every world's arrays must be each world's
-    # run alone through close_window
+    # run alone through close_window_loop
     cfg = ScenarioConfig(uav_soc_frac_min=0.05, uav_soc_frac_max=0.15, enter_urgency=0.0,
                          max_failed_windows=3)
     cells = [
@@ -935,21 +937,84 @@ def test_worlds_starting_below_the_alert_level_run_to_the_horizon():
         assert sum(r.winners for r in rows) > 0, scheme
 
 
-def test_close_window_rejects_a_bidder_soc_beyond_capacity():
+def test_close_window_rejects_a_bidder_soc_beyond_capacity(monkeypatch):
+    # raised inside _close_boundary, with the scalar loop's message
+    clocks = []  # per _close_boundary call: its clock
+    real_boundary = simulator._close_boundary
+
+    def spy(stack, worlds, ks, entry, clock, cols, layout):
+        clocks.append(clock)
+        return real_boundary(stack, worlds, ks, entry, clock, cols, layout)
+
+    monkeypatch.setattr(simulator, "_close_boundary", spy)
     cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
-    world = generate_scenario(cfg, seed=2)
+    world, twin = generate_scenario(cfg, seed=2), generate_scenario(cfg, seed=2)
     for _ in range(cfg.slots_per_window):
         advance_slot(world)
+        advance_slot(twin)
     i = int(np.flatnonzero(world.bidder)[0])
-    world.uav_f[i, K.F_SOC] = world.uav_f[i, K.F_CAP] + 1.0
-    with pytest.raises(ValueError, match="capacity"):
+    for w in (world, twin):
+        w.uav_f[i, K.F_SOC] = w.uav_f[i, K.F_CAP] + 1.0
+    with pytest.raises(ValueError, match="capacity") as got:
         close_window(world)
+    with pytest.raises(ValueError) as want:
+        close_window_loop(twin)
+    assert str(got.value) == str(want.value) == "window 1: a bidder's SoC left [0, capacity]"
+    assert clocks == [cfg.slots_per_window]
+
+
+def test_close_window_clears_only_a_world_of_its_own():
+    # a member of a stack holds stack-global partner indices, which only
+    # its stack's boundary clears; close_window refuses it
+    worlds = [generate_scenario(ScenarioConfig(), seed) for seed in (1, 2)]
+    stack = simulator._stack(worlds)
+    for _ in range(stack.config.slots_per_window):
+        advance_slot(stack)
+    worlds[1].clock = stack.clock
+    with pytest.raises(ValueError, match="not a member of a stack"):
+        close_window(worlds[1])
+
+
+def test_close_window_matches_the_scalar_loop():
+    # close_window, the one-world call of _close_boundary, against the
+    # scalar close_window_loop on a twin world at every window, on the
+    # default world, a crowded one (100 UAVs against 25 vehicles from SoC
+    # 0.3-0.6) and a small one whose losers leave after two failed 4-slot
+    # windows, both schemes and four seeds each: the outcome and row by
+    # repr (an int 0 where the loop writes 0.0 would change the CSVs),
+    # and every agent and bookkeeping array by bytes
+    configs = (
+        ScenarioConfig(),
+        ScenarioConfig(uav_count=100, ugv_count=25, uav_soc_frac_min=0.3,
+                       uav_soc_frac_max=0.6),
+        ScenarioConfig(uav_count=30, ugv_count=4, max_failed_windows=2, window_len=4.0),
+    )
+    horizon = 240
+    kinds = set()  # (a trade, some loser) per window
+    windows = excluded = 0
+    for cfg, scheme, seed in itertools.product(configs, (SCHEME_OURS, SCHEME_STATIC),
+                                               range(4)):
+        world, twin = generate_scenario(cfg, seed, scheme), generate_scenario(cfg, seed, scheme)
+        for _ in range(horizon // cfg.slots_per_window):
+            for _ in range(cfg.slots_per_window):
+                advance_slot(world)
+                advance_slot(twin)
+            got = close_window(world)
+            assert repr(got) == repr(close_window_loop(twin)[:2])
+            for name in simulator._UAV_ARRAYS + simulator._UGV_ARRAYS:
+                assert getattr(world, name).tobytes() == getattr(twin, name).tobytes(), name
+            kinds.add((bool(got[0].winners), bool(got[0].losers)))
+            windows += 1
+        excluded += int(world.excluded.sum())
+    assert windows == 8 * (30 + 30 + 60)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert excluded > 0
 
 
 def test_close_window_returns_the_market_its_outcome_clears():
-    # the market close_window returns, which a sweep audits, re-clears to
-    # the returned outcome, in windows with a trade, with bidders and no
-    # trade, and with no bidder
+    # the market close_window_loop returns, which the oracle of an audited
+    # sweep audits, re-clears to the returned outcome, in windows with a
+    # trade, with bidders and no trade, and with no bidder
     cfg = ScenarioConfig(uav_count=100, uav_soc_frac_min=0.3, uav_soc_frac_max=0.6,
                          max_failed_windows=3, horizon_slots=240)
     kinds = set()
@@ -958,7 +1023,7 @@ def test_close_window_returns_the_market_its_outcome_clears():
         for _ in range(cfg.horizon_slots):
             advance_slot(world)
             if world.clock % cfg.slots_per_window == 0:
-                outcome, row, market = close_window(world)
+                outcome, row, market = close_window_loop(world)
                 assert run_auction(market) == outcome
                 assert market.window_id == outcome.window_id == row.window
                 kinds.add((scheme, bool(outcome.winners), bool(market.demand)))
@@ -986,17 +1051,17 @@ def _snapshot_market(world):
 
 
 def test_close_window_builds_the_snapshot_market(monkeypatch):
-    # the market close_window hands to admit equals the one rebuilt from
-    # validated snapshots, at every window where each bidder is above its
-    # alert level (below it, UavState rejects the snapshot)
-    real_admit = simulator.admit
+    # the market close_window_loop hands to admit equals the one rebuilt
+    # from validated snapshots, at every window where each bidder is above
+    # its alert level (below it, UavState rejects the snapshot)
+    real_admit = conftest.admit
     captured = []
 
     def spy(*args):
         captured.append(real_admit(*args))
         return captured[-1]
 
-    monkeypatch.setattr(simulator, "admit", spy)
+    monkeypatch.setattr(conftest, "admit", spy)
     cfg = ScenarioConfig(uav_count=100, ugv_count=25,
                          uav_soc_frac_min=0.3, uav_soc_frac_max=0.6)
     compared = bidders = admitted = dropped = 0
@@ -1012,7 +1077,7 @@ def test_close_window_builds_the_snapshot_market(monkeypatch):
             above_alert = np.all(world.uav_f[queued, K.F_SOC] >= world.soc_alert[queued])
             expected = _snapshot_market(world) if above_alert else None
             idle = int((world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).sum())
-            close_window(world)
+            close_window_loop(world)
             if expected is not None:
                 assert captured[-1] == expected
                 # the ranked views, against sort keys written out here
