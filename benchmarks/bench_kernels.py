@@ -4,7 +4,8 @@
 Four workloads:
 
 * raw kernel throughput on synthetic fleets of increasing size, agents
-  mid-mission so every activity branch stays hot;
+  mid-mission so every activity branch stays hot, stepped in blocks of
+  one default window (8 slots) per ``step_world`` call, as a run steps;
 * ``run_worlds`` on one stack per slot, kernel, bookkeeping and windows
   together, on the stacks perfbench's sweeps step: ``fleet_sweep``'s
   (10 worlds of 10 UAVs, J = 6..14, mobile and static) and
@@ -14,12 +15,14 @@ Four workloads:
   (``_close_boundary``) split out;
 * a full default-scenario run (600 slots, 75 auction windows), which
   shows how much of the end-to-end wall time the kernel actually owns;
-* a replay of the kernel's inputs, recorded slot by slot over a
+* a replay of the kernel's inputs, recorded call by call over a
   ``run_experiment`` of each perfbench-shaped sweep (one seed, every
-  scheme): ``step_world`` alone is timed on each recorded state, and
-  each branch's share of slots with rows and with a transition is
-  printed. Only the kernel call is timed, so this is the steadiest
-  measure of a kernel change.
+  scheme): each call's four arrays and its block length. ``step_world``
+  alone is timed on each recorded block, and each branch's share of
+  slots with rows and with a transition is printed, with the share of
+  slots in which some UAV changes activity (after which the kernel
+  regroups its rows). Only the kernel call is timed, so this is the
+  steadiest measure of a kernel change.
 
 Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -56,20 +59,26 @@ def warmed_arrays(n_uavs, n_ugvs, seed=0):
     return world.uav_f, world.uav_i, world.ugv_f, world.ugv_i
 
 
+BLOCK = ScenarioConfig().slots_per_window  # slots per raw kernel call
+
+
 def time_steps(arrays, steps, repeats):
     best = np.inf
+    soc = np.empty((BLOCK, arrays[0].shape[0]))
+    sensing = np.empty(soc.shape, dtype=bool)
+    blocks = [min(BLOCK, steps - t) for t in range(0, steps, BLOCK)]
     for _ in range(repeats):
         # order="K" keeps the simulator's column-contiguous layout
         uf, ui, gf, gi = (a.copy(order="K") for a in arrays)
         t0 = time.perf_counter()
-        for _ in range(steps):
-            K.step_world(uf, ui, gf, gi)
+        for k in blocks:
+            K.step_world(uf, ui, gf, gi, soc=soc[:k], sensing=sensing[:k])
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def bench_raw(steps, repeats):
-    print(f"raw kernel, {steps} steps (best of {repeats}), time per step:")
+    print(f"raw kernel, {steps} slots in calls of {BLOCK} (best of {repeats}), time per slot:")
     # 150x150 is the stack a one-seed five-fleet-size three-scheme sweep steps
     for n_uavs, n_ugvs in ((10, 10), (50, 50), (150, 150), (200, 200), (1000, 1000)):
         best = time_steps(warmed_arrays(n_uavs, n_ugvs), steps, repeats)
@@ -92,10 +101,10 @@ def layer_timers():
     real = [getattr(module, name) for _, module, name in LAYERS]
 
     def timed(label, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 spent[label] += time.perf_counter() - t0
         return wrapper
@@ -160,56 +169,83 @@ BRANCHES = (
 )
 
 
-def record_states(cfg, sweep):
-    """Copies of step_world's four input arrays at every slot of the sweep."""
+def record_states(cfg, sweep, steps):
+    """step_world's four input arrays, copied, and the block length of
+    each call over the sweep's first ``steps`` slots (the last block cut
+    short to fit)."""
     states, step = [], K.step_world
 
-    def recording(*arrays):
-        states.append(tuple(a.copy(order="K") for a in arrays))
-        step(*arrays)
+    def recording(*arrays, soc=None, sensing=None):
+        states.append((tuple(a.copy(order="K") for a in arrays),
+                       1 if soc is None else len(soc)))
+        step(*arrays, soc=soc, sensing=sensing)
 
     K.step_world = recording
     try:
         run_experiment(cfg, sweep, replications=1, base_seed=REPLAY_SEED)
     finally:
         K.step_world = step
-    return states
+    blocks, left = [], steps
+    for arrays, k in states:
+        if left <= 0:
+            break
+        blocks.append((arrays, min(k, left)))
+        left -= k
+    return blocks
 
 
-def replay(states, arrays):
-    """Step each recorded state once, copied into the same four arrays so
-    the kernel's view memo holds; yields the time of each kernel call."""
-    for state in states:
+def replay(states, arrays, soc, sensing):
+    """Step each recorded block once, copied into the same four arrays;
+    yields the time of each kernel call."""
+    for state, k in states:
         for dst, src in zip(arrays, state):
             np.copyto(dst, src)
         t0 = time.perf_counter()
-        K.step_world(*arrays)
+        K.step_world(*arrays, soc=soc[:k], sensing=sensing[:k])
         yield time.perf_counter() - t0
+
+
+def branch_shares(states):
+    """Per branch of ``BRANCHES``: slots with rows and slots with a
+    transition; and slots in which some UAV changes activity. Each
+    recorded block is stepped again one slot at a time."""
+    with_rows = dict.fromkeys((name for name, *_ in BRANCHES), 0)
+    moving = dict(with_rows)
+    regroups = 0
+    for state, k in states:
+        arrays = tuple(a.copy(order="K") for a in state)
+        for _ in range(k):
+            before = tuple(a.copy(order="K") for a in arrays)
+            K.step_world(*arrays)
+            for name, i, col, codes in BRANCHES:
+                old = before[i][:, col]
+                rows = np.isin(old, codes)
+                with_rows[name] += bool(rows.any())
+                moving[name] += bool((rows & (arrays[i][:, col] != old)).any())
+            regroups += bool((arrays[1][:, K.I_ACT] != before[1][:, K.I_ACT]).any())
+    return with_rows, moving, regroups
 
 
 def bench_replay(steps, repeats):
     print(f"\nkernel replay of each perfbench sweep (cli seed {REPLAY_SEED}, first {steps} slots, "
-          f"best of {repeats} per slot):")
+          f"one call per block, best of {repeats} per call):")
     for title, cfg, sweep in SWEEPS:
-        states = record_states(cfg, sweep)[:steps]
-        arrays = tuple(a.copy(order="K") for a in states[0])
-        # each slot's best time: a burst of host noise spoils one slot, not the run
-        best = np.array([list(replay(states, arrays)) for _ in range(repeats)]).min(0)
-        uavs, ugvs = states[0][0].shape[0], states[0][2].shape[0]
-        print(f"  {title} ({uavs} UAVs x {ugvs} vehicles, {len(states)} slots): "
-              f"{best.mean() * 1e6:.2f}us per step")
-        with_rows = dict.fromkeys((name for name, *_ in BRANCHES), 0)
-        moving = dict(with_rows)
-        # replay yields once it has stepped a state: arrays hold the step's result
-        for state, _ in zip(states, replay(states, arrays)):
-            for name, k, col, codes in BRANCHES:
-                old = state[k][:, col]
-                rows = np.isin(old, codes)
-                with_rows[name] += bool(rows.any())
-                moving[name] += bool((rows & (arrays[k][:, col] != old)).any())
+        states = record_states(cfg, sweep, steps)
+        slots = sum(k for _, k in states)
+        arrays = tuple(a.copy(order="K") for a in states[0][0])
+        soc = np.empty((max(k for _, k in states), arrays[0].shape[0]))
+        sensing = np.empty(soc.shape, dtype=bool)
+        # each call's best time: a burst of host noise spoils one call, not the run
+        best = np.array([list(replay(states, arrays, soc, sensing))
+                         for _ in range(repeats)]).min(0)
+        uavs, ugvs = arrays[0].shape[0], arrays[2].shape[0]
+        print(f"  {title} ({uavs} UAVs x {ugvs} vehicles, {slots} slots): {len(states)} calls, "
+              f"{best.sum() * 1e6 / slots:.2f}us per slot, {best.mean() * 1e6:.2f}us per call")
+        with_rows, moving, regroups = branch_shares(states)
         for name, *_ in BRANCHES:
-            print(f"    {name:<18} rows in {with_rows[name] / len(states):>4.0%} of slots, "
-                  f"a transition in {moving[name] / len(states):>4.0%}")
+            print(f"    {name:<18} rows in {with_rows[name] / slots:>4.0%} of slots, "
+                  f"a transition in {moving[name] / slots:>4.0%}")
+        print(f"    some UAV changes activity in {regroups / slots:.0%} of slots")
 
 
 def main():

@@ -1,24 +1,24 @@
-"""Per-slot world stepping kernel, vectorized in pure numpy.
+"""World stepping kernel, vectorized in pure numpy.
 
-The simulator keeps agent state in struct-of-arrays form and advances one
-slot per call. It calls ``step_world`` on the stacked arrays of every
-world in a sweep, the same four arrays every slot, so the per-column
-views are bound on a stack's first step and reused (a one-entry memo
-keyed by the arrays' identity). The only link between rows is a partner
-index, which the simulator offsets into the stack, so each row's
-arithmetic is the same as in a world stepped alone. ``step_world``
-groups rows by activity and updates each group with whole-column
-operations, in the same per-element order as the scalar loop
-``step_world_loop`` in ``tests/conftest.py``, which the tests hold it
-to bit for bit; ``benchmarks/bench_kernels.py`` times it.
+The simulator keeps agent state in struct-of-arrays form. It calls
+``step_world`` once per block of slots up to the next window boundary,
+on the stacked arrays of every world in a sweep, and the kernel writes
+each slot's SoC and sensing mask into the buffers the bidder bookkeeping
+reads; nothing else writes the agent arrays inside a block. The only
+link between rows is a partner index, which the simulator offsets into
+the stack, so each row's arithmetic is the same as in a world stepped
+alone. ``step_world`` groups rows by activity and updates each group
+with whole-column operations, in the same per-element order as the
+scalar loop ``step_world_loop`` in ``tests/conftest.py``, which the
+tests hold it to bit for bit; ``benchmarks/bench_kernels.py`` times it.
 
-Most of a step's numpy calls would serve transitions: arrivals, pads
-that starve and sessions that end. They happen in few slots (on
-perfbench's sweeps a flying UAV arrives in about one slot in seven, a
-session ends in about one in twelve), so the flight, vehicle and
-charging branches test first whether any of their rows transitions,
-and otherwise update the whole group without splitting it. Each
-element gets the same float operations either way.
+Transitions (arrivals, landings, top-outs, pads that starve or turn
+ready, sessions that end) happen in few slots: on perfbench's sweeps
+some UAV changes activity in about a third of them. So the rows are
+regrouped, and each group's constants gathered, only after such a slot,
+and each branch tests first whether any of its rows transitions and
+otherwise updates its whole group without splitting it. Each element
+gets the same float operations either way.
 
 Array layouts (float64 / int64), one row per agent:
 
@@ -110,156 +110,164 @@ _GROUP_KEY = np.array([_BRANCH_ORDER.index(code) for code in range(len(_BRANCH_O
                       dtype=np.int8)
 
 
-# the last four arrays stepped, then their 1-D column views: a run steps
-# the same arrays every slot, so their views are bound once per run. It
-# keeps those arrays alive until another set is stepped or ``unbind`` is
-# called, as the simulator does when a stack is done
-_UNBOUND = (None, None, None, None, ())
-_bound = _UNBOUND
+# 0-d constants: a ufunc takes them without converting a Python scalar
+_ZERO = np.array(0.0)
+_SERVING = np.array(UGV_SERVING)
+_SENSE = np.array(ACT_SENSE)
 
 
-def _bind(uav_f, uav_i, ugv_f, ugv_i):
-    """Bind and remember the column views of a new set of arrays."""
-    global _bound
-    _bound = (uav_f, uav_i, ugv_f, ugv_i, (*uav_f.T, *uav_i.T, *ugv_f.T, *ugv_i.T))
-    return _bound
+def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
+    """Advance every agent ``len(soc)`` slots in place, or one slot when
+    no buffers are given; ``soc[t]`` and ``sensing[t]`` receive every
+    UAV's SoC and whether it is sensing after slot t.
 
-
-def unbind():
-    """Forget the remembered arrays and views, so they can be freed."""
-    global _bound
-    _bound = _UNBOUND
-
-
-def step_world(uav_f, uav_i, ugv_f, ugv_i):
-    """Advance every agent one slot, in place.
-
-    Every column is a 1-D view indexed on its own, and UAV rows are
-    grouped by activity with one sort per step: on column-contiguous
-    arrays each fancy index is then a plain 1-D gather. The views are
-    bound on the first step of a set of arrays and reused while the same
-    four arrays come back. A group is split into the rows that
-    transition and the rest (arrivals, starved pads, ended sessions)
-    only in a slot where some of its rows transition.
+    Each column is a 1-D view. UAV rows are sorted by activity, and each
+    group's constants gathered (the drains of all but the charging rows
+    into one vector), at the first slot and after any slot in which some
+    row changed activity. The en-route vehicles are gathered once, and
+    dropped as they arrive; their positions are written back when they
+    arrive and when the call returns.
     """
-    bound = _bound  # read once: the views below belong to these arrays
-    if (bound[0] is not uav_f or bound[1] is not uav_i
-            or bound[2] is not ugv_f or bound[3] is not ugv_i):
-        bound = _bind(uav_f, uav_i, ugv_f, ugv_i)
-    # unpacked in the order of the F_*, I_*, G_* and GI_* column indices
-    (soc, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
+    (soc_col, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
      drain_fly, drain_hov, drain_desc, drain_asc,
-     charge_gain, supply_draw, step_xy, step_down, step_up,
-     act, partner,
-     gx, gy, gtx, gty, gstep, supply,
-     state, gpartner) = bound[4]
+     charge_gain, supply_draw, step_xy, step_down, step_up) = uav_f.T
+    act, partner = uav_i.T
+    gx, gy, gtx, gty, gstep, supply = ugv_f.T
+    state, gpartner = ugv_i.T
 
-    # --- vehicles ---
+    # vehicles move first; only a window boundary sends one en route
     en = (state == UGV_ENROUTE).nonzero()[0]
-    if en.size:
-        dx = gtx[en] - gx[en]
-        dy = gty[en] - gy[en]
-        dist = np.sqrt(dx * dx + dy * dy)
-        step = gstep[en]
-        arrive = dist <= step
-        if arrive.any():  # rare: split off the arrivals, move the rest
-            a_idx = en[arrive]
-            gx[a_idx] = gtx[a_idx]
-            gy[a_idx] = gty[a_idx]
-            state[a_idx] = UGV_SERVING
-            move = ~arrive
-            en, dx, dy, dist, step = en[move], dx[move], dy[move], dist[move], step[move]
-        gx[en] += step * dx / dist
-        gy[en] += step * dy / dist
+    ex, ey, etx, ety, estep = gx[en], gy[en], gtx[en], gty[en], gstep[en]
+    regroup = True
+    for t in range(1 if soc is None else len(soc)):
+        if en.size:
+            dx = etx - ex
+            dy = ety - ey
+            dist = np.sqrt(dx * dx + dy * dy)
+            arrive = dist <= estep
+            if np.count_nonzero(arrive):  # rare: drop the arrivals, move the rest
+                arrived = en[arrive]
+                gx[arrived] = etx[arrive]
+                gy[arrived] = ety[arrive]
+                state[arrived] = UGV_SERVING
+                move = ~arrive
+                en, ex, ey, etx, ety, estep, dx, dy, dist = (
+                    v[move] for v in (en, ex, ey, etx, ety, estep, dx, dy, dist))
+            ex += estep * dx / dist
+            ey += estep * dy / dist
 
-    # group rows by their activity at the start of the slot; int8 keys
-    # radix-sort, and the key order puts each branch's codes side by side
-    key = _GROUP_KEY[act]
-    rows = key.argsort(kind="stable")
-    ends = np.bincount(key, minlength=len(_GROUP_KEY)).cumsum().tolist()
-    e_sense, e_wait, e_out, e_back, e_desc, e_asc, e_chg = ends
-
-    # hover drain: sensing and pad-waiting
-    h_idx = rows[:e_wait]
-    if h_idx.size:
-        h_soc = soc[h_idx] - drain_hov[h_idx]
-        soc[h_idx] = np.maximum(h_soc, 0.0)
-    w_idx = rows[e_sense:e_wait]
-    if w_idx.size:
-        ready = state[partner[w_idx]] == UGV_SERVING
-        act[w_idx[ready]] = ACT_DESCEND
-
-    # horizontal legs, outbound rows first
-    f_idx = rows[e_wait:e_back]
-    if f_idx.size:
-        f_soc = soc[f_idx] - drain_fly[f_idx]
-        soc[f_idx] = np.maximum(f_soc, 0.0)
-        dx = tx[f_idx] - x[f_idx]
-        dy = ty[f_idx] - y[f_idx]
-        dist = np.sqrt(dx * dx + dy * dy)
-        step = step_xy[f_idx]
-        arrive = dist <= step
-        if arrive.any():  # rare, as for vehicles
-            a_idx = f_idx[arrive]
-            x[a_idx] = tx[a_idx]
-            y[a_idx] = ty[a_idx]
+        if regroup:  # int8 keys radix-sort; each branch's codes sit side by side
+            key = _GROUP_KEY[act]
+            rows = key.argsort(kind="stable")
+            ends = np.bincount(key, minlength=len(_GROUP_KEY)).cumsum().tolist()
+            e_sense, e_wait, e_out, e_back, e_desc, e_asc, _ = ends
+            w_idx = rows[e_sense:e_wait]
+            w_pads = partner[w_idx]
+            f_idx = rows[e_wait:e_back]
+            f_tx, f_ty, f_step = tx[f_idx], ty[f_idx], step_xy[f_idx]
             n_out = e_out - e_wait
-            act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
-            act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
-            move = ~arrive
-            f_idx, dx, dy, dist, step = f_idx[move], dx[move], dy[move], dist[move], step[move]
-        x[f_idx] += step * dx / dist
-        y[f_idx] += step * dy / dist
+            d_idx = rows[e_back:e_desc]
+            d_step = step_down[d_idx]
+            a_idx = rows[e_desc:e_asc]
+            a_step, a_top = step_up[a_idx], cruise_z[a_idx]
+            c_idx = rows[e_asc:]
+            c_pads, c_draw, c_gain, c_cap, c_sat = (
+                partner[c_idx], supply_draw[c_idx], charge_gain[c_idx], cap[c_idx], sat[c_idx])
+            # every row but the charging ones drains, each at its activity's rate
+            drained = rows[:e_asc]
+            drain = np.concatenate((drain_hov[rows[:e_wait]], drain_fly[f_idx],
+                                    drain_desc[d_idx], drain_asc[a_idx]))
+            regroup = False
 
-    # vertical legs
-    d_idx = rows[e_back:e_desc]
-    if d_idx.size:
-        d_soc = soc[d_idx] - drain_desc[d_idx]
-        soc[d_idx] = np.maximum(d_soc, 0.0)
-        d_z = z[d_idx] - step_down[d_idx]
-        landed = d_z <= 0.0
-        z[d_idx] = np.where(landed, 0.0, d_z)
-        act[d_idx[landed]] = ACT_CHARGE
+        if drained.size:
+            soc_col[drained] = np.maximum(soc_col[drained] - drain, _ZERO)
 
-    a_idx = rows[e_desc:e_asc]
-    if a_idx.size:
-        a_soc = soc[a_idx] - drain_asc[a_idx]
-        soc[a_idx] = np.maximum(a_soc, 0.0)
-        a_z = z[a_idx] + step_up[a_idx]
-        top_z = cruise_z[a_idx]
-        top = a_z >= top_z
-        z[a_idx] = np.where(top, top_z, a_z)
-        t_idx = a_idx[top]
-        act[t_idx] = ACT_FLY_BACK
-        tx[t_idx] = home_x[t_idx]
-        ty[t_idx] = home_y[t_idx]
+        # pad-waiting rows whose vehicle is on station start down
+        if w_idx.size:
+            ready = state[w_pads] == _SERVING
+            if np.count_nonzero(ready):
+                act[w_idx[ready]] = ACT_DESCEND
+                regroup = True
 
-    # charging transfers (partners are unique while charging, so each
-    # pad's supply is read and written once)
-    c_idx = rows[e_asc:e_chg]
-    if c_idx.size:
-        pads = partner[c_idx]
-        draw = supply_draw[c_idx]
-        left = supply[pads]
-        ok = left >= draw
-        fed, fed_pads = c_idx, pads
-        starved = not ok.all()  # rare: a pad that cannot cover its draw
-        if starved:
-            fed, fed_pads, left, draw = c_idx[ok], pads[ok], left[ok], draw[ok]
-        supply[fed_pads] = left - draw
-        c_soc = np.minimum(soc[fed] + charge_gain[fed], cap[fed])
-        soc[fed] = c_soc
-        done = c_soc >= sat[fed]
-        if starved:  # a starved session ends without a transfer
-            full, done = done, ~ok
-            done[ok] = full
-        if done.any():
-            done_idx = c_idx[done]
-            done_pads = pads[done]
-            act[done_idx] = ACT_ASCEND
-            partner[done_idx] = -1
-            state[done_pads] = UGV_IDLE
-            gpartner[done_pads] = -1
+        # horizontal legs, outbound rows first
+        if f_idx.size:
+            fx, fy = x[f_idx], y[f_idx]
+            dx = f_tx - fx
+            dy = f_ty - fy
+            dist = np.sqrt(dx * dx + dy * dy)
+            arrive = dist <= f_step
+            if np.count_nonzero(arrive):  # rare, as for vehicles
+                done = f_idx[arrive]
+                x[done] = f_tx[arrive]
+                y[done] = f_ty[arrive]
+                act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
+                act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
+                regroup = True  # so the cached group may shrink here
+                move = ~arrive
+                f_idx, f_step, fx, fy, dx, dy, dist = (
+                    v[move] for v in (f_idx, f_step, fx, fy, dx, dy, dist))
+            x[f_idx] = fx + f_step * dx / dist
+            y[f_idx] = fy + f_step * dy / dist
+
+        # vertical legs
+        if d_idx.size:
+            d_z = z[d_idx] - d_step
+            landed = d_z <= _ZERO
+            if np.count_nonzero(landed):
+                z[d_idx] = np.where(landed, _ZERO, d_z)
+                act[d_idx[landed]] = ACT_CHARGE
+                regroup = True
+            else:
+                z[d_idx] = d_z
+
+        if a_idx.size:
+            a_z = z[a_idx] + a_step
+            top = a_z >= a_top
+            if np.count_nonzero(top):
+                z[a_idx] = np.where(top, a_top, a_z)
+                done = a_idx[top]
+                act[done] = ACT_FLY_BACK
+                tx[done] = home_x[done]
+                ty[done] = home_y[done]
+                regroup = True
+            else:
+                z[a_idx] = a_z
+
+        # charging transfers (partners are unique while charging, so each
+        # pad's supply is read and written once)
+        if c_idx.size:
+            left = supply[c_pads]
+            ok = left >= c_draw
+            n_ok = np.count_nonzero(ok)
+            if n_ok == c_idx.size:
+                supply[c_pads] = left - c_draw
+                c_soc = np.minimum(soc_col[c_idx] + c_gain, c_cap)
+                soc_col[c_idx] = c_soc
+                done = c_soc >= c_sat
+            else:  # rare: a starved session ends without a transfer
+                done = ~ok
+                if n_ok:
+                    fed = c_idx[ok]
+                    supply[c_pads[ok]] = left[ok] - c_draw[ok]
+                    c_soc = np.minimum(soc_col[fed] + c_gain[ok], c_cap[ok])
+                    soc_col[fed] = c_soc
+                    done[ok] = c_soc >= c_sat[ok]
+            if np.count_nonzero(done):
+                done_idx = c_idx[done]
+                done_pads = c_pads[done]
+                act[done_idx] = ACT_ASCEND
+                partner[done_idx] = -1
+                state[done_pads] = UGV_IDLE
+                gpartner[done_pads] = -1
+                regroup = True
+
+        if soc is not None:
+            soc[t] = soc_col
+            np.equal(act, _SENSE, out=sensing[t])
+
+    if en.size:
+        gx[en] = ex
+        gy[en] = ey
 
 
 def active_backend() -> str:

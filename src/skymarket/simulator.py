@@ -15,18 +15,17 @@ sweep steps one mobile world per (cell, seed) and reports it under both
 ``ours`` and ``optimal``.
 
 A sweep runs all its worlds in lockstep (``run_worlds``): their agent
-arrays are stacked, so each slot costs one kernel call for the whole
-sweep rather than one per world. The bidder bookkeeping (urgency,
-joining the bidders, valuation sums) needs only each slot's SoC and
-activity, so it runs once per block of slots that ends at a window
-boundary (``_book``). Each world still clears its windows at its own
+arrays are stacked, and each block of slots up to the next window
+boundary is one kernel call for the whole sweep. The kernel buffers
+each slot's SoC and sensing mask, all that the bidder bookkeeping
+(urgency, joining the bidders, valuation sums) reads, so it runs once
+per block (``_book``). Each world still clears its windows at its own
 ``window_len``. Nothing couples agents except partner indices, which
 are offset into the stack, so every world evolves bit-identically to a
-run on its own. Window
-metrics, and the outcomes and audit findings asked for, are kept in
-columns (``MetricsColumns``), one block of entries per world, and the
-CSVs are written from them as text; rows, reports and outcomes are
-built only when read.
+run on its own. Window metrics, and the outcomes and audit findings
+asked for, are kept in columns (``MetricsColumns``), one block of
+entries per world, and the CSVs are written from them as text; rows,
+reports and outcomes are built only when read.
 
 Every window that closes at a slot boundary is cleared by one
 ``_close_boundary`` call for the whole stack, from arrays. Most windows
@@ -401,8 +400,8 @@ def close_window(world: World) -> tuple[AuctionOutcome, MetricsRow]:
     return cols.outcomes[0].outcome(window), cols.rows()[0]
 
 
-# most slots _run_lockstep buffers before booking them: at least one
-# window's worth at the usual window lengths, a few MB at 10,000 UAV rows
+# most slots in one kernel call and its booking: at least one window at
+# the usual window lengths, a few MB of buffers at 10,000 UAV rows
 _BOOK_SLOTS = 32
 
 # agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
@@ -503,11 +502,11 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
                   cols: MetricsColumns) -> None:
     """Step worlds that share ``_book``'s constants as one stack.
 
-    Each slot is one kernel call on the stack. Its SoC and sensing mask
-    are buffered, and ``_book`` books the buffered slots at once: at
-    every slot where a member's window closes, before that boundary
-    reads the bidders, when the buffer is full, and after the last slot.
-    Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
+    The stack steps a block of slots per kernel call: up to the next
+    boundary of any member's windows, at most ``_BOOK_SLOTS`` slots and
+    no further than the horizon. The kernel fills the block's SoC and
+    sensing buffers, and ``_book`` books them before the boundary reads
+    the bidders. Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
     Every window that closes at a slot, whatever its world's window
     length, is cleared by one ``_close_boundary`` call for the whole
     stack, which fills the windows' entries. The trades it keeps for
@@ -525,23 +524,17 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     classes = [(s, np.array(ks), np.array([first_entry[k] for k in ks]) - start // s - 1)
                for s, ks in by_spw.items()]
     layout = _layout(worlds)
-    # each slot's SoC and sensing mask, booked a block of slots at a time
-    soc_col, act_col = stack.uav_f[:, K.F_SOC], stack.uav_i[:, K.I_ACT]
-    block = min(max(by_spw), _BOOK_SLOTS)
-    soc = np.empty((block, stack.num_uavs))
-    sensing = np.empty((block, stack.num_uavs), dtype=bool)
-    pending = 0
+    soc = np.empty((min(*by_spw, _BOOK_SLOTS), stack.num_uavs))  # a block's, slot by slot
+    sensing = np.empty(soc.shape, dtype=bool)
+    clock, end = start, start + horizon
     try:
-        for clock in range(start + 1, start + horizon + 1):
-            K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i)
-            stack.clock = clock
-            soc[pending] = soc_col
-            np.equal(act_col, K.ACT_SENSE, out=sensing[pending])
-            pending += 1
+        while clock < end:
+            k = min(end, clock + _BOOK_SLOTS, *((clock // s + 1) * s for s in by_spw)) - clock
+            K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i,
+                         soc=soc[:k], sensing=sensing[:k])
+            stack.clock = clock = clock + k
+            _book(stack, soc[:k], sensing[:k])
             due = [(ks, base + clock // s) for s, ks, base in classes if clock % s == 0]
-            if due or pending == block or clock == start + horizon:
-                _book(stack, soc[:pending], sensing[:pending])
-                pending = 0
             if not due:
                 continue
             if len(due) == 1:
@@ -563,7 +556,6 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     finally:
         for w in worlds:
             w.clock = stack.clock
-        K.unbind()  # the kernel's view memo would keep the stack alive
 
 
 def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
@@ -789,10 +781,10 @@ def run_worlds(
 
     Worlds that share a horizon and the constants the bidder bookkeeping
     reads (``enter_urgency``, ``mu0``, ``mu1``) are stacked and stepped by
-    one kernel call per slot, with the bookkeeping done once per block of
-    slots up to a window boundary; each world's windows still close at
-    its own ``slots_per_window``. The kernel and the bookkeeping are per
-    agent, so every world evolves exactly as it would alone, slot by slot
+    one kernel call, and booked once, per block of slots up to a window
+    boundary; each world's windows still close at its own
+    ``slots_per_window``. The kernel and the bookkeeping are per agent,
+    so every world evolves exactly as it would alone, slot by slot
     through ``advance_slot``. Every window that closes at a slot is
     cleared by one ``_close_boundary`` call for the stack, without
     building a market, audited or not; each window's row, outcome,

@@ -838,6 +838,17 @@ def step_world_loop(uav_f, uav_i, ugv_f, ugv_i):
                 uav_f[i, F_Z] = z
 
 
+def step_block_loop(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
+    """``step_world_loop`` once per slot of a block, filling the buffers
+    after each slot: the oracle for a ``K.step_world`` call, with or
+    without buffers."""
+    for t in range(1 if soc is None else len(soc)):
+        step_world_loop(uav_f, uav_i, ugv_f, ugv_i)
+        if soc is not None:
+            soc[t] = uav_f[:, F_SOC]
+            sensing[t] = uav_i[:, I_ACT] == ACT_SENSE
+
+
 def charging_urgency(soc, soc_alert, capacity):
     """Normalized recharge need 1 - (soc - soc_alert) / capacity, defined
     at or above the alert level (the simulator pins it to 1 below)."""

@@ -1,5 +1,6 @@
 """The vectorized stepper against the scalar loop oracle, bit for bit."""
 
+import functools
 import gc
 import weakref
 
@@ -11,7 +12,7 @@ import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
 
-from conftest import close_window_loop, run_benchmark_script, step_world_loop
+from conftest import close_window_loop, run_benchmark_script, step_block_loop, step_world_loop
 
 
 def snapshot(world):
@@ -68,6 +69,44 @@ def stacked_sweep_states(slots=200):
             for w in worlds:
                 w.clock = stack.clock
                 close_window_loop(w)
+
+
+@functools.cache
+def sweep_states():
+    """Copies of ``stacked_sweep_states``' 200 kernel inputs."""
+    return [tuple(a.copy(order="K") for a in s) for s in stacked_sweep_states()]
+
+
+def with_transitions_within(state, k, seed):
+    """A copy of a kernel input in which about half the moving rows of
+    each kind are placed to transition at a slot drawn from 1 to k + 1
+    (k + 1: just after a k-slot block): flights and vehicles that arrive,
+    descents that land, ascents that top out, sessions that end and pads
+    that starve. A UAV that reaches its rendezvous before its vehicle
+    waits, and its pad turns ready when the vehicle arrives."""
+    rng = np.random.default_rng(seed)
+    uf, ui, gf, gi = (a.copy(order="K") for a in state)
+    act = ui[:, K.I_ACT]
+
+    def pick(mask):  # some rows of the mask, and the slot each transitions at, less 0.5
+        rows = np.flatnonzero(mask & (rng.random(mask.size) < 0.5))
+        return rows, rng.integers(1, k + 2, rows.size) - 0.5
+
+    f, at = pick(np.isin(act, (K.ACT_FLY_OUT, K.ACT_FLY_BACK)))
+    uf[f, K.F_X] = uf[f, K.F_TX] - at * uf[f, K.F_STEP_XY]
+    uf[f, K.F_Y] = uf[f, K.F_TY]
+    v, at = pick(gi[:, K.GI_STATE] == K.UGV_ENROUTE)
+    gf[v, K.G_X] = gf[v, K.G_TX] - at * gf[v, K.G_STEP]
+    gf[v, K.G_Y] = gf[v, K.G_TY]
+    d, at = pick(act == K.ACT_DESCEND)
+    uf[d, K.F_Z] = at * uf[d, K.F_STEP_DOWN]
+    a, at = pick(act == K.ACT_ASCEND)
+    uf[a, K.F_Z] = uf[a, K.F_CRUISE_Z] - at * uf[a, K.F_STEP_UP]
+    c, at = pick(act == K.ACT_CHARGE)
+    uf[c, K.F_SOC] = np.maximum(uf[c, K.F_SAT] - at * uf[c, K.F_CHARGE_GAIN], 0.0)
+    c, at = pick(act == K.ACT_CHARGE)
+    gf[ui[c, K.I_PARTNER], K.G_SUPPLY] = at * uf[c, K.F_SUPPLY_DRAW]
+    return uf, ui, gf, gi
 
 
 def with_every_transition(state):
@@ -154,9 +193,26 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
                     "tops out", "home"} | gates
 
 
+def test_forced_blocks_transition_in_the_middle_of_a_block():
+    # the blocks tests/test_properties.py steps in one call see every
+    # UAV and vehicle transition after a block's first slot, where only
+    # a regroup inside the call puts the row in its new branch
+    seen = set()
+    for index in range(0, 200, 10):
+        before = with_transitions_within(sweep_states()[index], 32, index)
+        for t in range(32):
+            after = [a.copy() for a in before]
+            step_world_loop(*after)
+            if t:
+                seen |= transitions(before, after)
+            before = after
+    assert {"vehicle arrives", "reaches rendezvous", "pad ready", "lands", "pad starves",
+            "charge completes", "tops out", "home"} <= seen
+
+
 def test_a_finished_stack_is_freed(monkeypatch):
-    # the kernel's view memo must not keep a lockstep run's stack alive
-    # once its worlds have their own arrays again
+    # nothing the kernel or the simulator keeps may hold a lockstep run's
+    # stack alive once its worlds have their own arrays again
     refs, stack = [], simulator._stack
 
     def stack_and_watch(worlds):
@@ -190,11 +246,10 @@ def test_a_sweeps_stack_is_freed_once_it_returns(monkeypatch):
 
 
 def test_kernel_steps_the_arrays_it_is_given_as_they_change():
-    # step_world binds its column views once per set of arrays; world A,
-    # then B, then A again, then a fresh copy of A, then A once more, a set
-    # that shares only its UAV arrays with A, and the arrays _unstack hands
-    # back in place of a stack's views must each step as the loop oracle
-    # steps them
+    # step_world keeps nothing between calls; world A, then B, then A
+    # again, then a fresh copy of A, then A once more, a set that shares
+    # only its UAV arrays with A, and the arrays _unstack hands back in
+    # place of a stack's views must each step as the loop oracle steps them
     def check(got, ref):
         K.step_world(*got)
         step_world_loop(*ref)
@@ -230,6 +285,7 @@ def test_kernel_steps_the_arrays_it_is_given_as_they_change():
 
 
 def test_full_runs_identical_across_backends(monkeypatch):
+    # a run steps block by block; the oracle steps each block slot by slot
     from skymarket.simulator import run_world
 
     def run_with(backend):
@@ -239,7 +295,7 @@ def test_full_runs_identical_across_backends(monkeypatch):
         return rows, world
 
     rows_np, world_np = run_with(K.step_world)
-    rows_py, world_py = run_with(step_world_loop)
+    rows_py, world_py = run_with(step_block_loop)
     assert rows_np == rows_py
     assert np.array_equal(world_np.uav_f, world_py.uav_f)
     assert np.array_equal(world_np.ugv_f, world_py.ugv_f)

@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -19,6 +20,7 @@ from conftest import (  # noqa: E402
     replay_deviation_probe,
     run_world_windowwise,
 )
+import skymarket._kernels as K  # noqa: E402
 import skymarket.audit as audit  # noqa: E402
 from skymarket.audit import (  # noqa: E402
     DEVIATION_EPS,
@@ -44,6 +46,8 @@ from skymarket.simulator import (  # noqa: E402
     run_worlds,
 )
 from skymarket.types import Match, ScenarioConfig, validate  # noqa: E402
+
+from test_kernels import step_block_loop, sweep_states, with_transitions_within  # noqa: E402
 
 _STATE = ("uav_f", "uav_i", "ugv_f", "ugv_i", "soc_alert", "bidder", "excluded",
           "fail_count", "phi_sum", "rho_sum", "sample_count")
@@ -108,6 +112,28 @@ def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon
     # and windows whose bidders meet no admissible vehicle are settled
     # for the whole stack at once
     _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(index=st.integers(0, 199), k=st.integers(1, 32), seed=st.integers(0, 2**16),
+       order=st.sampled_from("CF"))
+def test_one_block_call_steps_as_a_slot_loop(index, k, seed, order):
+    # one k-slot step_world call on a stack whose rows arrive, land, top
+    # out, end or starve their sessions and find their pads ready in the
+    # middle of the block, against k slots of the loop oracle: every
+    # array and both buffers, bit for bit
+    state = with_transitions_within(sweep_states()[index], k, seed)
+    n = state[0].shape[0]
+    ref = [a.copy() for a in state]
+    ref_soc, ref_sensing = np.empty((k, n)), np.empty((k, n), dtype=bool)
+    step_block_loop(*ref, soc=ref_soc, sensing=ref_sensing)
+    got = [np.array(a, order=order) for a in state]
+    # filled with what differs from the oracle's, so a slot left unwritten shows
+    soc, sensing = np.full((k, n), np.nan), ~ref_sensing
+    K.step_world(*got, soc=soc, sensing=sensing)
+    for a, b in zip(ref + [ref_soc, ref_sensing], got + [soc, sensing]):
+        assert a.tobytes() == b.tobytes()  # bit for bit, in C order
 
 
 def test_bidderless_windows_with_and_without_an_idle_vehicle():
