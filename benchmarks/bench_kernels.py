@@ -175,9 +175,8 @@ def record_states(cfg, sweep, steps):
     short to fit)."""
     states, step = [], K.step_world
 
-    def recording(*arrays, soc=None, sensing=None):
-        states.append((tuple(a.copy(order="K") for a in arrays),
-                       1 if soc is None else len(soc)))
+    def recording(*arrays, soc, sensing):
+        states.append((tuple(a.copy(order="K") for a in arrays), len(soc)))
         step(*arrays, soc=soc, sensing=sensing)
 
     K.step_world = recording
@@ -214,9 +213,11 @@ def branch_shares(states):
     regroups = 0
     for state, k in states:
         arrays = tuple(a.copy(order="K") for a in state)
+        soc = np.empty((1, arrays[0].shape[0]))  # one slot per call
+        sensing = np.empty(soc.shape, dtype=bool)
         for _ in range(k):
             before = tuple(a.copy(order="K") for a in arrays)
-            K.step_world(*arrays)
+            K.step_world(*arrays, soc=soc, sensing=sensing)
             for name, i, col, codes in BRANCHES:
                 old = before[i][:, col]
                 rows = np.isin(old, codes)

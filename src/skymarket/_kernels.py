@@ -4,13 +4,14 @@ The simulator keeps agent state in struct-of-arrays form. It calls
 ``step_world`` once per block of slots up to the next window boundary,
 on the stacked arrays of every world in a sweep, and the kernel writes
 each slot's SoC and sensing mask into the buffers the bidder bookkeeping
-reads; nothing else writes the agent arrays inside a block. The only
-link between rows is a partner index, which the simulator offsets into
-the stack, so each row's arithmetic is the same as in a world stepped
-alone. ``step_world`` groups rows by activity and updates each group
-with whole-column operations, in the same per-element order as the
-scalar loop ``step_world_loop`` in ``tests/conftest.py``, which the
-tests hold it to bit for bit; ``benchmarks/bench_kernels.py`` times it.
+reads, as it does for ``advance_slot``'s one-slot block; nothing else
+writes the agent arrays inside a block. The only link between rows is a
+partner index, which the simulator offsets into the stack, so each row's
+arithmetic is the same as in a world stepped alone. ``step_world``
+groups rows by activity and updates each group with whole-column
+operations, in the same per-element order as the scalar loop
+``step_world_loop`` in ``tests/conftest.py``, which the tests hold it to
+bit for bit; ``benchmarks/bench_kernels.py`` times it.
 
 Transitions (arrivals, landings, top-outs, pads that starve or turn
 ready, sessions that end) happen in few slots: on perfbench's sweeps
@@ -116,10 +117,10 @@ _SERVING = np.array(UGV_SERVING)
 _SENSE = np.array(ACT_SENSE)
 
 
-def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
-    """Advance every agent ``len(soc)`` slots in place, or one slot when
-    no buffers are given; ``soc[t]`` and ``sensing[t]`` receive every
-    UAV's SoC and whether it is sensing after slot t.
+def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
+    """Advance every agent ``len(soc)`` slots in place; ``soc[t]`` and
+    ``sensing[t]`` receive every UAV's SoC and whether it is sensing
+    after slot t.
 
     Each column is a 1-D view. UAV rows are sorted by activity, and each
     group's constants gathered (the drains of all but the charging rows
@@ -139,7 +140,7 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
     en = (state == UGV_ENROUTE).nonzero()[0]
     ex, ey, etx, ety, estep = gx[en], gy[en], gtx[en], gty[en], gstep[en]
     regroup = True
-    for t in range(1 if soc is None else len(soc)):
+    for t in range(len(soc)):
         if en.size:
             dx = etx - ex
             dy = ety - ey
@@ -261,9 +262,8 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
                 gpartner[done_pads] = -1
                 regroup = True
 
-        if soc is not None:
-            soc[t] = soc_col
-            np.equal(act, _SENSE, out=sensing[t])
+        soc[t] = soc_col
+        np.equal(act, _SENSE, out=sensing[t])
 
     if en.size:
         gx[en] = ex

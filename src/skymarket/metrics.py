@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,18 +136,23 @@ class MetricsColumns:
         self.non_envy_ratio[k] = row.non_envy_ratio
         self.winners[k] = row.winners
 
+    def _block(self, start: int, stop: int) -> tuple:
+        """Entries ``start:stop``'s 7 per-window columns, as lists in
+        ``METRICS_CSV_HEADER`` order, with the int 0 of an empty sum."""
+        return (
+            self.window[start:stop].tolist(), self.sl[start:stop].tolist(),
+            _utilities(self.uav_utility[start:stop], self.uav_empty[start:stop]),
+            _utilities(self.ugv_utility[start:stop], self.ugv_empty[start:stop]),
+            self.surplus[start:stop].tolist(), self.non_envy_ratio[start:stop].tolist(),
+            self.winners[start:stop].tolist(),
+        )
+
     def tuples(self):
         """The rows in output order, as ``METRICS_CSV_HEADER`` tuples."""
-        cols = (
-            self.window.tolist(), self.sl.tolist(),
-            _utilities(self.uav_utility, self.uav_empty),
-            _utilities(self.ugv_utility, self.ugv_empty),
-            self.surplus.tolist(), self.non_envy_ratio.tolist(), self.winners.tolist(),
-        )
         repeat = itertools.repeat
         for scheme, ugv_count, tau, seed, start, stop in self.runs:
             yield from zip(repeat(scheme), repeat(ugv_count), repeat(tau), repeat(seed),
-                           *(col[start:stop] for col in cols))
+                           *self._block(start, stop))
 
     def rows(self) -> list[MetricsRow]:
         """The rows in output order, as ``MetricsRow``s."""
@@ -178,18 +182,15 @@ class MetricsColumns:
     def _chunks(self, lead, body):
         """One chunk of CSV text per run with lines, in output order: the
         lines ``body(start, stop)`` formats for its block, each led by
-        ``lead(scheme, ugv_count, tau, seed)``. A block's lines are
-        formatted once, however many runs list it (``ours`` and
-        ``optimal``), and dropped after its last run, so only the blocks
-        of runs in flight are alive at a time."""
-        left = Counter(run[4:] for run in self.runs)
-        bodies = {}
+        ``lead(scheme, ugv_count, tau, seed)``. A block is formatted
+        again only when a run lists a different block from the run
+        before it; ``ours`` and ``optimal`` list the same block back to
+        back, so it is formatted once for both."""
+        block = text = None
         for run in self.runs:
-            block = run[4:]
-            text = bodies.pop(block) if block in bodies else body(*block)
-            left[block] -= 1
-            if left[block]:
-                bodies[block] = text
+            if run[4:] != block:
+                block = run[4:]
+                text = body(*block)
             if text:
                 head = lead(*run[:4])
                 # every line ends in "\n", and no field holds one
@@ -199,16 +200,9 @@ class MetricsColumns:
         """``metrics_raw.csv``'s rows as text chunks: the bytes
         ``csv.writer`` writes for ``tuples()``."""
         def body(start, stop):
-            cols = (
-                self.window[start:stop].tolist(), self.sl[start:stop].tolist(),
-                _utilities(self.uav_utility[start:stop], self.uav_empty[start:stop]),
-                _utilities(self.ugv_utility[start:stop], self.ugv_empty[start:stop]),
-                self.surplus[start:stop].tolist(), self.non_envy_ratio[start:stop].tolist(),
-                self.winners[start:stop].tolist(),
-            )
             # repr of the int 0 of an empty sum is "0", as csv.writer writes it
             return "".join([f"{w},{sl!r},{uu!r},{gu!r},{sp!r},{ne!r},{wn}\n"
-                            for w, sl, uu, gu, sp, ne, wn in zip(*cols)])
+                            for w, sl, uu, gu, sp, ne, wn in zip(*self._block(start, stop))])
 
         return self._chunks(lambda scheme, ugv_count, tau, seed:
                             f"{scheme},{ugv_count},{tau!r},{seed},", body)

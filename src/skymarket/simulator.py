@@ -342,9 +342,11 @@ def _build_world(c: ScenarioConfig, seed: int, scheme: str,
 
 
 def advance_slot(world: World) -> World:
-    """Advance one slot: physics step, then bidder bookkeeping."""
-    K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i)
-    _book(world, world.uav_f[None, :, K.F_SOC], world.uav_i[None, :, K.I_ACT] == K.ACT_SENSE)
+    """Advance one slot: a one-slot kernel block, booked by ``_book``."""
+    soc = np.empty((1, world.num_uavs))
+    sensing = np.empty(soc.shape, dtype=bool)
+    K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i, soc=soc, sensing=sensing)
+    _book(world, soc, sensing)
     world.clock += 1
     return world
 
@@ -396,7 +398,7 @@ def close_window(world: World) -> tuple[AuctionOutcome, MetricsRow]:
     cols = MetricsColumns([(world.scheme, c.ugv_count, c.window_len, world.seed, 0, 1)],
                           np.array([window]), False, True)
     one = np.zeros(1, dtype=np.int64)  # the one member, and its one entry
-    _close_boundary(world, [world], one, one, world.clock, cols, _layout([world]))
+    _close_boundary(world, [world], one, one, cols, _layout([world]))
     return cols.outcomes[0].outcome(window), cols.rows()[0]
 
 
@@ -509,41 +511,32 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     the bidders. Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
     Every window that closes at a slot, whatever its world's window
     length, is cleared by one ``_close_boundary`` call for the whole
-    stack, which fills the windows' entries. The trades it keeps for
-    the audit are audited in one ``_audit_arrays`` batch after the last
-    slot. The members are left as views of the stack (``run_worlds``
-    unstacks them).
+    stack, which fills the windows' entries; one array test of the clock
+    finds the due members. The trades it keeps for the audit are audited
+    in one ``_audit_arrays`` batch after the last slot. The members are
+    left as views of the stack (``run_worlds`` unstacks them).
     """
     stack = _stack(worlds)
     start = stack.clock
-    by_spw: dict[int, list[int]] = {}  # window length in slots -> member indices
-    for k, w in enumerate(worlds):
-        by_spw.setdefault(w.config.slots_per_window, []).append(k)
-    # per window length s: its members, and the entries of their windows
-    # that close at clock t, less t // s
-    classes = [(s, np.array(ks), np.array([first_entry[k] for k in ks]) - start // s - 1)
-               for s, ks in by_spw.items()]
+    # per member: its window length in slots, and the entry of its window
+    # that closes at clock t, less t // spw
+    spw = np.array([w.config.slots_per_window for w in worlds])
+    base = np.array(first_entry) - start // spw - 1
+    lengths = set(spw.tolist())
     layout = _layout(worlds)
-    soc = np.empty((min(*by_spw, _BOOK_SLOTS), stack.num_uavs))  # a block's, slot by slot
+    soc = np.empty((min(*lengths, _BOOK_SLOTS), stack.num_uavs))  # a block's, slot by slot
     sensing = np.empty(soc.shape, dtype=bool)
     clock, end = start, start + horizon
     try:
         while clock < end:
-            k = min(end, clock + _BOOK_SLOTS, *((clock // s + 1) * s for s in by_spw)) - clock
+            k = min(end, clock + _BOOK_SLOTS, *((clock // s + 1) * s for s in lengths)) - clock
             K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i,
                          soc=soc[:k], sensing=sensing[:k])
             stack.clock = clock = clock + k
             _book(stack, soc[:k], sensing[:k])
-            due = [(ks, base + clock // s) for s, ks, base in classes if clock % s == 0]
-            if not due:
-                continue
-            if len(due) == 1:
-                ks, entry = due[0]
-            else:  # members in stack order, as the boundary ranks them
-                ks, entry = map(np.concatenate, zip(*due))
-                order = np.argsort(ks)
-                ks, entry = ks[order], entry[order]
-            _close_boundary(stack, worlds, ks, entry, clock, cols, layout)
+            ks = np.flatnonzero(clock % spw == 0)  # in stack order, as the boundary ranks them
+            if ks.size:
+                _close_boundary(stack, worlds, ks, base[ks] + clock // spw[ks], cols, layout)
         if cols.audited:
             entries, ranked, bids, qs = zip(*cols.audited)
             flat = itertools.chain.from_iterable
@@ -559,9 +552,8 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
 
 
 def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
-                    entry: np.ndarray, clock: int, cols: MetricsColumns,
-                    layout: _Layout) -> _Boundary:
-    """Clear every window of the stack that closes at ``clock``.
+                    entry: np.ndarray, cols: MetricsColumns, layout: _Layout) -> _Boundary:
+    """Clear every window of the stack that closes at the stack's clock.
 
     ``ks`` are the due members, ascending, and ``entry`` their windows'
     entries in ``cols``. Segment reductions over the stack find each
@@ -616,7 +608,7 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
         soc = stack.uav_f[rows, K.F_SOC]
         bad = rows[~((soc >= 0.0) & (soc <= stack.uav_f[rows, K.F_CAP]))]
         if bad.size:
-            window = clock // worlds[L.uav_world[bad[0]]].config.slots_per_window
+            window = stack.clock // worlds[L.uav_world[bad[0]]].config.slots_per_window
             raise ValueError(f"window {window}: a bidder's SoC left [0, capacity]")
         losing[rows] = True
     if keep or trades:
@@ -643,7 +635,7 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
         won, won_ugvs = [], []  # stack rows of the pairs
         for i in trades:
             world, e = worlds[members[i]], entries[i]
-            window = clock // world.config.slots_per_window
+            window = stack.clock // world.config.slots_per_window
             s, stop = bid_end[i] - n_bid[i], bid_end[i]
             js = offered[offer_end[i] - n_offer[i]:offer_end[i]]
             trade, row, qs = _clear_window(world, window, ranked[s:stop], bid[s:stop],

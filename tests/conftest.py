@@ -1,4 +1,20 @@
-"""Shared helpers: independent oracles kept free of package internals."""
+"""Shared helpers: scalar oracles for the package's array paths.
+
+Each oracle computes its answer its own way, but some take steps from the
+package that they are not the reference for:
+
+* ``admit`` and ``run_auction``: ``close_window_loop`` builds and clears a
+  market through them, the scalar path the sweep's array clearing must
+  equal (``mechanism``'s own tests hold them to the paper's rules);
+* ``with_replaced_bid`` and ``deviation_grid``: ``replay_deviation_probe``
+  replays the misreports the audit probes, on the audit's own grid;
+* ``market_values``: ``truthful_draws`` draws each market as
+  ``random_market`` does, so the batch it checks sees the same values;
+* ``advance_slot``: ``run_world_windowwise`` steps a world one slot at a
+  time with it; the kernel's own tests hold it to ``step_world_loop``.
+
+The rest are layouts, constants and value types.
+"""
 
 import bisect
 import csv
@@ -838,15 +854,20 @@ def step_world_loop(uav_f, uav_i, ugv_f, ugv_i):
                 uav_f[i, F_Z] = z
 
 
-def step_block_loop(uav_f, uav_i, ugv_f, ugv_i, *, soc=None, sensing=None):
+def step_block_loop(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
     """``step_world_loop`` once per slot of a block, filling the buffers
-    after each slot: the oracle for a ``K.step_world`` call, with or
-    without buffers."""
-    for t in range(1 if soc is None else len(soc)):
+    after each slot: the oracle for a ``K.step_world`` call."""
+    for t in range(len(soc)):
         step_world_loop(uav_f, uav_i, ugv_f, ugv_i)
-        if soc is not None:
-            soc[t] = uav_f[:, F_SOC]
-            sensing[t] = uav_i[:, I_ACT] == ACT_SENSE
+        soc[t] = uav_f[:, F_SOC]
+        sensing[t] = uav_i[:, I_ACT] == ACT_SENSE
+
+
+def step_one_slot(uav_f, uav_i, ugv_f, ugv_i):
+    """One ``K.step_world`` slot into throwaway one-slot buffers, for a
+    test that compares only the agent arrays with ``step_world_loop``."""
+    soc = np.empty((1, uav_f.shape[0]))
+    K.step_world(uav_f, uav_i, ugv_f, ugv_i, soc=soc, sensing=np.empty(soc.shape, dtype=bool))
 
 
 def charging_urgency(soc, soc_alert, capacity):

@@ -12,7 +12,9 @@ import skymarket.simulator as simulator
 from skymarket.simulator import advance_slot, close_window, generate_scenario
 from skymarket.types import ScenarioConfig
 
-from conftest import close_window_loop, run_benchmark_script, step_block_loop, step_world_loop
+from conftest import (
+    close_window_loop, run_benchmark_script, step_block_loop, step_one_slot, step_world_loop,
+)
 
 
 def snapshot(world):
@@ -39,7 +41,7 @@ def test_numpy_path_matches_loop_kernel_single_steps():
 
     for _ in range(200):
         step_world_loop(uf1, ui1, gf1, gi1)
-        K.step_world(uf2, ui2, gf2, gi2)
+        step_one_slot(uf2, ui2, gf2, gi2)
         assert np.array_equal(uf1, uf2)
         assert np.array_equal(ui1, ui2)
         assert np.array_equal(gf1, gf2)
@@ -181,7 +183,7 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
             got = [np.array(a, order=order) for a in case]
             assert all(a.flags[contiguous] for a in got)
             step_world_loop(*ref)
-            K.step_world(*got)
+            step_one_slot(*got)
             for a, b in zip(ref, got):
                 assert a.tobytes() == b.tobytes()  # bit for bit, in C order
             seen |= transitions(case, ref)
@@ -251,7 +253,7 @@ def test_kernel_steps_the_arrays_it_is_given_as_they_change():
     # only its UAV arrays with A, and the arrays _unstack hands back in
     # place of a stack's views must each step as the loop oracle steps them
     def check(got, ref):
-        K.step_world(*got)
+        step_one_slot(*got)
         step_world_loop(*ref)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
@@ -335,7 +337,7 @@ def test_starved_pad_releases_uav_early():
     world.ugv_i[j, K.GI_STATE] = K.UGV_SERVING
     world.ugv_i[j, K.GI_PARTNER] = i
     world.ugv_f[j, K.G_SUPPLY] = 0.1  # below the per-slot draw
-    for backend in (K.step_world, step_world_loop):
+    for backend in (step_one_slot, step_world_loop):
         uf, ui, gf, gi = snapshot(world)
         backend(uf, ui, gf, gi)
         assert ui[i, K.I_ACT] == K.ACT_ASCEND
@@ -345,7 +347,7 @@ def test_starved_pad_releases_uav_early():
         assert uf[i, K.F_SOC] == 40.0  # nothing delivered either
 
 
-@pytest.mark.parametrize("backend", [K.step_world, step_world_loop], ids=["numpy", "loop"])
+@pytest.mark.parametrize("backend", [step_one_slot, step_world_loop], ids=["numpy", "loop"])
 def test_pad_holding_exactly_one_draw_delivers_it(backend):
     # supply == draw is a last full draw; one ulp less starves the pad,
     # in either array order
@@ -390,7 +392,7 @@ def test_kernel_drains_match_scalar_soc_model():
     cfg = ScenarioConfig()
     world = generate_scenario(cfg, seed=9)
     soc_before = world.uav_f[:, K.F_SOC].copy()
-    K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i)
+    step_one_slot(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i)
     p_hov = hover_power(cfg.uav_mass_kg, cfg.kappa2, cfg.kappa3)
     powers = PowerBreakdown(fly=0, hover=p_hov, descend=0, ascend=0, receive=0)
     for i in range(world.num_uavs):

@@ -103,6 +103,13 @@ def _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency):
     horizon=st.integers(1, 48),
     enter_urgency=st.sampled_from([0.0, 0.6, 0.75, 1.0]),
 )
+# window lengths of 2, 1, 2 and 1 slots, started a hair around the alert
+# level with ample supply, so UAVs join slot after slot: at some
+# boundaries where both lengths fall due, members of each length trade
+@example(specs=[(12, 6, 2.0, spw, 0.19995, 0.0002, 3, 500.0, scheme, 20 + k)
+                for k, (spw, scheme) in enumerate([(2, SCHEME_OURS), (1, SCHEME_STATIC),
+                                                   (2, SCHEME_OURS), (1, SCHEME_STATIC)])],
+         horizon=24, enter_urgency=1.0)
 def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon,
                                                                  enter_urgency):
     # a stack of worlds that mix window lengths, slot lengths and schemes,

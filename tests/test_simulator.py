@@ -702,7 +702,7 @@ def test_lockstep_sweep_matches_worlds_run_alone():
 def test_a_boundary_with_several_trades_clears_as_each_world_alone(monkeypatch):
     # worlds that trade at the same slot boundary, cleared by one
     # _close_boundary call: mobile and static, windows of 8 and 4 slots
-    # (so two classes fall due at once), UAVs started below the alert
+    # (so both lengths fall due at once), UAVs started below the alert
     # level that all join at once and bid the same, and markets with more
     # bidders than vehicles and with more vehicles than bidders; in the
     # first world, losers never leave and short charging sessions free the
@@ -842,8 +842,8 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
     depth = [0]  # _clear_window calls in progress
     scored_inside = []  # per ugv_qors call: was it inside _clear_window?
 
-    def counting_boundary(stack, worlds, ks, entry, clock, cols, layout):
-        masks = real_boundary(stack, worlds, ks, entry, clock, cols, layout)
+    def counting_boundary(stack, worlds, ks, entry, cols, layout):
+        masks = real_boundary(stack, worlds, ks, entry, cols, layout)
         trading[0] += int(masks.trading.sum())
         offered[0] += int((masks.admitted & np.isin(layout.ugv_world,
                                                     ks[masks.trading])).sum())
@@ -942,9 +942,9 @@ def test_close_window_rejects_a_bidder_soc_beyond_capacity(monkeypatch):
     clocks = []  # per _close_boundary call: its clock
     real_boundary = simulator._close_boundary
 
-    def spy(stack, worlds, ks, entry, clock, cols, layout):
-        clocks.append(clock)
-        return real_boundary(stack, worlds, ks, entry, clock, cols, layout)
+    def spy(stack, worlds, ks, entry, cols, layout):
+        clocks.append(stack.clock)
+        return real_boundary(stack, worlds, ks, entry, cols, layout)
 
     monkeypatch.setattr(simulator, "_close_boundary", spy)
     cfg = ScenarioConfig(uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
