@@ -1,12 +1,12 @@
 """Time-slotted world model: scenario generation, dynamics, experiments.
 
-A ``World`` holds every agent's state in struct-of-arrays form and
-advances one slot at a time: batteries follow the linear activity model,
-matched vehicles drive to their rendezvous, charging sessions hold a pad
-until the satisfactory level and UAVs that cross the urgency threshold
-queue as bidders. Every ``window_len`` seconds the accumulated bidders
-and idle vehicles clear through the auction, against mobile vehicles or
-static pads.
+A ``World`` holds every agent's state in struct-of-arrays form, and
+each kernel call advances it by a block of slots: batteries follow the
+linear activity model, matched vehicles drive to their rendezvous,
+charging sessions hold a pad until the satisfactory level and UAVs that
+cross the urgency threshold queue as bidders. Every ``window_len``
+seconds the accumulated bidders and idle vehicles clear through the
+auction, against mobile vehicles or static pads.
 
 Every simulated bid is truthful, and under truthful bids the omniscient
 welfare-maximizing planner's outcome is the auction's own
@@ -19,7 +19,8 @@ arrays are stacked, and each block of slots up to the next window
 boundary is one kernel call for the whole sweep. The kernel buffers
 each slot's SoC and sensing mask, all that the bidder bookkeeping
 (urgency, joining the bidders, valuation sums) reads, so it runs once
-per block (``_book``). Each world still clears its windows at its own
+per block (``_book``); a block in which no UAV of the stack bids or
+can join books nothing. Each world still clears its windows at its own
 ``window_len``. Nothing couples agents except partner indices, which
 are offset into the stack, so every world evolves bit-identically to a
 run on its own. Window metrics, and the outcomes and audit findings
@@ -31,16 +32,17 @@ Every window that closes at a slot boundary is cleared by one
 ``_close_boundary`` call for the whole stack, from arrays. Most windows
 of a sweep have no trade: no sampled bidder, or no vehicle that could
 serve the neediest one. Segment reductions over the stack tell those
-apart, and they are settled in bulk. A window with a trade is cleared
-without building a market: one sort ranks the bidders of every due
-world, and Python scores only each trade's admitted vehicles and clears
-both sides through ``mechanism.clear``, as ``run_auction`` does. An
-audited trade keeps its ranked bids and its vehicles' q, and the run's
-trades are audited from those arrays in one batch after its last slot,
-still with no market object. ``close_window`` is the one-world call of
-``_close_boundary``; the tests hold both to the scalar reference
-``tests/conftest.py::close_window_loop``, which clears each window
-through ``admit`` and ``run_auction``.
+apart, and they are settled in bulk; a boundary at which no world has
+a sampled bidder only sets its windows' empty-side flags. A window with
+a trade is cleared without building a market: one sort ranks the
+bidders of every due world, and Python scores only each trade's
+admitted vehicles and clears both sides through ``mechanism.clear``, as
+``run_auction`` does. An audited trade keeps its ranked bids and its
+vehicles' q, and the run's trades are audited from those arrays in one
+batch after its last slot, still with no market object. ``close_window``
+is the one-world call of ``_close_boundary``; the tests hold both to the
+scalar reference ``tests/conftest.py::close_window_loop``, which clears
+each window through ``admit`` and ``run_auction``.
 
 Scenario generation draws each agent from its own seeded substream keyed
 by (seed, side, index), so enlarging one side of the market leaves every
@@ -363,13 +365,26 @@ def _book(world: World, soc: np.ndarray, sensing: np.ndarray) -> None:
     that does not sample adds +0.0, which leaves a sum that starts at
     +0.0 unchanged. Only a window boundary removes bidders or excludes
     UAVs, so a block must not span one.
+
+    With no bidder in ``world`` (most blocks of a sweep), the block's
+    last slot decides alone, and when no UAV would join there, nothing
+    is written. This is exact: inside a block no UAV leaves SENSE (only
+    a boundary sends one out), a sensing UAV's SoC never rises, and the
+    urgency is monotone in SoC under IEEE rounding, so a UAV that would
+    join at some slot would also join at the last one. Without a
+    bidder, no slot samples, and every sum would gain only +0.0.
     """
     # run_worlds stacks only worlds that agree on every config field read here
     c = world.config
-    # charging urgency, pinned to 1 below the alert level
-    rho = np.minimum(1.0 - (soc - world.soc_alert) / world.uav_f[:, K.F_CAP], 1.0)
-    joins = sensing & ~world.excluded & (rho >= c.enter_urgency)
+
+    def joining(soc, sensing):  # charging urgency, pinned to 1 below the alert level
+        rho = np.minimum(1.0 - (soc - world.soc_alert) / world.uav_f[:, K.F_CAP], 1.0)
+        return rho, sensing & ~world.excluded & (rho >= c.enter_urgency)
+
     bidder = world.bidder
+    if not (bidder.any() or joining(soc[-1], sensing[-1])[1].any()):
+        return
+    rho, joins = joining(soc, sensing)
     sampling = np.empty_like(sensing)
     for t in range(len(sampling)):
         bidder |= joins[t]
@@ -576,9 +591,22 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     for a window with no trade); for an audit, a trade's ranked bidders,
     their bids and its vehicles' q are kept in ``cols.audited``. A
     bidder whose SoC has left [0, capacity] is a ValueError.
+
+    With no sampled bidder in the whole stack (most boundaries of a
+    sweep) and no outcome kept, only the due entries' empty-side flags
+    are set, and the masks returned are the ones the full pass would
+    return: no window can trade, no UAV loses, and ``admit``'s largest
+    gap is 0, so every idle vehicle with supply is admitted.
     """
     L = layout
     sampled = stack.bidder & (stack.sample_count > 0)
+    keep = cols.outcomes is not None
+    if not (keep or sampled.any()):
+        admitted = ((stack.ugv_i[:, K.GI_STATE] == K.UGV_IDLE)
+                    & (stack.ugv_f[:, K.G_SUPPLY] >= 0.0))
+        cols.ugv_empty[entry] = np.add.reduceat(admitted, L.ugv_starts)[ks] == 0
+        return _Boundary(sampled, np.zeros(len(worlds), dtype=bool), admitted,
+                         np.zeros(ks.size, dtype=bool), np.zeros(stack.num_uavs, dtype=bool))
     n_sampled = np.add.reduceat(sampled, L.uav_starts)
     queued = n_sampled > 0
     bids = queued[ks]
@@ -594,7 +622,6 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     trading = bids & sells
     # every due entry's empty-side flags are set here, trades included
     cols.ugv_empty[entry] = ~sells
-    keep = cols.outcomes is not None
     trades = np.flatnonzero(trading).tolist()
     losing = np.zeros(stack.num_uavs, dtype=bool)
     masks = _Boundary(sampled, queued, admitted, trading, losing)

@@ -10,8 +10,9 @@ package that they are not the reference for:
   replays the misreports the audit probes, on the audit's own grid;
 * ``market_values``: ``truthful_draws`` draws each market as
   ``random_market`` does, so the batch it checks sees the same values;
-* ``advance_slot``: ``run_world_windowwise`` steps a world one slot at a
-  time with it; the kernel's own tests hold it to ``step_world_loop``.
+* ``K.step_world``: ``run_world_windowwise`` steps a world one slot at a
+  time with it, and books each slot through ``book_loop``; the kernel's
+  own tests hold it to ``step_world_loop``.
 
 The rest are layouts, constants and value types.
 """
@@ -48,7 +49,7 @@ from skymarket.mechanism import (  # close_window_loop looks up admit and run_au
     with_replaced_bid,
 )
 from skymarket.metrics import MetricsRow
-from skymarket.simulator import SCHEME_STATIC, advance_slot
+from skymarket.simulator import SCHEME_STATIC
 from skymarket.types import Activity, AuctionOutcome
 
 
@@ -562,8 +563,9 @@ def no_trade_outcome(world, window_id, sampled, admitted):
 
 
 def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
-    """One world run alone, slot by slot, every window through the
-    scalar ``close_window_loop`` and, with ``with_audit``, every market it
+    """One world run alone, slot by slot, each slot booked by the scalar
+    ``book_loop`` and every window cleared through the scalar
+    ``close_window_loop`` and, with ``with_audit``, every market it
     clears through ``audit_market``: the oracle for ``run_worlds``, which
     stacks worlds and clears every window of a slot boundary at once,
     without building a market (``simulator._close_boundary``, of which
@@ -572,8 +574,13 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
     vehicle ``admit`` keeps) must be its ``no_trade_outcome``."""
     spw = world.config.slots_per_window
     rows, outcomes, audits = [], [], []
+    soc = np.empty((1, world.num_uavs))
+    sensing = np.empty(soc.shape, dtype=bool)
     for _ in range(horizon):
-        advance_slot(world)
+        K.step_world(world.uav_f, world.uav_i, world.ugv_f, world.ugv_i,
+                     soc=soc, sensing=sensing)
+        book_loop(world, soc, sensing)
+        world.clock += 1
         if world.clock % spw == 0:
             sampled = world.bidder & (world.sample_count > 0)
             gaps = world.uav_f[sampled, F_SAT] - world.uav_f[sampled, F_SOC]
@@ -592,6 +599,32 @@ def run_world_windowwise(world, horizon, with_audit=False, keep_outcomes=False):
             if keep_outcomes:
                 outcomes.append(outcome)
     return rows, outcomes, audits
+
+
+def book_loop(world, soc, sensing):
+    """Book a block of slots UAV by UAV, each UAV's slots in slot order:
+    the oracle for ``simulator._book``, which books the block with array
+    operations. ``soc[t]`` and ``sensing[t]`` are every UAV's SoC and
+    whether it senses after the block's slot t. A sensing UAV that is not
+    excluded joins the bidders once its urgency (``charging_urgency``,
+    pinned to 1 below the alert level) reaches ``enter_urgency``, and
+    every sensing bidder adds its urgency and ``instant_valuation`` to its
+    sums."""
+    c = world.config
+    caps = world.uav_f[:, F_CAP].tolist()
+    excluded = world.excluded.tolist()
+    for i, (alert, socs, senses) in enumerate(zip(world.soc_alert.tolist(), soc.T.tolist(),
+                                                  sensing.T.tolist())):
+        for s, sense in zip(socs, senses):
+            if not sense:
+                continue
+            rho = charging_urgency(s, alert, caps[i]) if s >= alert else 1.0
+            if not excluded[i] and rho >= c.enter_urgency:
+                world.bidder[i] = True
+            if world.bidder[i]:
+                world.phi_sum[i] += instant_valuation(rho, c.mu0, c.mu1)
+                world.rho_sum[i] += rho
+                world.sample_count[i] += 1
 
 
 def settle_losers_loop(world, losers, max_failed_windows):

@@ -22,6 +22,7 @@ from conftest import (  # noqa: E402
 )
 import skymarket._kernels as K  # noqa: E402
 import skymarket.audit as audit  # noqa: E402
+import skymarket.simulator as simulator  # noqa: E402
 from skymarket.audit import (  # noqa: E402
     DEVIATION_EPS,
     UTILITY_TOL,
@@ -45,6 +46,7 @@ from skymarket.simulator import (  # noqa: E402
     generate_scenario,
     run_worlds,
 )
+from skymarket.energy import slot_constants  # noqa: E402
 from skymarket.types import Match, ScenarioConfig, validate  # noqa: E402
 
 from test_kernels import step_block_loop, sweep_states, with_transitions_within  # noqa: E402
@@ -53,7 +55,9 @@ _STATE = ("uav_f", "uav_i", "ugv_f", "ugv_i", "soc_alert", "bidder", "excluded",
           "fail_count", "phi_sum", "rho_sum", "sample_count")
 
 # (uav_count, ugv_count, slot_len, slots per window, SoC low, SoC span,
-#  max_failed_windows, supply Wh, scheme, seed) of one world in a stack
+#  max_failed_windows, supply Wh, scheme, seed, near) of one world in a stack;
+# near is None, or (a, b): the SoC spans a to a + b slots' hover drain above
+# the join level instead, so the UAVs join slot after slot within the horizon
 _world = st.tuples(
     st.integers(1, 12),
     st.integers(1, 6),
@@ -65,16 +69,23 @@ _world = st.tuples(
     st.sampled_from([5.0, 40.0, 500.0]),
     st.sampled_from([SCHEME_OURS, SCHEME_STATIC]),
     st.integers(0, 2**16),
+    st.none() | st.tuples(st.integers(-4, 24), st.integers(0, 48)),
 )
 
 
 def _build(spec, enter_urgency):
-    n, m, slot_len, spw, soc_lo, soc_span, fails, supply, scheme, seed = spec
+    n, m, slot_len, spw, soc_lo, soc_span, fails, supply, scheme, seed, near = spec
     cfg = ScenarioConfig(
         uav_count=n, ugv_count=m, slot_len=slot_len, window_len=slot_len * spw,
         uav_soc_frac_min=soc_lo, uav_soc_frac_max=min(soc_lo + soc_span, 1.0),
         max_failed_windows=fails, ugv_supply_wh=supply, enter_urgency=enter_urgency,
     )
+    if near is not None:
+        # a UAV joins once its SoC is at most the join level
+        join = cfg.uav_alert_frac + 1.0 - enter_urgency
+        drain = slot_constants(cfg).drain_hov / cfg.uav_capacity_wh
+        lo, hi = (min(max(join + a * drain, 0.0), 1.0) for a in (near[0], sum(near)))
+        cfg = cfg.replace(uav_soc_frac_min=lo, uav_soc_frac_max=hi)
     assert validate(cfg) == []
     return generate_scenario(cfg, seed, scheme)
 
@@ -95,26 +106,30 @@ def _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency):
 
 
 # no shrink phase: shrinking a failing stack takes the five minutes
-# Hypothesis allows itself, so a failure is reported as generated
+# Hypothesis allows itself, so a failure is reported as generated. Every
+# oracle window is audited, so the cost grows with the horizon; 32 slots
+# span at least 8 windows of up to 4 slots, past any exclusion after 3
 @settings(derandomize=True, database=None, deadline=None, max_examples=60,
           phases=(Phase.explicit, Phase.generate))
 @given(
     specs=st.lists(_world, min_size=2, max_size=4),
-    horizon=st.integers(1, 48),
+    horizon=st.integers(1, 32),
     enter_urgency=st.sampled_from([0.0, 0.6, 0.75, 1.0]),
 )
 # window lengths of 2, 1, 2 and 1 slots, started a hair around the alert
 # level with ample supply, so UAVs join slot after slot: at some
 # boundaries where both lengths fall due, members of each length trade
-@example(specs=[(12, 6, 2.0, spw, 0.19995, 0.0002, 3, 500.0, scheme, 20 + k)
+@example(specs=[(12, 6, 2.0, spw, 0.19995, 0.0002, 3, 500.0, scheme, 20 + k, None)
                 for k, (spw, scheme) in enumerate([(2, SCHEME_OURS), (1, SCHEME_STATIC),
                                                    (2, SCHEME_OURS), (1, SCHEME_STATIC)])],
          horizon=24, enter_urgency=1.0)
 def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon,
                                                                  enter_urgency):
     # a stack of worlds that mix window lengths, slot lengths and schemes,
-    # started below the alert level, with losers leaving after a few
-    # failed windows, clears every window as each world would alone with
+    # started below the alert level or a few slots' drain above the join
+    # level (so UAVs join mid-block, and members of several window lengths
+    # trade at one boundary), with losers leaving after a few failed
+    # windows, clears every window as each world would alone with
     # every window going through close_window_loop; windows with no bidder
     # and windows whose bidders meet no admissible vehicle are settled
     # for the whole stack at once
@@ -143,15 +158,124 @@ def test_one_block_call_steps_as_a_slot_loop(index, k, seed, order):
         assert a.tobytes() == b.tobytes()  # bit for bit, in C order
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(index=st.integers(0, 199), k=st.integers(1, 32), seed=st.integers(0, 2**16))
+def test_a_sensing_row_senses_and_drains_to_the_end_of_its_block(index, k, seed):
+    # what _book's early return rests on: within one step_world call a
+    # row that senses at a slot senses at every later slot, and its SoC
+    # never rises between two of its sensing slots, also when it is
+    # clamped at 0 mid-block
+    uf, ui, gf, gi = with_transitions_within(sweep_states()[index], k, seed)
+    rng = np.random.default_rng(seed)
+    low = (ui[:, K.I_ACT] == K.ACT_SENSE) & (rng.random(len(uf)) < 0.2)
+    uf[low, K.F_SOC] = rng.uniform(0.0, k, low.sum()) * uf[low, K.F_DRAIN_HOV]
+    soc, sensing = np.empty((k, len(uf))), np.empty((k, len(uf)), dtype=bool)
+    K.step_world(uf, ui, gf, gi, soc=soc, sensing=sensing)
+    assert (sensing[1:] >= sensing[:-1]).all()
+    assert not (sensing[:-1] & (soc[1:] > soc[:-1])).any()
+
+
+_BOOK_CASES = ("bidders at start", "join at the last slot", "fly-back arrival joins",
+               "SoC clamped at 0", "excluded rows", "idle block")
+_BOOKED = ("bidder", "phi_sum", "rho_sum", "sample_count")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate))
+@given(index=st.integers(0, 199), k=st.integers(1, 32), seed=st.integers(0, 2**16),
+       case=st.sampled_from(_BOOK_CASES))
+def test_book_matches_the_scalar_oracle_on_a_block(index, k, seed, case):
+    # _book on a k-slot step_world block of a three-world stack against
+    # book_loop, UAV by UAV and slot by slot: every bookkeeping array, by
+    # bytes. Each case shapes the block so that what it names happens
+    # in it; in an idle block (no bidder, no row can join) neither may
+    # write anything, so the arrays are read-only there
+    if case == "fly-back arrival joins":
+        k = max(k, 2)  # arrives mid-block
+    uf, ui, gf, gi = with_transitions_within(sweep_states()[index], k, seed)
+    rng = np.random.default_rng(seed)
+    n = len(uf)
+    cfg = ScenarioConfig()
+    alert = cfg.uav_alert_frac * uf[:, K.F_CAP]
+    sense0 = ui[:, K.I_ACT] == K.ACT_SENSE  # at the block's start
+    excluded = sense0 & (rng.random(n) < 0.15)
+    bidder = np.zeros(n, dtype=bool)
+    count = np.zeros(n, dtype=np.int64)
+    if case == "bidders at start":
+        bidder = sense0 & ~excluded & (rng.random(n) < 0.3)
+        bidder[rng.choice(np.flatnonzero(sense0 & ~excluded))] = True
+        count[bidder] = rng.integers(1, 40, bidder.sum())
+    phi_sum = count * rng.uniform(1.0, 6.0, n)
+    rho_sum = count * rng.uniform(0.0, 1.0, n)
+    free = np.flatnonzero(sense0 & ~excluded & ~bidder)
+    if case == "fly-back arrival joins":
+        r = rng.choice(free)  # flies home and arrives at slot t of 2..k
+        t = rng.integers(2, k + 1)
+        ui[r, K.I_ACT] = K.ACT_FLY_BACK
+        uf[r, K.F_TX], uf[r, K.F_TY] = uf[r, K.F_HOME_X], uf[r, K.F_HOME_Y]
+        uf[r, K.F_X] = uf[r, K.F_HOME_X] - (t - 0.5) * uf[r, K.F_STEP_XY]
+        uf[r, K.F_Y] = uf[r, K.F_HOME_Y]
+    if case == "SoC clamped at 0":
+        low = rng.choice(free, 3, replace=False)  # run dry at a slot of 1..k
+        uf[low, K.F_SOC] = (rng.integers(1, k + 1, 3) - 0.5) * uf[low, K.F_DRAIN_HOV]
+    soc, sensing = np.empty((k, n)), np.empty((k, n), dtype=bool)
+    K.step_world(uf, ui, gf, gi, soc=soc, sensing=sensing)
+
+    rho = np.minimum(1.0 - (soc - alert) / uf[:, K.F_CAP], 1.0)
+    can_join = sensing & ~excluded
+    enter = rng.uniform(0.0, 1.0)
+    if case == "join at the last slot":
+        enter = rho[-1][can_join[-1]].max()
+    elif case == "fly-back arrival joins":
+        assert not sensing[0, r] and sensing[-1, r]
+        enter = rho[:, r][sensing[:, r]][0]
+    elif case == "excluded rows":
+        enter = 0.0
+        assert (sensing & excluded).any()
+    elif case == "idle block":
+        # rows below the alert level are excluded: their urgency is 1
+        excluded |= sensing[-1] & (rho[-1] >= 1.0)
+        can_join = sensing & ~excluded
+        enter = np.nextafter(rho[can_join].max(initial=0.0), np.inf)
+    passes = can_join & (rho >= enter)
+    if case == "join at the last slot":
+        assert passes[-1].any() and not passes[:-1].any()
+    if case == "SoC clamped at 0":
+        assert (soc[-1, low] == 0.0).all() and passes[-1, low].all()
+    if case == "idle block":
+        assert not passes.any()
+
+    def world():
+        w = simulator.World(config=cfg.replace(enter_urgency=float(enter)), scheme=SCHEME_OURS,
+                            seed=0, uav_f=uf, soc_alert=alert, bidder=bidder.copy(),
+                            excluded=excluded.copy(), phi_sum=phi_sum.copy(),
+                            rho_sum=rho_sum.copy(), sample_count=count.copy())
+        if case == "idle block":
+            for name in _BOOKED:
+                getattr(w, name).flags.writeable = False
+        return w
+
+    got, want = world(), world()
+    simulator._book(got, soc, sensing)
+    conftest.book_loop(want, soc, sensing)
+    for name in _BOOKED + ("excluded",):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    if case == "fly-back arrival joins":
+        assert got.bidder[r] and got.sample_count[r] == sensing[:, r].sum()
+    if case in ("excluded rows", "SoC clamped at 0"):
+        assert (got.bidder == (bidder | passes.any(0))).all()
+
+
 def test_bidderless_windows_with_and_without_an_idle_vehicle():
     # found by the property test against a fast path that always wrote
     # ugv_utility as the float 0.0: with every vehicle busy, the empty
     # market's ugv_utility is the empty sum, the int 0, and with an idle
     # vehicle the kept outcome lists it at utility 0.0
     specs = [
-        (11, 5, 0.5, 3, 0.0, 0.36, 1, 5.0, SCHEME_OURS, 0),
-        (1, 1, 0.5, 1, 0.0, 0.0, 1, 5.0, SCHEME_OURS, 0),
-        (1, 1, 0.5, 1, 0.0, 0.0, 1, 500.0, SCHEME_OURS, 0),
+        (11, 5, 0.5, 3, 0.0, 0.36, 1, 5.0, SCHEME_OURS, 0, None),
+        (1, 1, 0.5, 1, 0.0, 0.0, 1, 5.0, SCHEME_OURS, 0, None),
+        (1, 1, 0.5, 1, 0.0, 0.0, 1, 500.0, SCHEME_OURS, 0, None),
     ]
     outcomes, _ = _assert_stack_matches_worlds_alone(specs, 40, 0.0)
     bidderless = [o for o in outcomes if not o.uav_utilities]
@@ -195,9 +319,9 @@ def test_bidders_that_meet_only_busy_or_under_supplied_vehicles(monkeypatch):
     monkeypatch.setattr(simulator, "_clear_window", counting_clear)
     monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
     specs = [
-        (12, 1, 0.5, 2, 0.1, 0.15, 3, 500.0, SCHEME_OURS, 1),
-        (10, 3, 2.0, 2, 0.1, 0.15, 2, 5.0, SCHEME_STATIC, 2),
-        (8, 2, 1.0, 3, 0.1, 0.15, 2, 40.0, SCHEME_OURS, 3),
+        (12, 1, 0.5, 2, 0.1, 0.15, 3, 500.0, SCHEME_OURS, 1, None),
+        (10, 3, 2.0, 2, 0.1, 0.15, 2, 5.0, SCHEME_STATIC, 2, None),
+        (8, 2, 1.0, 3, 0.1, 0.15, 2, 40.0, SCHEME_OURS, 3, None),
     ]
     outcomes, worlds = _assert_stack_matches_worlds_alone(specs, 96, 1.0)
     assert any(idle == 0 for idle, _ in seen)  # every vehicle busy
