@@ -3,14 +3,19 @@
 against the scalar probes they replaced, and the layers around the
 audit in a ``skymarket audit`` call.
 
-Three market sets, each audited as one batch:
+Four market sets, each audited as one batch:
 
 * perfbench's ``audit_suite`` mix: the 100 markets of 1-8 bidders and
   1-8 vehicles that ``skymarket audit --max-size 8`` audits at CLI seed
   7000 (perfbench's call 0 at seed 7), drawn by the suite's own
   ``presets.audit_suite_batches``;
 * 20 bidders against 20 vehicles, the larger size of the tables;
-* 73 bidders against 25 vehicles, a window of the crowded market.
+* 73 bidders against 25 vehicles, a window of the crowded market;
+* 8 bidders against 8 vehicles, truthful bids drawn from three levels
+  (1.0, 2.5 and μ0 + μ1 = 6.0, the bid every UAV below the alert level
+  shares), so that bids tie: such markets price every bidder's
+  deviation grid, where markets with well-spread bids read the best
+  gain off the rank table.
 
 For each set it prints the best time over ``--repeats`` of auditing
 every market, per market: ``_audit_arrays`` on the set's flat arrays
@@ -50,6 +55,8 @@ SUITE_SEED = 7000  # perfbench's call 0 at seed 7
 SUITE_INSTANCES = 100
 SUITE_MAX_SIZE = 8
 SIZED_MARKETS = 20  # markets in each of the 20x20 and 73x25 sets
+TIED_MARKETS = 100
+TIED_LEVELS = (1.0, 2.5, 6.0)
 
 
 def suite_draw():
@@ -73,6 +80,17 @@ def sized_markets(n_uavs, n_ugvs, count):
     """``count`` random markets of one size, and their flat arrays."""
     rng = np.random.default_rng([n_uavs, n_ugvs])
     markets = [random_market(rng, n_uavs, n_ugvs) for _ in range(count)]
+    return _flat_sides(markets), markets
+
+
+def tied_markets(n_uavs, n_ugvs, count):
+    """``count`` truthful markets of one size whose valuations are drawn
+    from ``TIED_LEVELS``, and their flat arrays."""
+    rng = np.random.default_rng([n_uavs, n_ugvs, len(TIED_LEVELS)])
+    markets = []
+    for _ in range(count):
+        phi = rng.choice(TIED_LEVELS, size=n_uavs).tolist()
+        markets.append(WindowMarket.from_values(phi, phi, rng.uniform(0.05, 1.0, n_ugvs).tolist()))
     return _flat_sides(markets), markets
 
 
@@ -125,6 +143,8 @@ def main():
           *suite_markets(), args.repeats, whole_call=True)
     for n_uavs, n_ugvs in ((20, 20), (73, 25)):
         bench(f"{n_uavs}x{n_ugvs}", *sized_markets(n_uavs, n_ugvs, SIZED_MARKETS), args.repeats)
+    bench(f"8x8 tied bids (levels {', '.join(map(str, TIED_LEVELS))})",
+          *tied_markets(8, 8, TIED_MARKETS), args.repeats)
 
 
 if __name__ == "__main__":

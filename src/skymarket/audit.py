@@ -7,7 +7,11 @@ times its largest utility ``q·max(φ, bid)``, at least 1:
 * incentive compatibility: no bid on a deviation grid beats an agent's
   truthful utility. A misreport only moves the agent to another rank
   among its fixed opponents, and the rank-r payment depends only on the
-  opponents ranked at or below r, so no auction is replayed;
+  opponents ranked at or below r, so no auction is replayed. When a
+  market's bids are regular (each a few ``DEVIATION_EPS`` from the next
+  and from 0, all below 2**30), its grid provably reaches every rank,
+  and the best gain is the maximum over the ranks; only irregular
+  markets rank their grids bid by bid;
 * envy-freeness: no participant strictly prefers another winner's
   (vehicle, payment) pair under its own valuation; a loser envies iff
   some winner slot at its payment would give it positive utility;
@@ -276,6 +280,56 @@ def _padded(values: np.ndarray, starts: np.ndarray, counts: np.ndarray, width: i
     return out
 
 
+def _regular_bids(n: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each market's ``n`` bids by rank (``b``, padded with 0.0
+    and at least one column wider) are regular: every adjacent gap above
+    ``4 * DEVIATION_EPS``, the smallest bid above ``2 * DEVIATION_EPS``
+    and the largest below 2**30."""
+    pos = np.arange(b.shape[1] - 1)
+    # the smallest bid's gap is the one to the 0.0 padding past it
+    floor = np.where(pos + 1 < n[:, None], 4 * DEVIATION_EPS, 2 * DEVIATION_EPS)
+    return (((b[:, :-1] - b[:, 1:] > floor) | (pos >= n[:, None])).all(axis=1)
+            & (b[:, 0] < 2.0 ** 30))
+
+
+def _grid_best(gain: np.ndarray, n: np.ndarray, ids: np.ndarray,
+               bids: np.ndarray) -> np.ndarray:
+    """Each bidder's best gain over its :func:`deviation_grid`, -inf
+    past the ``n[b]`` rows: ``gain[b, p, r]`` is bidder p's gain at rank
+    r among its opponents, and ``ids`` and ``bids`` are the bidders' by
+    rank (padded with inf and 0.0)."""
+    B, N = ids.shape
+    pos = np.arange(N)
+    mover, real = pos[:, None], pos < n[:, None]
+    # each bidder's grid: its scaled bids, and every opponent bid nudged.
+    # A bid v reaches the rank that counts the opponents' keys (-bid, id)
+    # before (-v, the mover's id)
+    scaled = bids[:, :, None] * np.array(DEVIATION_MULTIPLIERS)
+    before = ((bids[:, None, None, :] > scaled[..., None])
+              | ((bids[:, None, None, :] == scaled[..., None])
+                 & (ids[:, None, None, :] < ids[:, :, None, None]))).sum(axis=3)
+    scaled_ranks = before - (bids[:, :, None] > scaled)
+    scaled_ok = (scaled >= 0.0) & real[:, :, None]
+    # the bids above a nudge are above it for every mover, less the
+    # mover's own; ids are compared only where the nudge ties a bid
+    nudges = (bids[:, :, None] + np.array([-DEVIATION_EPS, DEVIATION_EPS])).reshape(B, 2 * N)
+    source = np.repeat(pos, 2)
+    above = (bids[:, None, :] > nudges[:, :, None]).sum(axis=2)
+    nudge_ranks = above[:, None, :] - (bids[:, :, None] > nudges[:, None, :])
+    tb, tc = np.nonzero((bids[:, None, :] == nudges[:, :, None]).any(axis=2))
+    step = max(1, _CHUNK_CELLS // (N * N))  # tying nudges compared at a time
+    for i in range(0, tb.size, step):
+        t, c = tb[i:i + step], tc[i:i + step]
+        nudge_ranks[t, :, c] += ((bids[t] == nudges[t, c][:, None])[:, None, :]
+                                 & (ids[t][:, None, :] < ids[t][:, :, None])).sum(axis=2)
+    nudge_ok = (((nudges >= 0.0) & (source < n[:, None]))[:, None, :]
+                & real[:, :, None] & (source != mover))
+    ok = np.concatenate([scaled_ok, nudge_ok], axis=2)
+    ranks = np.where(ok, np.concatenate([scaled_ranks, nudge_ranks], axis=2), 0)
+    return np.where(ok, np.take_along_axis(gain, ranks, axis=2), -np.inf).max(
+        axis=2, initial=-np.inf)
+
+
 def _audit_chunk(n: np.ndarray, m: np.ndarray, ids: np.ndarray, phi: np.ndarray,
                  b: np.ndarray, q: np.ndarray) -> tuple:
     """``_audit_arrays``' field columns for markets padded to the largest
@@ -291,6 +345,30 @@ def _audit_chunk(n: np.ndarray, m: np.ndarray, ids: np.ndarray, phi: np.ndarray,
     t, which is the market's rank-(t + 1) bid from p's rank down and its
     rank-t bid above it. Ranks past the last winner hold -0.0, which
     adds to any float exactly.
+
+    IC reads bidder p's best gain off ``gain[b, p, r]``, its gain at
+    rank r among its opponents. A market's bids are *regular*
+    (``_regular_bids``) when, by rank, every adjacent gap is above
+    ``4 * DEVIATION_EPS``, the smallest bid is above ``2 * DEVIATION_EPS``
+    and the largest is below 2**30 (rounding is monotone, so a float gap
+    above the bound is an exact gap above it). A regular market's grid
+    reaches every rank 0..n−1, so its best gain is
+    ``max(gain[b, p, :n])``:
+
+    * below 2**30 an ulp is at most 2**-23 ≈ 1.2e-7, so ``fl(v ± 1e-6)``
+      lies strictly between a bid v and its neighbours, and stays ≥ 0;
+    * so opponent j's two nudges tie no bid and reach ranks o_j and
+      o_j + 1, o_j being the opponents above j, and together the n − 1
+      opponents' nudges cover 0..n−1. A one-bidder market reaches rank
+      0 through its scaled bids, which are ≥ 0;
+    * scaled bids only reach ranks inside that set;
+    * so the grid's gains are the floats ``gain[b, p, :n]``, and their
+      maximum is the same float (for valuations ≥ 0 no gain is -0.0, so
+      the order of the maximum cannot pick a signed zero).
+
+    Only the irregular markets of the chunk, such as an audited sweep's
+    windows whose UAVs share φ̄ = μ0 + μ1, rank their grids bid by bid
+    in ``_grid_best``.
     """
     B, N = ids.shape
     M = q.shape[1] - 1
@@ -315,34 +393,14 @@ def _audit_chunk(n: np.ndarray, m: np.ndarray, ids: np.ndarray, phi: np.ndarray,
     own = np.where(pos < k[:, None], utility[:, pos, pos], 0.0)
     gain = utility - own[:, :, None]
 
-    # each bidder's grid: its scaled bids, and every opponent bid nudged.
-    # A bid v reaches the rank that counts the opponents' keys (-bid, id)
-    # before (-v, the mover's id)
-    real, bids = pos < n[:, None], b[:, :N]
-    scaled = bids[:, :, None] * np.array(DEVIATION_MULTIPLIERS)
-    before = ((bids[:, None, None, :] > scaled[..., None])
-              | ((bids[:, None, None, :] == scaled[..., None])
-                 & (ids[:, None, None, :] < ids[:, :, None, None]))).sum(axis=3)
-    scaled_ranks = before - (bids[:, :, None] > scaled)
-    scaled_ok = (scaled >= 0.0) & real[:, :, None]
-    # the bids above a nudge are above it for every mover, less the
-    # mover's own; ids are compared only where the nudge ties a bid
-    nudges = (bids[:, :, None] + np.array([-DEVIATION_EPS, DEVIATION_EPS])).reshape(B, 2 * N)
-    source = np.repeat(pos, 2)
-    above = (bids[:, None, :] > nudges[:, :, None]).sum(axis=2)
-    nudge_ranks = above[:, None, :] - (bids[:, :, None] > nudges[:, None, :])
-    tb, tc = np.nonzero((bids[:, None, :] == nudges[:, :, None]).any(axis=2))
-    step = max(1, _CHUNK_CELLS // (N * N))  # tying nudges compared at a time
-    for i in range(0, tb.size, step):
-        t, c = tb[i:i + step], tc[i:i + step]
-        nudge_ranks[t, :, c] += ((bids[t] == nudges[t, c][:, None])[:, None, :]
-                                 & (ids[t][:, None, :] < ids[t][:, :, None])).sum(axis=2)
-    nudge_ok = (((nudges >= 0.0) & (source < n[:, None]))[:, None, :]
-                & real[:, :, None] & (source != mover))
-    ok = np.concatenate([scaled_ok, nudge_ok], axis=2)
-    ranks = np.where(ok, np.concatenate([scaled_ranks, nudge_ranks], axis=2), 0)
-    best = np.where(ok, np.take_along_axis(gain, ranks, axis=2), -np.inf).max(
+    # every bidder's best gain over ranks 0..n-1, which a regular market's
+    # grids reach; the irregular markets' grids are priced bid by bid
+    real = pos < n[:, None]
+    best = np.where(real[:, None, :] & real[:, :, None], gain, -np.inf).max(
         axis=2, initial=-np.inf)
+    grid = np.flatnonzero(~_regular_bids(n, b))
+    if grid.size:
+        best[grid] = _grid_best(gain[grid], n[grid], ids[grid], b[grid, :N])
 
     tol = _tolerance(q[:, 0], np.maximum(phi.max(axis=1, initial=0.0), b[:, 0]))
     slot_pay = np.zeros((B, 1, M))  # each vehicle's truthful payment, by rank

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import skymarket.audit as audit
 import skymarket.simulator as simulator
 from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row, random_market
 from skymarket.cli import build_parser, main
@@ -455,6 +456,46 @@ def test_low_soc_run_csvs_match_pinned_digests(tmp_path):
     assert_trading_windows_envy_free(out)
 
 
+# the low-SoC windows with UAVs from 10-60% charge: at seed 0 two UAVs
+# start below the alert level and bid φ̄ = μ0 + μ1 alike, at seed 1 one
+# does, so the run's one audit chunk holds tied and well-spread markets.
+# Recorded before the audit read the best gain of a market with regular
+# bids off its rank table
+MIXED_SOC_CONFIG = LOW_SOC_CONFIG.replace(uav_soc_frac_min=0.1, uav_soc_frac_max=0.6)
+MIXED_SOC_DIGESTS = {
+    "audits.csv": "b11130e9b1543ccb93019a9d9495fe1bb424a9ea022c7b6ffbe9dcf29744a2b2",
+    "metrics_aggregate.csv": "521b5214f534eff7afc2dd7df56526152c7ddc837536afe8eb967c415d0b5bb3",
+    "metrics_raw.csv": "a0a4064b43b44b04b1213f9955476429d00bcaecb07593de3833a8565a1fe1f0",
+    "outcomes.csv": "f876a80859cf1b2f6c0c28cc1387b12749e50c86007612b66142dc531a7fa596",
+}
+
+
+def test_mixed_soc_run_csvs_match_pinned_digests(tmp_path, monkeypatch):
+    # per audit chunk, its markets and those of them that price their grids
+    chunks = []
+    audit_chunk, grid_best = audit._audit_chunk, audit._grid_best
+
+    def chunk(n, *padded):
+        chunks.append([len(n), 0])
+        return audit_chunk(n, *padded)
+
+    def grid(gain, n, *ranked):
+        chunks[-1][1] += len(n)
+        return grid_best(gain, n, *ranked)
+
+    monkeypatch.setattr(audit, "_audit_chunk", chunk)
+    monkeypatch.setattr(audit, "_grid_best", grid)
+    cfg_path = tmp_path / "mixed_soc.cfg"
+    save_config(MIXED_SOC_CONFIG, cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--ugvs", "1", "4", "9", "--reps", "2",
+                 "--scheme", "all", "--outcomes", "--audit", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.glob("*.csv")}
+    assert digests == MIXED_SOC_DIGESTS
+    assert chunks == [[12, 6]]
+
+
 @pytest.mark.parametrize("args, problem", [
     (["--ugvs", "6", "0"], "ugv_count: must be >= 1"),
     (["--tau", "4", "3.5"], "window_len: must be a positive multiple of slot_len"),
@@ -642,7 +683,8 @@ def test_outputs_benchmark_script_runs():
 
 def test_audit_benchmark_script_runs():
     # a short smoke run, so the script tracks the batch, its scalar
-    # baseline, the suite's draw and a whole in-process audit call
+    # baseline, the suite's draw, a whole in-process audit call and the
+    # markets whose tied bids price their deviation grids
     out = run_benchmark_script("bench_audit.py", "--repeats", "1")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -651,8 +693,9 @@ def test_audit_benchmark_script_runs():
         "audit_suite mix (CLI seed 7000, 1-8 per side), 100 markets, best of 1:",
         "20x20, 20 markets, best of 1:",
         "73x25, 20 markets, best of 1:",
+        "8x8 tied bids (levels 1.0, 2.5, 6.0), 100 markets, best of 1:",
     ]
     parts = [line.split()[0] for line in lines if line.startswith(" ")]
     audit = ["_audit_arrays", "audit_markets", "scalar"]
-    assert parts == ["audit_suite_batches", *audit, "cli.main"] + audit * 2
+    assert parts == ["audit_suite_batches", *audit, "cli.main"] + audit * 3
     assert all(line.split()[2:4] == ["ms", "per"] for line in lines if line.startswith(" "))

@@ -441,6 +441,129 @@ def test_flat_audit_entry_matches_the_scalar_probes(markets, chunk_cells):
     assert repr(fields) == repr([audit_fields(mk) for mk in markets])
 
 
+# ranked bids built from one end, the top bid less the gaps below it or
+# the smallest bid plus the gaps above it. Gaps of 4·eps·(1 ± 1e-3), a
+# smallest bid near 2·eps and a largest near 2**30 straddle the bounds of
+# regular bids; gaps up to eps, bids below eps and bids of 1e10 and up
+# (where an ulp is eps or more, so a nudge moves a bid a whole ulp or not
+# at all) fall outside them
+_EPS = DEVIATION_EPS
+_gap = (st.sampled_from([4 * _EPS * (1 - 1e-3), 4 * _EPS * (1 + 1e-3), _EPS, _EPS / 2, 0.0])
+        | st.floats(1e-5, 3.0))
+_top = st.sampled_from([2.0 ** 30 * (1 - 2 ** -20), 2.0 ** 30, 1e10, 1e16]) | st.floats(1.0, 10.0)
+_smallest = (st.sampled_from([2 * _EPS * (1 - 1e-3), 2 * _EPS * (1 + 1e-3), _EPS, _EPS / 2, 0.0])
+             | st.floats(1e-5, 1.0))
+
+
+@st.composite
+def _ranked_bids(draw):
+    gaps = np.cumsum([0.0] + draw(st.lists(_gap, max_size=7)))
+    if draw(st.booleans()):
+        return np.maximum(draw(_top) - gaps, 0.0)
+    return (draw(_smallest) + gaps)[::-1]
+
+
+def _ranks_reached(markets):
+    """``audit._regular_bids`` of ranked bid lists, and ``reached[i, t, p]``:
+    bidder p of market i reaches rank t on its deviation grid, read off
+    ``_grid_best`` of a gain table that is 1.0 at rank t and 0.0 elsewhere.
+    Ids ascend by rank, as ties rank them."""
+    n = np.array([len(m) for m in markets])
+    N = n.max()
+    b = np.zeros((len(markets), N + 1))
+    for i, m in enumerate(markets):
+        b[i, :len(m)] = m
+    ids = np.where(np.arange(N) < n[:, None], np.arange(N), np.inf)
+    one_hot = np.broadcast_to(np.eye(N)[:, None, :], (N, N, N))  # [t, p, r]
+    best = audit._grid_best(np.tile(one_hot, (len(markets), 1, 1)), np.repeat(n, N),
+                            np.repeat(ids, N, axis=0), np.repeat(b[:, :N], N, axis=0))
+    return audit._regular_bids(n, b), best.reshape(len(markets), N, N) == 1.0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(markets=st.lists(_ranked_bids(), min_size=1, max_size=6))
+def test_the_grid_of_a_market_with_regular_bids_reaches_every_rank(markets):
+    # the lemma behind the audit's row maximum: a market called regular
+    # has every bidder reach every rank 0..n-1 on its grid, so the grid's
+    # best gain is the maximum over those ranks. No grid bid of any
+    # market reaches a rank past its opponents
+    regular, reached = _ranks_reached(markets)
+    for i, bids in enumerate(markets):
+        n = len(bids)
+        assert not reached[i, n:].any()
+        if regular[i]:
+            assert reached[i, :n, :n].all(), bids
+        if (np.diff(bids) >= -_EPS).any() or bids[-1] < _EPS or bids[0] >= 1e10:
+            assert not regular[i], bids
+
+
+def test_regular_bids_at_their_bounds():
+    # each bound decides on its own: the gaps 4·eps·(1 ± 1e-3) apart, the
+    # smallest bid at 2·eps·(1 ± 1e-3) and the largest just below 2**30
+    # and at it
+    wide, narrow = 4 * _EPS * (1 + 1e-3), 4 * _EPS * (1 - 1e-3)
+    high, low = 2 * _EPS * (1 + 1e-3), 2 * _EPS * (1 - 1e-3)
+    markets = [[1.0, 1.0 - wide, 0.5, high], [2.0 ** 30 - 1024, 1.0], [1.0, 1.0 - narrow, 0.5],
+               [1.0, low], [2.0 ** 30, 1.0], [high], [low]]
+    regular, reached = _ranks_reached(markets)
+    assert regular.tolist() == [True, True, False, False, False, True, False]
+    for i, bids in enumerate(markets):
+        assert reached[i, :len(bids), :len(bids)].all() or not regular[i]
+
+
+# a regular market's bids: 1 + steps of at least 1e-3; a near-tie
+# market's: levels, some of them a nudge or two apart, and a tie
+_spread_bids = st.lists(st.floats(1e-3, 1.0), max_size=7).map(
+    lambda g: (1.0 + np.cumsum([0.0] + g)).tolist())
+_tied_bids = st.lists(st.sampled_from([1.0, 2.5, 2.5 - _EPS, 2.5 + _EPS, 2.5 + 2 * _EPS, 6.0]),
+                      min_size=1, max_size=8).map(lambda b: b + b[:1])
+
+
+@st.composite
+def _split_markets(draw):
+    markets = []
+    for bids in draw(st.lists(_spread_bids, min_size=1, max_size=4)) + draw(
+            st.lists(_tied_bids, min_size=1, max_size=4)):
+        shades = draw(st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0]), min_size=len(bids),
+                               max_size=len(bids)))
+        ids = draw(st.lists(st.integers(0, 10**9), min_size=len(bids), max_size=len(bids),
+                            unique=True))
+        qs = draw(st.lists(_q, max_size=8))
+        markets.append(WindowMarket(0, [DemandEntry(i, b * s, b)
+                                        for i, b, s in zip(ids, bids, shades)],
+                                    [SupplyEntry(j, q) for j, q in enumerate(qs)]))
+    return draw(st.permutations(markets))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          phases=(Phase.explicit, Phase.generate))
+@given(markets=_split_markets(), chunk_cells=st.sampled_from([1, 40, 1 << 16]))
+def test_only_the_irregular_markets_of_a_chunk_take_the_grid(markets, chunk_cells):
+    # a chunk reads its regular markets' best gains off the rank table and
+    # prices only its irregular markets' grids; the fields equal those of
+    # every market priced on its grid, and the scalar probes', by repr
+    flat = audit._flat_sides(markets)
+    taken = []
+    grid_best = audit._grid_best
+
+    def counted(gain, n, ids, bids):
+        taken.append(len(n))
+        return grid_best(gain, n, ids, bids)
+
+    with mock.patch.object(audit, "_CHUNK_CELLS", chunk_cells):
+        with mock.patch.object(audit, "_grid_best", counted):
+            fields = audit._audit_arrays(*flat)
+        with mock.patch.object(audit, "_regular_bids", lambda n, b: np.zeros(len(n), bool)):
+            forced = audit._audit_arrays(*flat)
+    assert repr(fields) == repr(forced) == repr([audit_fields(mk) for mk in markets])
+    # the spread markets are regular and the tied ones not, so a chunk
+    # of the whole batch splits
+    assert sum(taken) == sum(len({e.bid for e in mk.demand}) < mk.num_uavs for mk in markets)
+    if chunk_cells == 1 << 16:
+        assert 0 < taken[0] < len(markets)
+
+
 def _clear_ranked(demand, supply):
     """``mechanism.clear`` of ranked (DemandEntry, SupplyEntry) sides."""
     return clear([e.uav_id for e in demand], [e.bid for e in demand],
