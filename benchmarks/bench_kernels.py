@@ -17,12 +17,14 @@ Four workloads:
   shows how much of the end-to-end wall time the kernel actually owns;
 * a replay of the kernel's inputs, recorded call by call over a
   ``run_experiment`` of each perfbench-shaped sweep (one seed, every
-  scheme): each call's four arrays and its block length. ``step_world``
-  alone is timed on each recorded block, and each branch's share of
-  slots with rows and with a transition is printed, with the share of
-  slots in which some UAV changes activity (after which the kernel
-  regroups its rows). Only the kernel call is timed, so this is the
-  steadiest measure of a kernel change.
+  scheme) and of acceptance criterion 7's sweep (100 seeds, every
+  scheme: 1,000 worlds of 10 UAVs on one stack): the four arrays and
+  the block length of each call inside the first ``--steps`` slots.
+  ``step_world`` alone is timed on each recorded block, and each
+  branch's share of slots with rows and with a transition is printed,
+  with the share of slots in which some UAV changes activity (after
+  which the kernel gathers the groups that changed). Only the kernel
+  call is timed, so this is the steadiest measure of a kernel change.
 
 Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -154,10 +156,12 @@ def bench_full_run(repeats):
 
 REPLAY_SEED = 7000  # perfbench's call 0 at seed 7
 
-# perfbench's sweeps: (title, config, sweep); each runs every scheme
+# perfbench's sweeps and criterion 7's: (title, config, sweep, seeds);
+# each runs every scheme
 SWEEPS = (
-    ("fleet_sweep", ScenarioConfig(), {"ugv_count": [6, 8, 10, 12, 14]}),
-    ("crowded_market", CROWDED, {}),
+    ("fleet_sweep", ScenarioConfig(), {"ugv_count": [6, 8, 10, 12, 14]}, 1),
+    ("crowded_market", CROWDED, {}, 1),
+    ("criterion 7", ScenarioConfig(), {"ugv_count": [6, 8, 10, 12, 14]}, 100),
 )
 
 # the kernel's branches with a transition gate: (name, which of the four
@@ -169,28 +173,25 @@ BRANCHES = (
 )
 
 
-def record_states(cfg, sweep, steps):
+def record_states(cfg, sweep, seeds, steps):
     """step_world's four input arrays, copied, and the block length of
     each call over the sweep's first ``steps`` slots (the last block cut
-    short to fit)."""
-    states, step = [], K.step_world
+    short to fit); later calls are not copied, so memory stays bounded."""
+    states, step, left = [], K.step_world, steps
 
     def recording(*arrays, soc, sensing):
-        states.append((tuple(a.copy(order="K") for a in arrays), len(soc)))
+        nonlocal left
+        if left > 0:
+            states.append((tuple(a.copy(order="K") for a in arrays), min(len(soc), left)))
+            left -= len(soc)
         step(*arrays, soc=soc, sensing=sensing)
 
     K.step_world = recording
     try:
-        run_experiment(cfg, sweep, replications=1, base_seed=REPLAY_SEED)
+        run_experiment(cfg, sweep, replications=seeds, base_seed=REPLAY_SEED)
     finally:
         K.step_world = step
-    blocks, left = [], steps
-    for arrays, k in states:
-        if left <= 0:
-            break
-        blocks.append((arrays, min(k, left)))
-        left -= k
-    return blocks
+    return states
 
 
 def replay(states, arrays, soc, sensing):
@@ -210,7 +211,7 @@ def branch_shares(states):
     recorded block is stepped again one slot at a time."""
     with_rows = dict.fromkeys((name for name, *_ in BRANCHES), 0)
     moving = dict(with_rows)
-    regroups = 0
+    changed = 0
     for state, k in states:
         arrays = tuple(a.copy(order="K") for a in state)
         soc = np.empty((1, arrays[0].shape[0]))  # one slot per call
@@ -223,15 +224,15 @@ def branch_shares(states):
                 rows = np.isin(old, codes)
                 with_rows[name] += bool(rows.any())
                 moving[name] += bool((rows & (arrays[i][:, col] != old)).any())
-            regroups += bool((arrays[1][:, K.I_ACT] != before[1][:, K.I_ACT]).any())
-    return with_rows, moving, regroups
+            changed += bool((arrays[1][:, K.I_ACT] != before[1][:, K.I_ACT]).any())
+    return with_rows, moving, changed
 
 
 def bench_replay(steps, repeats):
-    print(f"\nkernel replay of each perfbench sweep (cli seed {REPLAY_SEED}, first {steps} slots, "
-          f"one call per block, best of {repeats} per call):")
-    for title, cfg, sweep in SWEEPS:
-        states = record_states(cfg, sweep, steps)
+    print(f"\nkernel replay of each perfbench sweep and of criterion 7's (cli seed {REPLAY_SEED}, "
+          f"first {steps} slots, one call per block, best of {repeats} per call):")
+    for title, cfg, sweep, seeds in SWEEPS:
+        states = record_states(cfg, sweep, seeds, steps)
         slots = sum(k for _, k in states)
         arrays = tuple(a.copy(order="K") for a in states[0][0])
         soc = np.empty((max(k for _, k in states), arrays[0].shape[0]))
@@ -242,11 +243,11 @@ def bench_replay(steps, repeats):
         uavs, ugvs = arrays[0].shape[0], arrays[2].shape[0]
         print(f"  {title} ({uavs} UAVs x {ugvs} vehicles, {slots} slots): {len(states)} calls, "
               f"{best.sum() * 1e6 / slots:.2f}us per slot, {best.mean() * 1e6:.2f}us per call")
-        with_rows, moving, regroups = branch_shares(states)
+        with_rows, moving, changed = branch_shares(states)
         for name, *_ in BRANCHES:
             print(f"    {name:<18} rows in {with_rows[name] / slots:>4.0%} of slots, "
                   f"a transition in {moving[name] / slots:>4.0%}")
-        print(f"    some UAV changes activity in {regroups / slots:.0%} of slots")
+        print(f"    some UAV changes activity in {changed / slots:.0%} of slots")
 
 
 def main():

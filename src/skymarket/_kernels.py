@@ -8,16 +8,26 @@ reads, as it does for ``advance_slot``'s one-slot block; nothing else
 writes the agent arrays inside a block. The only link between rows is a
 partner index, which the simulator offsets into the stack, so each row's
 arithmetic is the same as in a world stepped alone. ``step_world``
-groups rows by activity and updates each group with whole-column
-operations, in the same per-element order as the scalar loop
-``step_world_loop`` in ``tests/conftest.py``, which the tests hold it to
-bit for bit; ``benchmarks/bench_kernels.py`` times it.
+updates whole columns and groups of rows, in the same per-element order
+as the scalar loop ``step_world_loop`` in ``tests/conftest.py``, which
+the tests hold it to bit for bit; ``benchmarks/bench_kernels.py`` times
+it.
 
-Transitions (arrivals, landings, top-outs, pads that starve or turn
-ready, sessions that end) happen in few slots: on perfbench's sweeps
-some UAV changes activity in about a third of them. So the rows are
-regrouped, and each group's constants gathered, only after such a slot,
-and each branch tests first whether any of its rows transitions and
+Per-slot work follows what changed, not the number of rows:
+
+* every UAV row's drain per slot sits in one column, built at the start
+  of a call from its activity (0.0 while charging); each slot subtracts
+  it from the SoC column and clamps at 0 over all rows, and a
+  transition writes the new drain of the rows it moves;
+* the waiting, descending, ascending and charging rows are each
+  gathered, with their constants, only after a slot in which a row
+  joined or left the group, so a transition costs the groups it
+  touches and no sort of every row;
+* en-route vehicles and flying UAVs take the same leg step, so they
+  move as one set with positions local to the call. Arrivals are
+  dropped in the slot they arrive, and UAVs that top out join.
+
+Each branch tests first whether any of its rows transitions, and
 otherwise updates its whole group without splitting it. Each element
 gets the same float operations either way.
 
@@ -37,9 +47,9 @@ column at a time. It accepts either order, with the same bits.
 Energy deltas are precomputed per slot when a world is built: the drains
 eta_i * P * dt / 3600, the charging gain eta_i * eta_j * P_e * dt / 3600
 and the supply a pad draws for it, gain / eta_j. So the kernel only
-adds, clamps, moves, and switches activity. Vehicles advance before UAVs
-so a pad that arrives in a slot is visible to its waiting UAV in the
-same slot.
+adds, clamps, moves, and switches activity. Vehicles arrive before the
+pad-ready test, so a pad that arrives in a slot is visible to its
+waiting UAV in the same slot.
 """
 
 from __future__ import annotations
@@ -101,16 +111,6 @@ UGV_IDLE = 0
 UGV_ENROUTE = 1
 UGV_SERVING = 2
 
-# the kernel's branches in the order it runs them; codes that share
-# a branch sit side by side, so each branch is one run of sorted rows
-_BRANCH_ORDER = (ACT_SENSE, ACT_WAIT, ACT_FLY_OUT, ACT_FLY_BACK, ACT_DESCEND,
-                 ACT_ASCEND, ACT_CHARGE)
-# activity code -> rank in _BRANCH_ORDER (a list, not np.argsort: a numpy
-# sort at import pages in ~0.4 MB of sort code that only the kernel needs)
-_GROUP_KEY = np.array([_BRANCH_ORDER.index(code) for code in range(len(_BRANCH_ORDER))],
-                      dtype=np.int8)
-
-
 # 0-d constants: a ufunc takes them without converting a Python scalar
 _ZERO = np.array(0.0)
 _SERVING = np.array(UGV_SERVING)
@@ -122,12 +122,16 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
     ``sensing[t]`` receive every UAV's SoC and whether it is sensing
     after slot t.
 
-    Each column is a 1-D view. UAV rows are sorted by activity, and each
-    group's constants gathered (the drains of all but the charging rows
-    into one vector), at the first slot and after any slot in which some
-    row changed activity. The en-route vehicles are gathered once, and
-    dropped as they arrive; their positions are written back when they
-    arrive and when the call returns.
+    Each column is a 1-D view. ``drain`` holds each UAV row's drain per
+    slot for its activity, 0.0 while charging, so every slot drains all
+    rows at once; a transition writes the drain of the rows it moves.
+    The waiting, descending, ascending and charging rows, and their
+    constants, are gathered at the first slot and after a slot in which
+    a row joined or left the group. The movers (en-route vehicles, then
+    outbound and homebound UAVs) step as one set with positions local to
+    the call: arrivals are dropped, and written back, in the slot they
+    arrive, UAVs that top out are appended, and the rest are written
+    back when the call returns.
     """
     (soc_col, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
      drain_fly, drain_hov, drain_desc, drain_asc,
@@ -136,79 +140,76 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
     gx, gy, gtx, gty, gstep, supply = ugv_f.T
     state, gpartner = ugv_i.T
 
-    # vehicles move first; only a window boundary sends one en route
+    # each activity's drain, in code order; a charging row drains nothing
+    drain = np.choose(act, (drain_hov, drain_fly, drain_hov, drain_desc, _ZERO, drain_asc,
+                            drain_fly))
+    # only a window boundary sends a vehicle en route or a UAV out; the
+    # outbound UAVs sit before the homebound ones
     en = (state == UGV_ENROUTE).nonzero()[0]
-    ex, ey, etx, ety, estep = gx[en], gy[en], gtx[en], gty[en], gstep[en]
-    regroup = True
+    out = (act == ACT_FLY_OUT).nonzero()[0]
+    fly = np.concatenate((out, (act == ACT_FLY_BACK).nonzero()[0]))
+    n_out = out.size
+    mx, my, mtx, mty, mstep = (np.concatenate((g[en], u[fly])) for g, u in (
+        (gx, x), (gy, y), (gtx, tx), (gty, ty), (gstep, step_xy)))
+    wait = descend = ascend = charge = True  # the groups to gather before the next slot
     for t in range(len(soc)):
-        if en.size:
-            dx = etx - ex
-            dy = ety - ey
-            dist = np.sqrt(dx * dx + dy * dy)
-            arrive = dist <= estep
-            if np.count_nonzero(arrive):  # rare: drop the arrivals, move the rest
-                arrived = en[arrive]
-                gx[arrived] = etx[arrive]
-                gy[arrived] = ety[arrive]
-                state[arrived] = UGV_SERVING
-                move = ~arrive
-                en, ex, ey, etx, ety, estep, dx, dy, dist = (
-                    v[move] for v in (en, ex, ey, etx, ety, estep, dx, dy, dist))
-            ex += estep * dx / dist
-            ey += estep * dy / dist
-
-        if regroup:  # int8 keys radix-sort; each branch's codes sit side by side
-            key = _GROUP_KEY[act]
-            rows = key.argsort(kind="stable")
-            ends = np.bincount(key, minlength=len(_GROUP_KEY)).cumsum().tolist()
-            e_sense, e_wait, e_out, e_back, e_desc, e_asc, _ = ends
-            w_idx = rows[e_sense:e_wait]
+        if wait:
+            w_idx = (act == ACT_WAIT).nonzero()[0]
             w_pads = partner[w_idx]
-            f_idx = rows[e_wait:e_back]
-            f_tx, f_ty, f_step = tx[f_idx], ty[f_idx], step_xy[f_idx]
-            n_out = e_out - e_wait
-            d_idx = rows[e_back:e_desc]
+        if descend:
+            d_idx = (act == ACT_DESCEND).nonzero()[0]
             d_step = step_down[d_idx]
-            a_idx = rows[e_desc:e_asc]
+        if ascend:
+            a_idx = (act == ACT_ASCEND).nonzero()[0]
             a_step, a_top = step_up[a_idx], cruise_z[a_idx]
-            c_idx = rows[e_asc:]
+        if charge:
+            c_idx = (act == ACT_CHARGE).nonzero()[0]
             c_pads, c_draw, c_gain, c_cap, c_sat = (
                 partner[c_idx], supply_draw[c_idx], charge_gain[c_idx], cap[c_idx], sat[c_idx])
-            # every row but the charging ones drains, each at its activity's rate
-            drained = rows[:e_asc]
-            drain = np.concatenate((drain_hov[rows[:e_wait]], drain_fly[f_idx],
-                                    drain_desc[d_idx], drain_asc[a_idx]))
-            regroup = False
+        wait = descend = ascend = charge = False
 
-        if drained.size:
-            soc_col[drained] = np.maximum(soc_col[drained] - drain, _ZERO)
+        # a charging row subtracts +0.0 and passes the clamp unchanged
+        np.subtract(soc_col, drain, out=soc_col)
+        np.maximum(soc_col, _ZERO, out=soc_col)
+
+        # horizontal legs, before the pad-ready test, so a pad that arrives
+        # in a slot is ready for its waiting UAV in the same slot
+        if mx.size:
+            dx = mtx - mx
+            dy = mty - my
+            dist = np.sqrt(dx * dx + dy * dy)
+            arrive = dist <= mstep
+            if np.count_nonzero(arrive):  # rare: drop the arrivals, move the rest
+                at_pad, at_uav = arrive[:en.size], arrive[en.size:]
+                arrived = en[at_pad]
+                gx[arrived] = gtx[arrived]
+                gy[arrived] = gty[arrived]
+                state[arrived] = UGV_SERVING
+                done = fly[at_uav]  # outbound rows first
+                x[done] = tx[done]
+                y[done] = ty[done]
+                drain[done] = drain_hov[done]
+                n_rdv = np.count_nonzero(at_uav[:n_out])
+                if n_rdv:
+                    act[done[:n_rdv]] = ACT_WAIT
+                    wait = True
+                    n_out -= n_rdv
+                act[done[n_rdv:]] = ACT_SENSE
+                move = ~arrive
+                en, fly = en[move[:en.size]], fly[move[en.size:]]
+                mx, my, mtx, mty, mstep, dx, dy, dist = (
+                    v[move] for v in (mx, my, mtx, mty, mstep, dx, dy, dist))
+            mx += mstep * dx / dist
+            my += mstep * dy / dist
 
         # pad-waiting rows whose vehicle is on station start down
         if w_idx.size:
             ready = state[w_pads] == _SERVING
             if np.count_nonzero(ready):
-                act[w_idx[ready]] = ACT_DESCEND
-                regroup = True
-
-        # horizontal legs, outbound rows first
-        if f_idx.size:
-            fx, fy = x[f_idx], y[f_idx]
-            dx = f_tx - fx
-            dy = f_ty - fy
-            dist = np.sqrt(dx * dx + dy * dy)
-            arrive = dist <= f_step
-            if np.count_nonzero(arrive):  # rare, as for vehicles
-                done = f_idx[arrive]
-                x[done] = f_tx[arrive]
-                y[done] = f_ty[arrive]
-                act[f_idx[:n_out][arrive[:n_out]]] = ACT_WAIT
-                act[f_idx[n_out:][arrive[n_out:]]] = ACT_SENSE
-                regroup = True  # so the cached group may shrink here
-                move = ~arrive
-                f_idx, f_step, fx, fy, dx, dy, dist = (
-                    v[move] for v in (f_idx, f_step, fx, fy, dx, dy, dist))
-            x[f_idx] = fx + f_step * dx / dist
-            y[f_idx] = fy + f_step * dy / dist
+                go = w_idx[ready]
+                act[go] = ACT_DESCEND
+                drain[go] = drain_desc[go]
+                wait = descend = True
 
         # vertical legs
         if d_idx.size:
@@ -216,8 +217,10 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
             landed = d_z <= _ZERO
             if np.count_nonzero(landed):
                 z[d_idx] = np.where(landed, _ZERO, d_z)
-                act[d_idx[landed]] = ACT_CHARGE
-                regroup = True
+                down = d_idx[landed]
+                act[down] = ACT_CHARGE
+                drain[down] = _ZERO
+                descend = charge = True
             else:
                 z[d_idx] = d_z
 
@@ -230,7 +233,12 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
                 act[done] = ACT_FLY_BACK
                 tx[done] = home_x[done]
                 ty[done] = home_y[done]
-                regroup = True
+                drain[done] = drain_fly[done]
+                ascend = True
+                # homebound, so they join the movers at the end
+                fly = np.concatenate((fly, done))
+                mx, my, mtx, mty, mstep = (np.concatenate((m, u[done])) for m, u in (
+                    (mx, x), (my, y), (mtx, tx), (mty, ty), (mstep, step_xy)))
             else:
                 z[a_idx] = a_z
 
@@ -258,16 +266,18 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
                 done_pads = c_pads[done]
                 act[done_idx] = ACT_ASCEND
                 partner[done_idx] = -1
+                drain[done_idx] = drain_asc[done_idx]
                 state[done_pads] = UGV_IDLE
                 gpartner[done_pads] = -1
-                regroup = True
+                charge = ascend = True
 
         soc[t] = soc_col
         np.equal(act, _SENSE, out=sensing[t])
 
-    if en.size:
-        gx[en] = ex
-        gy[en] = ey
+    gx[en] = mx[:en.size]
+    gy[en] = my[:en.size]
+    x[fly] = mx[en.size:]
+    y[fly] = my[en.size:]
 
 
 def active_backend() -> str:

@@ -394,11 +394,15 @@ def _audit_chunk(n: np.ndarray, m: np.ndarray, ids: np.ndarray, phi: np.ndarray,
     gain = utility - own[:, :, None]
 
     # every bidder's best gain over ranks 0..n-1, which a regular market's
-    # grids reach; the irregular markets' grids are priced bid by bid
+    # grids reach, skipped when no market is regular; the irregular
+    # markets' grids are priced bid by bid and overwrite their rows
     real = pos < n[:, None]
-    best = np.where(real[:, None, :] & real[:, :, None], gain, -np.inf).max(
-        axis=2, initial=-np.inf)
     grid = np.flatnonzero(~_regular_bids(n, b))
+    if grid.size < B:
+        best = np.where(real[:, None, :] & real[:, :, None], gain, -np.inf).max(
+            axis=2, initial=-np.inf)
+    else:
+        best = np.empty((B, N))
     if grid.size:
         best[grid] = _grid_best(gain[grid], n[grid], ids[grid], b[grid, :N])
 

@@ -17,7 +17,7 @@ its ``ours`` statistics. The tests run it inside worlds as the oracle.
 kept as the oracle the closed form is checked against; no scheme calls it.
 
 The static-pad scheme is scored in the simulator
-(``World.service_distance``) and clears through the unchanged auction.
+(``World.qors``) and clears through the unchanged auction.
 """
 
 from __future__ import annotations

@@ -208,17 +208,23 @@ class World:
             qors=qors,
         )
 
-    def service_distance(self, j: int) -> float:
-        """Distance a UAV flies to reach vehicle j's service point."""
-        d = math.hypot(
-            self.ugv_f[j, K.G_X] - self.spot[0], self.ugv_f[j, K.G_Y] - self.spot[1]
-        )
-        return d if self.scheme == SCHEME_STATIC else d / 2.0
-
-    def ugv_qors(self, j: int) -> float:
+    def qors(self, ugvs: list) -> list[float]:
+        """The QoRS of vehicles ``ugvs``, from the distance a UAV flies to
+        reach each one's service point: its distance to the spot, halved
+        for a mobile vehicle, which meets the UAV halfway, and capped at
+        ``qors_ref_distance``. The coordinates are read once, as floats."""
         c = self.config
-        d = min(self.service_distance(j), c.qors_ref_distance)
-        return qors_from_distance(d, c.qors_ref_distance, c.qors_floor)
+        spot_x, spot_y = c.spot
+        halve = self.scheme != SCHEME_STATIC
+        rows = self.ugv_f.take(ugvs, axis=0)
+        qs = []
+        for x, y in zip(rows[:, K.G_X].tolist(), rows[:, K.G_Y].tolist()):
+            d = math.hypot(x - spot_x, y - spot_y)
+            if halve:
+                d = d / 2.0
+            qs.append(qors_from_distance(min(d, c.qors_ref_distance), c.qors_ref_distance,
+                                         c.qors_floor))
+        return qs
 
 
 def _checked(config: ScenarioConfig) -> ScenarioConfig:
@@ -580,8 +586,8 @@ def _close_boundary(stack: World, worlds: Sequence[World], ks: np.ndarray,
     bidders by (world, bid descending, row), as the auction ranks them.
 
     A trade clears without building a market: ``_clear_window`` passes
-    the ranking and the world's admitted vehicles, each scored once by
-    ``World.ugv_qors``, to ``mechanism.clear``, and sums SL and the
+    the ranking and the world's admitted vehicles, scored by one
+    ``World.qors`` call, to ``mechanism.clear``, and sums SL and the
     utilities in the order of ``tests/conftest.py::close_window_loop``,
     the scalar reference, into the ``MetricsRow`` that checks them; the
     pairs are scheduled in one array pass. Every other bidder of a due
@@ -695,14 +701,14 @@ def _clear_window(world: World, window: int, ranked: list, bid: list, rho_bar: l
 
     ``ranked``, ``bid`` and ``rho_bar`` are the window's bidders in the
     auction's order (local id, truthful bid, window-average urgency),
-    and ``ugvs`` its admitted vehicles in id order, each scored once by
-    ``World.ugv_qors``; ``mechanism.clear`` clears them against the
+    and ``ugvs`` its admitted vehicles in id order, scored by one
+    ``World.qors`` call; ``mechanism.clear`` clears them against the
     vehicles ranked by (q descending, id). Only the vehicles and the
     winners are visited. Returns the trade, its row and the vehicles'
     scores in id order, which an audit reads.
     """
     c = world.config
-    qs = [world.ugv_qors(j) for j in ugvs]
+    qs = world.qors(ugvs)
     offers = list(zip(ugvs, qs))
     # sorted is stable: equal q stay in id order
     offers.sort(key=lambda offer: -offer[1])

@@ -499,7 +499,7 @@ def close_window_loop(world):
 
     idle = np.flatnonzero(world.ugv_i[:, GI_STATE] == UGV_IDLE).tolist()
     supply = world.ugv_f[idle, G_SUPPLY].tolist()
-    offers = [(j, world.ugv_qors(j), s) for j, s in zip(idle, supply)]
+    offers = list(zip(idle, world.qors(idle), supply))
 
     market = admit(demand, offers, window_id, gaps)
     outcome = run_auction(market)

@@ -94,12 +94,12 @@ def _place_pad(world, j, x, y):
 def test_static_pad_qors_geometry():
     _, static = _paired_worlds(ScenarioConfig())
     _place_pad(static, 0, *SPOT)
-    assert static.ugv_qors(0) == 1.0  # pad at the spot
+    assert static.qors([0])[0] == 1.0  # pad at the spot
     _place_pad(static, 0, 2500.0, 1250.0)
-    assert static.ugv_qors(0) == pytest.approx(0.5, abs=1e-12)
+    assert static.qors([0])[0] == pytest.approx(0.5, abs=1e-12)
     # beyond the reference distance the score saturates at the floor
     _place_pad(static, 0, 2500.0, 9000.0)
-    assert static.ugv_qors(0) == 0.05
+    assert static.qors([0])[0] == 0.05
 
 
 def test_static_scores_never_beat_mobile_scores(rng):
@@ -109,11 +109,11 @@ def test_static_scores_never_beat_mobile_scores(rng):
         for world in (mobile, static):
             _place_pad(world, 0, SPOT[0] + d, SPOT[1])
         # a mobile vehicle meets its UAV halfway, a pad at the pad
-        assert static.ugv_qors(0) == pytest.approx(
+        assert static.qors([0])[0] == pytest.approx(
             qors_from_distance(min(d, 2500.0), 2500.0), abs=1e-12)
-        assert mobile.ugv_qors(0) == pytest.approx(
+        assert mobile.qors([0])[0] == pytest.approx(
             qors_from_distance(min(d / 2.0, 2500.0), 2500.0), abs=1e-12)
-        assert static.ugv_qors(0) <= mobile.ugv_qors(0) + 1e-12
+        assert static.qors([0])[0] <= mobile.qors([0])[0] + 1e-12
 
 
 def test_static_wpt_round_runs_same_mechanism():

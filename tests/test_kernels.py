@@ -85,7 +85,9 @@ def with_transitions_within(state, k, seed):
     (k + 1: just after a k-slot block): flights and vehicles that arrive,
     descents that land, ascents that top out, sessions that end and pads
     that starve. A UAV that reaches its rendezvous before its vehicle
-    waits, and its pad turns ready when the vehicle arrives."""
+    waits, and its pad turns ready when the vehicle arrives. About half
+    the landing rows land on a pad that holds half their draw, so their
+    session ends the slot after they land."""
     rng = np.random.default_rng(seed)
     uf, ui, gf, gi = (a.copy(order="K") for a in state)
     act = ui[:, K.I_ACT]
@@ -108,6 +110,8 @@ def with_transitions_within(state, k, seed):
     uf[c, K.F_SOC] = np.maximum(uf[c, K.F_SAT] - at * uf[c, K.F_CHARGE_GAIN], 0.0)
     c, at = pick(act == K.ACT_CHARGE)
     gf[ui[c, K.I_PARTNER], K.G_SUPPLY] = at * uf[c, K.F_SUPPLY_DRAW]
+    d = d[rng.random(d.size) < 0.5]
+    gf[ui[d, K.I_PARTNER], K.G_SUPPLY] = 0.5 * uf[d, K.F_SUPPLY_DRAW]
     return uf, ui, gf, gi
 
 
@@ -198,18 +202,26 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
 def test_forced_blocks_transition_in_the_middle_of_a_block():
     # the blocks tests/test_properties.py steps in one call see every
     # UAV and vehicle transition after a block's first slot, where only
-    # a regroup inside the call puts the row in its new branch
+    # a group gathered inside the call holds the row in its new branch,
+    # and sessions that end the slot after their UAV lands, where a
+    # descent group not gathered again after the landing would land the
+    # UAV once more
     seen = set()
     for index in range(0, 200, 10):
         before = with_transitions_within(sweep_states()[index], 32, index)
+        landed = np.zeros(len(before[0]), dtype=bool)
         for t in range(32):
             after = [a.copy() for a in before]
             step_world_loop(*after)
             if t:
                 seen |= transitions(before, after)
+            act0, act1 = before[1][:, K.I_ACT], after[1][:, K.I_ACT]
+            if (landed & (act1 == K.ACT_ASCEND)).any():
+                seen.add("lifts off the slot after landing")
+            landed = (act0 == K.ACT_DESCEND) & (act1 == K.ACT_CHARGE)
             before = after
     assert {"vehicle arrives", "reaches rendezvous", "pad ready", "lands", "pad starves",
-            "charge completes", "tops out", "home"} <= seen
+            "charge completes", "tops out", "home", "lifts off the slot after landing"} <= seen
 
 
 def test_a_finished_stack_is_freed(monkeypatch):
@@ -317,10 +329,11 @@ def test_kernel_benchmark_script_runs():
     assert out.stdout.count("_close_boundary") == 2
     assert "kernel replay" in out.stdout
     for title in ("fleet_sweep (100 UAVs x 100 vehicles, 2 slots)",
-                  "crowded_market (200 UAVs x 50 vehicles, 2 slots)"):
+                  "crowded_market (200 UAVs x 50 vehicles, 2 slots)",
+                  "criterion 7 (10000 UAVs x 10000 vehicles, 2 slots)"):
         assert title in out.stdout
     for branch in ("flying UAVs", "charging UAVs", "en-route vehicles"):
-        assert out.stdout.count(branch) == 2
+        assert out.stdout.count(branch) == 3
 
 
 def test_starved_pad_releases_uav_early():

@@ -397,7 +397,28 @@ def test_static_scores_below_mobile_scores_at_window_one():
     mobile = generate_scenario(cfg, seed=9, scheme=SCHEME_OURS)
     static = generate_scenario(cfg, seed=9, scheme=SCHEME_STATIC)
     for j in range(cfg.ugv_count):
-        assert static.ugv_qors(j) <= mobile.ugv_qors(j) + 1e-12
+        assert static.qors([j])[0] <= mobile.qors([j])[0] + 1e-12
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_OURS, SCHEME_STATIC])
+def test_one_qors_call_scores_as_math_hypot_per_vehicle(scheme):
+    # a trade's vehicles scored in one call, in any order, bit for bit as
+    # math.hypot on each vehicle's numpy scalars scores them; np.hypot
+    # differs from math.hypot on about 0.6% of pairs, so 2,000 vehicles
+    # would show it
+    cfg = ScenarioConfig(ugv_count=2000)
+    world = generate_scenario(cfg, seed=4, scheme=scheme)
+    ref, floor = cfg.qors_ref_distance, cfg.qors_floor
+
+    def score(j):
+        d = math.hypot(world.ugv_f[j, K.G_X] - cfg.spot[0], world.ugv_f[j, K.G_Y] - cfg.spot[1])
+        d = d if scheme == SCHEME_STATIC else d / 2.0
+        return max(1.0 - min(d, ref) / ref, floor)
+
+    ugvs = np.random.default_rng(4).permutation(cfg.ugv_count).tolist()
+    want = [score(j) for j in ugvs]
+    assert world.qors(ugvs) == want
+    assert [world.qors([j])[0] for j in ugvs[:50]] == want[:50]
 
 
 def test_losers_requeue_next_window():
@@ -835,12 +856,12 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
             traded += sum(1 for o in outcomes if o.winners)
 
     real_boundary = simulator._close_boundary
-    real_clear, real_qors = simulator._clear_window, simulator.World.ugv_qors
+    real_clear, real_qors = simulator._clear_window, simulator.World.qors
     trading = [0]  # trading windows, by _close_boundary's masks
     offered = [0]  # their admitted vehicles, by the same masks
     cleared = []  # per _clear_window call: its winners
     depth = [0]  # _clear_window calls in progress
-    scored_inside = []  # per ugv_qors call: was it inside _clear_window?
+    scored_inside = []  # per vehicle scored by World.qors: was it inside _clear_window?
 
     def counting_boundary(stack, worlds, ks, entry, cols, layout):
         masks = real_boundary(stack, worlds, ks, entry, cols, layout)
@@ -856,13 +877,13 @@ def test_only_windows_with_a_bidder_build_a_market(monkeypatch):
         cleared.append(row.winners)
         return trade, row, qs
 
-    def counting_qors(self, j):
-        scored_inside.append(depth[0] > 0)
-        return real_qors(self, j)
+    def counting_qors(self, ugvs):
+        scored_inside.extend([depth[0] > 0] * len(ugvs))
+        return real_qors(self, ugvs)
 
     monkeypatch.setattr(simulator, "_close_boundary", counting_boundary)
     monkeypatch.setattr(simulator, "_clear_window", counting_clear)
-    monkeypatch.setattr(simulator.World, "ugv_qors", counting_qors)
+    monkeypatch.setattr(simulator.World, "qors", counting_qors)
     res = run_experiment(cfg, sweep, replications=1, schemes=ALL_SCHEMES, base_seed=7000)
     assert len(res.rows) == 15 * 75
     assert len(cleared) == trading[0] == traded and 0 < traded < 10 * 75 // 2
@@ -1040,7 +1061,7 @@ def _snapshot_market(world):
         demand.append(DemandEntry(state.id, phi, phi))
         gaps.append(state.soc_satisfactory - state.soc)
     idle = np.flatnonzero(world.ugv_i[:, K.GI_STATE] == K.UGV_IDLE).tolist()
-    ugvs = [world.ugv_state(j, world.ugv_qors(j)) for j in idle]
+    ugvs = [world.ugv_state(j, q) for j, q in zip(idle, world.qors(idle))]
     supply = [
         SupplyEntry(u.id, u.qors)
         for u in ugvs
