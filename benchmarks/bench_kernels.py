@@ -5,7 +5,8 @@ Four workloads:
 
 * raw kernel throughput on synthetic fleets of increasing size, agents
   mid-mission so every activity branch stays hot, stepped in blocks of
-  one default window (8 slots) per ``step_world`` call, as a run steps;
+  one default window (8 slots) per ``step_world`` call on one carry, as
+  a run steps between trades;
 * ``run_worlds`` on one stack per slot, kernel, bookkeeping and windows
   together, on the stacks perfbench's sweeps step: ``fleet_sweep``'s
   (10 worlds of 10 UAVs, J = 6..14, mobile and static) and
@@ -19,8 +20,12 @@ Four workloads:
   ``run_experiment`` of each perfbench-shaped sweep (one seed, every
   scheme) and of acceptance criterion 7's sweep (100 seeds, every
   scheme: 1,000 worlds of 10 UAVs on one stack): the four arrays and
-  the block length of each call inside the first ``--steps`` slots.
-  ``step_world`` alone is timed on each recorded block, and each
+  the block length of each call inside the first ``--steps`` slots, and
+  whether it came without a carry (a set-up: the first block, and each
+  block after a boundary that traded). ``step_world`` alone is timed on
+  each recorded block, stepped on one carry that is dropped where the
+  sweep dropped it, so the replay pays the set-ups the sweep pays; the
+  number of set-ups is printed beside the number of calls. Each
   branch's share of slots with rows and with a transition is printed,
   with the share of slots in which some UAV changes activity (after
   which the kernel gathers the groups that changed). Only the kernel
@@ -72,9 +77,10 @@ def time_steps(arrays, steps, repeats):
     for _ in range(repeats):
         # order="K" keeps the simulator's column-contiguous layout
         uf, ui, gf, gi = (a.copy(order="K") for a in arrays)
+        carry = None
         t0 = time.perf_counter()
         for k in blocks:
-            K.step_world(uf, ui, gf, gi, soc=soc[:k], sensing=sensing[:k])
+            carry = K.step_world(uf, ui, gf, gi, soc=soc[:k], sensing=sensing[:k], carry=carry)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -174,17 +180,19 @@ BRANCHES = (
 
 
 def record_states(cfg, sweep, seeds, steps):
-    """step_world's four input arrays, copied, and the block length of
-    each call over the sweep's first ``steps`` slots (the last block cut
-    short to fit); later calls are not copied, so memory stays bounded."""
+    """step_world's four input arrays, copied, the block length of each
+    call over the sweep's first ``steps`` slots (the last block cut
+    short to fit) and whether the call came without a carry; later
+    calls are not copied, so memory stays bounded."""
     states, step, left = [], K.step_world, steps
 
-    def recording(*arrays, soc, sensing):
+    def recording(*arrays, soc, sensing, carry=None):
         nonlocal left
         if left > 0:
-            states.append((tuple(a.copy(order="K") for a in arrays), min(len(soc), left)))
+            states.append((tuple(a.copy(order="K") for a in arrays), min(len(soc), left),
+                           carry is None))
             left -= len(soc)
-        step(*arrays, soc=soc, sensing=sensing)
+        return step(*arrays, soc=soc, sensing=sensing, carry=carry)
 
     K.step_world = recording
     try:
@@ -195,13 +203,18 @@ def record_states(cfg, sweep, seeds, steps):
 
 
 def replay(states, arrays, soc, sensing):
-    """Step each recorded block once, copied into the same four arrays;
-    yields the time of each kernel call."""
-    for state, k in states:
-        for dst, src in zip(arrays, state):
-            np.copyto(dst, src)
+    """Step the recorded blocks in turn on the same four arrays, with one
+    carry dropped where the sweep dropped it: each set-up starts from its
+    recorded arrays, and a carried block from what the block before it
+    left, which the sweep recorded; yields the time of each kernel call."""
+    carry = None
+    for state, k, setup in states:
+        if setup:
+            for dst, src in zip(arrays, state):
+                np.copyto(dst, src)
+            carry = None
         t0 = time.perf_counter()
-        K.step_world(*arrays, soc=soc[:k], sensing=sensing[:k])
+        carry = K.step_world(*arrays, soc=soc[:k], sensing=sensing[:k], carry=carry)
         yield time.perf_counter() - t0
 
 
@@ -212,7 +225,7 @@ def branch_shares(states):
     with_rows = dict.fromkeys((name for name, *_ in BRANCHES), 0)
     moving = dict(with_rows)
     changed = 0
-    for state, k in states:
+    for state, k, _ in states:
         arrays = tuple(a.copy(order="K") for a in state)
         soc = np.empty((1, arrays[0].shape[0]))  # one slot per call
         sensing = np.empty(soc.shape, dtype=bool)
@@ -233,16 +246,18 @@ def bench_replay(steps, repeats):
           f"first {steps} slots, one call per block, best of {repeats} per call):")
     for title, cfg, sweep, seeds in SWEEPS:
         states = record_states(cfg, sweep, seeds, steps)
-        slots = sum(k for _, k in states)
+        slots = sum(k for _, k, _ in states)
         arrays = tuple(a.copy(order="K") for a in states[0][0])
-        soc = np.empty((max(k for _, k in states), arrays[0].shape[0]))
+        soc = np.empty((max(k for _, k, _ in states), arrays[0].shape[0]))
         sensing = np.empty(soc.shape, dtype=bool)
         # each call's best time: a burst of host noise spoils one call, not the run
         best = np.array([list(replay(states, arrays, soc, sensing))
                          for _ in range(repeats)]).min(0)
         uavs, ugvs = arrays[0].shape[0], arrays[2].shape[0]
+        setups = sum(setup for *_, setup in states)
         print(f"  {title} ({uavs} UAVs x {ugvs} vehicles, {slots} slots): {len(states)} calls, "
-              f"{best.sum() * 1e6 / slots:.2f}us per slot, {best.mean() * 1e6:.2f}us per call")
+              f"{setups} set-ups, {best.sum() * 1e6 / slots:.2f}us per slot, "
+              f"{best.mean() * 1e6:.2f}us per call")
         with_rows, moving, changed = branch_shares(states)
         for name, *_ in BRANCHES:
             print(f"    {name:<18} rows in {with_rows[name] / slots:>4.0%} of slots, "

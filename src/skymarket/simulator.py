@@ -529,7 +529,11 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     boundary of any member's windows, at most ``_BOOK_SLOTS`` slots and
     no further than the horizon. The kernel fills the block's SoC and
     sensing buffers, and ``_book`` books them before the boundary reads
-    the bidders. Member k's windows fill ``cols`` from entry ``first_entry[k]`` on.
+    the bidders. The kernel's set-up (its ``Carry``) is kept from block
+    to block and dropped after a boundary that trades: its
+    ``_schedule`` is the only write to the kernel's columns between
+    blocks (``_settle_losers`` writes only the bookkeeping). Member k's
+    windows fill ``cols`` from entry ``first_entry[k]`` on.
     Every window that closes at a slot, whatever its world's window
     length, is cleared by one ``_close_boundary`` call for the whole
     stack, which fills the windows' entries; one array test of the clock
@@ -548,16 +552,20 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     soc = np.empty((min(*lengths, _BOOK_SLOTS), stack.num_uavs))  # a block's, slot by slot
     sensing = np.empty(soc.shape, dtype=bool)
     clock, end = start, start + horizon
+    carry = None  # the kernel's set-up, kept from block to block
     try:
         while clock < end:
             k = min(end, clock + _BOOK_SLOTS, *((clock // s + 1) * s for s in lengths)) - clock
-            K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i,
-                         soc=soc[:k], sensing=sensing[:k])
+            carry = K.step_world(stack.uav_f, stack.uav_i, stack.ugv_f, stack.ugv_i,
+                                 soc=soc[:k], sensing=sensing[:k], carry=carry)
             stack.clock = clock = clock + k
             _book(stack, soc[:k], sensing[:k])
             ks = np.flatnonzero(clock % spw == 0)  # in stack order, as the boundary ranks them
             if ks.size:
-                _close_boundary(stack, worlds, ks, base[ks] + clock // spw[ks], cols, layout)
+                boundary = _close_boundary(stack, worlds, ks, base[ks] + clock // spw[ks], cols,
+                                           layout)
+                if boundary.trading.any():
+                    carry = None  # _schedule wrote the kernel's columns
         if cols.audited:
             entries, ranked, bids, qs = zip(*cols.audited)
             flat = itertools.chain.from_iterable

@@ -887,9 +887,11 @@ def step_world_loop(uav_f, uav_i, ugv_f, ugv_i):
                 uav_f[i, F_Z] = z
 
 
-def step_block_loop(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing):
+def step_block_loop(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing, carry=None):
     """``step_world_loop`` once per slot of a block, filling the buffers
-    after each slot: the oracle for a ``K.step_world`` call."""
+    after each slot: the oracle for a ``K.step_world`` call. It keeps no
+    state, so it ignores ``carry`` and returns None, and a caller that
+    keeps what it returns passes None to every call."""
     for t in range(len(soc)):
         step_world_loop(uav_f, uav_i, ugv_f, ugv_i)
         soc[t] = uav_f[:, F_SOC]

@@ -260,15 +260,19 @@ def test_a_sweeps_stack_is_freed_once_it_returns(monkeypatch):
 
 
 def test_kernel_steps_the_arrays_it_is_given_as_they_change():
-    # step_world keeps nothing between calls; world A, then B, then A
-    # again, then a fresh copy of A, then A once more, a set that shares
-    # only its UAV arrays with A, and the arrays _unstack hands back in
-    # place of a stack's views must each step as the loop oracle steps them
-    def check(got, ref):
-        step_one_slot(*got)
+    # a call without a carry keeps nothing between calls; world A, then
+    # B, then A again, then a fresh copy of A, then A once more, a set
+    # that shares only its UAV arrays with A, and the arrays _unstack
+    # hands back in place of a stack's views must each step as the loop
+    # oracle steps them
+    def check(got, ref, carry=None):
+        soc = np.empty((1, got[0].shape[0]))
+        carry = K.step_world(*got, soc=soc, sensing=np.empty(soc.shape, dtype=bool),
+                             carry=carry)
         step_world_loop(*ref)
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
+        return carry
 
     a, b = snapshot(warmed_world(seed=7)), snapshot(warmed_world(seed=8))
     ref_a, ref_b = ([x.copy(order="K") for x in s] for s in (a, b))
@@ -285,6 +289,23 @@ def test_kernel_steps_the_arrays_it_is_given_as_they_change():
     check(mixed, ref_mixed)
     check(a, ref_a)
 
+    # a carry built on A steps on A after a call on B without one; with
+    # B, or with any one of A's arrays swapped for B's, it is a
+    # ValueError that writes nothing
+    carry = check(a, ref_a)
+    check(b, ref_b)
+    carry = check(a, ref_a, carry)
+    soc = np.empty((1, a[0].shape[0]))
+    sensing = np.empty(soc.shape, dtype=bool)
+    for other in (b, mixed, *((*a[:i], b[i], *a[i + 1:]) for i in range(4))):
+        before = [x.copy() for x in other]
+        with pytest.raises(ValueError, match="carry"):
+            K.step_world(*other, soc=soc, sensing=sensing, carry=carry)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(other, before))
+    # and A, then B, then A, each without a carry, still step as the oracle
+    for got, ref in ((a, ref_a), (b, ref_b), (a, ref_a)):
+        check(got, ref)
+
     worlds = [warmed_world(seed=s) for s in (9, 10)]
     stack = simulator._stack(worlds)
     ref_stack = snapshot(stack)
@@ -298,21 +319,30 @@ def test_kernel_steps_the_arrays_it_is_given_as_they_change():
             check((w.uav_f, w.uav_i, w.ugv_f, w.ugv_i), ref)
 
 
-def test_full_runs_identical_across_backends(monkeypatch):
-    # a run steps block by block; the oracle steps each block slot by slot
+# perfbench's crowded_market config: 100 UAVs against 25 vehicles, from
+# 30-60% charge, so pairs trade at many boundaries, not just the first
+CROWDED = ScenarioConfig(uav_count=100, ugv_count=25, uav_soc_frac_min=0.3,
+                         uav_soc_frac_max=0.6)
+
+
+@pytest.mark.parametrize("config", [ScenarioConfig(), CROWDED],
+                         ids=["default", "crowded_market"])
+def test_full_runs_identical_across_backends(monkeypatch, config):
+    # a run steps block by block on one carry, dropped after every
+    # boundary that trades; the oracle steps each block slot by slot
     from skymarket.simulator import run_world
 
     def run_with(backend):
         monkeypatch.setattr(K, "step_world", backend)
-        world = generate_scenario(ScenarioConfig(), seed=3)
+        world = generate_scenario(config, seed=3)
         rows, _, _ = run_world(world)
         return rows, world
 
     rows_np, world_np = run_with(K.step_world)
     rows_py, world_py = run_with(step_block_loop)
     assert rows_np == rows_py
-    assert np.array_equal(world_np.uav_f, world_py.uav_f)
-    assert np.array_equal(world_np.ugv_f, world_py.ugv_f)
+    for name in ("uav_f", "uav_i", "ugv_f", "ugv_i"):
+        assert getattr(world_np, name).tobytes() == getattr(world_py, name).tobytes()
 
 
 def test_backend_flag_reports():
@@ -328,6 +358,7 @@ def test_kernel_benchmark_script_runs():
     assert "crowded_market, 2 worlds x 100 UAVs" in out.stdout
     assert out.stdout.count("_close_boundary") == 2
     assert "kernel replay" in out.stdout
+    assert out.stdout.count(" set-ups, ") == 3
     for title in ("fleet_sweep (100 UAVs x 100 vehicles, 2 slots)",
                   "crowded_market (200 UAVs x 50 vehicles, 2 slots)",
                   "criterion 7 (10000 UAVs x 10000 vehicles, 2 slots)"):

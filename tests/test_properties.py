@@ -1,6 +1,7 @@
 """Property tests over generated scenario configs and markets."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,63 @@ def test_one_block_call_steps_as_a_slot_loop(index, k, seed, order):
     K.step_world(*got, soc=soc, sensing=sensing)
     for a, b in zip(ref + [ref_soc, ref_sensing], got + [soc, sensing]):
         assert a.tobytes() == b.tobytes()  # bit for bit, in C order
+
+
+def _send_out(arrays, uavs, ugvs, static, spot):
+    """Schedule pairs on a stack's kernel arrays through the simulator's
+    ``_schedule``: sensing rows ``uavs`` to idle vehicles ``ugvs``. Each
+    vehicle is a world of its own, a static pad where ``static`` is set,
+    with its sensing spot at the home of UAV row ``spot``."""
+    uf, ui, gf, gi = arrays
+    n = len(uf)
+    stack = simulator.World(config=ScenarioConfig(), scheme=SCHEME_OURS, seed=0, uav_f=uf,
+                            uav_i=ui, ugv_f=gf, ugv_i=gi, bidder=np.zeros(n, dtype=bool),
+                            fail_count=np.zeros(n, dtype=np.int64), phi_sum=np.zeros(n),
+                            rho_sum=np.zeros(n), sample_count=np.zeros(n, dtype=np.int64))
+    # the layout fields _schedule reads
+    layout = SimpleNamespace(ugv_world=np.arange(len(gf)), static=static,
+                             spot_x=uf[spot, K.F_HOME_X], spot_y=uf[spot, K.F_HOME_Y])
+    simulator._schedule(stack, layout, uavs, ugvs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate))
+@given(index=st.integers(0, 199), seed=st.integers(0, 2**16), order=st.sampled_from("CF"),
+       blocks=st.lists(st.tuples(st.integers(1, 32), st.booleans()), min_size=2, max_size=6))
+def test_carried_blocks_step_as_a_slot_loop(index, seed, order, blocks):
+    # consecutive step_world calls on one carry, on a stack whose rows
+    # arrive, land, top out, end or starve their sessions and find their
+    # pads ready across the blocks, against the loop oracle block by
+    # block: every array and both buffers, bit for bit. After a block
+    # marked True, sensing rows are sent to idle mobile vehicles and
+    # static pads as _schedule sends them, and the carry is dropped, as
+    # _run_lockstep drops it
+    state = with_transitions_within(sweep_states()[index], sum(k for k, _ in blocks), seed)
+    rng = np.random.default_rng(seed)
+    n = state[0].shape[0]
+    ref = [a.copy() for a in state]
+    got = [np.array(a, order=order) for a in state]
+    carry = None
+    for k, schedule in blocks:
+        ref_soc, ref_sensing = np.empty((k, n)), np.empty((k, n), dtype=bool)
+        step_block_loop(*ref, soc=ref_soc, sensing=ref_sensing)
+        # filled with what differs from the oracle's, so a slot left unwritten shows
+        soc, sensing = np.full((k, n), np.nan), ~ref_sensing
+        carry = K.step_world(*got, soc=soc, sensing=sensing, carry=carry)
+        for a, b in zip(ref + [ref_soc, ref_sensing], got + [soc, sensing]):
+            assert a.tobytes() == b.tobytes()  # bit for bit, in C order
+        sense = np.flatnonzero(ref[1][:, K.I_ACT] == K.ACT_SENSE)
+        idle = np.flatnonzero(ref[3][:, K.GI_STATE] == K.UGV_IDLE)
+        pairs = min(sense.size, idle.size)
+        if schedule and pairs:
+            pairs = rng.integers(1, pairs + 1)
+            uavs = rng.choice(sense, pairs, replace=False)
+            ugvs = rng.choice(idle, pairs, replace=False)
+            m = len(ref[2])
+            static, spot = rng.random(m) < 0.5, rng.integers(0, n, m)
+            for arrays in (ref, got):
+                _send_out(arrays, uavs, ugvs, static, spot)
+            carry = None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
