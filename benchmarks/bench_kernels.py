@@ -27,8 +27,9 @@ Four workloads:
   sweep dropped it, so the replay pays the set-ups the sweep pays; the
   number of set-ups is printed beside the number of calls. Each
   branch's share of slots with rows and with a transition is printed,
-  with the share of slots in which some UAV changes activity (after
-  which the kernel gathers the groups that changed). Only the kernel
+  with the share of slots in which some UAV changes activity (in
+  which the kernel rewrites the deltas and thresholds of the rows that
+  changed). Only the kernel
   call is timed, so this is the steadiest measure of a kernel change.
 
 Usage: python benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]

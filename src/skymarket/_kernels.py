@@ -8,41 +8,56 @@ reads, as it does for ``advance_slot``'s one-slot block; nothing else
 writes the agent arrays inside a block. The only link between rows is a
 partner index, which the simulator offsets into the stack, so each row's
 arithmetic is the same as in a world stepped alone. ``step_world``
-updates whole columns and groups of rows, in the same per-element order
-as the scalar loop ``step_world_loop`` in ``tests/conftest.py``, which
-the tests hold it to bit for bit; ``benchmarks/bench_kernels.py`` times
-it.
+updates whole columns, and writes single rows only where an agent
+changes activity, with the same float operations on each element as
+the scalar loop ``step_world_loop`` in ``tests/conftest.py``, which the
+tests hold it to bit for bit; ``benchmarks/bench_kernels.py`` times it.
 
 A run keeps the kernel's set-up across its blocks. ``step_world``
 returns a ``Carry``, and a caller that passes it back with the same four
-arrays steps on from the state the last block left: the drain column,
-the mover set and the four groups are built once per carry, not once per
-call. The contract is that nothing but the kernel writes the kernel's
-columns between two carried blocks. ``simulator._run_lockstep`` keeps
-one carry per stack and drops it after a slot boundary whose
-``_schedule`` sent a pair out, which is the only write between its
-blocks. A call without a carry builds a fresh one, so a one-shot call
-and a carried block run the same code.
+arrays steps on from the state the last block left: the delta and
+threshold columns below and the mover set are built once per carry,
+not once per call. The contract is that nothing but the kernel writes
+the kernel's columns between two carried blocks.
+``simulator._run_lockstep`` keeps one carry per stack and drops it
+after a slot boundary whose ``_schedule`` sent a pair out, which is the
+only write between its blocks. A call without a carry builds a fresh
+one, so a one-shot call and a carried block run the same code.
 
-Per-slot work follows what changed, not the number of rows:
+A slot is a few operations over whole columns, plus writes to the rows
+that change activity:
 
-* every UAV row's drain per slot sits in one column, built with the
-  carry from its activity (0.0 while charging); each slot subtracts
-  it from the SoC column and clamps at 0 over all rows, and a
-  transition writes the new drain of the rows it moves;
-* the waiting, descending, ascending and charging rows are each
-  gathered, with their constants, only after a slot in which a row
-  joined or left the group, so a transition costs the groups it
-  touches and no sort of every row;
+* each slot changes state by whole-column subtractions of per-row
+  deltas: ``drain`` from the SoC (``-charge_gain`` while charging, as
+  ``soc - (-g)`` is bitwise ``soc + g``), ``lift`` from the altitude
+  (``step_down`` descending, ``-step_up`` climbing, +0.0 otherwise) and
+  ``pad_draw`` from each vehicle's supply (the draw of the UAV it
+  charges, 0.0 otherwise). The carry builds them from each row's
+  activity, and a transition rewrites only the rows it moves;
+* each transition is found by one comparison over all rows with a
+  threshold column: ``z <= floor`` lands (0.0 descending, -inf
+  otherwise), ``z >= ceil`` tops out (``cruise_z`` climbing, +inf
+  otherwise) and ``soc >= full`` ends a session (``sat`` charging,
+  +inf otherwise). A test or subtraction whose phase holds no row is
+  skipped. ``validate()`` keeps ``sat <= cap``, so the clamp to ``cap``
+  binds only in a session's last slot, and is applied there;
+* a pad is tested for starvation in a slot only when some pad might
+  not cover the rest of the block: ``_lasts`` bounds it at the start of
+  each block, and again for the pads of each landing. A starved pad's
+  draw and its UAV's gain are zeroed before the subtractions, and its
+  ``full`` set to -inf, so the session ends without a transfer;
+* a waiting UAV starts down in the slot its vehicle arrives, or in the
+  slot after it reaches a pad already on station;
 * en-route vehicles and flying UAVs take the same leg step, so they
   move as one set with positions local to the carry. Arrivals are
   dropped in the slot they arrive, and UAVs that top out join. The
   positions are written back at the end of every call, so the arrays
-  hold the truth between calls.
-
-Each branch tests first whether any of its rows transitions, and
-otherwise updates its whole group without splitting it. Each element
-gets the same float operations either way.
+  hold the truth between calls;
+* each slot's SoC is written straight into the block's ``soc[t]`` row
+  (the SoC column gets the last at the end of the call), and
+  ``sensing`` is filled once per block, then set from slot t on for
+  the UAVs that reach home in slot t: inside a block rows only join
+  SENSE.
 
 Array layouts (float64 / int64), one row per agent:
 
@@ -128,14 +143,14 @@ UGV_SERVING = 2
 _ZERO = np.array(0.0)
 _SERVING = np.array(UGV_SERVING)
 _SENSE = np.array(ACT_SENSE)
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class Carry:
     """The kernel's state between the blocks of one run, built on four
     arrays and valid only with them: a generator suspended at the end of
-    its last block, holding the drain column, the movers with their
-    local positions, the four groups with their constants and the
-    groups still to gather."""
+    its last block, holding the delta and threshold columns, the movers
+    with their local positions and the waiting rows due to start down."""
 
     __slots__ = ("arrays", "blocks")
 
@@ -169,17 +184,15 @@ def step_world(uav_f, uav_i, ugv_f, ugv_i, *, soc, sensing, carry=None):
 def _blocks(uav_f, uav_i, ugv_f, ugv_i):
     """``step_world``'s body: receives each block's buffers in turn.
 
-    Each column is a 1-D view. ``drain`` holds each UAV row's drain per
-    slot for its activity, 0.0 while charging, so every slot drains all
-    rows at once; a transition writes the drain of the rows it moves.
-    The waiting, descending, ascending and charging rows, and their
-    constants, are gathered at the first slot and after a slot in which
-    a row joined or left the group, also when that slot ended the last
-    block. The movers (en-route vehicles, then outbound and homebound
-    UAVs) step as one set with positions local to the carry: arrivals
-    are dropped, and written back, in the slot they arrive, UAVs that
-    top out are appended, and the rest are written back at the end of
-    every block.
+    Each column is a 1-D view. ``drain``, ``lift`` and ``pad_draw`` are
+    the per-slot deltas and ``floor``, ``ceil`` and ``full`` the
+    thresholds of the module docstring; ``n_desc``, ``n_asc`` and
+    ``n_chg`` count the rows of each phase they serve. ``go`` holds the
+    waiting rows that start down in the current slot and ``nxt`` those
+    that start in the next. The movers (en-route vehicles, then outbound
+    and homebound UAVs) have local positions: arrivals are dropped, and
+    written back, in the slot they arrive, UAVs that top out are
+    appended, and the rest are written back at the end of every block.
     """
     soc, sensing = yield
     (soc_col, x, y, z, tx, ty, home_x, home_y, cruise_z, cap, sat,
@@ -189,42 +202,67 @@ def _blocks(uav_f, uav_i, ugv_f, ugv_i):
     gx, gy, gtx, gty, gstep, supply = ugv_f.T
     state, gpartner = ugv_i.T
 
-    # each activity's drain, in code order; a charging row drains nothing
-    drain = np.choose(act, (drain_hov, drain_fly, drain_hov, drain_desc, _ZERO, drain_asc,
-                            drain_fly))
-    # only a window boundary sends a vehicle en route or a UAV out; the
-    # outbound UAVs sit before the homebound ones
-    en = (state == UGV_ENROUTE).nonzero()[0]
-    out = (act == ACT_FLY_OUT).nonzero()[0]
-    fly = np.concatenate((out, (act == ACT_FLY_BACK).nonzero()[0]))
+    # each activity's rows; only a window boundary sends a vehicle en route
+    # or a UAV out, and the outbound UAVs sit before the homebound ones
+    out, wait, desc, chg, asc, back = ((act == code).nonzero()[0] for code in (
+        ACT_FLY_OUT, ACT_WAIT, ACT_DESCEND, ACT_CHARGE, ACT_ASCEND, ACT_FLY_BACK))
+    fly = np.concatenate((out, back))
     n_out = out.size
+    # the deltas and thresholds of each row's activity
+    drain = drain_hov.copy()  # sensing and waiting rows hover
+    drain[fly] = drain_fly[fly]
+    drain[desc] = drain_desc[desc]
+    drain[asc] = drain_asc[asc]
+    drain[chg] = -charge_gain[chg]
+    lift = np.zeros(act.shape)
+    lift[desc] = step_down[desc]
+    lift[asc] = -step_up[asc]
+    floor = np.full(act.shape, -np.inf)
+    floor[desc] = _ZERO
+    ceil = np.full(act.shape, np.inf)
+    ceil[asc] = cruise_z[asc]
+    full = np.full(act.shape, np.inf)
+    full[chg] = sat[chg]
+    pad_draw = np.zeros(supply.shape)
+    pad_draw[partner[chg]] = supply_draw[chg]
+    # rows in each vertical phase and charging: a test with none is skipped
+    n_desc, n_asc, n_chg = desc.size, asc.size, chg.size
+    # a waiting row whose pad is on station starts down in the first slot;
+    # the others start down in the slot their vehicle arrives
+    nxt = wait[state[partner[wait]] == _SERVING]
+    en = (state == UGV_ENROUTE).nonzero()[0]
     mx, my, mtx, mty, mstep = (np.concatenate((g[en], u[fly])) for g, u in (
         (gx, x), (gy, y), (gtx, tx), (gty, ty), (gstep, step_xy)))
-    wait = descend = ascend = charge = True  # the groups to gather before the next slot
     while True:
-        for t in range(len(soc)):
-            if wait:
-                w_idx = (act == ACT_WAIT).nonzero()[0]
-                w_pads = partner[w_idx]
-            if descend:
-                d_idx = (act == ACT_DESCEND).nonzero()[0]
-                d_step = step_down[d_idx]
-            if ascend:
-                a_idx = (act == ACT_ASCEND).nonzero()[0]
-                a_step, a_top = step_up[a_idx], cruise_z[a_idx]
-            if charge:
-                c_idx = (act == ACT_CHARGE).nonzero()[0]
-                c_pads, c_draw, c_gain, c_cap, c_sat = (
-                    partner[c_idx], supply_draw[c_idx], charge_gain[c_idx], cap[c_idx],
-                    sat[c_idx])
-            wait = descend = ascend = charge = False
+        k = len(soc)
+        # rows only join SENSE inside a block, so the mask is set once and
+        # then from each homecoming on
+        sensing[...] = act == _SENSE
+        # a pad that covers the rest of the block cannot starve in it
+        starve = n_chg > 0 and not _lasts(supply, pad_draw, k)
+        last = soc_col
+        for t in range(k):
+            go, nxt = nxt, _NONE
+            if starve:
+                pads = (supply < pad_draw).nonzero()[0]
+                if pads.size:  # rare: a starved session ends without a transfer
+                    rows = gpartner[pads]
+                    pad_draw[pads] = _ZERO
+                    drain[rows] = _ZERO
+                    full[rows] = -np.inf
 
-            # a charging row subtracts +0.0 and passes the clamp unchanged
-            np.subtract(soc_col, drain, out=soc_col)
-            np.maximum(soc_col, _ZERO, out=soc_col)
+            # a charging row adds its gain; it passes the clamp unchanged
+            now = soc[t]
+            np.subtract(last, drain, out=now)
+            np.maximum(now, _ZERO, out=now)
+            last = now
+            if n_chg:
+                np.subtract(supply, pad_draw, out=supply)
+            if n_desc or n_asc:
+                np.subtract(z, lift, out=z)
 
-            # horizontal legs, before the pad-ready test, so a pad that arrives
-            # in a slot is ready for its waiting UAV in the same slot
+            # horizontal legs; a pad that arrives is ready for its waiting
+            # UAV in the same slot
             if mx.size:
                 dx = mtx - mx
                 dy = mty - my
@@ -236,16 +274,21 @@ def _blocks(uav_f, uav_i, ugv_f, ugv_i):
                     gx[arrived] = gtx[arrived]
                     gy[arrived] = gty[arrived]
                     state[arrived] = UGV_SERVING
+                    rows = gpartner[arrived]
+                    go = np.concatenate((go, rows[act[rows] == ACT_WAIT]))
                     done = fly[at_uav]  # outbound rows first
                     x[done] = tx[done]
                     y[done] = ty[done]
                     drain[done] = drain_hov[done]
                     n_rdv = np.count_nonzero(at_uav[:n_out])
                     if n_rdv:
-                        act[done[:n_rdv]] = ACT_WAIT
-                        wait = True
+                        rdv = done[:n_rdv]
+                        act[rdv] = ACT_WAIT
+                        nxt = rdv[state[partner[rdv]] == _SERVING]
                         n_out -= n_rdv
-                    act[done[n_rdv:]] = ACT_SENSE
+                    home = done[n_rdv:]
+                    act[home] = ACT_SENSE
+                    sensing[t:, home] = True
                     move = ~arrive
                     en, fly = en[move[:en.size]], fly[move[en.size:]]
                     mx, my, mtx, mty, mstep, dx, dy, dist = (
@@ -253,83 +296,80 @@ def _blocks(uav_f, uav_i, ugv_f, ugv_i):
                 mx += mstep * dx / dist
                 my += mstep * dy / dist
 
-            # pad-waiting rows whose vehicle is on station start down
-            if w_idx.size:
-                ready = state[w_pads] == _SERVING
-                if np.count_nonzero(ready):
-                    go = w_idx[ready]
-                    act[go] = ACT_DESCEND
-                    drain[go] = drain_desc[go]
-                    wait = descend = True
-
-            # vertical legs
-            if d_idx.size:
-                d_z = z[d_idx] - d_step
-                landed = d_z <= _ZERO
-                if np.count_nonzero(landed):
-                    z[d_idx] = np.where(landed, _ZERO, d_z)
-                    down = d_idx[landed]
-                    act[down] = ACT_CHARGE
-                    drain[down] = _ZERO
-                    descend = charge = True
-                else:
-                    z[d_idx] = d_z
-
-            if a_idx.size:
-                a_z = z[a_idx] + a_step
-                top = a_z >= a_top
-                if np.count_nonzero(top):
-                    z[a_idx] = np.where(top, a_top, a_z)
-                    done = a_idx[top]
-                    act[done] = ACT_FLY_BACK
-                    tx[done] = home_x[done]
-                    ty[done] = home_y[done]
-                    drain[done] = drain_fly[done]
-                    ascend = True
+            # top-outs, then session ends, then landings: each test runs before
+            # a later transition writes a threshold it reads (an ended session
+            # sets `ceil`, a landing `full`)
+            if n_asc:
+                rows = (z >= ceil).nonzero()[0]
+                if rows.size:
+                    n_asc -= rows.size
+                    z[rows] = cruise_z[rows]
+                    act[rows] = ACT_FLY_BACK
+                    tx[rows] = home_x[rows]
+                    ty[rows] = home_y[rows]
+                    drain[rows] = drain_fly[rows]
+                    lift[rows] = _ZERO
+                    ceil[rows] = np.inf
                     # homebound, so they join the movers at the end
-                    fly = np.concatenate((fly, done))
-                    mx, my, mtx, mty, mstep = (np.concatenate((m, u[done])) for m, u in (
+                    fly = np.concatenate((fly, rows))
+                    mx, my, mtx, mty, mstep = (np.concatenate((m, u[rows])) for m, u in (
                         (mx, x), (my, y), (mtx, tx), (mty, ty), (mstep, step_xy)))
-                else:
-                    z[a_idx] = a_z
 
-            # charging transfers (partners are unique while charging, so each
-            # pad's supply is read and written once)
-            if c_idx.size:
-                left = supply[c_pads]
-                ok = left >= c_draw
-                n_ok = np.count_nonzero(ok)
-                if n_ok == c_idx.size:
-                    supply[c_pads] = left - c_draw
-                    c_soc = np.minimum(soc_col[c_idx] + c_gain, c_cap)
-                    soc_col[c_idx] = c_soc
-                    done = c_soc >= c_sat
-                else:  # rare: a starved session ends without a transfer
-                    done = ~ok
-                    if n_ok:
-                        fed = c_idx[ok]
-                        supply[c_pads[ok]] = left[ok] - c_draw[ok]
-                        c_soc = np.minimum(soc_col[fed] + c_gain[ok], c_cap[ok])
-                        soc_col[fed] = c_soc
-                        done[ok] = c_soc >= c_sat[ok]
-                if np.count_nonzero(done):
-                    done_idx = c_idx[done]
-                    done_pads = c_pads[done]
-                    act[done_idx] = ACT_ASCEND
-                    partner[done_idx] = -1
-                    drain[done_idx] = drain_asc[done_idx]
-                    state[done_pads] = UGV_IDLE
-                    gpartner[done_pads] = -1
-                    charge = ascend = True
+            # partners are unique while charging, so each pad is written once;
+            # validate() keeps sat <= cap, so the cap binds only a session's last slot
+            if n_chg:
+                rows = (now >= full).nonzero()[0]
+                if rows.size:
+                    n_chg -= rows.size
+                    n_asc += rows.size
+                    pads = partner[rows]
+                    now[rows] = np.minimum(now[rows], cap[rows])
+                    act[rows] = ACT_ASCEND
+                    partner[rows] = -1
+                    drain[rows] = drain_asc[rows]
+                    lift[rows] = -step_up[rows]
+                    ceil[rows] = cruise_z[rows]
+                    full[rows] = np.inf
+                    pad_draw[pads] = _ZERO
+                    state[pads] = UGV_IDLE
+                    gpartner[pads] = -1
 
-            soc[t] = soc_col
-            np.equal(act, _SENSE, out=sensing[t])
+            if n_desc:
+                rows = (z <= floor).nonzero()[0]
+                if rows.size:
+                    n_desc -= rows.size
+                    n_chg += rows.size
+                    pads = partner[rows]
+                    z[rows] = _ZERO
+                    act[rows] = ACT_CHARGE
+                    drain[rows] = -charge_gain[rows]
+                    lift[rows] = _ZERO
+                    floor[rows] = -np.inf
+                    full[rows] = sat[rows]
+                    pad_draw[pads] = supply_draw[rows]
+                    starve = starve or not _lasts(supply[pads], pad_draw[pads], k - 1 - t)
 
+            if go.size:
+                n_desc += go.size
+                act[go] = ACT_DESCEND
+                drain[go] = drain_desc[go]
+                lift[go] = step_down[go]
+                floor[go] = _ZERO
+
+        soc_col[...] = last
         gx[en] = mx[:en.size]
         gy[en] = my[:en.size]
         x[fly] = mx[en.size:]
         y[fly] = my[en.size:]
         soc, sensing = yield
+
+
+def _lasts(supply, draw, slots):
+    """Whether every pad's supply covers ``slots`` more of its draws,
+    however they round: each subtraction rounds by at most 2**-53 of
+    the supply, so a supply that, cut by ``(slots + 1) * 2**-52``, still
+    holds ``slots + 1`` draws, with both products rounded, does."""
+    return bool(np.all(supply * (1.0 - (slots + 1) * 2.0**-52) >= draw * (slots + 1)))
 
 
 def active_backend() -> str:

@@ -202,10 +202,10 @@ def test_numpy_path_matches_loop_kernel_on_a_stack_in_either_order(order):
 def test_forced_blocks_transition_in_the_middle_of_a_block():
     # the blocks tests/test_properties.py steps in one call see every
     # UAV and vehicle transition after a block's first slot, where only
-    # a group gathered inside the call holds the row in its new branch,
-    # and sessions that end the slot after their UAV lands, where a
-    # descent group not gathered again after the landing would land the
-    # UAV once more
+    # the deltas and thresholds the call rewrote step the row in its new
+    # phase, and sessions that end the slot after their UAV lands on a
+    # pad short of one draw, which inside the block only the landing's
+    # own starvation check catches
     seen = set()
     for index in range(0, 200, 10):
         before = with_transitions_within(sweep_states()[index], 32, index)

@@ -216,6 +216,56 @@ def test_carried_blocks_step_as_a_slot_loop(index, seed, order, blocks):
             carry = None
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate))
+@given(draw=st.sampled_from([0.1, 0.3, 0.7, 1 / 3, 2.2]),
+       blocks=st.lists(st.integers(1, 32), min_size=1, max_size=4),
+       extra=st.integers(-2, 3), held=st.sampled_from(["product", "sum", "below", "above"]),
+       land=st.integers(1, 32), short=st.integers(1, 3))
+@example(draw=0.1, blocks=[8, 8], extra=2, held="sum", land=3, short=1)
+def test_the_starvation_bound_skips_no_starving_pad(draw, blocks, extra, held, land, short):
+    # step_world tests pads for starvation only in a block that some pad
+    # may not cover, and again from a landing on. Row 0 charges on a pad
+    # that holds about as many draws as the first block has slots, held
+    # as a product, a running sum or one ulp either side, so that the
+    # repeated subtraction rounds; row 1 lands at slot `land` of the first
+    # block on a pad `short` draws short of the rest of that block. No
+    # session can end full, so each ends in the slot its pad starves,
+    # which the loop oracle decides, over blocks of 1-32 slots on one carry
+    k = blocks[0]
+    land = min(land, k)
+    world = generate_scenario(ScenarioConfig(uav_count=3, ugv_count=3), 3)
+    uf, ui, gf, gi = (np.array(a) for a in (world.uav_f, world.uav_i, world.ugv_f, world.ugv_i))
+    n = max(k + extra, 0)
+    total = 0.0
+    for _ in range(n):
+        total += draw
+    product = n * draw
+    gf[0, K.G_SUPPLY] = {"product": product, "sum": total, "below": np.nextafter(product, 0.0),
+                         "above": np.nextafter(product, np.inf)}[held]
+    gf[1, K.G_SUPPLY] = max(k - land - short, 0) * draw
+    for row, act in ((0, K.ACT_CHARGE), (1, K.ACT_DESCEND)):
+        ui[row] = act, row
+        gi[row] = K.UGV_SERVING, row
+        uf[row, K.F_SOC] = 0.5 * uf[row, K.F_SAT]
+        uf[row, K.F_CHARGE_GAIN] = 1e-9  # far from full within the run
+        uf[row, K.F_SUPPLY_DRAW] = draw
+    uf[0, K.F_Z] = 0.0
+    uf[1, K.F_Z] = (land - 0.5) * uf[1, K.F_STEP_DOWN]
+    ref = [a.copy() for a in (uf, ui, gf, gi)]
+    got = [np.asfortranarray(a) for a in (uf, ui, gf, gi)]
+    carry = None
+    for k in blocks:
+        ref_soc, ref_sensing = np.empty((k, 3)), np.empty((k, 3), dtype=bool)
+        step_block_loop(*ref, soc=ref_soc, sensing=ref_sensing)
+        soc, sensing = np.full((k, 3), np.nan), ~ref_sensing
+        carry = K.step_world(*got, soc=soc, sensing=sensing, carry=carry)
+        for a, b in zip(ref + [ref_soc, ref_sensing], got + [soc, sensing]):
+            assert a.tobytes() == b.tobytes()  # bit for bit, in C order
+    if len(blocks) > 1:  # row 1's pad ran dry by the second block's first slot
+        assert ref[1][1, K.I_ACT] not in (K.ACT_DESCEND, K.ACT_CHARGE)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,
           phases=(Phase.explicit, Phase.generate))
 @given(index=st.integers(0, 199), k=st.integers(1, 32), seed=st.integers(0, 2**16))
@@ -243,6 +293,8 @@ _BOOKED = ("bidder", "phi_sum", "rho_sum", "sample_count")
           phases=(Phase.explicit, Phase.generate))
 @given(index=st.integers(0, 199), k=st.integers(1, 32), seed=st.integers(0, 2**16),
        case=st.sampled_from(_BOOK_CASES))
+# a draw in which no row of the random 15% excluded senses at the block's start
+@example(index=100, k=10, seed=34, case="excluded rows")
 def test_book_matches_the_scalar_oracle_on_a_block(index, k, seed, case):
     # _book on a k-slot step_world block of a three-world stack against
     # book_loop, UAV by UAV and slot by slot: every bookkeeping array, by
@@ -258,6 +310,9 @@ def test_book_matches_the_scalar_oracle_on_a_block(index, k, seed, case):
     alert = cfg.uav_alert_frac * uf[:, K.F_CAP]
     sense0 = ui[:, K.I_ACT] == K.ACT_SENSE  # at the block's start
     excluded = sense0 & (rng.random(n) < 0.15)
+    if case == "excluded rows":
+        # a row that senses at the start senses to the end of the block
+        excluded[rng.choice(np.flatnonzero(sense0))] = True
     bidder = np.zeros(n, dtype=bool)
     count = np.zeros(n, dtype=np.int64)
     if case == "bidders at start":
