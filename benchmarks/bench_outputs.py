@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time each CSV that ``skymarket run`` writes, on a crowded market and on criterion 7's sweep.
 
-Calls ``skymarket.cli.main`` and times every writer call the CLI makes
-(metrics_raw, metrics_aggregate, audits and outcomes) next to the whole
-call. Two workloads:
+Calls ``skymarket.cli.main`` and times every ``write_csv`` call the CLI
+makes (metrics_raw, metrics_aggregate, audits and outcomes) next to the
+whole call. Two workloads:
 
 * 100 UAVs starting at 30-60% charge against 25 vehicles (the config of
   perfbench's ``crowded_market``), under perfbench's own command ``run
@@ -11,11 +11,11 @@ call. Two workloads:
 * criterion 7's sweep, ``run --ugvs 6 8 10 12 14 --reps 100 --scheme
   all`` on the default config, without and with ``--audit``.
 
-A writer's time includes formatting the text it writes as it writes:
+A file's time includes formatting the text it writes as it writes:
 ``MetricsColumns`` formats metrics_raw, audits and outcomes from its
-columns, one chunk per run. Prints each file's best time over the
-repeats, with its line count and size, next to the best time of the
-whole call.
+columns, one chunk per run, and ``csv_text`` the aggregates' rows.
+Prints each file's best time over the repeats, with its line count and
+size, next to the best time of the whole call.
 ``--horizon-slots`` sets every workload's horizon.
 
 Usage: python benchmarks/bench_outputs.py [--repeats 5] [--horizon-slots 600] [--seed 7]
@@ -54,8 +54,8 @@ def bench(title, config, args, repeats):
     and each file's best writer call."""
     best = {}
     best_call = math.inf
-    writers = cli.write_csv, cli.write_csv_text
-    cli.write_csv, cli.write_csv_text = (timed(w, best) for w in writers)
+    write = cli.write_csv
+    cli.write_csv = timed(write, best)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "scenario.cfg"
@@ -71,7 +71,7 @@ def bench(title, config, args, repeats):
                     raise SystemExit(f"skymarket {' '.join(argv)} exited {code}")
             files = {name: (out / name).read_bytes() for name in best}
     finally:
-        cli.write_csv, cli.write_csv_text = writers
+        cli.write_csv = write
 
     print(f"{title}, {config.horizon_slots} slots, best of {repeats}:")
     print(f"  {'whole call':<24}{best_call * 1e3:>10.2f} ms")

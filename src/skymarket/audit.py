@@ -33,7 +33,6 @@ The scalar probes it replaced are the tests' oracles.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
@@ -64,7 +63,6 @@ __all__ = [
     "audit_markets",
     "audit_market",
     "AUDIT_CSV_HEADER",
-    "audit_report_row",
 ]
 
 
@@ -519,7 +517,3 @@ AUDIT_CSV_HEADER = (
     "non_envy_ratio_winners",
     "blocking_pairs",
 )
-
-
-# a report's row of the audit CSVs: its fields, which the header names, in order
-audit_report_row = operator.attrgetter(*AUDIT_CSV_HEADER)

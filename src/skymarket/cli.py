@@ -25,7 +25,7 @@ from .audit import AUDIT_CSV_HEADER
 from .mechanism import OUTCOME_CSV_HEADER
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER, aggregate_tuple
 from .presets import PRESETS, count_problem, run_audit_suite, run_preset
-from .reporting import __version__, provenance_line, write_csv, write_csv_text
+from .reporting import __version__, csv_text, provenance_line, write_csv
 from .simulator import (
     ALL_SCHEMES,
     SCHEME_OURS,
@@ -150,16 +150,15 @@ def cmd_run(args) -> int:
     prov = provenance_line(args.seed, config, note=f"cmd=run reps={args.reps}")
     cols = result.metrics
     files = [
-        write_csv_text(out / "metrics_raw.csv", METRICS_CSV_HEADER, cols.text(), prov),
+        write_csv(out / "metrics_raw.csv", METRICS_CSV_HEADER, cols.text(), prov),
         write_csv(out / "metrics_aggregate.csv", AGGREGATE_CSV_HEADER,
-                  map(aggregate_tuple, result.aggregates), prov),
+                  map(csv_text, [map(aggregate_tuple, result.aggregates)]), prov),
     ]
     if args.audit:
-        files.append(write_csv_text(out / "audits.csv", AUDIT_CSV_HEADER,
-                                    cols.audit_text(), prov))
+        files.append(write_csv(out / "audits.csv", AUDIT_CSV_HEADER, cols.audit_text(), prov))
     if args.outcomes:
-        files.append(write_csv_text(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
-                                    cols.outcome_text(), prov))
+        files.append(write_csv(out / "outcomes.csv", ("scheme", "seed") + OUTCOME_CSV_HEADER,
+                               cols.outcome_text(), prov))
     for f in files:
         print(f)
     return EXIT_OK

@@ -25,6 +25,7 @@ import numpy as np
 
 from .audit import AuditReport
 from .mechanism import Trade, loser_line
+from .reporting import csv_text
 
 __all__ = [
     "MetricsRow",
@@ -64,9 +65,8 @@ class MetricsRow:
 
 
 def _fields_text(fields) -> str:
-    """CSV text of ``fields`` after a first field: what ``csv.writer``
-    writes for ints and floats (``str`` of an int is its ``repr``)."""
-    return "," + ",".join(map(repr, fields)) + "\n"
+    """CSV text of ``fields`` after a first field (``reporting.csv_text``)."""
+    return "," + csv_text([fields])
 
 
 # audit fields after the instance name for a window with no trade (no

@@ -26,7 +26,7 @@ from .audit import (
 from .audit import audit_market
 from .mechanism import run_auction
 from .metrics import AGGREGATE_CSV_HEADER, METRICS_CSV_HEADER, aggregate_tuple
-from .reporting import provenance_line, write_csv, write_csv_text
+from .reporting import csv_text, provenance_line, write_csv
 from .simulator import (
     ALL_SCHEMES,
     SCHEME_OURS,
@@ -61,7 +61,7 @@ def _run_fig_sweep(
 ) -> list[Path]:
     result = run_experiment(config, sweep, replications=reps, schemes=schemes, base_seed=seed)
     prov = provenance_line(seed, config, note=f"preset={name} reps={reps}")
-    raw = write_csv_text(
+    raw = write_csv(
         out_dir / f"{name}_raw.csv",
         METRICS_CSV_HEADER,
         result.metrics.text(),
@@ -70,7 +70,7 @@ def _run_fig_sweep(
     agg = write_csv(
         out_dir / f"{name}_aggregate.csv",
         AGGREGATE_CSV_HEADER,
-        map(aggregate_tuple, result.aggregates),
+        map(csv_text, [map(aggregate_tuple, result.aggregates)]),
         prov,
     )
     return [raw, agg]
@@ -116,7 +116,7 @@ def run_table_truthful(config, seed, out_dir, reps=DEFAULT_REPS, **_):
         write_csv(
             out_dir / "table-truthful.csv",
             ("size", "instance", "uav_id", "truthful_utility", "best_untruthful_utility"),
-            rows,
+            map(csv_text, [rows]),
             prov,
         )
     ]
@@ -149,7 +149,7 @@ def run_table_envy(config, seed, out_dir, reps=DEFAULT_REPS, **_):
         write_csv(
             out_dir / "table-envy.csv",
             ("size", "instance", "scheme", "non_envy_ratio", "non_envy_ratio_winners"),
-            rows,
+            map(csv_text, [rows]),
             prov,
         )
     ]
@@ -202,12 +202,13 @@ def run_audit_suite(config, seed, out_dir, instances=DEFAULT_AUDIT_INSTANCES,
                     max_size=8, **_):
     """Property probes over random truthful markets, drawn one by one
     (``audit_suite_batches``) and audited ``AUDIT_BATCH`` at a time by
-    ``_audit_arrays``; expect all-clean reports."""
-    rows = []
-    for names, markets in audit_suite_batches(config, seed, instances, max_size):
-        rows += [(name, *fields) for name, fields in zip(names, _audit_arrays(*markets))]
+    ``_audit_arrays``; expect all-clean reports. Every batch is audited
+    before the file is written, one chunk of text per batch."""
+    batches = [[(name, *fields) for name, fields in zip(names, _audit_arrays(*markets))]
+               for names, markets in audit_suite_batches(config, seed, instances, max_size)]
     prov = provenance_line(seed, config, note=f"preset=audit-suite instances={instances}")
-    return [write_csv(out_dir / "audit-suite.csv", AUDIT_CSV_HEADER, rows, prov)]
+    return [write_csv(out_dir / "audit-suite.csv", AUDIT_CSV_HEADER, map(csv_text, batches),
+                      prov)]
 
 
 PRESETS: dict[str, Preset] = {

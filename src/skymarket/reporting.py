@@ -6,61 +6,46 @@ a results file can be traced back to its exact inputs. Nothing
 time-dependent is written: identical invocations produce byte-identical
 files.
 
-``write_csv`` writes tuple rows through ``csv.writer``: the aggregates
-and the audit and table presets' files. ``write_csv_text`` writes rows
-its caller already formatted as CSV text, chunk by chunk as they come,
-so a streamed file is never held in memory whole. It writes the
-per-window files of ``run`` and the fig presets (``metrics_raw.csv``,
-``audits.csv``, ``outcomes.csv`` and ``<preset>_raw.csv``), which
-``MetricsColumns`` formats from its columns one run at a time, with the
-bytes ``csv.writer`` would write for their tuple rows, in a fraction of
-its time.
+``write_csv`` is the one writer: it writes the provenance line and the
+header, then the file's rows as CSV text, chunk by chunk as they come,
+so a streamed file is never held in memory whole. Every field is
+written as its ``str``: no field of an output file holds a comma, a
+quote or a line break, and ``str`` of a float is its ``repr``, so the
+bytes are those ``csv.writer`` writes for the same rows, which the tests
+hold them to. Tuple rows (the aggregates, and the audit and table
+presets' files) are formatted by ``csv_text``; a caller passes
+``map(csv_text, [rows])`` so they are formatted inside the writer. The
+per-window files (``metrics_raw.csv``, ``audits.csv``, ``outcomes.csv``
+and ``<preset>_raw.csv``) come from ``MetricsColumns``, which formats
+them from its columns one run at a time.
 """
 
 from __future__ import annotations
 
-import csv
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .types import ScenarioConfig, config_hash
 
 __version__ = "0.1.0"
 
 
-def provenance_line(seed: int, config: Optional[ScenarioConfig] = None, note: str = "") -> str:
-    parts = [f"# skymarket {__version__}", f"seed={seed}"]
-    if config is not None:
-        parts.append(f"config={config_hash(config)}")
-    if note:
-        parts.append(note)
-    return " ".join(parts)
+def provenance_line(seed: int, config: ScenarioConfig, note: str) -> str:
+    return f"# skymarket {__version__} seed={seed} config={config_hash(config)} {note}"
 
 
-@contextmanager
-def _open_csv(path: Path, header: Sequence[str], provenance: str):
-    """Create ``path`` with its provenance line and header written; yield
-    the open file and a ``csv.writer`` on it."""
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """CSV text of ``rows``, one ``\\n``-terminated line per row."""
+    # a list display beats map(str, row) on rows of a few fields
+    return "".join([",".join([str(field) for field in row]) + "\n" for row in rows])
+
+
+def write_csv(path, header: Sequence[str], chunks: Iterable[str], provenance: str) -> Path:
+    """Create ``path`` with its provenance line and header, then write
+    each chunk of ``chunks`` (whole ``\\n``-terminated lines) as it comes."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(provenance + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        yield fh, writer
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence], provenance: str) -> Path:
-    path = Path(path)
-    with _open_csv(path, header, provenance) as (_, writer):
-        writer.writerows(rows)
-    return path
-
-
-def write_csv_text(path, header: Sequence[str], chunks: Iterable[str], provenance: str) -> Path:
-    """Like ``write_csv``, for rows already formatted as CSV text: each
-    chunk holds whole ``\\n``-terminated lines and is written as it comes."""
-    path = Path(path)
-    with _open_csv(path, header, provenance) as (fh, _):
+        fh.write(f"{provenance}\n{','.join(header)}\n")
         fh.writelines(chunks)
     return path

@@ -22,6 +22,7 @@ import csv
 import io
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -40,8 +41,8 @@ from skymarket._kernels import (  # the names step_world_loop reads
     I_ACT, I_PARTNER, UGV_ENROUTE, UGV_IDLE, UGV_SERVING,
 )
 from skymarket.audit import (
-    DEVIATION_EPS, DEVIATION_MULTIPLIERS, UTILITY_TOL, EnvyStats, audit_market, deviation_grid,
-    market_values,
+    AUDIT_CSV_HEADER, DEVIATION_EPS, DEVIATION_MULTIPLIERS, UTILITY_TOL, EnvyStats, audit_market,
+    deviation_grid, market_values,
 )
 from skymarket.energy import ascend_power, descend_power, flight_power, hover_power
 from skymarket.mechanism import (  # close_window_loop looks up admit and run_auction here
@@ -365,6 +366,10 @@ def audit_fields(market):
     envy = envy_stats(table)
     return (len(check_ir(outcome, tol)), sum(g > tol for g in gains), max(gains, default=0.0),
             envy.all_participants, envy.winners_only, len(blocking_pairs(table, qs)))
+
+
+# a report's row of the audit CSVs: its fields, which the header names, in order
+audit_report_row = operator.attrgetter(*AUDIT_CSV_HEADER)
 
 
 def truthful_draws(rngs, config):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 from conftest import (
-    audit_fields, audit_suite_draw, check_ir, replay_deviation_probe, truthful_draws,
+    audit_fields, audit_report_row, audit_suite_draw, check_ir, replay_deviation_probe,
+    truthful_draws,
 )
 
 import skymarket.audit as audit
 from skymarket.audit import (
     UTILITY_TOL,
     audit_market,
-    audit_report_row,
     check_stability,
     deviation_grid,
     deviation_probe,

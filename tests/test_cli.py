@@ -6,22 +6,26 @@ import math
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import skymarket.audit as audit
+import skymarket.cli as cli
+import skymarket.presets as presets
 import skymarket.simulator as simulator
-from skymarket.audit import AUDIT_CSV_HEADER, audit_report_row, random_market
+from skymarket.audit import AUDIT_CSV_HEADER, random_market
 from skymarket.cli import build_parser, main
 from skymarket.mechanism import OUTCOME_CSV_HEADER, WindowMarket
 from skymarket.metrics import METRICS_CSV_HEADER
+from skymarket.presets import PRESETS
 from skymarket.simulator import ALL_SCHEMES, generate_scenario, run_experiment, run_world
 from skymarket.types import ScenarioConfig, save_config, validate
 
 from conftest import (
-    csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script, run_cli_process,
-    run_world_windowwise,
+    audit_report_row, csv_writer_text, outcome_lines, outcome_rows, run_benchmark_script,
+    run_cli_process, run_world_windowwise,
 )
 
 
@@ -418,6 +422,29 @@ def test_audit_csvs_match_pinned_digests(tmp_path, argv, name, digest):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+# sha256 of both CSVs each fig preset writes at `--reps 2 --seed 3`,
+# recorded while the aggregates still went through csv.writer
+FIG_DIGESTS = {
+    "fig-satisfaction": ("14e1ebb335d58f05702750dfd8056b4692f9850aa98522d46e68faa510576326",
+                         "38fdf3eed3a58e68f91de961047f3617da997232808850a626a1376d829beac5"),
+    "fig-utility": ("81f96db789d988abdf84ad28ce7a531e25a4be2aa849dbf453983ddbc5b88b78",
+                    "6ebb8b558c0ce646c895498ab4efa0e73b5c9373dd4ff1914cb2cdad422b5d68"),
+    "fig-surplus": ("d36a2a6995603517910a05af3f3e036b719d5f49033bee7c7ffcfd7a02cb3879",
+                    "8badd10da5e12af9d38f3b72c3297f0324864e253988af3498d3891c19725800"),
+    "fig-window": ("8fac7ee093ce0c39e2cf1865a3b140194708f1a971bacce379c0269032f16763",
+                   "e3cb7932e2ba9f0ed2c8f8be1faa4c92fecb90f4dce9d47e2f8c2f2c26b82b11"),
+}
+
+
+@pytest.mark.parametrize("name", FIG_DIGESTS)
+def test_fig_preset_csvs_match_pinned_digests(tmp_path, name):
+    assert main(["preset", name, "--reps", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+    raw, aggregate = FIG_DIGESTS[name]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.glob("*.csv")} == {f"{name}_raw.csv": raw,
+                                                 f"{name}_aggregate.csv": aggregate}
+
+
 def test_neither_the_audit_command_nor_an_audited_run_builds_a_market(tmp_path, monkeypatch):
     # the audit suite draws its markets as arrays, and an audited trade
     # keeps its ranked bids and vehicles' q; both are audited by the flat
@@ -668,6 +695,39 @@ def test_every_name_the_benchmark_hooks_resolves():
         owner, attr = tracer._resolve(target)
         assert callable(getattr(owner, attr)), target
     assert skymarket._kernels.active_backend() == "numpy"
+
+
+# every command that writes CSVs, at small counts: what the tracer's
+# hooks on cli.write_csv and presets.write_csv see
+WRITING_COMMANDS = [
+    ["run", "--scheme", "all", "--ugvs", "6", "10", "--reps", "2", "--audit", "--outcomes"],
+    ["audit", "--instances", "50"],
+    *(["preset", name, f"--{PRESETS[name].count}", "2"] for name in sorted(PRESETS)),
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_each_printed_file_is_written_by_one_write_csv_call(tmp_path, monkeypatch, capsys,
+                                                            argv):
+    # a call passes its rows as an iterable of text chunks, each of whole
+    # lines; a bare str would be written one character at a time
+    calls = []
+
+    def spy(write):
+        def wrapper(path, header, chunks, provenance):
+            bare = isinstance(chunks, str)
+            chunks = list(chunks)
+            calls.append(Path(path))
+            assert not bare and all(isinstance(c, str) and c[-1:] in ("", "\n") for c in chunks)
+            return write(path, header, chunks, provenance)
+        return wrapper
+
+    for module in (cli, presets):
+        monkeypatch.setattr(module, "write_csv", spy(module.write_csv))
+    assert main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+    printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(set(printed)) == len(printed) > 0
+    assert sorted(calls) == sorted(printed) == sorted(tmp_path.glob("*.csv"))
 
 
 def test_outputs_benchmark_script_runs():

@@ -13,7 +13,9 @@ from hypothesis import Phase, example, given, settings, strategies as st  # noqa
 import conftest  # noqa: E402
 from conftest import (  # noqa: E402
     audit_fields,
+    audit_report_row,
     check_stability_loop,
+    csv_writer_text,
     naive_best_assignment,
     non_envy_ratio_loop,
     payment_closed_form,
@@ -29,7 +31,6 @@ from skymarket.audit import (  # noqa: E402
     UTILITY_TOL,
     audit_market,
     audit_markets,
-    audit_report_row,
     check_stability,
     deviation_probe,
     non_envy_ratio,
@@ -48,6 +49,7 @@ from skymarket.simulator import (  # noqa: E402
     run_worlds,
 )
 from skymarket.energy import slot_constants  # noqa: E402
+from skymarket.reporting import csv_text, write_csv  # noqa: E402
 from skymarket.types import Match, ScenarioConfig, validate  # noqa: E402
 
 from test_kernels import step_block_loop, sweep_states, with_transitions_within  # noqa: E402
@@ -718,3 +720,27 @@ def test_clear_matches_the_payment_and_welfare_oracles(market):
     truthful = sorted((e._replace(bid=e.phi_bar) for e in market.demand),
                       key=lambda e: (-e.bid, e.uav_id))
     assert _clear_ranked(truthful, supply).surplus == pytest.approx(best, abs=1e-9)
+
+
+# the output files' fields: plain strings (no comma, quote or line break),
+# ints and Python floats, with the edge values written out
+_PLAIN = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'))
+_FIELD = (_PLAIN | st.integers() | st.floats()
+          | st.sampled_from([0, -1, -(2**63), 2**63, -0.0, math.inf, -math.inf, math.nan,
+                             5e-324, 1e16, 0.1 + 0.2]))
+# csv.writer quotes the empty string when it is a row's only field; no
+# output row is one
+_ROW = st.lists(_FIELD, max_size=8).filter(lambda row: row != [""])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          phases=(Phase.explicit, Phase.generate))
+@given(header=st.lists(_PLAIN.filter(bool), min_size=1, max_size=8),
+       rows=st.lists(_ROW, max_size=6), cut=st.integers(0, 6))
+def test_write_csv_writes_what_csv_writer_writes(tmp_path_factory, header, rows, cut):
+    # the header line and csv_text's rows are csv.writer's bytes, however
+    # the rows are split into chunks
+    assert csv_text(rows) == csv_writer_text(rows)
+    path = write_csv(tmp_path_factory.getbasetemp() / "csv_text.csv", header,
+                     map(csv_text, [rows[:cut], rows[cut:]]), "# provenance")
+    assert path.read_text(encoding="utf-8") == "# provenance\n" + csv_writer_text([header, *rows])
