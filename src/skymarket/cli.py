@@ -132,20 +132,24 @@ def cmd_run(args) -> int:
     if args.tau:
         sweep["window_len"] = args.tau
     try:
-        cells = sweep_cells(config, sweep)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    problems = [p for cell in cells for p in validate(cell)]
-    for p in dict.fromkeys(problems):
-        print(f"invalid config: {p}", file=sys.stderr)
-    if problems:
+        result = run_experiment(
+            config, sweep, replications=args.reps, schemes=schemes,
+            base_seed=args.seed, with_audit=args.audit, keep_outcomes=args.outcomes,
+        )
+    except ValueError:
+        # run_experiment checks the sweep, then each cell, before it
+        # simulates; the checks are redone here only to say what failed
+        try:
+            cells = sweep_cells(config, sweep)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_USAGE
+        problems = [p for cell in cells for p in validate(cell)]
+        if not problems:
+            raise
+        for p in dict.fromkeys(problems):
+            print(f"invalid config: {p}", file=sys.stderr)
         return EXIT_CONFIG
-
-    result = run_experiment(
-        config, sweep, replications=args.reps, schemes=schemes,
-        base_seed=args.seed, with_audit=args.audit, keep_outcomes=args.outcomes,
-    )
     out = Path(args.out)
     prov = provenance_line(args.seed, config, note=f"cmd=run reps={args.reps}")
     cols = result.metrics

@@ -7,7 +7,10 @@ asked for; a window reads as a ``MetricsRow``, and the store reduces to
 per-(scheme, J, tau) aggregates. It writes the text of the run's
 per-window CSVs (``metrics_raw.csv``, ``audits.csv`` and
 ``outcomes.csv``) straight from its columns, one chunk per run, with
-the bytes ``csv.writer`` would write for its tuple rows; the tuples,
+the bytes ``csv.writer`` would write for its tuple rows. Most windows
+of a sweep have no winner: each is written as its window id and a
+constant tail, with no ``outcomes.csv`` line unless it had bidders, so
+only the windows with a market are formatted field by field. The tuples,
 ``MetricsRow``s, ``AuditReport``s and ``AuctionOutcome``s are built
 only when read. A window's outcome is
 kept as the compact ``mechanism.Trade`` record that clears it; a window
@@ -76,6 +79,22 @@ _NO_MARKET_AUDIT = (0, 0, 0.0, 1.0, 1.0, 0)
 _NO_MARKET_AUDIT_TEXT = _fields_text(_NO_MARKET_AUDIT)
 
 
+def _metrics_line(window, sl, uav_utility, ugv_utility, surplus, non_envy_ratio,
+                  winners) -> str:
+    """A ``metrics_raw.csv`` line after its run's fields; the repr of the
+    int 0 of an empty sum is "0", as ``csv.writer`` writes it."""
+    return (f"{window},{sl!r},{uav_utility!r},{ugv_utility!r},{surplus!r},"
+            f"{non_envy_ratio!r},{winners}\n")
+
+
+# the line of a window with no winner after its window id, by
+# 2 * uav_empty + ugv_empty: it was never recorded, so its metrics hold
+# the values a new entry starts with
+_NO_WINNER_TEXT = [_metrics_line("", 0.0, 0 if uav_empty else 0.0, 0 if ugv_empty else 0.0,
+                                 0.0, 1.0, 0)
+                   for uav_empty in (False, True) for ugv_empty in (False, True)]
+
+
 def _utilities(values: np.ndarray, empty: np.ndarray) -> list:
     """``values`` as a list, with the int 0 where a sum is ``empty``."""
     out = values.astype(object)
@@ -83,12 +102,16 @@ def _utilities(values: np.ndarray, empty: np.ndarray) -> list:
     return out.tolist()
 
 
-class _LoserLines(dict):
-    """``mechanism.loser_line`` by UAV id, each formatted on first use."""
+class _Lines(dict):
+    """``line(key)`` by key, each formatted on first use."""
 
-    def __missing__(self, uav_id: int) -> str:
-        self[uav_id] = line = loser_line(uav_id)
-        return line
+    def __init__(self, line):
+        super().__init__()
+        self.line = line
+
+    def __missing__(self, key) -> str:
+        self[key] = text = self.line(key)
+        return text
 
 
 class MetricsColumns:
@@ -127,8 +150,8 @@ class MetricsColumns:
         self.outcomes = [Trade((), ())] * n if keep_outcomes else None
 
     def record(self, k: int, row: MetricsRow) -> None:
-        """Set entry k's metrics to ``row``'s; ``uav_empty`` and
-        ``ugv_empty`` are the caller's to set."""
+        """Set entry k's metrics to ``row``'s, a trade's, which has a
+        winner; ``uav_empty`` and ``ugv_empty`` are the caller's to set."""
         self.sl[k] = row.sl
         self.uav_utility[k] = row.uav_utility
         self.ugv_utility[k] = row.ugv_utility
@@ -136,15 +159,16 @@ class MetricsColumns:
         self.non_envy_ratio[k] = row.non_envy_ratio
         self.winners[k] = row.winners
 
-    def _block(self, start: int, stop: int) -> tuple:
-        """Entries ``start:stop``'s 7 per-window columns, as lists in
-        ``METRICS_CSV_HEADER`` order, with the int 0 of an empty sum."""
+    def _block(self, at) -> tuple:
+        """The 7 per-window columns of the entries ``at`` (a slice or an
+        index array), as lists in ``METRICS_CSV_HEADER`` order, with the
+        int 0 of an empty sum."""
         return (
-            self.window[start:stop].tolist(), self.sl[start:stop].tolist(),
-            _utilities(self.uav_utility[start:stop], self.uav_empty[start:stop]),
-            _utilities(self.ugv_utility[start:stop], self.ugv_empty[start:stop]),
-            self.surplus[start:stop].tolist(), self.non_envy_ratio[start:stop].tolist(),
-            self.winners[start:stop].tolist(),
+            self.window[at].tolist(), self.sl[at].tolist(),
+            _utilities(self.uav_utility[at], self.uav_empty[at]),
+            _utilities(self.ugv_utility[at], self.ugv_empty[at]),
+            self.surplus[at].tolist(), self.non_envy_ratio[at].tolist(),
+            self.winners[at].tolist(),
         )
 
     def tuples(self):
@@ -152,7 +176,7 @@ class MetricsColumns:
         repeat = itertools.repeat
         for scheme, ugv_count, tau, seed, start, stop in self.runs:
             yield from zip(repeat(scheme), repeat(ugv_count), repeat(tau), repeat(seed),
-                           *self._block(start, stop))
+                           *self._block(slice(start, stop)))
 
     def rows(self) -> list[MetricsRow]:
         """The rows in output order, as ``MetricsRow``s."""
@@ -198,49 +222,60 @@ class MetricsColumns:
 
     def text(self):
         """``metrics_raw.csv``'s rows as text chunks: the bytes
-        ``csv.writer`` writes for ``tuples()``."""
-        def body(start, stop):
-            # repr of the int 0 of an empty sum is "0", as csv.writer writes it
-            return "".join([f"{w},{sl!r},{uu!r},{gu!r},{sp!r},{ne!r},{wn}\n"
-                            for w, sl, uu, gu, sp, ne, wn in zip(*self._block(start, stop))])
-
-        return self._chunks(lambda scheme, ugv_count, tau, seed:
-                            f"{scheme},{ugv_count},{tau!r},{seed},", body)
+        ``csv.writer`` writes for ``tuples()``. Only the windows with a
+        winner are formatted from their columns; every other line is its
+        window id and the ``_NO_WINNER_TEXT`` of its empty sides."""
+        quiet = _Lines(lambda key: f"{key >> 2}{_NO_WINNER_TEXT[key & 3]}")
+        keys = 4 * self.window + 2 * self.uav_empty + self.ugv_empty
+        lines = list(map(quiet.__getitem__, keys.tolist()))
+        traded = np.flatnonzero(self.winners)
+        for k, fields in zip(traded.tolist(), zip(*self._block(traded))):
+            lines[k] = _metrics_line(*fields)
+        yield from self._chunks(lambda scheme, ugv_count, tau, seed:
+                                f"{scheme},{ugv_count},{tau!r},{seed},",
+                                lambda start, stop: "".join(lines[start:stop]))
 
     def audit_text(self):
         """``audits.csv``'s rows as text chunks: the bytes ``csv.writer``
-        writes for ``audit_tuples()``; none unless audits are kept."""
+        writes for ``audit_tuples()``; none unless audits are kept. Only
+        the windows with a winner, the trades that were audited, are
+        formatted from their fields; every other line is its window id
+        and ``_NO_MARKET_AUDIT_TEXT``."""
         if self.audits is None:
-            return iter(())
-
-        def body(start, stop):
-            return "".join([f"{w}{_NO_MARKET_AUDIT_TEXT}" if fields is _NO_MARKET_AUDIT
-                            else f"{w}{_fields_text(fields)}"
-                            for w, fields in zip(self.window[start:stop].tolist(),
-                                                 self.audits[start:stop])])
-
-        return self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme}-seed{seed}-w", body)
+            return
+        quiet = _Lines(lambda w: f"{w}{_NO_MARKET_AUDIT_TEXT}")
+        lines = list(map(quiet.__getitem__, self.window.tolist()))
+        traded = np.flatnonzero(self.winners)
+        for k, w in zip(traded.tolist(), self.window[traded].tolist()):
+            lines[k] = f"{w}{_fields_text(self.audits[k])}"
+        yield from self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme}-seed{seed}-w",
+                                lambda start, stop: "".join(lines[start:stop]))
 
     def outcome_text(self):
         """``outcomes.csv``'s rows as text chunks, each line led by its
         scheme and seed: for every outcome in ``outcome_tuples()``, its
         winners' ``mechanism.winner_line`` by rank, then its losers'
         ``mechanism.loser_line`` in rank order, each after the window id,
-        without building any outcome; none unless outcomes are kept."""
+        without building any outcome; none unless outcomes are kept.
+        Only the windows with a bidder are visited: no other has a line."""
         if self.outcomes is None:
-            return iter(())
-        loser_text = _LoserLines()
+            return
+        loser_text = _Lines(loser_line)
+        bidding = np.flatnonzero(~self.uav_empty)
+        window, outcomes = self.window[bidding].tolist(), self.outcomes
 
         def body(start, stop):
             parts = []
-            for w, kept in zip(self.window[start:stop].tolist(), self.outcomes[start:stop]):
-                wid = f"{w},"
-                parts += kept.winner_lines(wid)
+            first, last = np.searchsorted(bidding, (start, stop)).tolist()
+            for k, w in zip(bidding[first:last].tolist(), window[first:last]):
+                kept, wid = outcomes[k], f"{w},"
+                if kept.vehicles:
+                    parts += kept.winner_lines(wid)
                 if kept.losers:
                     parts.append(wid + wid.join(map(loser_text.__getitem__, kept.losers)))
             return "".join(parts)
 
-        return self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme},{seed},", body)
+        yield from self._chunks(lambda scheme, ugv_count, tau, seed: f"{scheme},{seed},", body)
 
 
 METRICS_CSV_HEADER = (

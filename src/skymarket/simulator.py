@@ -44,12 +44,12 @@ is the one-world call of ``_close_boundary``; the tests hold both to the
 scalar reference ``tests/conftest.py::close_window_loop``, which clears
 each window through ``admit`` and ``run_auction``.
 
-Scenario generation draws each agent from its own seeded substream keyed
-by (seed, side, index), so enlarging one side of the market leaves every
-other draw untouched: sweeps over fleet sizes are paired comparisons by
-construction, and identical (config, seed) pairs rebuild bit-identical
-worlds. A sweep draws each seed's substreams once, for its largest
-fleet, and builds every world of that seed from them by prefix.
+Scenario generation draws each agent from its own seeded substream
+(``scenario``), so a smaller fleet's agents are a prefix of a larger
+one's. A sweep draws each seed's substreams once, for its largest
+fleet, computes each seed's agent columns once, and builds its worlds
+straight into their stack, each a prefix of those columns
+(``_build_stack``; ``generate_scenario`` builds a stack of one).
 
 Scheme-specific geometry: a mobile vehicle meets its UAV halfway, so its
 quality score reflects half its distance to the sensing spot; a static
@@ -58,6 +58,7 @@ pad is met at the pad, full distance, and never moves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -74,6 +75,9 @@ from .mechanism import admit, run_auction
 from .energy import slot_constants
 from .mechanism import Trade, clear
 from .metrics import MetricsColumns, MetricsRow, aggregate_rows
+from .scenario import (
+    UAV_FIELDS, UGV_FIELDS, draw_agents, prefix_rows, uav_columns, ugv_columns,
+)
 from .types import (
     Activity,
     AuctionOutcome,
@@ -123,15 +127,16 @@ __all__ = [
 class World:
     """Mutable simulation state; one instance per run, single-threaded.
 
-    While ``run_worlds`` steps a sweep, the agent arrays and the per-UAV
-    bookkeeping arrays are views into one stack shared by every world of
-    the sweep, and the partner columns hold stack-global indices: a
-    world's UAV i is row ``uav_base + i`` of the stack, its vehicle j row
-    ``ugv_base + j``. Outside ``run_worlds`` the arrays are the world's
-    own, partner indices are local and both bases are 0. A constant
-    that the config sets for every agent, such as an efficiency, is read
-    from ``config`` or folded into the agent arrays at build (the drains
-    and the charging rates).
+    While ``run_worlds`` steps a sweep, the agent arrays, the per-UAV
+    bookkeeping arrays and the vehicle speeds are views into one stack
+    shared by every world of the sweep, and the partner columns hold
+    stack-global indices: a world's UAV i is row ``uav_base + i`` of the
+    stack, its vehicle j row ``ugv_base + j``. Outside ``run_worlds``
+    the arrays are the world's own (``generate_scenario``'s are views of
+    a stack of one), partner indices are local and both bases are 0. A
+    constant that the config sets for every agent, such as an
+    efficiency, is read from ``config`` or folded into the agent arrays
+    at build (the drains and the charging rates).
     """
 
     config: ScenarioConfig
@@ -235,25 +240,6 @@ def _checked(config: ScenarioConfig) -> ScenarioConfig:
     return config
 
 
-def _draw_agents(seed: int, uavs: int, ugvs: int) -> tuple[list, list]:
-    """Raw uniforms of the first ``uavs`` UAVs and ``ugvs`` vehicles of ``seed``.
-
-    Each agent draws from its own substream keyed by (seed, side, index):
-    4 uniforms per UAV (radius, bearing, altitude, SoC) and 3 per vehicle
-    (distance, bearing, speed). Fewer agents draw a prefix of the lists.
-    """
-    def side(key: int, count: int, k: int) -> list:
-        return [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, key, i])))
-            .random(k).tolist()
-            for i in range(count)
-        ]
-
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    return side(0, uavs, 4), side(1, ugvs, 3)
-
-
 def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
                       scheme: str = SCHEME_OURS) -> World:
     """Build a deterministic initial world for (config, seed).
@@ -261,92 +247,95 @@ def generate_scenario(config: ScenarioConfig, seed: Optional[int] = None,
     UAVs hover over the sensing spot inside the task circle at their
     drawn working altitude; vehicles sit at drawn bearings and distances
     from the spot. Each agent consumes its own RNG substream, so worlds
-    with more agents extend, rather than reshuffle, smaller ones.
+    with more agents extend, rather than reshuffle, smaller ones. The
+    world is ``_build_stack``'s only member of a stack of one.
     """
     _checked(config)
     if scheme not in ALL_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if seed is None:
         seed = config.seed
-    uav_u, ugv_u = _draw_agents(seed, config.uav_count, config.ugv_count)
-    return _build_world(config, seed, scheme, uav_u, ugv_u)
+    world = World(config=config, scheme=scheme, seed=seed)
+    _build_stack([world], {seed: draw_agents(seed, config.uav_count, config.ugv_count)})
+    return world
 
 
-def _build_world(c: ScenarioConfig, seed: int, scheme: str,
-                 uav_u: Sequence, ugv_u: Sequence) -> World:
-    """The world of (c, seed, scheme) from its agents' raw uniforms
-    (``_draw_agents``; longer lists are used by prefix)."""
-    n, m = c.uav_count, c.ugv_count
-    cx, cy = c.spot
-    # rng.uniform(lo, hi) is lo + (hi - lo) * u, bit for bit
-    xs, ys, zs, socs = [], [], [], []
-    for u_radius, u_bearing, u_z, u_soc in uav_u[:n]:
-        radius = c.task_radius * math.sqrt(u_radius)
-        bearing = 2.0 * math.pi * u_bearing
-        xs.append(cx + radius * math.cos(bearing))
-        ys.append(cy + radius * math.sin(bearing))
-        zs.append(c.uav_altitude_min + (c.uav_altitude_max - c.uav_altitude_min) * u_z)
-        socs.append(c.uav_capacity_wh * (
-            c.uav_soc_frac_min + (c.uav_soc_frac_max - c.uav_soc_frac_min) * u_soc))
-    gxs, gys, speeds = [], [], []
-    for u_d, u_bearing, u_speed in ugv_u[:m]:
-        d = c.ugv_distance_min + (c.ugv_distance_max - c.ugv_distance_min) * u_d
-        bearing = 2.0 * math.pi * u_bearing
-        gxs.append(cx + d * math.cos(bearing))
-        gys.append(cy + d * math.sin(bearing))
-        speeds.append(c.ugv_speed_min_kmh
-                      + (c.ugv_speed_max_kmh - c.ugv_speed_min_kmh) * u_speed)
-    # a static pad is the same draw pinned in place (paired comparison)
-    speeds = np.zeros(m) if scheme == SCHEME_STATIC else np.array(speeds, dtype=float)
+# a UAV's drawn columns, and the ones a world's config sets for every UAV:
+# capacity, satisfactory level and ``energy.SlotConstants`` in field order
+_UAV_DRAWN = [K.F_SOC, K.F_X, K.F_Y, K.F_Z]
+_UAV_HOME = [K.F_HOME_X, K.F_HOME_Y, K.F_CRUISE_Z]  # its x, y and z at build
+_UAV_CONSTANT = [K.F_CAP, K.F_SAT, K.F_DRAIN_FLY, K.F_DRAIN_HOV, K.F_DRAIN_DESC,
+                 K.F_DRAIN_ASC, K.F_CHARGE_GAIN, K.F_SUPPLY_DRAW, K.F_STEP_XY,
+                 K.F_STEP_DOWN, K.F_STEP_UP]
 
-    per_slot = slot_constants(c)
+
+def _build_stack(worlds: Sequence[World], draws: Mapping[int, tuple]) -> World:
+    """Build the fresh ``worlds`` as the members of one new stack; returns it.
+
+    Each member has its config, scheme and seed set, and ``draws[seed]``
+    are its seed's raw uniforms (``scenario.draw_agents``; longer lists
+    are used by prefix). The agent columns are computed once per seed
+    and values of the config fields that feed them (``UAV_FIELDS``,
+    ``UGV_FIELDS``), for the largest fleet that reads them, with the
+    same ``math`` calls per agent as for any fleet, and each member
+    takes a prefix (``scenario.prefix_rows``). The constants a config
+    sets for every agent are repeated over its rows. A static pad is the
+    mobile vehicle's draw pinned in place (paired comparison). The
+    members become views of the stack, as after ``_stack``, with their
+    bases set and no partners.
+    """
+    n = np.array([w.config.uav_count for w in worlds])
+    m = np.array([w.config.ugv_count for w in worlds])
+    plans: dict = {}  # id(config) -> its agents' fields, and its per-UAV constants
+    for w in worlds:
+        c = w.config
+        if id(c) not in plans:
+            plans[id(c)] = (
+                tuple(getattr(c, f) for f in UAV_FIELDS),
+                tuple(getattr(c, f) for f in UGV_FIELDS),
+                (c.uav_capacity_wh, c.uav_sat_frac * c.uav_capacity_wh, *slot_constants(c),
+                 c.uav_alert_frac * c.uav_capacity_wh),
+            )
+    plan = [plans[id(w.config)] for w in worlds]
+    uav_rows = prefix_rows([(w.seed, p[0], w.config) for w, p in zip(worlds, plan)], n,
+                           lambda c, seed, k: uav_columns(c, draws[seed][0][:k]))
+    ugv_rows = prefix_rows([(w.seed, p[1], w.config) for w, p in zip(worlds, plan)], m,
+                           lambda c, seed, k: ugv_columns(c, draws[seed][1][:k]))
+    per_uav = np.repeat([p[2] for p in plan], n, axis=0)
+    supply, slot_len, static = (np.repeat(col, m) for col in zip(*[
+        (w.config.ugv_supply_wh, w.config.slot_len, w.scheme == SCHEME_STATIC)
+        for w in worlds]))
 
     # column-contiguous: the kernel and the bookkeeping read whole columns
-    uav_f = np.zeros((n, K.N_UAV_F), order="F")
-    uav_i = np.zeros((n, K.N_UAV_I), dtype=np.int64, order="F")
-    ugv_f = np.zeros((m, K.N_UGV_F), order="F")
-    ugv_i = np.zeros((m, K.N_UGV_I), dtype=np.int64, order="F")
-    uav_i[:, K.I_PARTNER] = -1
-    ugv_i[:, K.GI_PARTNER] = -1
-    uav_f[:, K.F_SOC] = socs
-    uav_f[:, K.F_X] = uav_f[:, K.F_HOME_X] = xs
-    uav_f[:, K.F_Y] = uav_f[:, K.F_HOME_Y] = ys
-    uav_f[:, K.F_Z] = uav_f[:, K.F_CRUISE_Z] = zs
-    uav_f[:, K.F_CAP] = c.uav_capacity_wh
-    uav_f[:, K.F_SAT] = c.uav_sat_frac * c.uav_capacity_wh
-    uav_f[:, K.F_DRAIN_FLY] = per_slot.drain_fly
-    uav_f[:, K.F_DRAIN_HOV] = per_slot.drain_hov
-    uav_f[:, K.F_DRAIN_DESC] = per_slot.drain_desc
-    uav_f[:, K.F_DRAIN_ASC] = per_slot.drain_asc
-    # the kernel reads both only while a UAV charges
-    uav_f[:, K.F_CHARGE_GAIN] = per_slot.charge_gain
-    uav_f[:, K.F_SUPPLY_DRAW] = per_slot.supply_draw
-    uav_f[:, K.F_STEP_XY] = per_slot.step_xy
-    uav_f[:, K.F_STEP_DOWN] = per_slot.step_down
-    uav_f[:, K.F_STEP_UP] = per_slot.step_up
-    ugv_f[:, K.G_X] = gxs
-    ugv_f[:, K.G_Y] = gys
-    ugv_f[:, K.G_SUPPLY] = c.ugv_supply_wh
-    ugv_f[:, K.G_STEP] = (speeds / 3.6) * c.slot_len
-    ugv_i[:, K.GI_STATE] = K.UGV_IDLE
-
-    return World(
-        config=c,
-        scheme=scheme,
-        seed=seed,
-        uav_f=uav_f,
-        uav_i=uav_i,
-        ugv_f=ugv_f,
-        ugv_i=ugv_i,
-        soc_alert=np.full(n, c.uav_alert_frac * c.uav_capacity_wh),
-        bidder=np.zeros(n, dtype=bool),
-        excluded=np.zeros(n, dtype=bool),
-        fail_count=np.zeros(n, dtype=np.int64),
-        phi_sum=np.zeros(n),
-        rho_sum=np.zeros(n),
-        sample_count=np.zeros(n, dtype=np.int64),
-        ugv_speed_kmh=speeds,
+    uavs, ugvs = len(uav_rows), len(ugv_rows)
+    stack = World(
+        config=worlds[0].config, scheme=worlds[0].scheme, seed=worlds[0].seed,
+        uav_f=np.zeros((uavs, K.N_UAV_F), order="F"),
+        uav_i=np.zeros((uavs, K.N_UAV_I), dtype=np.int64, order="F"),
+        ugv_f=np.zeros((ugvs, K.N_UGV_F), order="F"),
+        ugv_i=np.zeros((ugvs, K.N_UGV_I), dtype=np.int64, order="F"),
+        soc_alert=per_uav[:, -1].copy(),
+        bidder=np.zeros(uavs, dtype=bool),
+        excluded=np.zeros(uavs, dtype=bool),
+        fail_count=np.zeros(uavs, dtype=np.int64),
+        phi_sum=np.zeros(uavs),
+        rho_sum=np.zeros(uavs),
+        sample_count=np.zeros(uavs, dtype=np.int64),
+        ugv_speed_kmh=np.where(static, 0.0, ugv_rows[:, 2]),
     )
+    stack.uav_i[:, K.I_PARTNER] = -1
+    stack.ugv_i[:, K.GI_PARTNER] = -1
+    stack.ugv_i[:, K.GI_STATE] = K.UGV_IDLE
+    stack.uav_f[:, _UAV_DRAWN] = uav_rows
+    stack.uav_f[:, _UAV_HOME] = uav_rows[:, 1:]
+    # the kernel reads the charging gain and draw only while a UAV charges
+    stack.uav_f[:, _UAV_CONSTANT] = per_uav[:, :-1]
+    stack.ugv_f[:, K.G_X] = ugv_rows[:, 0]
+    stack.ugv_f[:, K.G_Y] = ugv_rows[:, 1]
+    stack.ugv_f[:, K.G_SUPPLY] = supply
+    stack.ugv_f[:, K.G_STEP] = (stack.ugv_speed_kmh / 3.6) * slot_len
+    _as_members(stack, worlds, n.tolist(), m.tolist())
+    return stack
 
 
 def advance_slot(world: World) -> World:
@@ -427,12 +416,13 @@ def close_window(world: World) -> tuple[AuctionOutcome, MetricsRow]:
 # the usual window lengths, a few MB of buffers at 10,000 UAV rows
 _BOOK_SLOTS = 32
 
-# agent state and per-UAV bookkeeping, stacked across the worlds of a sweep
+# agent state, per-UAV bookkeeping and vehicle speeds, stacked across the
+# worlds of a sweep
 _UAV_ARRAYS = (
     "uav_f", "uav_i", "soc_alert", "bidder", "excluded", "fail_count",
     "phi_sum", "rho_sum", "sample_count",
 )
-_UGV_ARRAYS = ("ugv_f", "ugv_i")
+_UGV_ARRAYS = ("ugv_f", "ugv_i", "ugv_speed_kmh")
 
 
 def _shift_partners(worlds: Sequence[World], sign: int) -> None:
@@ -442,6 +432,24 @@ def _shift_partners(worlds: Sequence[World], sign: int) -> None:
         p[p >= 0] += sign * w.ugv_base
         p = w.ugv_i[:, K.GI_PARTNER]
         p[p >= 0] += sign * w.uav_base
+
+
+def _as_members(stack: World, worlds: Sequence[World], uavs: Sequence[int],
+                ugvs: Sequence[int]) -> None:
+    """Make each of ``worlds``, with ``uavs[k]`` UAVs and ``ugvs[k]``
+    vehicles, a view of its rows of ``stack``, member after member, and
+    set its bases."""
+    uav_arrays = [(name, getattr(stack, name)) for name in _UAV_ARRAYS]
+    ugv_arrays = [(name, getattr(stack, name)) for name in _UGV_ARRAYS]
+    uav_base = ugv_base = 0
+    for w, n, m in zip(worlds, uavs, ugvs):
+        for name, array in uav_arrays:
+            setattr(w, name, array[uav_base:uav_base + n])
+        for name, array in ugv_arrays:
+            setattr(w, name, array[ugv_base:ugv_base + m])
+        w.uav_base, w.ugv_base = uav_base, ugv_base
+        uav_base += n
+        ugv_base += m
 
 
 def _stack(worlds: Sequence[World]) -> World:
@@ -457,16 +465,7 @@ def _stack(worlds: Sequence[World]) -> World:
     for name in _UAV_ARRAYS + _UGV_ARRAYS:
         setattr(stack, name,
                 np.asfortranarray(np.concatenate([getattr(w, name) for w in worlds])))
-    uav_base = ugv_base = 0
-    for w in worlds:
-        n, m = w.num_uavs, w.num_ugvs
-        for name in _UAV_ARRAYS:
-            setattr(w, name, getattr(stack, name)[uav_base:uav_base + n])
-        for name in _UGV_ARRAYS:
-            setattr(w, name, getattr(stack, name)[ugv_base:ugv_base + m])
-        w.uav_base, w.ugv_base = uav_base, ugv_base
-        uav_base += n
-        ugv_base += m
+    _as_members(stack, worlds, [w.num_uavs for w in worlds], [w.num_ugvs for w in worlds])
     _shift_partners(worlds, 1)
     return stack
 
@@ -521,9 +520,10 @@ class _Boundary(NamedTuple):
     losing: np.ndarray  # per UAV row: lost a window that closed here
 
 
-def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[int],
-                  cols: MetricsColumns) -> None:
-    """Step worlds that share ``_book``'s constants as one stack.
+def _run_lockstep(stack: World, worlds: Sequence[World], horizon: int,
+                  first_entry: Sequence[int], cols: MetricsColumns) -> None:
+    """Step worlds that share ``_book``'s constants as one stack, whose
+    members they are (``_stack`` or ``_build_stack``).
 
     The stack steps a block of slots per kernel call: up to the next
     boundary of any member's windows, at most ``_BOOK_SLOTS`` slots and
@@ -541,7 +541,6 @@ def _run_lockstep(worlds: Sequence[World], horizon: int, first_entry: Sequence[i
     in one ``_audit_arrays`` batch after the last slot. The members are
     left as views of the stack (``run_worlds`` unstacks them).
     """
-    stack = _stack(worlds)
     start = stack.clock
     # per member: its window length in slots, and the entry of its window
     # that closes at clock t, less t // spw
@@ -780,9 +779,12 @@ def _settle_losers(world: World, losers: np.ndarray, max_fails) -> None:
 
 
 def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
-                 with_audit: bool, keep_outcomes: bool) -> MetricsColumns:
+                 with_audit: bool, keep_outcomes: bool, stack=None) -> MetricsColumns:
     """``run_worlds`` into columns: one run per world, under its own
-    scheme, with audit fields and outcomes if asked for."""
+    scheme, with audit fields and outcomes if asked for. The worlds of
+    each lockstep group become members of the stack ``stack(group)``
+    returns; by default ``_stack`` copies the arrays of worlds built
+    one by one."""
     if len({w.clock for w in worlds}) > 1:
         raise ValueError("run_worlds needs every world at the same clock")
     groups: dict[tuple, list[int]] = {}
@@ -800,7 +802,9 @@ def _run_columns(worlds: Sequence[World], horizon_slots: Optional[int],
         stop += count
     cols = MetricsColumns(runs, np.concatenate(windows), with_audit, keep_outcomes)
     for (horizon, *_), members in groups.items():
-        _run_lockstep([worlds[k] for k in members], horizon, [runs[k][4] for k in members], cols)
+        group = [worlds[k] for k in members]
+        _run_lockstep((stack or _stack)(group), group, horizon,
+                      [runs[k][4] for k in members], cols)
     return cols
 
 
@@ -904,11 +908,13 @@ def run_experiment(
     (base_seed, base_seed+1, ...). Each seed's agent substreams are drawn
     once, for the largest fleet of the sweep, and every world of that
     seed is built from them: a smaller fleet takes a prefix, a static
-    world the same draws pinned in place. ``ours`` and ``optimal`` clear
-    identically under truthful bids, so they share one mobile world per
-    (cell, seed); its windows are emitted once per scheme, under that
-    scheme's label, in (cell, seed, ``schemes``) order. A value list
-    that repeats a value is a ValueError (``sweep_cells``).
+    world the same draws pinned in place. The worlds of each lockstep
+    group are built straight into their stack (``_build_stack``), with
+    each seed's agent columns computed once. ``ours`` and ``optimal``
+    clear identically under truthful bids, so they share one mobile
+    world per (cell, seed); its windows are emitted once per scheme,
+    under that scheme's label, in (cell, seed, ``schemes``) order. A
+    value list that repeats a value is a ValueError (``sweep_cells``).
     """
     for scheme in schemes:
         if scheme not in ALL_SCHEMES:
@@ -917,18 +923,20 @@ def run_experiment(
     cells = [_checked(cfg) for cfg in cells] if replications > 0 else []
     uavs = max((cfg.uav_count for cfg in cells), default=0)
     ugvs = max((cfg.ugv_count for cfg in cells), default=0)
-    draws = [_draw_agents(base_seed + rep, uavs, ugvs) for rep in range(replications)]
-    worlds: list[World] = []
+    seeds = range(base_seed, base_seed + replications)
+    draws = {seed: draw_agents(seed, uavs, ugvs) for seed in seeds}
+    worlds: list[World] = []  # built by _run_columns, stack by stack
     emitted: list[tuple[str, int]] = []  # (scheme, index of its world)
     for cfg in cells:
-        for rep in range(replications):
+        for seed in seeds:
             built: dict[str, int] = {}
             for scheme in schemes:
                 kind = SCHEME_STATIC if scheme == SCHEME_STATIC else SCHEME_OURS
                 if kind not in built:
                     built[kind] = len(worlds)
-                    worlds.append(_build_world(cfg, base_seed + rep, kind, *draws[rep]))
+                    worlds.append(World(config=cfg, scheme=kind, seed=seed))
                 emitted.append((scheme, built[kind]))
-    cols = _run_columns(worlds, None, with_audit, keep_outcomes)
+    cols = _run_columns(worlds, None, with_audit, keep_outcomes,
+                        functools.partial(_build_stack, draws=draws))
     cols.runs = [(scheme, *cols.runs[k][1:]) for scheme, k in emitted]
     return ExperimentResult(metrics=cols, aggregates=aggregate_rows(cols))

@@ -82,8 +82,8 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, problem", [
-    # Python's float ** raises where * gives inf: _build_world used to
-    # raise OverflowError from flight_power
+    # Python's float ** raises where * gives inf: building a world used
+    # to raise OverflowError from flight_power
     ("uav_speed_max = 1e103\n", "uav_speed_max: the flight power kappa1 * v ** 3 overflows"),
     # the largest valuation is inf: the run used to write inf surplus
     ("mu0 = 1e308\nmu1 = 1e308\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
@@ -97,7 +97,7 @@ def test_an_infinite_area_is_a_config_error(tmp_path, capsys):
     ("mu0 = 1e306\nmu1 = 0\nhorizon_slots = 80\nuav_soc_frac_min = 0.1\n"
      "uav_soc_frac_max = 0.3\n", "2**32 * (max(slots_per_window, min(uav_count, ugv_count)) "
      "* (mu0 + mu1)) ** 2: derived constant must be finite (got inf)"),
-    # eps2 ** 2 underflows to 0: _build_world used to raise ZeroDivisionError
+    # eps2 ** 2 underflows to 0: building a world used to raise ZeroDivisionError
     ("eps2 = 1e-200\n", "eps2: eps2 * eps2 underflows to 0 in the vertical power"),
     # an inf drain per slot: every descending UAV used to empty at once
     ("uav_descend_speed = 1e200\n", "drain_desc: derived constant must be finite (got inf)"),
@@ -268,6 +268,26 @@ def test_run_csvs_match_pinned_digests(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.glob("*.csv")}
     assert digests == PINNED_DIGESTS
+
+
+# acceptance criterion 7's sweep, audited and with outcomes: 1,500 runs,
+# 112,500 windows. Recorded before a sweep built each seed's stack once
+# and formatted only the windows with a market
+CRITERION_7_RUN = ["run", "--ugvs", "6", "8", "10", "12", "14", "--reps", "100",
+                   "--scheme", "all", "--audit", "--outcomes", "--seed", "0"]
+CRITERION_7_DIGESTS = {
+    "audits.csv": "7879758751bb73c42aa1c82bba1639c88b7563db1cb40685e21c9316d298bebe",
+    "metrics_aggregate.csv": "9c0f6b95367fde38b13fc9b7a5f5ff42b3a6de4906937d47c9895ad6b6b3912a",
+    "metrics_raw.csv": "e18aeaaa3b7bd8dfc912af203196be19cb6c776c67194961ea7a51e48c8d7ed1",
+    "outcomes.csv": "dac88084b4d698bc5df4f608d40c0fb3714acf0e087572c2c9af6cf521acf771",
+}
+
+
+def test_criterion_7_csvs_match_pinned_digests(tmp_path):
+    assert main(CRITERION_7_RUN + ["--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.glob("*.csv")}
+    assert digests == CRITERION_7_DIGESTS
 
 
 # the contested regime: 100 UAVs from 30-60% charge against 5 or 25
@@ -534,6 +554,29 @@ def test_run_rejects_an_invalid_sweep_cell(tmp_path, capsys, args, problem):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_validates_each_cell_once(tmp_path, monkeypatch):
+    # on success the CLI checks its config once and run_experiment each
+    # cell once; the CLI rebuilds the cells only to report a failed check
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((module.__name__, name))
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (cli, simulator):
+        spy(module, "validate")
+        spy(module, "sweep_cells")
+    assert main(["run", "--ugvs", "6", "8", "10", "--tau", "4", "8", "--scheme", "all",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == sorted([("skymarket.cli", "validate")]
+                                   + [("skymarket.simulator", "sweep_cells")]
+                                   + [("skymarket.simulator", "validate")] * 6)
+
+
 @pytest.mark.parametrize("args, field, value", [
     (["--ugvs", "6", "6"], "ugv_count", 6),
     (["--tau", "8", "8.0"], "window_len", 8.0),
@@ -739,6 +782,11 @@ def test_outputs_benchmark_script_runs():
     assert out.stdout.count("criterion 7: run --ugvs") == 2
     assert out.stdout.count("100 UAVs vs 25 vehicles") == 2
     assert "run --scheme all --outcomes, 100 UAVs" in out.stdout
+    titles = [line for line in out.stdout.splitlines() if line.startswith("set-up of")]
+    assert titles == ["set-up of fleet_sweep's sweep (seed 7), 10 worlds, best of 1:",
+                      "set-up of criterion 7's sweep (seeds 7-106), 1000 worlds, best of 1:"]
+    for part in ("_checked", "draw_agents", "_build_stack", "_layout", "set-up"):
+        assert out.stdout.count(f"  {part} ") == 2, part
 
 
 def test_audit_benchmark_script_runs():

@@ -242,16 +242,18 @@ def test_a_finished_stack_is_freed(monkeypatch):
 
 
 def test_a_sweeps_stack_is_freed_once_it_returns(monkeypatch):
-    # run_experiment discards its worlds without copying their arrays
-    # back, and nothing it returns keeps their stack alive
-    refs, stack, unstacked = [], simulator._stack, []
+    # run_experiment builds its worlds into their stack, discards them
+    # without copying their arrays back, and nothing it returns keeps
+    # their stack alive
+    refs, build, unstacked = [], simulator._build_stack, []
 
-    def stack_and_watch(worlds):
-        built = stack(worlds)
+    def build_and_watch(worlds, draws):
+        built = build(worlds, draws)
         refs.append(weakref.ref(built.uav_f))
         return built
 
-    monkeypatch.setattr(simulator, "_stack", stack_and_watch)
+    monkeypatch.setattr(simulator, "_build_stack", build_and_watch)
+    monkeypatch.setattr(simulator, "_stack", None)
     monkeypatch.setattr(simulator, "_unstack", unstacked.append)
     res = simulator.run_experiment(ScenarioConfig(horizon_slots=16), {"ugv_count": [3, 5]}, 2)
     gc.collect()

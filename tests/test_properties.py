@@ -25,6 +25,7 @@ from conftest import (  # noqa: E402
 )
 import skymarket._kernels as K  # noqa: E402
 import skymarket.audit as audit  # noqa: E402
+import skymarket.scenario as scenario  # noqa: E402
 import skymarket.simulator as simulator  # noqa: E402
 from skymarket.audit import (  # noqa: E402
     DEVIATION_EPS,
@@ -137,6 +138,86 @@ def test_stack_with_bidderless_fast_path_matches_each_world_alone(specs, horizon
     # and windows whose bidders meet no admissible vehicle are settled
     # for the whole stack at once
     _assert_stack_matches_worlds_alone(specs, horizon, enter_urgency)
+
+
+# the fields of a sweep's cell: uav_count, ugv_count, task_radius, the
+# altitude, SoC, vehicle distance and vehicle speed ranges' low and high
+# bounds (every low value is at most every high value), capacity,
+# slot_len and the area's width, which moves the spot
+_CELL_FIELDS = (
+    st.integers(1, 12),
+    st.integers(1, 8),
+    st.sampled_from([200.0, 50.0, 1234.5]),
+    st.sampled_from([5.0, 1.0, 2.5]),
+    st.sampled_from([10.0, 5.0, 9.75]),
+    st.sampled_from([0.3, 0.0, 0.35]),
+    st.sampled_from([1.0, 0.35]),
+    st.sampled_from([300.0, 0.5, 10.0]),
+    st.sampled_from([2500.0, 300.0, 4000.0]),
+    st.sampled_from([20.0, 1.5, 5.0]),
+    st.sampled_from([60.0, 20.0, 90.0]),
+    st.sampled_from([97.58, 50.0]),
+    st.sampled_from([1.0, 0.5, 2.0]),
+    st.sampled_from([5000.0, 1234.0]),
+)
+
+
+@st.composite
+def _cells(draw):
+    """A cell and up to 3 more, each the first with one to three fields
+    drawn again, so cells share the fields that feed the agent columns in
+    part or in full."""
+    first = draw(st.tuples(*_CELL_FIELDS))
+    cells = [first]
+    for _ in range(draw(st.integers(0, 3))):
+        cell = list(first)
+        for k in draw(st.lists(st.integers(0, len(_CELL_FIELDS) - 1), min_size=1, max_size=3)):
+            cell[k] = draw(_CELL_FIELDS[k])
+        cells.append(tuple(cell))
+    return cells
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate))
+@given(
+    cells=_cells(),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3, unique=True),
+    kinds=st.sampled_from([(SCHEME_OURS,), (SCHEME_STATIC,), (SCHEME_OURS, SCHEME_STATIC),
+                           (SCHEME_STATIC, SCHEME_OURS)]),
+)
+def test_every_member_of_a_built_stack_is_the_world_built_alone(cells, seeds, kinds):
+    # run_experiment's builder computes each seed's agent columns once per
+    # set of the fields that feed them, for the largest fleet, and gives
+    # each member a prefix; every member must be generate_scenario's world
+    # of its (cell, seed, scheme), and the per-agent oracle's, bit for bit
+    names = ("uav_count", "ugv_count", "task_radius", "uav_altitude_min", "uav_altitude_max",
+             "uav_soc_frac_min", "uav_soc_frac_max", "ugv_distance_min", "ugv_distance_max",
+             "ugv_speed_min_kmh", "ugv_speed_max_kmh", "uav_capacity_wh", "slot_len",
+             "area_width")
+    configs = [ScenarioConfig(**dict(zip(names, cell))) for cell in cells]
+    assert all(validate(c) == [] for c in configs)
+    uavs, ugvs = (max(getattr(c, f) for c in configs) for f in ("uav_count", "ugv_count"))
+    draws = {seed: scenario.draw_agents(seed, uavs, ugvs) for seed in seeds}
+    worlds = [simulator.World(config=c, scheme=kind, seed=seed)
+              for c in configs for seed in seeds for kind in kinds]
+    stack = simulator._build_stack(worlds, draws)
+    uav_base = ugv_base = 0
+    for w in worlds:
+        alone = generate_scenario(w.config, w.seed, w.scheme)
+        for name in _STATE + ("ugv_speed_kmh",):
+            got, want = getattr(w, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert np.shares_memory(got, getattr(stack, name)), name
+        oracle = conftest.agent_arrays_per_agent(w.config, w.seed, w.scheme)
+        for got, want in zip((w.uav_f, w.uav_i, w.ugv_f, w.ugv_i, w.ugv_speed_kmh), oracle):
+            assert got.tobytes() == want.tobytes()
+        assert (w.uav_base, w.ugv_base, w.clock) == (uav_base, ugv_base, 0)
+        uav_base += w.num_uavs
+        ugv_base += w.num_ugvs
+    assert (stack.num_uavs, stack.num_ugvs) == (uav_base, ugv_base)
+    for name in ("uav_f", "uav_i", "ugv_f", "ugv_i"):
+        assert getattr(stack, name).flags.f_contiguous, name
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300,

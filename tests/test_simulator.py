@@ -609,14 +609,14 @@ def test_ours_and_optimal_agree_under_truthful_bids(monkeypatch):
 
 def test_sweep_builds_one_mobile_world_per_cell_and_seed(monkeypatch):
     real_generate = simulator.generate_scenario
-    real_build = simulator._build_world
+    real_build = simulator._build_stack
     built = []
 
-    def counting(cfg, seed, scheme, *draws):
-        built.append(scheme)
-        return real_build(cfg, seed, scheme, *draws)
+    def counting(worlds, draws):
+        built.extend(w.scheme for w in worlds)
+        return real_build(worlds, draws)
 
-    monkeypatch.setattr(simulator, "_build_world", counting)
+    monkeypatch.setattr(simulator, "_build_stack", counting)
     cfg = ScenarioConfig(horizon_slots=16, uav_soc_frac_min=0.3, uav_soc_frac_max=0.5)
     sweep = {"ugv_count": [3, 8], "window_len": [4.0, 8.0]}
     run_experiment(cfg, sweep, replications=2, schemes=ALL_SCHEMES)
